@@ -497,7 +497,9 @@ func streamSweep(ctx context.Context, cl *serve.Client, spec serve.Spec) sweepOu
 //   - the stitched full sweep is bit-identical to the committed golden,
 //   - duplicate cells are computed exactly once, with the dedup
 //     observable in the metrics (every feasible overlap cell is served
-//     to exactly one sweep from the shared store).
+//     to exactly one sweep from the shared store),
+//   - the restarted server's /metrics counts the same computed and
+//     shared cells as the two done events.
 func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []power.Source, serveBin string, stdout io.Writer) error {
 	if goldenPath == "" {
 		return fmt.Errorf("-chaos -serve needs -golden: the gate verifies the stitched matrix against the committed golden")
@@ -585,14 +587,14 @@ func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []
 	if err := cl2.WaitReady(ctx); err != nil {
 		return err
 	}
-	snap, err := cl2.Metrics(ctx)
+	boot, err := scrapeSeries(ctx, cl2, "wlserve_store_loaded")
 	if err != nil {
 		return err
 	}
 	// The crashed server durably appended killAt records under the dying
 	// sweep's journal lock; the other concurrent sweep can have landed
 	// at most one more append between that count and process death.
-	loaded := int(snap.StoreLoaded)
+	loaded := int(boot[0])
 	if loaded < killAt || loaded > killAt+1 {
 		return chaosFail("restart reloaded %d durable cells, the crash guaranteed %d (+1 for the concurrent sweep) — durable work was lost", loaded, killAt)
 	}
@@ -632,6 +634,18 @@ func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []
 		return chaosFail("shared-store dedup served %d cells, want exactly %d (the feasible overlap)", got, feasibleB)
 	}
 
+	// The server's own /metrics counters must tell the same story as the
+	// two done events: one metrics surface, audited against the streams.
+	after, err := scrapeSeries(ctx, cl2,
+		`wlserve_cells_total{outcome="computed"}`, `wlserve_cells_total{outcome="from_shared"}`)
+	if err != nil {
+		return err
+	}
+	if int(after[0]) != dA.Computed+dB.Computed || int(after[1]) != dA.FromShared+dB.FromShared {
+		return chaosFail("/metrics counts %v computed and %v shared cells, the sweeps' done events %d and %d",
+			after[0], after[1], dA.Computed+dB.Computed, dA.FromShared+dB.FromShared)
+	}
+
 	// Bit-identity: the full sweep's streamed cells must stitch to the
 	// committed golden.
 	gotA := make([]expt.GoldenCell, 0, len(a.cells))
@@ -649,6 +663,25 @@ func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []
 	fmt.Fprintf(stdout, "chaos-serve: PASS — %d durable cells reloaded, %d computed once across both sweeps, %d deduped via shared store, stitched matrix bit-identical\n",
 		loaded, dA.Computed+dB.Computed, dA.FromShared+dB.FromShared)
 	return nil
+}
+
+// scrapeSeries reads the named series from one validated /metrics
+// scrape, in order, erroring if any is absent: a missing series is a
+// broken metrics surface, not a zero.
+func scrapeSeries(ctx context.Context, cl *serve.Client, series ...string) ([]float64, error) {
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(series))
+	for i, name := range series {
+		v, ok := m[name]
+		if !ok {
+			return nil, fmt.Errorf("%s/metrics has no series %s", cl.Base, name)
+		}
+		out[i] = v
+	}
+	return out, nil
 }
 
 // countGolden counts feasible (Err == "") and infeasible committed

@@ -19,7 +19,7 @@
 // Usage:
 //
 //	wlhist record -store HISTORY.jsonl -label pr8 BENCH_PR8.json
-//	wlhist scrape -store HISTORY.jsonl -url http://127.0.0.1:8080/metricz
+//	wlhist scrape -store HISTORY.jsonl -url http://127.0.0.1:8080/metrics
 //	wlhist trend -store HISTORY.jsonl -filter ns_per_op
 //	wlhist gate -store HISTORY.jsonl -threshold 0.10
 //	wlhist html -store HISTORY.jsonl -out dashboard.html
@@ -136,7 +136,7 @@ func runScrape(args []string, stdout io.Writer) (int, error) {
 	fs.SetOutput(stdout)
 	var (
 		store   = storeFlag(fs)
-		url     = fs.String("url", "", "metrics endpoint of a running wlserve (e.g. http://127.0.0.1:8080/metricz)")
+		url     = fs.String("url", "", "metrics endpoint of a running wlserve (e.g. http://127.0.0.1:8080/metrics)")
 		label   = fs.String("label", "", "label recorded on the entry")
 		timeout = fs.Duration("timeout", 10*time.Second, "scrape timeout")
 	)

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wlcache/internal/hist"
+	"wlcache/internal/serve"
 )
 
 // benchDoc is a minimal wlbench/v1 report with a host block so two
@@ -121,6 +124,36 @@ func TestScrape(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "prometheus") || !strings.Contains(out.String(), "live") {
 		t.Fatalf("list output: %s", out.String())
+	}
+}
+
+// scrape records a live wlserve's /metrics: every service counter
+// lands in the store as a prom.* info metric.
+func TestScrapeLiveServer(t *testing.T) {
+	srv, err := serve.New(serve.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	store := filepath.Join(t.TempDir(), "h.jsonl")
+	var out strings.Builder
+	if code, err := run([]string{"scrape", "-store", store, "-url", hs.URL + "/metrics"}, &out); err != nil || code != 0 {
+		t.Fatalf("scrape: code=%d err=%v\n%s", code, err, out.String())
+	}
+	s, err := hist.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := s.Entries()
+	if len(entries) != 1 {
+		t.Fatalf("%d entries, want 1", len(entries))
+	}
+	for _, name := range []string{"prom.wlserve_store_loaded", "prom.wlserve_sweeps_total{state=accepted}"} {
+		if _, ok := entries[0].Metrics[name]; !ok {
+			t.Errorf("scrape entry lacks %s", name)
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 // restarts and serves or resumes every sweep with zero recomputation —
 // just resubmit the same spec. Overlapping sweeps from concurrent
 // clients dedupe through a shared content-addressed store; overload is
-// shed with 429 + Retry-After; /healthz, /readyz and /metricz expose
-// liveness, drain state and the dedup/resume counters.
+// shed with 429 + Retry-After; /healthz and /readyz expose liveness and
+// drain state, and /metrics (Prometheus text) the dedup/resume
+// counters and latency histograms.
 //
 // Usage:
 //

@@ -486,7 +486,7 @@ func TestIngestProm(t *testing.T) {
 		"wlserve_cell_us_count 2\n" +
 		"# TYPE wlserve_sweeps_total counter\n" +
 		"wlserve_sweeps_total 7\n"
-	entries, err := Ingest([]byte(exp), "http://x/metricz", "scrape")
+	entries, err := Ingest([]byte(exp), "http://x/metrics", "scrape")
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("ingest: %v", err)
 	}

@@ -103,14 +103,14 @@ type Cells struct {
 	Retries     int `json:"retries"`
 }
 
-// Scrape is one /metrics + /metricz observation. PromSamples counts
-// the samples of the /metrics scrape after validating it parses as
-// Prometheus text — a zero here means the exposition was malformed.
+// Scrape is one /metrics observation, validated as Prometheus text
+// before it is kept. PromSamples counts its samples; Metrics holds
+// them keyed by series.
 type Scrape struct {
 	// Phase 0 is the pre-run scrape; phase n the scrape after batch n.
-	Phase       int                   `json:"phase"`
-	PromSamples int                   `json:"prom_samples"`
-	Metrics     serve.MetricsSnapshot `json:"metrics"`
+	Phase       int           `json:"phase"`
+	PromSamples int           `json:"prom_samples"`
+	Metrics     serve.Metrics `json:"metrics"`
 }
 
 // Report is the wlload/v1 document. Host self-describes the machine
@@ -326,40 +326,20 @@ func oneRequest(ctx context.Context, cfg Config, cli *serve.Client, col *collect
 	}
 }
 
-// scrape reads /metricz (JSON snapshot) and /metrics, validating the
-// latter as well-formed Prometheus text.
+// scrape reads /metrics once, validating it as well-formed Prometheus
+// text.
 func scrape(ctx context.Context, cli *serve.Client, phase int) (Scrape, error) {
-	snap, err := cli.Metrics(ctx)
+	m, err := cli.Metrics(ctx)
 	if err != nil {
 		return Scrape{}, err
 	}
-	samples, err := ScrapeProm(ctx, cli)
-	if err != nil {
-		return Scrape{}, err
-	}
-	return Scrape{Phase: phase, PromSamples: len(samples), Metrics: snap}, nil
+	return Scrape{Phase: phase, PromSamples: len(m), Metrics: m}, nil
 }
 
 // ScrapeProm fetches GET /metrics and parses it with the validating
-// Prometheus text parser, returning every sample.
+// Prometheus text parser, returning every sample (serve.Client.Scrape).
 func ScrapeProm(ctx context.Context, cli *serve.Client) ([]obs.PromSample, error) {
-	hc := cli.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cli.Base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics: %s", resp.Status)
-	}
-	return obs.ParsePrometheus(resp.Body)
+	return cli.Scrape(ctx)
 }
 
 // latencyStats computes exact order statistics from sorted samples.

@@ -95,8 +95,11 @@ func TestRunAgainstLiveServer(t *testing.T) {
 		}
 	}
 	last := rep.Scrapes[len(rep.Scrapes)-1].Metrics
-	if int(last.SweepsCompleted) != want {
-		t.Fatalf("final snapshot reports %d completed sweeps, want %d", last.SweepsCompleted, want)
+	if got := last[`wlserve_sweeps_total{state="completed"}`]; int(got) != want {
+		t.Fatalf("final scrape reports %v completed sweeps, want %d", got, want)
+	}
+	if got := last[`wlserve_cells_total{outcome="computed"}`]; int(got) != rep.Cells.Computed {
+		t.Fatalf("final scrape reports %v computed cells, the done events %d", got, rep.Cells.Computed)
 	}
 
 	if len(rep.Sweeps) != 2 {

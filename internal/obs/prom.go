@@ -202,6 +202,19 @@ type PromSample struct {
 	Value  float64
 }
 
+// Series returns the sample's series key: the name, then its labels
+// (if any) in exposition spelling sorted by label name —
+// `wlserve_cells_total{outcome="computed"}`. A registry metric whose
+// embedded labels are sorted the same way renders to a sample whose
+// key is its registry name, so a parsed scrape can be indexed by the
+// names that produced it.
+func (s PromSample) Series() string {
+	if len(s.Labels) == 0 {
+		return s.Name
+	}
+	return s.Name + "{" + promLabelBlock(s.Labels, "") + "}"
+}
+
 // Typed scrape-validation errors. A scraper that races a deploy can
 // meet half-written or doubled expositions; callers branch on these
 // with errors.Is to tell a corrupt scrape from an I/O failure.
@@ -311,7 +324,8 @@ func checkPromBucket(hists map[string]*promHistState, base string, s PromSample,
 		}
 		le = v
 	}
-	key := base + "{" + promLabelSignature(s.Labels) + "}"
+	// Every bucket of one histogram series shares the key without `le`.
+	key := base + "{" + promLabelBlock(s.Labels, "le") + "}"
 	st, ok := hists[key]
 	if !ok {
 		st = &promHistState{lastLE: math.Inf(-1)}
@@ -329,12 +343,12 @@ func checkPromBucket(hists map[string]*promHistState, base string, s PromSample,
 	return nil
 }
 
-// promLabelSignature renders a label set minus `le`, sorted, so all
-// buckets of one histogram series share a key.
-func promLabelSignature(labels map[string]string) string {
+// promLabelBlock renders a label set in exposition spelling, sorted by
+// name, leaving out the label named skip.
+func promLabelBlock(labels map[string]string, skip string) string {
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
-		if k != "le" {
+		if k != skip {
 			keys = append(keys, k)
 		}
 	}

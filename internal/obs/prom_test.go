@@ -25,7 +25,7 @@ func find(samples []PromSample, name string) []PromSample {
 func TestWritePrometheusRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`requests_total{route="/v1/sweeps",code="200"}`, DirNone).Add(7)
-	r.Counter(`requests_total{route="/metricz",code="200"}`, DirNone).Add(3)
+	r.Counter(`requests_total{route="/metrics",code="200"}`, DirNone).Add(3)
 	r.Gauge("queue_depth", DirLower).Set(4)
 	h := r.Histogram(`cell_us{outcome="computed"}`, DirLower)
 	for _, v := range []float64{1, 10, 100, 1000} {
@@ -258,14 +258,95 @@ func TestSyncRegistryConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := sr.CounterValue(`ops_total{kind="inc"}`); got != workers*each {
-		t.Fatalf("ops_total = %d, want %d", got, workers*each)
+	var buf bytes.Buffer
+	if err := sr.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := sr.HistCount("lat_us"); got != workers*each {
-		t.Fatalf("lat_us count = %d, want %d", got, workers*each)
+	samples, err := ParsePrometheus(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if q := sr.HistQuantile("lat_us", 0.5); q <= 0 {
-		t.Fatalf("lat_us p50 = %v, want > 0", q)
+	got := map[string]float64{}
+	for _, s := range samples {
+		got[s.Series()] = s.Value
+	}
+	if v := got[`ops_total{kind="inc"}`]; v != workers*each {
+		t.Fatalf("ops_total = %v, want %d", v, workers*each)
+	}
+	if v := got["lat_us_count"]; v != workers*each {
+		t.Fatalf("lat_us count = %v, want %d", v, workers*each)
+	}
+	if v, want := got["lat_us_sum"], float64(workers*each*(each+1)/2); v != want {
+		t.Fatalf("lat_us sum = %v, want %v", v, want)
+	}
+}
+
+// Add returns the post-increment tally under the registry lock, so
+// concurrent callers number their events 1..n with no gaps or repeats.
+func TestSyncRegistryAddNumbersEvents(t *testing.T) {
+	sr := NewSyncRegistry()
+	const workers, each = 8, 200
+	seen := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seen[w] = append(seen[w], sr.Add("appends_total", DirNone, 1))
+			}
+		}(w)
+	}
+	wg.Wait()
+	got := make(map[uint64]bool, workers*each)
+	for _, vs := range seen {
+		for _, v := range vs {
+			if got[v] {
+				t.Fatalf("tally %d handed out twice", v)
+			}
+			got[v] = true
+		}
+	}
+	for v := uint64(1); v <= workers*each; v++ {
+		if !got[v] {
+			t.Fatalf("tally %d never handed out", v)
+		}
+	}
+}
+
+// A parsed sample's Series key is the registry name that produced it
+// when the embedded labels are sorted, whatever order the parser saw.
+func TestPromSampleSeries(t *testing.T) {
+	r := NewRegistry()
+	names := []string{
+		"plain_total",
+		`cells_total{outcome="computed"}`,
+		`requests_total{code="200",route="/v1/sweeps"}`,
+	}
+	for _, n := range names {
+		r.Counter(n, DirNone).Inc()
+	}
+	r.Gauge(`depth{pool="a"}`, DirNone).Set(3)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := ParsePrometheus(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := map[string]float64{}
+	for _, s := range samples {
+		keys[s.Series()] = s.Value
+	}
+	for _, n := range append(names, `depth{pool="a"}`) {
+		if _, ok := keys[n]; !ok {
+			t.Errorf("no sample keyed %s in %v", n, keys)
+		}
+	}
+	unsorted := PromSample{Name: "m", Labels: map[string]string{"z": "1", "a": `q"x`}}
+	if got, want := unsorted.Series(), `m{a="q\"x",z="1"}`; got != want {
+		t.Errorf("Series() = %s, want %s", got, want)
 	}
 }
 
@@ -274,15 +355,11 @@ func TestSyncRegistryConcurrent(t *testing.T) {
 func TestSyncRegistryNil(t *testing.T) {
 	var sr *SyncRegistry
 	sr.Inc("x", DirNone)
-	sr.Add("x", DirNone, 2)
+	if v := sr.Add("x", DirNone, 2); v != 0 {
+		t.Fatalf("nil Add = %d", v)
+	}
 	sr.Set("x", DirNone, 1)
 	sr.Observe("x", DirNone, 1)
-	if v := sr.CounterValue("x"); v != 0 {
-		t.Fatalf("nil CounterValue = %d", v)
-	}
-	if c := sr.HistCount("x"); c != 0 {
-		t.Fatalf("nil HistCount = %d", c)
-	}
 	var buf bytes.Buffer
 	if err := sr.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil WritePrometheus wrote %q, err %v", buf.String(), err)
@@ -315,13 +392,13 @@ func TestWriteTraceEvents(t *testing.T) {
 }
 
 func TestHistQuantileMonotonic(t *testing.T) {
-	sr := NewSyncRegistry()
+	h := NewRegistry().Histogram("v", DirLower)
 	for i := 1; i <= 1000; i++ {
-		sr.Observe("v", DirLower, float64(i))
+		h.Observe(float64(i))
 	}
 	last := 0.0
 	for _, q := range []float64{0.5, 0.9, 0.99} {
-		v := sr.HistQuantile("v", q)
+		v := h.Quantile(q)
 		if v < last {
 			t.Fatalf("quantile %v = %v < previous %v", q, v, last)
 		}

@@ -9,9 +9,9 @@ import (
 // the sweep service's HTTP handlers and runner workers, as opposed to
 // the single-goroutine simulator a bare Registry serves. Operations go
 // through value-passing methods instead of returned metric pointers so
-// every touch happens under the lock; reads snapshot or render under
-// the same lock. All methods are nil-safe, mirroring the rest of the
-// package.
+// every touch happens under the lock. Its one read path is
+// WritePrometheus, under the same lock. All methods are nil-safe,
+// mirroring the rest of the package.
 type SyncRegistry struct {
 	mu  sync.Mutex
 	reg *Registry
@@ -23,14 +23,18 @@ func NewSyncRegistry() *SyncRegistry {
 }
 
 // Add increments the named counter by delta, creating it with
-// direction d on first use.
-func (s *SyncRegistry) Add(name string, d Dir, delta uint64) {
+// direction d on first use, and returns the new tally. Because the
+// increment and the read share the lock, concurrent callers each see a
+// distinct tally — a counter can number events, not just count them.
+func (s *SyncRegistry) Add(name string, d Dir, delta uint64) uint64 {
 	if s == nil {
-		return
+		return 0
 	}
 	s.mu.Lock()
-	s.reg.Counter(name, d).Add(delta)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	c := s.reg.Counter(name, d)
+	c.Add(delta)
+	return c.Value()
 }
 
 // Inc increments the named counter by one.
@@ -54,46 +58,6 @@ func (s *SyncRegistry) Observe(name string, d Dir, v float64) {
 	s.mu.Lock()
 	s.reg.Histogram(name, d).Observe(v)
 	s.mu.Unlock()
-}
-
-// CounterValue reads the named counter (0 when absent).
-func (s *SyncRegistry) CounterValue(name string) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.reg.counters[name]
-	if !ok {
-		return 0
-	}
-	return c.Value()
-}
-
-// HistCount reads the named histogram's observation count (0 when
-// absent).
-func (s *SyncRegistry) HistCount(name string) uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.reg.hists[name]
-	if !ok {
-		return 0
-	}
-	return h.Count()
-}
-
-// HistQuantile estimates the q-quantile of the named histogram (NaN
-// when absent or empty).
-func (s *SyncRegistry) HistQuantile(name string, q float64) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reg.hists[name].Quantile(q)
 }
 
 // WritePrometheus renders the registry in the Prometheus text format

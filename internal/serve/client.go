@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"time"
 
+	"wlcache/internal/obs"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
 )
@@ -262,20 +263,44 @@ func (c *Client) Progress(ctx context.Context, sweepID string) (ProgressSnapshot
 	return snap, json.NewDecoder(resp.Body).Decode(&snap)
 }
 
-// Metrics fetches /metricz.
-func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
-	var snap MetricsSnapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metricz", nil)
+// Metrics is one /metrics scrape: every sample's value keyed by its
+// series, the name plus its labels sorted by label name
+// (obs.PromSample.Series) — `wlserve_store_loaded`,
+// `wlserve_cells_total{outcome="computed"}`. DESIGN.md §14.2 lists the
+// families.
+type Metrics map[string]float64
+
+// metricsOf indexes the samples of a validated scrape by series.
+func metricsOf(samples []obs.PromSample, err error) (Metrics, error) {
 	if err != nil {
-		return snap, err
+		return nil, err
+	}
+	m := make(Metrics, len(samples))
+	for _, s := range samples {
+		m[s.Series()] = s.Value
+	}
+	return m, nil
+}
+
+// Scrape fetches GET /metrics and returns every sample, erroring unless
+// the exposition is well-formed Prometheus text.
+func (c *Client) Scrape(ctx context.Context) ([]obs.PromSample, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/metrics", nil)
+	if err != nil {
+		return nil, err
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return snap, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("metricz: %s", resp.Status)
+		return nil, fmt.Errorf("metrics: %s", resp.Status)
 	}
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
+	return obs.ParsePrometheus(resp.Body)
+}
+
+// Metrics scrapes /metrics and indexes the samples by series.
+func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
+	return metricsOf(c.Scrape(ctx))
 }

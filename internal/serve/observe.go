@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -75,19 +74,86 @@ func validRequestID(s string) bool {
 	return true
 }
 
-// The registry metric families (latencies in microseconds — the obs
-// histograms are log2-bucketed over natural integer units). Counters
-// derived from the /metricz snapshot are rendered separately by
-// writeSnapshotProm, so each fact has exactly one home.
+// The service metrics, all held in Server.reg and rendered by /metrics
+// alone. Names embed their labels in exposition spelling, sorted by
+// label name, so a parsed scrape (Metrics) is keyed by these same
+// strings. Latencies are in microseconds: the obs histograms are
+// log2-bucketed over natural integer units.
 const (
-	mHTTPRequests = "wlserve_http_requests_total" // counter {route,code}
-	mHTTPLatency  = "wlserve_http_request_us"     // histogram {route,code}
+	mHTTPRequests = "wlserve_http_requests_total" // counter {code,route}
+	mHTTPLatency  = "wlserve_http_request_us"     // histogram {code,route}
 	mCellLatency  = "wlserve_cell_us"             // histogram {outcome}
 	mCellWait     = "wlserve_cell_wait_us"        // histogram: worker-queue wait
-	mQueueDepth   = "wlserve_queue_depth"         // gauge: admission queue
 	mQueueWait    = "wlserve_queue_wait_us"       // histogram: admission wait
 	mJournalFsync = "wlserve_journal_fsync_us"    // histogram: append durability tax
+
+	mSweepsAccepted    = `wlserve_sweeps_total{state="accepted"}`
+	mSweepsRejected    = `wlserve_sweeps_total{state="rejected"}`
+	mSweepsUnavailable = `wlserve_sweeps_total{state="unavailable"}`
+	mSweepsCompleted   = `wlserve_sweeps_total{state="completed"}`
+	mCells             = "wlserve_cells_total" // counter {outcome}
+	mCellRetries       = "wlserve_cell_retries_total"
+	mCellPanics        = "wlserve_cell_panics_total"
+
+	mJournalAppends      = "wlserve_journal_appends_total"
+	mJournalDropped      = "wlserve_journal_dropped_records_total"
+	mJournalTornBytes    = "wlserve_journal_torn_tail_bytes_total"
+	mJournalsQuarantined = "wlserve_journals_quarantined_total"
+
+	mSweepsActive = "wlserve_sweeps_active" // gauge: run slots held
+	mSweepsQueued = "wlserve_sweeps_queued" // gauge: admission queue
+	mStoreLoaded  = "wlserve_store_loaded"  // gauge: results reloaded at startup
+	mStoreSize    = "wlserve_store_size"    // gauge: results in the shared store
+	mDraining     = "wlserve_draining"      // gauge: 1 once shutdown began
 )
+
+// cellSources is every runner cell source; each is one outcome of
+// wlserve_cells_total and wlserve_cell_us.
+var cellSources = []runner.CellSource{
+	runner.SourceComputed, runner.SourceJournal, runner.SourceShared,
+	runner.SourceDedup, runner.SourceFailed, runner.SourceSkipped,
+}
+
+// registerMetrics creates every service counter at zero and samples
+// the gauges; with the store gauge loadStore sets, the first scrape of
+// a fresh server already carries every family. Which way each one
+// regresses is documented in DESIGN.md §14.2: the Prometheus text
+// format has no place for it.
+func (s *Server) registerMetrics() {
+	for _, name := range []string{
+		mSweepsAccepted, mSweepsRejected, mSweepsUnavailable, mSweepsCompleted,
+		mCellRetries, mCellPanics, mJournalAppends, mJournalDropped,
+		mJournalTornBytes, mJournalsQuarantined,
+	} {
+		s.count(name, 0)
+	}
+	for _, src := range cellSources {
+		s.count(mCells+outcomeLabels(src), 0)
+	}
+	s.sampleGauges()
+}
+
+// count adds n to a service counter and returns its new tally.
+func (s *Server) count(name string, n uint64) uint64 {
+	return s.reg.Add(name, obs.DirNone, n)
+}
+
+// sampleGauges copies the live state whose truth lives elsewhere — run
+// slots, the admission queue, the shared store, the drain flag — into
+// the registry's gauges. /metrics calls it before every render.
+func (s *Server) sampleGauges() {
+	s.mu.Lock()
+	queued, draining := s.waiting, s.drained
+	s.mu.Unlock()
+	s.reg.Set(mSweepsActive, obs.DirNone, float64(len(s.sem)))
+	s.reg.Set(mSweepsQueued, obs.DirNone, float64(queued))
+	s.reg.Set(mStoreSize, obs.DirNone, float64(s.store.Len()))
+	flag := 0.0
+	if draining {
+		flag = 1
+	}
+	s.reg.Set(mDraining, obs.DirNone, flag)
+}
 
 // outcomeLabel maps a runner cell source onto the /metrics outcome
 // vocabulary (aligned with the SweepMetrics JSON field names).
@@ -109,9 +175,16 @@ func outcomeLabel(src runner.CellSource) string {
 	return string(src)
 }
 
-// noteCell folds one finished cell into the latency histograms.
+// outcomeLabels is the label block of a per-outcome series.
+func outcomeLabels(src runner.CellSource) string {
+	return fmt.Sprintf("{outcome=%q}", outcomeLabel(src))
+}
+
+// noteCell counts one finished cell by outcome, as it lands, and folds
+// it into the latency histograms.
 func (s *Server) noteCell(d runner.CellDone) {
-	lbl := fmt.Sprintf("{outcome=%q}", outcomeLabel(d.Source))
+	lbl := outcomeLabels(d.Source)
+	s.count(mCells+lbl, 1)
 	s.reg.Observe(mCellLatency+lbl, obs.DirLower, float64(d.Dur.Microseconds()))
 	if d.Source != runner.SourceJournal && d.Source != runner.SourceSkipped {
 		// Only cells that reached the pool have a queue wait.
@@ -152,7 +225,7 @@ func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter 
 // per-route metric families stay bounded no matter what clients send.
 func routeLabel(path string) string {
 	switch path {
-	case "/v1/sweeps", "/healthz", "/readyz", "/metricz", "/metrics":
+	case "/v1/sweeps", "/healthz", "/readyz", "/metrics":
 		return path
 	}
 	if strings.HasPrefix(path, "/v1/sweeps/") {
@@ -183,7 +256,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		route := routeLabel(r.URL.Path)
 		dur := time.Since(start)
-		lbl := fmt.Sprintf("{route=%q,code=\"%d\"}", route, code)
+		lbl := fmt.Sprintf("{code=\"%d\",route=%q}", code, route)
 		s.reg.Inc(mHTTPRequests+lbl, obs.DirNone)
 		s.reg.Observe(mHTTPLatency+lbl, obs.DirLower, float64(dur.Microseconds()))
 		logf := s.slog.Info
@@ -197,58 +270,30 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// handleMetrics is GET /metrics: the Prometheus text rendering of the
-// /metricz snapshot (counters/gauges) plus the latency histograms the
-// registry accumulates. /metricz stays the JSON source of truth for
-// the chaos gate's equations; this endpoint is the scrapable view.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+// exposition samples the gauges and renders the whole registry in the
+// Prometheus text format: the one rendering of the service's metrics.
+func (s *Server) exposition() []byte {
+	s.sampleGauges()
 	var buf bytes.Buffer
-	writeSnapshotProm(&buf, s.Metrics())
 	_ = s.reg.WritePrometheus(&buf) // bytes.Buffer writes cannot fail
+	return buf.Bytes()
+}
+
+// handleMetrics is GET /metrics: every service counter, gauge and
+// latency histogram. The chaos gate, the load harness and run history
+// all read this endpoint.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(s.exposition()); err != nil {
 		s.cfg.Log.Printf("serve: /metrics write: %v", err)
 	}
 }
 
-// writeSnapshotProm renders the /metricz counters in the Prometheus
-// text format. Base names are disjoint from the registry's histogram
-// families, so concatenating the two sections keeps every # TYPE
-// group contiguous.
-func writeSnapshotProm(w io.Writer, m MetricsSnapshot) {
-	counter := func(name string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
-	}
-	gauge := func(name string, v int64) {
-		fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, v)
-	}
-	fmt.Fprintf(w, "# TYPE wlserve_sweeps_total counter\n")
-	fmt.Fprintf(w, "wlserve_sweeps_total{state=\"accepted\"} %d\n", m.SweepsAccepted)
-	fmt.Fprintf(w, "wlserve_sweeps_total{state=\"rejected\"} %d\n", m.SweepsRejected)
-	fmt.Fprintf(w, "wlserve_sweeps_total{state=\"unavailable\"} %d\n", m.SweepsUnavailable)
-	fmt.Fprintf(w, "wlserve_sweeps_total{state=\"completed\"} %d\n", m.SweepsCompleted)
-	gauge("wlserve_sweeps_active", m.SweepsActive)
-	gauge("wlserve_sweeps_queued", m.SweepsQueued)
-	fmt.Fprintf(w, "# TYPE wlserve_cells_total counter\n")
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"computed\"} %d\n", m.CellsComputed)
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"from_journal\"} %d\n", m.CellsFromJournal)
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"from_shared\"} %d\n", m.CellsFromShared)
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"deduped\"} %d\n", m.CellsDeduped)
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"failed\"} %d\n", m.CellsFailed)
-	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"skipped\"} %d\n", m.CellsSkipped)
-	counter("wlserve_cell_retries_total", m.CellsRetried)
-	counter("wlserve_cell_panics_total", m.CellsPanicked)
-	gauge("wlserve_store_loaded", m.StoreLoaded)
-	gauge("wlserve_store_size", m.StoreSize)
-	counter("wlserve_journal_appends_total", m.JournalAppends)
-	counter("wlserve_journal_dropped_records_total", m.JournalDropped)
-	counter("wlserve_journal_torn_tail_bytes_total", m.JournalTornBytes)
-	counter("wlserve_journals_quarantined_total", m.JournalsQuarantined)
-	draining := int64(0)
-	if m.Draining {
-		draining = 1
-	}
-	gauge("wlserve_draining", draining)
+// Metrics is what GET /metrics serves, parsed back through the same
+// validating parser clients use; in-process callers (tests) read the
+// service's metrics exactly as a scraper would.
+func (s *Server) Metrics() (Metrics, error) {
+	return metricsOf(obs.ParsePrometheus(bytes.NewReader(s.exposition())))
 }
 
 // progress is the server's record of one sweep's execution, fed by

@@ -155,29 +155,9 @@ func promScrape(t *testing.T, base string) []obs.PromSample {
 	return samples
 }
 
-// sampleValue sums the samples matching a base name and label subset.
-func sampleValue(samples []obs.PromSample, name string, labels map[string]string) (float64, bool) {
-	var sum float64
-	found := false
-next:
-	for _, s := range samples {
-		if s.Name != name {
-			continue
-		}
-		for k, v := range labels {
-			if s.Labels[k] != v {
-				continue next
-			}
-		}
-		sum += s.Value
-		found = true
-	}
-	return sum, found
-}
-
-// After a sweep, /metrics renders the service counters and latency
-// histograms as well-formed Prometheus text, consistent with the
-// /metricz JSON snapshot the chaos gate reads.
+// After a sweep, /metrics agrees with the sweep's own done-event
+// accounting: the service counters, the per-outcome cell latency
+// histogram and the journal fsync histogram all count the same cells.
 func TestMetricsPrometheusScrape(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -185,46 +165,73 @@ func TestMetricsPrometheusScrape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, done, err := st.Drain(); err != nil || done == nil {
+	_, done, err := st.Drain()
+	st.Close()
+	if err != nil || done == nil {
 		t.Fatalf("drain: done=%v err=%v", done, err)
 	}
-	st.Close()
 
-	samples := promScrape(t, cl.Base)
-	jsonSnap, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	m, _ := metricsOf(promScrape(t, cl.Base), nil)
+	computed := float64(done.Metrics.Computed)
 	checks := []struct {
-		name   string
-		labels map[string]string
+		series string
 		want   float64
 	}{
-		{"wlserve_sweeps_total", map[string]string{"state": "accepted"}, float64(jsonSnap.SweepsAccepted)},
-		{"wlserve_sweeps_total", map[string]string{"state": "completed"}, float64(jsonSnap.SweepsCompleted)},
-		{"wlserve_cells_total", map[string]string{"outcome": "computed"}, float64(jsonSnap.CellsComputed)},
-		{"wlserve_journal_appends_total", nil, float64(jsonSnap.JournalAppends)},
+		{mSweepsAccepted, 1},
+		{mSweepsCompleted, 1},
+		{mCells + outcomeLabels(runner.SourceComputed), computed},
+		{mCells + outcomeLabels(runner.SourceJournal), float64(done.Metrics.FromJournal)},
+		{mCellLatency + "_count" + outcomeLabels(runner.SourceComputed), computed},
+		{mJournalAppends, computed},
+		{mJournalFsync + "_count", computed},
+		{mStoreSize, computed},
+		{mStoreLoaded, 0},
+		{mSweepsActive, 0},
+		{mDraining, 0},
 	}
 	for _, c := range checks {
-		got, ok := sampleValue(samples, c.name, c.labels)
-		if !ok || got != c.want {
-			t.Errorf("%s%v = %v (found=%v), want %v to match /metricz", c.name, c.labels, got, ok, c.want)
+		if got, ok := m[c.series]; !ok || got != c.want {
+			t.Errorf("%s = %v (found=%v), want %v", c.series, got, ok, c.want)
 		}
 	}
-	if v, ok := sampleValue(samples, "wlserve_cell_us_count", map[string]string{"outcome": "computed"}); !ok || v < 3 {
-		t.Errorf("wlserve_cell_us_count{outcome=computed} = %v (found=%v), want >= 3", v, ok)
+	if computed != 3 {
+		t.Errorf("done event counts %v computed cells, want 3", computed)
 	}
-	if _, ok := sampleValue(samples, "wlserve_http_requests_total", map[string]string{"route": "/v1/sweeps"}); !ok {
+	if _, ok := m[mHTTPRequests+`{code="200",route="/v1/sweeps"}`]; !ok {
 		t.Error("no wlserve_http_requests_total series for /v1/sweeps")
-	}
-	if v, ok := sampleValue(samples, "wlserve_journal_fsync_us_count", nil); !ok || v < 3 {
-		t.Errorf("wlserve_journal_fsync_us_count = %v (found=%v), want >= 3 (one fsync per computed cell)", v, ok)
 	}
 }
 
-// Concurrent /metricz (JSON) and /metrics (Prometheus) scrapes while
-// sweeps are actively running stay well-formed and race-clean.
+// A fresh server's first scrape already carries every counter and
+// gauge family, at zero: dashboards and the chaos gate never meet a
+// missing series just because nothing has happened yet.
+func TestMetricsFamiliesAtBoot(t *testing.T) {
+	s, err := New(Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := []string{
+		mSweepsAccepted, mSweepsRejected, mSweepsUnavailable, mSweepsCompleted,
+		mCellRetries, mCellPanics, mJournalAppends, mJournalDropped,
+		mJournalTornBytes, mJournalsQuarantined,
+		mSweepsActive, mSweepsQueued, mStoreLoaded, mStoreSize, mDraining,
+	}
+	for _, src := range cellSources {
+		series = append(series, mCells+outcomeLabels(src))
+	}
+	for _, name := range series {
+		if v, ok := m[name]; !ok || v != 0 {
+			t.Errorf("%s = %v (found=%v), want 0 at boot", name, v, ok)
+		}
+	}
+}
+
+// Concurrent /metrics scrapes while sweeps are actively running stay
+// well-formed and race-clean.
 func TestConcurrentScrapesDuringSweeps(t *testing.T) {
 	_, cl := newTestServer(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -257,20 +264,9 @@ func TestConcurrentScrapesDuringSweeps(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 15; i++ {
+			for i := 0; i < 30; i++ {
 				if _, err := cl.Metrics(ctx); err != nil {
-					errc <- fmt.Errorf("metricz: %w", err)
-					return
-				}
-				resp, err := http.Get(cl.Base + "/metrics")
-				if err != nil {
-					errc <- err
-					return
-				}
-				_, perr := obs.ParsePrometheus(resp.Body)
-				resp.Body.Close()
-				if perr != nil {
-					errc <- fmt.Errorf("mid-sweep /metrics does not parse: %w", perr)
+					errc <- fmt.Errorf("mid-sweep /metrics: %w", err)
 					return
 				}
 			}

@@ -16,9 +16,10 @@
 // skips, transient cell errors retry with capped backoff, worker panics
 // are isolated to their cell, and graceful shutdown drains or journals
 // every in-flight cell within a configured deadline. /healthz and
-// /readyz expose liveness and drain state; /metricz exposes the
-// counters the chaos gate audits (zero recompute, exactly-once
-// compute).
+// /readyz expose liveness and drain state; /metrics is the one metrics
+// surface — every counter the chaos gate audits (zero recompute,
+// exactly-once compute) plus the latency histograms, in Prometheus
+// text.
 package serve
 
 import (
@@ -36,7 +37,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wlcache/internal/obs"
@@ -118,57 +118,6 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// counters are the server-wide atomics surfaced by /metricz.
-type counters struct {
-	sweepsAccepted    atomic.Int64
-	sweepsRejected    atomic.Int64
-	sweepsUnavailable atomic.Int64
-	sweepsCompleted   atomic.Int64
-	cellsComputed     atomic.Int64
-	cellsFromJournal  atomic.Int64
-	cellsFromShared   atomic.Int64
-	cellsDeduped      atomic.Int64
-	cellsFailed       atomic.Int64
-	cellsSkipped      atomic.Int64
-	cellsRetried      atomic.Int64
-	cellsPanicked     atomic.Int64
-	journalAppends    atomic.Int64
-	journalDropped    atomic.Int64
-	journalTornBytes  atomic.Int64
-	quarantined       atomic.Int64
-}
-
-// MetricsSnapshot is the /metricz document. The chaos gate's equations
-// read it: StoreLoaded must equal the journal population at the crash,
-// and CellsComputed must cover exactly the cells no journal held —
-// with overlapping concurrent sweeps computing every duplicate exactly
-// once (visible as CellsFromShared).
-type MetricsSnapshot struct {
-	SweepsAccepted    int64 `json:"sweeps_accepted"`
-	SweepsRejected    int64 `json:"sweeps_rejected"`
-	SweepsUnavailable int64 `json:"sweeps_unavailable"`
-	SweepsCompleted   int64 `json:"sweeps_completed"`
-	SweepsActive      int64 `json:"sweeps_active"`
-	SweepsQueued      int64 `json:"sweeps_queued"`
-
-	CellsComputed    int64 `json:"cells_computed"`
-	CellsFromJournal int64 `json:"cells_from_journal"`
-	CellsFromShared  int64 `json:"cells_from_shared"`
-	CellsDeduped     int64 `json:"cells_deduped"`
-	CellsFailed      int64 `json:"cells_failed"`
-	CellsSkipped     int64 `json:"cells_skipped"`
-	CellsRetried     int64 `json:"cells_retried"`
-	CellsPanicked    int64 `json:"cells_panicked"`
-
-	StoreLoaded         int64 `json:"store_loaded"`
-	StoreSize           int64 `json:"store_size"`
-	JournalAppends      int64 `json:"journal_appends"`
-	JournalDropped      int64 `json:"journal_dropped_records"`
-	JournalTornBytes    int64 `json:"journal_torn_tail_bytes"`
-	JournalsQuarantined int64 `json:"journals_quarantined"`
-	Draining            bool  `json:"draining"`
-}
-
 // Server is the sweep service.
 type Server struct {
 	cfg   Config
@@ -178,8 +127,8 @@ type Server struct {
 	hs    *http.Server
 	slog  *slog.Logger
 
-	// reg accumulates the latency histograms /metrics renders
-	// alongside the /metricz counter snapshot.
+	// reg holds every service metric — counters, gauges and latency
+	// histograms — and is the only thing /metrics renders.
 	reg *obs.SyncRegistry
 
 	// progMu guards the per-sweep progress records behind
@@ -198,10 +147,6 @@ type Server struct {
 	// hardCtx cancels in-flight sweeps when the drain deadline passes.
 	hardCtx    context.Context
 	hardCancel context.CancelCauseFunc
-
-	appends     atomic.Int64
-	storeLoaded int64
-	c           counters
 
 	// beforeRun, when set, runs after a sweep wins admission and
 	// before its cells execute. Tests use it to hold run slots at
@@ -235,6 +180,7 @@ func New(cfg Config) (*Server, error) {
 		hardCtx:    hardCtx,
 		hardCancel: hardCancel,
 	}
+	s.registerMetrics()
 	if err := s.loadStore(); err != nil {
 		return nil, err
 	}
@@ -243,7 +189,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/trace", s.handleSweepTrace)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/metricz", s.handleMetricz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", netpprof.Index)
@@ -275,15 +220,16 @@ func (s *Server) loadStore() error {
 		}
 		s.noteLoadStats(stats)
 	}
-	s.storeLoaded = int64(s.store.Len())
-	s.cfg.Log.Printf("serve: store loaded: %d results from %d journals", s.storeLoaded, len(paths))
+	loaded := s.store.Len()
+	s.reg.Set(mStoreLoaded, obs.DirNone, float64(loaded))
+	s.cfg.Log.Printf("serve: store loaded: %d results from %d journals", loaded, len(paths))
 	return nil
 }
 
 // quarantine renames a corrupt journal aside so its sweep restarts
 // from scratch instead of failing forever.
 func (s *Server) quarantine(path string, cause error) {
-	s.c.quarantined.Add(1)
+	s.count(mJournalsQuarantined, 1)
 	dst := path + ".corrupt"
 	if err := os.Rename(path, dst); err != nil {
 		s.cfg.Log.Printf("serve: quarantine %s failed: %v (corruption: %v)", path, err, cause)
@@ -296,8 +242,8 @@ func (s *Server) quarantine(path string, cause error) {
 // server metrics, logging any non-zero loss (a torn tail is expected
 // crash damage, but never silent).
 func (s *Server) noteLoadStats(stats runner.LoadStats) {
-	s.c.journalDropped.Add(int64(stats.Dropped))
-	s.c.journalTornBytes.Add(int64(stats.TornTailBytes))
+	s.count(mJournalDropped, uint64(stats.Dropped))
+	s.count(mJournalTornBytes, uint64(stats.TornTailBytes))
 	if stats.Dropped > 0 || stats.TornTailBytes > 0 {
 		s.cfg.Log.Printf("serve: journal reload: %d records served, %d dropped, %d torn-tail bytes",
 			stats.Records, stats.Dropped, stats.TornTailBytes)
@@ -372,44 +318,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ready\n")
 }
 
-func (s *Server) handleMetricz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(s.Metrics()); err != nil {
-		// Headers are gone; all that's left is to not fail silently.
-		s.cfg.Log.Printf("serve: /metricz response: %v", err)
-	}
-}
-
-// Metrics snapshots the server-wide counters.
-func (s *Server) Metrics() MetricsSnapshot {
-	s.mu.Lock()
-	queued := int64(s.waiting)
-	s.mu.Unlock()
-	return MetricsSnapshot{
-		SweepsAccepted:      s.c.sweepsAccepted.Load(),
-		SweepsRejected:      s.c.sweepsRejected.Load(),
-		SweepsUnavailable:   s.c.sweepsUnavailable.Load(),
-		SweepsCompleted:     s.c.sweepsCompleted.Load(),
-		SweepsActive:        int64(len(s.sem)),
-		SweepsQueued:        queued,
-		CellsComputed:       s.c.cellsComputed.Load(),
-		CellsFromJournal:    s.c.cellsFromJournal.Load(),
-		CellsFromShared:     s.c.cellsFromShared.Load(),
-		CellsDeduped:        s.c.cellsDeduped.Load(),
-		CellsFailed:         s.c.cellsFailed.Load(),
-		CellsSkipped:        s.c.cellsSkipped.Load(),
-		CellsRetried:        s.c.cellsRetried.Load(),
-		CellsPanicked:       s.c.cellsPanicked.Load(),
-		StoreLoaded:         s.storeLoaded,
-		StoreSize:           int64(s.store.Len()),
-		JournalAppends:      s.appends.Load(),
-		JournalDropped:      s.c.journalDropped.Load(),
-		JournalTornBytes:    s.c.journalTornBytes.Load(),
-		JournalsQuarantined: s.c.quarantined.Load(),
-		Draining:            s.draining(),
-	}
-}
-
 // admitStatus is the admission verdict for one submission.
 type admitStatus int
 
@@ -442,13 +350,11 @@ func (s *Server) admit(ctx context.Context) (func(), admitStatus) {
 		return nil, admitShed
 	}
 	s.waiting++
-	s.reg.Set(mQueueDepth, obs.DirLower, float64(s.waiting))
 	s.mu.Unlock()
 	queued := time.Now()
 	defer func() {
 		s.mu.Lock()
 		s.waiting--
-		s.reg.Set(mQueueDepth, obs.DirLower, float64(s.waiting))
 		s.mu.Unlock()
 		s.reg.Observe(mQueueWait, obs.DirLower, float64(time.Since(queued).Microseconds()))
 	}()
@@ -518,13 +424,13 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	release, verdict := s.admit(r.Context())
 	switch verdict {
 	case admitShed:
-		s.c.sweepsRejected.Add(1)
+		s.count(mSweepsRejected, 1)
 		s.slog.Warn("sweep shed", "request", rid, "sweep", sweepID)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		httpError(w, http.StatusTooManyRequests, "sweep queue full, retry after %s", s.cfg.RetryAfter)
 		return
 	case admitUnavailable:
-		s.c.sweepsUnavailable.Add(1)
+		s.count(mSweepsUnavailable, 1)
 		s.slog.Warn("sweep refused, draining", "request", rid, "sweep", sweepID)
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		httpError(w, http.StatusServiceUnavailable, "server draining")
@@ -538,10 +444,10 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 	if s.beforeRun != nil {
 		s.beforeRun(sweepID)
 	}
-	s.c.sweepsAccepted.Add(1)
+	s.count(mSweepsAccepted, 1)
 	s.slog.Info("sweep accepted", "request", rid, "sweep", sweepID, "cells", spec.NumCells())
 	s.runSweep(w, r, spec, sweepID)
-	s.c.sweepsCompleted.Add(1)
+	s.count(mSweepsCompleted, 1)
 }
 
 // runSweep executes one admitted sweep and streams its events.
@@ -618,7 +524,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 			CellBudget:  cellBudget,
 			Shared:      s.store,
 			AfterJournal: func(int) {
-				n := s.appends.Add(1)
+				n := s.count(mJournalAppends, 1)
 				if s.cfg.AfterJournal != nil {
 					s.cfg.AfterJournal(int(n))
 				}
@@ -663,14 +569,8 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		writeEvent(ev)
 	}
 
-	s.c.cellsComputed.Add(int64(rep.Metrics.Computed))
-	s.c.cellsFromJournal.Add(int64(rep.Metrics.FromJournal))
-	s.c.cellsFromShared.Add(int64(rep.Metrics.FromShared))
-	s.c.cellsDeduped.Add(int64(rep.Metrics.Deduped))
-	s.c.cellsFailed.Add(int64(rep.Metrics.Failed + rep.Metrics.OptionalFailed))
-	s.c.cellsSkipped.Add(int64(rep.Metrics.Skipped))
-	s.c.cellsRetried.Add(int64(rep.Metrics.Retries))
-	s.c.cellsPanicked.Add(int64(rep.Metrics.Panics))
+	s.count(mCellRetries, uint64(rep.Metrics.Retries))
+	s.count(mCellPanics, uint64(rep.Metrics.Panics))
 	s.noteLoadStats(rep.Metrics.Journal)
 
 	s.progressEnd(prog, runErr)

@@ -120,8 +120,8 @@ func TestRestartServesFromJournal(t *testing.T) {
 	st.Close()
 
 	s2, cl2 := newTestServer(t, Config{DataDir: dir})
-	if got := s2.Metrics().StoreLoaded; got != 3 {
-		t.Fatalf("restarted store loaded %d results, want 3", got)
+	if got := metric(t, s2, mStoreLoaded); got != 3 {
+		t.Fatalf("restarted store loaded %v results, want 3", got)
 	}
 	st2, err := cl2.Submit(ctx, tinySpec())
 	if err != nil {
@@ -193,8 +193,8 @@ func TestConcurrentOverlapComputesOnce(t *testing.T) {
 	if shared != 2 {
 		t.Fatalf("shared store served %d cells, want exactly 2", shared)
 	}
-	if got := s.Metrics().CellsFromShared; got != 2 {
-		t.Fatalf("server metrics count %d shared cells, want 2", got)
+	if got := metric(t, s, mCells+outcomeLabels(runner.SourceShared)); got != 2 {
+		t.Fatalf("server metrics count %v shared cells, want 2", got)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestOverloadSheds429(t *testing.T) {
 	// Second sweep occupies the single queue position.
 	wg.Add(1)
 	go submit(Spec{Designs: []string{"nocache"}, Workloads: []string{"adpcmencode"}, Traces: []string{"none"}})
-	waitFor(t, func() bool { return s.Metrics().SweepsQueued == 1 })
+	waitFor(t, func() bool { return metric(t, s, mSweepsQueued) == 1 })
 
 	// Third submission must shed, not hang.
 	_, err := cl.Submit(ctx, tinySpec())
@@ -240,14 +240,14 @@ func TestOverloadSheds429(t *testing.T) {
 	if oe.RetryAfter != 7*time.Second {
 		t.Fatalf("Retry-After hint = %v, want 7s", oe.RetryAfter)
 	}
-	if got := s.Metrics().SweepsRejected; got != 1 {
-		t.Fatalf("rejected counter = %d, want 1", got)
+	if got := metric(t, s, mSweepsRejected); got != 1 {
+		t.Fatalf("rejected counter = %v, want 1", got)
 	}
 
 	close(gate)
 	wg.Wait()
-	if got := s.Metrics().SweepsCompleted; got != 2 {
-		t.Fatalf("completed = %d, want both held sweeps to finish", got)
+	if got := metric(t, s, mSweepsCompleted); got != 2 {
+		t.Fatalf("completed = %v, want both held sweeps to finish", got)
 	}
 }
 
@@ -284,7 +284,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 
 	shut := make(chan error, 1)
 	go func() { shut <- s.Shutdown(context.Background()) }()
-	waitFor(t, func() bool { return s.Metrics().Draining })
+	waitFor(t, func() bool { return metric(t, s, mDraining) == 1 })
 
 	if err := cl.Ready(ctx); err == nil {
 		t.Fatal("readyz still 200 while draining")
@@ -292,8 +292,8 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if _, err := cl.Submit(ctx, tinySpec()); err == nil {
 		t.Fatal("draining server accepted a new sweep")
 	}
-	if got := s.Metrics().SweepsUnavailable; got != 1 {
-		t.Fatalf("unavailable counter = %d, want 1", got)
+	if got := metric(t, s, mSweepsUnavailable); got != 1 {
+		t.Fatalf("unavailable counter = %v, want 1", got)
 	}
 
 	close(gate)
@@ -333,7 +333,7 @@ func TestShutdownDeadlineDegradesToSkips(t *testing.T) {
 		cells, done, err := st.Drain()
 		res <- out{cells: cells, done: done, err: err}
 	}()
-	waitFor(t, func() bool { return s.Metrics().SweepsActive == 1 })
+	waitFor(t, func() bool { return metric(t, s, mSweepsActive) == 1 })
 
 	sctx, scancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer scancel()
@@ -395,13 +395,13 @@ func TestSpecRejection(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d, want 405", resp.StatusCode)
 	}
-	if got := s.Metrics().SweepsAccepted; got != 0 {
-		t.Fatalf("rejected specs were accepted: %d", got)
+	if got := metric(t, s, mSweepsAccepted); got != 0 {
+		t.Fatalf("rejected specs were accepted: %v", got)
 	}
 }
 
 // healthz answers while draining (liveness), readyz does not
-// (readiness), and metricz serves a decodable snapshot.
+// (readiness), and metrics serves a well-formed scrape.
 func TestProbes(t *testing.T) {
 	s, cl := newTestServer(t, Config{})
 	ctx := context.Background()
@@ -412,7 +412,7 @@ func TestProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	go s.Shutdown(context.Background())
-	waitFor(t, func() bool { return s.Metrics().Draining })
+	waitFor(t, func() bool { return metric(t, s, mDraining) == 1 })
 	resp, err := http.Get(cl.Base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -495,8 +495,8 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupt journal killed startup: %v", err)
 	}
-	if got := s.Metrics().JournalsQuarantined; got != 1 {
-		t.Fatalf("quarantined = %d, want 1", got)
+	if got := metric(t, s, mJournalsQuarantined); got != 1 {
+		t.Fatalf("quarantined = %v, want 1", got)
 	}
 	if _, err := os.Stat(bad + ".corrupt"); err != nil {
 		t.Fatalf("corrupt journal not renamed aside: %v", err)
@@ -504,6 +504,21 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Fatalf("corrupt journal still in place: %v", err)
 	}
+}
+
+// metric reads one series from the server's metrics as /metrics
+// renders them, failing the test if the series is absent.
+func metric(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	m, err := s.Metrics()
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	v, ok := m[series]
+	if !ok {
+		t.Fatalf("/metrics has no series %s", series)
+	}
+	return v
 }
 
 // waitFor polls a condition with a deadline; serve tests use it to
