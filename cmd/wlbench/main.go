@@ -405,14 +405,19 @@ func runServeChild(addr, dataDir string, killAfter int, stdout io.Writer) error 
 	if killAfter > 0 {
 		n := killAfter
 		cfg.AfterJournal = func(total int) {
+			if total < n {
+				return
+			}
+			// Die like a power failure: no cleanup, no flushes. The
+			// process outlives the kill request briefly, so every
+			// append from the n-th on blocks for good, holding its own
+			// sweep's journal lock until the process is gone (see the
+			// bound derived in runChaosServe).
 			if total == n {
-				// Die like a power failure: no cleanup, no flushes, and
-				// block afterwards so this sweep's journal lock stays
-				// held until the process is gone.
 				p, _ := os.FindProcess(os.Getpid())
 				p.Kill()
-				select {}
 			}
+			select {}
 		}
 	}
 	srv, err := serve.New(cfg)
@@ -591,12 +596,24 @@ func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []
 	if err != nil {
 		return err
 	}
-	// The crashed server durably appended killAt records under the dying
-	// sweep's journal lock; the other concurrent sweep can have landed
-	// at most one more append between that count and process death.
+	// The durable-record bound. Each sweep has its own journal, whose
+	// appends are serialized under its lock: write, fsync, then the
+	// server-wide count and the kill seam, still under the lock. A record
+	// survives SIGKILL once write returns, before it is counted, and the
+	// process runs on for a while after the kill request. The kill fires
+	// inside the killAt-th counted append, and every later append blocks
+	// in the seam for good, so no journal takes a record after its first
+	// append counted past killAt. At death the killing journal holds only
+	// counted records; the other sweep's journal holds at most one more,
+	// the append in flight when the kill fired (counted after it, or
+	// never).
+	// Hence killAt ≤ loaded ≤ killAt+1.
 	loaded := int(boot[0])
-	if loaded < killAt || loaded > killAt+1 {
-		return chaosFail("restart reloaded %d durable cells, the crash guaranteed %d (+1 for the concurrent sweep) — durable work was lost", loaded, killAt)
+	if loaded < killAt {
+		return chaosFail("restart reloaded %d durable cells, the crash guaranteed %d — durable work was lost", loaded, killAt)
+	}
+	if loaded > killAt+1 {
+		return chaosFail("restart reloaded %d durable cells, the kill seam allows at most %d (%d + 1 in flight on the concurrent sweep) — appends continued past the kill", loaded, killAt+1, killAt)
 	}
 
 	outA := make(chan sweepOutcome, 1)

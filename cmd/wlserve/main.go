@@ -103,15 +103,20 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	if *killAfter > 0 {
 		n := *killAfter
 		cfg.AfterJournal = func(total int) {
+			if total < n {
+				return
+			}
+			// Die the way a power failure would: no deferred cleanup,
+			// no flushes. SIGKILL is not instantaneous — other sweeps'
+			// goroutines run on until the process is gone — so every
+			// append from the n-th on blocks for good, holding its own
+			// sweep's journal lock: after the kill request no sweep makes
+			// more than its one in-flight record durable.
 			if total == n {
-				// Die the way a power failure would: no deferred
-				// cleanup, no flushes. Blocking afterwards keeps the
-				// append lock held so no further record can become
-				// durable between the kill request and process death.
 				p, _ := os.FindProcess(os.Getpid())
 				p.Kill()
-				select {}
 			}
+			select {}
 		}
 	}
 

@@ -3,8 +3,10 @@ package expt
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
@@ -350,6 +352,85 @@ type nopFaultPlan struct{}
 func (nopFaultPlan) ShouldCrash(uint64, int64) bool { return false }
 func (nopFaultPlan) CheckpointStart(int64, bool)    {}
 func (nopFaultPlan) CheckpointEnd(int64)            {}
+
+// TestCellFingerprintCoversEveryField perturbs every sim.Config and
+// Options field alone, found by reflection (nested structs and the
+// ICache model included): the fingerprint must change, unless the field
+// is a live hook, which makes the cell uncacheable (""), or derived
+// from the trace source, which Run overwrites. A field added to either
+// struct without a fingerprint term fails here.
+func TestCellFingerprintCoversEveryField(t *testing.T) {
+	hooks := map[string]bool{"Config.FaultPlan": true, "Config.Obs": true}
+	derived := map[string]bool{"Config.Trace": true}
+	var opts Options
+	cfg := sim.DefaultConfig()
+	cfg.ICache = sim.SRAMICache() // non-nil, so its fields are walked too
+	fingerprint := func() string { return cellFingerprint(KindWL, opts, "sha", 1, power.Trace1, cfg) }
+	base := fingerprint()
+	check := func(name string) {
+		got := fingerprint()
+		switch {
+		case hooks[name]:
+			if got != "" {
+				t.Errorf("%s: hook-carrying config got fingerprint %q, want uncacheable", name, got)
+			}
+		case derived[name]:
+			if got != base {
+				t.Errorf("%s: a field derived from the trace source changed the fingerprint", name)
+			}
+		case got == base:
+			t.Errorf("%s: changing it leaves the fingerprint unchanged", name)
+		}
+	}
+	perturbFields(t, reflect.ValueOf(&opts).Elem(), "Options", check)
+	perturbFields(t, reflect.ValueOf(&cfg).Elem(), "Config", check)
+	if fingerprint() != base {
+		t.Fatal("a perturbation was not undone")
+	}
+}
+
+// perturbFields changes each leaf field of struct v in turn — integers
+// and floats +1, bools flipped, nil pointers allocated, non-nil struct
+// pointers walked and then cleared, the FaultPlan interface set to a
+// no-op plan — calls check with its dotted name, and restores it.
+func perturbFields(t *testing.T, v reflect.Value, path string, check func(name string)) {
+	t.Helper()
+	for i := 0; i < v.NumField(); i++ {
+		// Going through the address makes unexported fields
+		// (Options.adaptiveSet) settable too.
+		f := v.Field(i)
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		name := path + "." + v.Type().Field(i).Name
+		old := reflect.New(f.Type()).Elem()
+		old.Set(f)
+		switch {
+		case f.Kind() == reflect.Struct:
+			perturbFields(t, f, name, check)
+			continue
+		case f.CanInt():
+			f.SetInt(f.Int() + 1)
+		case f.CanUint():
+			f.SetUint(f.Uint() + 1)
+		case f.CanFloat():
+			f.SetFloat(f.Float() + 1)
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!f.Bool())
+		case f.Kind() == reflect.Pointer && f.IsNil():
+			f.Set(reflect.New(f.Type().Elem()))
+		case f.Kind() == reflect.Pointer:
+			if f.Elem().Kind() == reflect.Struct {
+				perturbFields(t, f.Elem(), name, check)
+			}
+			f.Set(reflect.Zero(f.Type()))
+		case f.Kind() == reflect.Interface && reflect.TypeOf(nopFaultPlan{}).Implements(f.Type()):
+			f.Set(reflect.ValueOf(nopFaultPlan{}))
+		default:
+			t.Fatalf("%s: no perturbation for a %s field; extend perturbFields", name, f.Type())
+		}
+		check(name)
+		f.Set(old)
+	}
+}
 
 // TestSubsetNamesPreservesOrder ensures figure ordering is stable.
 func TestSubsetNamesPreservesOrder(t *testing.T) {

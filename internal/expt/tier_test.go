@@ -2,24 +2,28 @@ package expt
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
+	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
 )
 
-// checkTierPair runs one cell under both engine tiers and asserts the
-// DESIGN.md §16 contract: counts and checksums identical, energies and
-// times within FastTolerance, and infeasible cells failing identically.
-func checkTierPair(t *testing.T, kind Kind, opts Options, wl string, scale int, src power.Source) {
+// checkTierPair runs one cell under both engine tiers on the base
+// configuration and asserts the DESIGN.md §16 contract: counts and
+// checksums identical, energies and times within FastTolerance, and
+// infeasible cells failing identically.
+func checkTierPair(t *testing.T, base sim.Config, kind Kind, opts Options, wl string, scale int, src power.Source) {
 	t.Helper()
-	id := fmt.Sprintf("%s ml=%d dq=%d", kind, opts.Maxline, opts.DQCap)
+	id := fmt.Sprintf("%s ml=%d dq=%d cap=%g", kind, opts.Maxline, opts.DQCap, base.CapacitorF)
 
-	exactCfg := sim.DefaultConfig()
+	exactCfg := base
+	exactCfg.Tier = sim.TierExact
 	resE, errE := Run(kind, opts, wl, scale, src, exactCfg)
 
-	fastCfg := sim.DefaultConfig()
+	fastCfg := base
 	fastCfg.Tier = sim.TierFast
 	resF, errF := Run(kind, opts, wl, scale, src, fastCfg)
 
@@ -44,14 +48,14 @@ func checkTierPair(t *testing.T, kind Kind, opts Options, wl string, scale int, 
 
 // TestFastTierAdaptiveReconfiguration pins the hardest fast-tier
 // hazard: wl-dyn raises and lowers the checkpoint reserve mid-run via
-// ReserveNotifyBinder, which must settle the open window and
-// invalidate the per-block memo (stale Vbackup thresholds would
-// otherwise leak into batched windows). Trace3 is the outage-heaviest
+// ReserveNotifyBinder, which must settle the open window and re-arm it
+// against the new threshold (a stale Vbackup would otherwise leak into
+// batched windows). Trace3 is the outage-heaviest
 // trace (~121 outages), none is the zero-outage degenerate case.
 func TestFastTierAdaptiveReconfiguration(t *testing.T) {
 	for _, wl := range []string{"sha", "adpcmencode"} {
 		for _, src := range []power.Source{power.None, power.Trace1, power.Trace3} {
-			checkTierPair(t, "wl-dyn", Options{}, wl, 1, src)
+			checkTierPair(t, sim.DefaultConfig(), "wl-dyn", Options{}, wl, 1, src)
 		}
 	}
 }
@@ -63,7 +67,7 @@ func TestFastTierAdaptiveReconfiguration(t *testing.T) {
 func TestFastTierZeroPowerAndOutageHeavy(t *testing.T) {
 	for _, kind := range AllKinds() {
 		for _, src := range []power.Source{power.None, power.Trace3} {
-			checkTierPair(t, kind, Options{}, "sha", 1, src)
+			checkTierPair(t, sim.DefaultConfig(), kind, Options{}, "sha", 1, src)
 		}
 	}
 }
@@ -95,6 +99,66 @@ func TestFastTierPropertyRandomCells(t *testing.T) {
 			cap = 8
 		}
 		opts := Options{Maxline: 1 + rng.Intn(cap), DQCap: dq}
-		checkTierPair(t, kind, opts, wl, 1, src)
+		checkTierPair(t, sim.DefaultConfig(), kind, opts, wl, 1, src)
+	}
+}
+
+// FuzzTierEquivalence drives checkTierPair over fuzzer-chosen cells:
+// design kind, a small kernel, trace source, maxline, DQ capacity, and
+// the capacitor — the 1 µF default or the outage-heavy 344 nF, which
+// shortens every on-period and puts the window bounds under pressure.
+func FuzzTierEquivalence(f *testing.F) {
+	kinds := AllKinds()
+	workloads := []string{"sha", "adpcmencode", "qsort", "dijkstra"}
+	sources := []power.Source{power.None, power.Trace1, power.Trace2, power.Trace3, power.Solar, power.Thermal}
+	dqcaps := []int{0, 4, 16}
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), false)
+	f.Add(uint8(len(kinds)-1), uint8(1), uint8(1), uint8(5), uint8(2), true)
+	f.Add(uint8(3), uint8(2), uint8(3), uint8(2), uint8(1), true)
+	f.Fuzz(func(t *testing.T, kind, wl, src, maxline, dq uint8, smallCap bool) {
+		opts := Options{DQCap: dqcaps[int(dq)%len(dqcaps)]}
+		// maxline must stay within the DQ capacity (default 8).
+		limit := opts.DQCap
+		if limit == 0 {
+			limit = 8
+		}
+		opts.Maxline = 1 + int(maxline)%limit
+		base := sim.DefaultConfig()
+		if smallCap {
+			base.CapacitorF = 344e-9
+		}
+		checkTierPair(t, base, kinds[int(kind)%len(kinds)], opts,
+			workloads[int(wl)%len(workloads)], 1, sources[int(src)%len(sources)])
+	})
+}
+
+// TestFastTierIneligibleRunsExact pins the eligibility rule of
+// DESIGN.md §16.1: a fast-tier configuration carrying a FaultPlan or an
+// Obs recorder runs the exact policy, bit for bit — even a plan that
+// never crashes, since the hook alone disqualifies the run.
+func TestFastTierIneligibleRunsExact(t *testing.T) {
+	const kind, wl, src = KindWL, "sha", power.Trace3
+	run := func(cfg sim.Config) map[string]string {
+		t.Helper()
+		res, err := Run(kind, Options{}, wl, 1, src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FlattenResult(res)
+	}
+	exact := run(sim.DefaultConfig())
+	if exact["Outages"] == "0" {
+		t.Fatal("cell has no outages; the rule is only interesting across power failures")
+	}
+	faulted := sim.DefaultConfig()
+	faulted.Tier = sim.TierFast
+	faulted.FaultPlan = nopFaultPlan{}
+	observed := sim.DefaultConfig()
+	observed.Tier = sim.TierFast
+	observed.Obs = obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: wl, Trace: string(src)}, 0)
+	for name, cfg := range map[string]sim.Config{"fault plan": faulted, "recorder": observed} {
+		if got := run(cfg); !maps.Equal(got, exact) {
+			t.Errorf("TierFast with a %s is not bit-identical to TierExact", name)
+		}
 	}
 }

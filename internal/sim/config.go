@@ -23,11 +23,11 @@ const (
 	// operation happens in the committed order, and the 78-cell golden
 	// pins each Result field down to the last ULP.
 	TierExact Tier = iota
-	// TierFast restructures the hot loop under a committed tolerance
-	// (see expt.CompareGoldenCellsTol and DESIGN.md §16): capacitor
-	// state is kept in energy space, harvest integration is batched
-	// between power-relevant events behind a conservative draw budget,
-	// and Compute blocks are fused. Event counts (outages, write-backs,
+	// TierFast widens the engine's settle window under a committed
+	// tolerance (see expt.CompareGoldenCellsTol and DESIGN.md §16):
+	// capacitor state is kept in energy space, harvest integration is
+	// batched between power-relevant events behind a conservative draw
+	// budget, and Compute blocks are fused. Event counts (outages, write-backs,
 	// checkpoints, instructions, traffic) stay exactly equal to the
 	// exact tier; energies and phase times are ε-equal, not bit-equal.
 	TierFast
@@ -116,10 +116,12 @@ type Config struct {
 	// recorder into the capacitor, the NVM port and the design.
 	Obs *obs.Recorder
 
-	// Tier selects exact (default) or fast simulation. Runs with a
-	// FaultPlan or an Obs recorder always execute at exact fidelity —
-	// both hooks observe per-event state the fast tier defers — so the
-	// fast tier is only engaged on plain measurement runs.
+	// Tier selects the settle-window policy New runs the one hot loop
+	// with: exact (default) settles every event alone in voltage space;
+	// fast batches events between settles in energy space. Runs with a
+	// FaultPlan or an Obs recorder always take the exact policy — both
+	// hooks observe per-event state the fast window defers — so the
+	// fast policy only engages on plain measurement runs.
 	Tier Tier
 }
 

@@ -58,11 +58,13 @@ type EnergyProbeBinder interface {
 }
 
 // EBAccessor is an optional fast-path counterpart of Design.Access:
-// the design writes its energy breakdown into *eb instead of returning
-// the 64-byte struct by value, sparing one copy per simulated memory
-// operation. Implementations must perform arithmetic identical to
-// Access (designs typically implement Access as a thin wrapper over
-// AccessEB); the simulator uses AccessEB when available.
+// the design accumulates its energy breakdown into *eb (+= only, never
+// a plain store) instead of returning the 64-byte struct by value,
+// sparing one copy per simulated memory operation. *eb is the open
+// settle window's breakdown: zero on the exact policy, earlier events'
+// sums on the fast one. Implementations must perform arithmetic
+// identical to Access (designs typically implement Access as a thin
+// wrapper over AccessEB); the simulator uses AccessEB when available.
 type EBAccessor interface {
 	AccessEB(now int64, op isa.Op, addr uint32, val uint32, eb *energy.Breakdown) (v uint32, done int64)
 }

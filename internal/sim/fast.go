@@ -7,23 +7,25 @@ import (
 	"wlcache/internal/energy"
 )
 
-// This file is the TierFast engine (DESIGN.md §16). The exact tier
-// keeps capacitor state as a voltage and pays a two-sqrt floating-point
-// dependency chain on every event (energy.Capacitor.Step); that chain
-// is the §11.3 performance ceiling. The fast tier restructures the same
-// physics under a committed tolerance:
+// This file is the settle window (DESIGN.md §16), the one hot loop both
+// tiers run. Events — access tails and Compute blocks — accumulate in
+// the open window; the window settles before an event could hide a
+// power-relevant change, and the voltage monitor (settleAndCheck) runs
+// at every settle. New picks one of two window policies from
+// Config.Tier:
 //
-//   - Capacitor state lives in energy space (fcapE, joules). Harvest
+//   - Exact (perEvent) is the degenerate window: a zero draw budget and
+//     a deadline at the window's start, so every event reaches past the
+//     deadline and settles alone, in voltage space, through step — the
+//     seed engine's per-event arithmetic, same operations in the same
+//     order, which the golden pins bit for bit.
+//   - Fast keeps capacitor state in energy space (fcapE, joules). Harvest
 //     clamping and the Vbackup/VMin comparisons all have exact
 //     energy-space forms (E ≥ ½CV² ⇔ V' ≥ V), so no sqrt is needed
-//     between outages.
-//   - Harvest integration and capacitor settlement are batched across
-//     events. Between settles, access events accumulate their energy
-//     breakdown in place (s.ebScratch is not zeroed per event — every
-//     design accumulates with +=), so the per-event work is the
-//     category sum and two compares; the accumulated breakdown is
-//     flushed into Result.Energy at each settle. A settle is forced
-//     before either bound is violated:
+//     between outages. Access events accumulate their breakdown in
+//     place, so the per-event work is the category sum and two compares;
+//     the breakdown is flushed into Result.Energy at each settle. A
+//     settle is forced before either bound is violated:
 //       budget bound   pending draw < drawBudget, where drawBudget is
 //                      the settled energy above the Vbackup threshold.
 //                      Harvest only adds energy, so no Vbackup crossing
@@ -33,31 +35,25 @@ import (
 //                      Within such a window the VMax clamp provably
 //                      cannot engage, so one batched Integrate equals
 //                      the per-event sequence (up to fp reordering).
-//     An event that would cross the deadline is settled into its own
-//     single-event window, which matches the exact tier's per-event
-//     clamp semantics by construction.
-//   - Compute blocks are fused: a whole Compute(n) advances in one
-//     step when the zero-harvest draw budget covers it, degrading to
-//     the exact tier's ComputeChunk monitor granularity near the
-//     threshold. Per-block costs are memoized by block length.
+//     An event that would cross the deadline settles in its own
+//     single-event window, which matches the exact policy's per-event
+//     clamp semantics by construction. Compute blocks are fused when the
+//     budget covers them and degrade to ComputeChunk monitor granularity
+//     near the threshold; per-block costs are memoized by block length.
 //
-// Everything event-ordered stays event-ordered: the instruction
-// sequence, every design access, and every outage boundary are decided
-// at the same event granularity as the exact tier, so all counts
-// (outages, write-backs, checkpoint lines, traffic) are exactly equal;
-// only the floating-point summation order changes, which perturbs
-// energies and recharge durations at relative ~1e-15 per operation.
-// Outage/checkpoint/restore sequences themselves run the exact
-// voltage-space code (a handful of events per outage), entered and
-// left through an energy<->voltage sync.
+// Everything event-ordered stays event-ordered on both policies: the
+// instruction sequence, every design access and every outage boundary
+// are decided at the same event granularity, so all counts are exactly
+// equal; the fast policy only reorders floating-point sums. The outage
+// sequence (powerFail) runs in voltage space on both, entered through
+// syncCapFromFast on the fast policy and left through openWindow.
 //
-// Pending draw is tracked as two scalars: pendingBlock (fused Compute
-// blocks, which bypass ebScratch entirely) and scratchDraw (the cached
-// ebScratch.Total() as of the last access event). Their sum is the
-// window's draw. A settle can land mid-access — wl-dyn raises its
-// reserve from inside AccessEB via ReserveNotifyBinder — at which point
-// ebScratch holds a partially built event that scratchDraw does not yet
-// cover; settleFast flushes the whole scratch but settles only the
+// Pending draw is tracked as two scalars: pendingBlock (Compute blocks,
+// which bypass ebScratch) and scratchDraw (ebScratch's total as of the
+// last access event). A fast settle can land mid-access — wl-dyn raises
+// its reserve from inside AccessEB via ReserveNotifyBinder — at which
+// point ebScratch holds a partially built event that scratchDraw does
+// not yet cover; settle flushes the whole scratch but settles only the
 // covered draw, carrying the in-flight remainder into the new window.
 
 // blockMemoSize is the direct-mapped block-cost memo size. Workload
@@ -68,12 +64,9 @@ const blockMemoSize = 16
 
 // blockCost caches the derived costs of a Compute block of length n:
 // its duration, its core/fetch energies and their sum (the block's
-// tracked draw; leakage is derived from time at settle). The entries
-// fold the design energy constants (InstrEnergy, icache fetch energy,
-// cycle time), which are per-run constants today; refreshThresholds
-// still clears the memo on every reserve change so a future design
-// that retunes energy costs when it reconfigures can never be served a
-// stale block.
+// tracked draw; leakage is derived from time at settle). Every entry
+// folds only per-run constants (cycle time, InstrEnergy, icache fetch
+// energy).
 type blockCost struct {
 	n       int
 	dt      int64
@@ -82,38 +75,30 @@ type blockCost struct {
 	draw    float64
 }
 
-// enterFast engages the fast loop from the capacitor's current state.
-// Called once after the initial charge-up and after every outage.
-func (s *Simulator) enterFast() {
-	s.fastHot = true
-	// Exact-tier accesses leave their last event's values in the scratch;
-	// the accumulating fast path needs it clean.
-	s.ebScratch = energy.Breakdown{}
-	// Baseline for the derived instruction count: while fastHot,
-	// Result.Instructions is reconstructed at every settle as
-	// Loads + Stores + computeRetired, so access events don't touch it.
-	s.computeRetired = s.res.Instructions - s.res.Loads - s.res.Stores
-	s.syncFastFromCap()
-}
-
-// exitFast settles outstanding state and hands authority back to the
-// voltage-space capacitor (for the outage sequence, a probe, or the
-// final flush).
-func (s *Simulator) exitFast() {
-	s.settleFast()
-	s.syncCapFromFast()
-	s.fastHot = false
-}
-
-// syncFastFromCap derives the energy-space state from the capacitor
-// voltage and re-arms the settle bounds.
-func (s *Simulator) syncFastFromCap() {
-	v := s.cap.Voltage()
-	s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
-	s.pendingBlock = 0
-	s.scratchDraw = 0
+// openWindow starts a settle window at s.now: after the initial
+// charge-up and at every boot, when the previous window (if any) has
+// settled empty. The fast policy derives its energy-space state from
+// the capacitor; refreshThresholds then arms both policies against the
+// current reserve.
+func (s *Simulator) openWindow() {
 	s.settleT = s.now
-	s.rearmFast()
+	s.settleDeadline = s.now
+	if !s.perEvent {
+		v := s.cap.Voltage()
+		s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
+	}
+	s.refreshThresholds()
+}
+
+// syncCap settles the window and hands its state to the voltage-space
+// capacitor, which reserve probes and the final flush read. The exact
+// policy's capacitor is always current.
+func (s *Simulator) syncCap() {
+	if s.perEvent {
+		return
+	}
+	s.settle()
+	s.syncCapFromFast()
 }
 
 // syncCapFromFast materializes the settled energy state as a voltage.
@@ -126,18 +111,48 @@ func (s *Simulator) syncCapFromFast() {
 	s.cap.SetVoltage(math.Sqrt(2 * e / s.cfg.CapacitorF))
 }
 
-// settleFast closes the open window at s.now: it flushes the
-// accumulated breakdown into Result.Energy, accounts the window's
-// leakage and on-time from the window duration (the window tiles
-// [settleT, now] contiguously with on-period events, so both are a
-// single expression — leak as leakW·dt, on-time exactly), rebuilds the
-// derived instruction count, integrates the harvest actually available,
-// applies the covered draw, and re-arms the budget and deadline. Any
-// in-flight (mid-access) accumulation beyond scratchDraw is carried
-// into the new window as pending draw, not settled. The window
-// construction (see rearmFast) guarantees the single end-of-window
-// VMax clamp is equivalent to the exact tier's per-event clamping.
-func (s *Simulator) settleFast() {
+// settleAndCheck is the voltage monitor: settle the window, then run the
+// outage sequence if the capacitor reached Vbackup or a fault plan
+// forces a crash here. On the exact policy the window holds one event,
+// which settles in voltage space through step, and the degenerate
+// window reopens at its end. The fast policy's `fcapE >= eVb` is the
+// exact policy's `v >= vb` in energy space.
+func (s *Simulator) settleAndCheck() {
+	if s.perEvent {
+		s.step(s.settleT, s.now, &s.ebScratch, s.pendingBlock)
+		s.res.OnTime += s.now - s.settleT
+		s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
+		s.ebScratch = energy.Breakdown{}
+		s.pendingBlock = 0
+		s.settleT = s.now
+		s.settleDeadline = s.now
+		if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
+			return
+		}
+	} else {
+		// At an event boundary the whole scratch is covered draw.
+		s.scratchDraw = s.scratchTotal()
+		s.settle()
+		if s.untraced || s.fcapE >= s.eVb {
+			return
+		}
+		s.syncCapFromFast()
+	}
+	s.checkPowerSlow()
+}
+
+// settle is the fast policy's settle: it closes the open window at
+// s.now. It flushes the accumulated breakdown into Result.Energy,
+// accounts the window's leakage and on-time from the window duration
+// (the window tiles [settleT, now] contiguously with on-period events,
+// so both are a single expression — leak as leakW·dt, on-time exactly),
+// rebuilds the derived instruction count, integrates the harvest
+// actually available, applies the covered draw, and re-arms the budget
+// and deadline. Any in-flight (mid-access) accumulation beyond
+// scratchDraw is carried into the new window as pending draw, not
+// settled. The window construction (see rearm) guarantees the single
+// end-of-window VMax clamp is equivalent to per-event clamping.
+func (s *Simulator) settle() {
 	carry := s.scratchTotal() - s.scratchDraw
 	windowDt := s.now - s.settleT
 	leakE := s.leakWPerPS * float64(windowDt)
@@ -150,28 +165,26 @@ func (s *Simulator) settleFast() {
 	s.pendingBlock = carry
 	s.scratchDraw = 0
 	s.settleT = s.now
-	if s.untraced {
-		// No capacitor under uninterrupted power; nothing to settle.
-		return
-	}
-	if windowDt > 0 {
-		s.fcapE += s.cfg.OnHarvestEff * s.cursor.Integrate(s.now-windowDt, s.now)
-		if s.fcapE > s.eCapMax {
-			s.fcapE = s.eCapMax
+	if !s.untraced {
+		if windowDt > 0 {
+			s.fcapE += s.cfg.OnHarvestEff * s.cursor.Integrate(s.now-windowDt, s.now)
+			if s.fcapE > s.eCapMax {
+				s.fcapE = s.eCapMax
+			}
+		}
+		s.fcapE -= drawn
+		if s.fcapE < s.eFloor {
+			// Mirror the exact policy's guarded-Step failure: a draw
+			// punched through the reserve band past VMin.
+			s.syncCapFromFast()
+			s.abort(fmt.Errorf("at t=%d ps (design %s): %w", s.now, s.design.Name(),
+				s.cap.UnderVoltageError(drawn, s.cfg.VMin)))
 		}
 	}
-	s.fcapE -= drawn
-	if s.fcapE < s.eFloor {
-		// Mirror the exact tier's guarded-Step failure: a draw punched
-		// through the reserve band past VMin.
-		s.syncCapFromFast()
-		s.abort(fmt.Errorf("at t=%d ps (design %s): %w", s.now, s.design.Name(),
-			s.cap.UnderVoltageError(drawn, s.cfg.VMin)))
-	}
-	s.rearmFast()
+	s.rearm()
 }
 
-// rearmFast recomputes the two settle bounds from the settled state.
+// rearm recomputes the fast window's two bounds from the settled state.
 //
 // drawBudget is half the energy above the Vbackup threshold assuming
 // zero harvest — conservative, since harvest only raises the trajectory
@@ -186,17 +199,19 @@ func (s *Simulator) settleFast() {
 // headroom to VMax. Before the harvest bound, no prefix of the window
 // can clamp, making the batched integral exact; events reaching past
 // the deadline are settled as single-event windows (always sound — the
-// leak bound just forces an early settle).
-func (s *Simulator) rearmFast() {
+// leak bound just forces an early settle). Under uninterrupted power
+// there is no capacitor, so neither bound applies.
+func (s *Simulator) rearm() {
+	s.settleDeadline = math.MaxInt64
+	if s.untraced {
+		s.drawBudget = math.Inf(1)
+		return
+	}
 	budget := s.fcapE - s.eVb
 	if budget < 0 {
 		budget = 0
 	}
 	s.drawBudget = 0.5 * budget
-	s.settleDeadline = math.MaxInt64
-	if s.untraced {
-		return
-	}
 	if s.leakWPerPS > 0 {
 		if f := s.drawBudget / s.leakWPerPS; f < math.MaxInt64/4 {
 			s.settleDeadline = s.settleT + int64(f)
@@ -213,42 +228,20 @@ func (s *Simulator) rearmFast() {
 	}
 }
 
-// settleAndCheck is the fast tier's voltage monitor: settle, then run
-// the outage sequence if the trajectory reached Vbackup. The energy
-// compare is the exact tier's `v >= vb` in energy space.
-func (s *Simulator) settleAndCheck() {
-	s.settleFast()
-	if s.fcapE < s.eVb {
-		s.powerFailFast(false)
-	}
-}
-
-// powerFailFast runs one outage at exact fidelity: the checkpoint,
-// collapse, recharge and restore sequence is a handful of events per
-// outage, so its sqrt-based arithmetic is off the hot path, and
-// keeping it shared with the exact tier keeps every count and error
-// path identical.
-func (s *Simulator) powerFailFast(forced bool) {
-	s.syncCapFromFast()
-	s.fastHot = false
-	s.powerFail(forced)
-	s.enterFast()
-}
-
 // closeWindowBefore settles the open window when the event ending at
-// `to` would reach past the settle deadline, so that event is settled
-// alone and its VMax clamp matches the exact tier's single-event
-// semantics. No-op for an empty window (the event is already alone).
+// `to` would reach past the settle deadline, so that event settles
+// alone. No-op for an empty window (the event is already alone), which
+// is every window of the exact policy.
 func (s *Simulator) closeWindowBefore(to int64) {
 	if to >= s.settleDeadline && (s.now > s.settleT || s.pendingBlock > 0 || s.scratchDraw > 0) {
-		s.settleFast()
+		s.settle()
 	}
 }
 
 // scratchTotal sums the accumulated scratch categories with a balanced
 // tree (three fp-add latencies instead of seven). The association
-// differs from Breakdown.Total, which the exact tier keeps; the fast
-// tier's outputs are ε-bounded, and the budget compare this feeds is
+// differs from Breakdown.Total, which the exact policy keeps; the fast
+// policy's outputs are ε-bounded, and the budget compare this feeds is
 // conservative by half a band, so the reordering is immaterial.
 func (s *Simulator) scratchTotal() float64 {
 	b := &s.ebScratch
@@ -256,142 +249,51 @@ func (s *Simulator) scratchTotal() float64 {
 		((b.Compute + b.Checkpoint) + (b.Restore + b.Leak))
 }
 
-// accessTail is the fast tier's per-access bookkeeping. The event's
-// breakdown is already accumulated in s.ebScratch; leakage, on-time and
-// the instruction count are derived from the window duration at settle
-// time, so the common case here is the category sum, two stores, and
-// two compares — no capacitor step, no Breakdown copy, no per-event
-// read-modify-writes. end is strictly after s.now (at least one
-// pipeline slot), so the exact tier's backwards-time guard is not
-// needed here.
-func (s *Simulator) accessTail(end int64) {
-	if s.untraced {
-		// The scratch keeps accumulating; exitFast flushes it once.
-		s.now = end
-		return
+// windowRoom is how many of the next n ALU instructions the open window
+// can absorb: the worst-case (zero-harvest) draw budget and the
+// deadline each cap the fused run. An exhausted budget — always, on the
+// exact policy — gives zero without the division.
+func (s *Simulator) windowRoom(n int) int64 {
+	room := int64(n)
+	if s.perInstrDrawE > 0 {
+		avail := s.drawBudget - s.pendingBlock - s.scratchDraw
+		if avail <= 0 {
+			return 0
+		}
+		// Compared in float space: the budget is unbounded under
+		// uninterrupted power.
+		if r := avail / s.perInstrDrawE; r < float64(room) {
+			room = int64(r)
+		}
 	}
-	t := s.scratchTotal()
-	if end >= s.settleDeadline {
-		s.isolateAccess(t, end)
-		return
+	if byTime := (s.settleDeadline - s.now) / s.perInstrPS; byTime < room {
+		room = byTime
 	}
-	s.scratchDraw = t
-	s.now = end
-	if s.pendingBlock+t < s.drawBudget {
-		return
-	}
-	s.settleAndCheck()
+	return room
 }
 
-// isolateAccess settles an access event that would reach past the
-// settle deadline into its own single-event window: close the open
-// window at the event's start (settleFast carries the event's draw,
-// which is already in the scratch, into the new window), then settle
-// and check the isolated event at its end.
-func (s *Simulator) isolateAccess(t float64, end int64) {
-	if s.now > s.settleT || s.pendingBlock > 0 || s.scratchDraw > 0 {
-		s.settleFast()
-	} else {
-		s.scratchDraw = t
-	}
-	s.now = end
-	s.settleAndCheck()
-}
-
-// computeFast fuses Compute blocks. A block (or remainder) is advanced
-// in one step when the zero-harvest budget covers its whole draw and
-// it ends before the settle deadline; otherwise the loop degrades to
-// the exact tier's ComputeChunk granularity with a real settle-and-
-// check per chunk, so outage placement near the threshold happens at
-// the same boundaries as the exact tier.
-func (s *Simulator) computeFast(n int) {
-	if n < 0 {
-		s.abort(fmt.Errorf("negative Compute(%d)", n))
-	}
-	if n == 0 {
-		return
-	}
-	if s.untraced {
-		s.stepBlock(n)
-		return
-	}
-	// Common case — the whole block fits the zero-harvest budget and
-	// ends before the settle deadline: one memo lookup, seven adds, no
-	// division, no loop.
-	m := &s.blockMemo[n&(blockMemoSize-1)]
-	if m.n == n {
-		to := s.now + m.dt
-		if s.pendingBlock+s.scratchDraw+m.draw < s.drawBudget && to < s.settleDeadline {
-			s.pendingBlock += m.draw
-			s.res.Energy.Compute += m.compute
-			s.res.Energy.CacheRead += m.fetch
-			s.computeRetired += uint64(n)
-			s.now = to
-			return
-		}
-	}
-	s.computeFastSlow(n)
-}
-
-// computeFastSlow is the near-threshold (or cold-memo) remainder of
-// computeFast: fuse what the budget proves safe, degrade to the exact
-// tier's ComputeChunk monitor granularity when cramped.
-func (s *Simulator) computeFastSlow(n int) {
-	for n > 0 {
-		room := int64(n)
-		if s.perInstrDrawE > 0 {
-			if r := int64((s.drawBudget - s.pendingBlock - s.scratchDraw) / s.perInstrDrawE); r < room {
-				room = r
-			}
-		}
-		if byTime := (s.settleDeadline - s.now) / s.perInstrPS; byTime < room {
-			room = byTime
-		}
-		if room < int64(s.cfg.ComputeChunk) && room < int64(n) {
-			// Near a bound: one chunk at monitor granularity, then a
-			// true settle-and-check, exactly like the exact tier.
-			chunk := n
-			if chunk > s.cfg.ComputeChunk {
-				chunk = s.cfg.ComputeChunk
-			}
-			s.stepBlock(chunk)
-			s.settleAndCheck()
-			n -= chunk
-			continue
-		}
-		run := int64(n)
-		if room < run {
-			run = room
-		}
-		s.stepBlock(int(run))
-		n -= int(run)
-	}
-}
-
-// stepBlock advances one fused block of n ALU instructions, serving
-// every derived cost — duration, per-category energies, total draw —
-// from the block-cost memo. Leakage, on-time and the instruction count
-// are derived from the window duration at settle time (see settleFast),
-// so a block is five adds. The memoized expressions are the exact
-// tier's per-chunk formulas evaluated once per distinct block length.
-// Block draw is tracked in pendingBlock, not the scratch, so it never
-// perturbs the access path's cached scratch total.
-func (s *Simulator) stepBlock(n int) {
+// block returns the memoized costs of a Compute block of n ALU
+// instructions, filling its slot on a miss with the seed engine's
+// per-chunk formulas.
+func (s *Simulator) block(n int) *blockCost {
 	m := &s.blockMemo[n&(blockMemoSize-1)]
 	if m.n != n {
-		m.n = n
-		m.dt = int64(n) * s.perInstrPS
-		m.compute = float64(n) * s.cfg.InstrEnergy
-		m.fetch = float64(n) * s.instrE
+		*m = blockCost{n: n, dt: int64(n) * s.perInstrPS,
+			compute: float64(n) * s.cfg.InstrEnergy, fetch: float64(n) * s.instrE}
 		m.draw = m.compute + m.fetch
 	}
-	to := s.now + m.dt
-	if !s.untraced {
-		s.closeWindowBefore(to)
-		s.pendingBlock += m.draw
-	}
+	return m
+}
+
+// addBlock advances over one memoized block of n ALU instructions.
+// Leakage, on-time and the instruction count are derived from the
+// window at settle time, so a block is five adds. Block draw is tracked
+// in pendingBlock, not the scratch, so it never perturbs the access
+// path's cached scratch total.
+func (s *Simulator) addBlock(m *blockCost, n int) {
+	s.pendingBlock += m.draw
 	s.res.Energy.Compute += m.compute
 	s.res.Energy.CacheRead += m.fetch
 	s.computeRetired += uint64(n)
-	s.now = to
+	s.now += m.dt
 }

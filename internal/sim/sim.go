@@ -34,46 +34,41 @@ type Simulator struct {
 	// run or change only at announced points. cursor integrates the
 	// trace without re-locating the current segment on every event; vb
 	// is Vbackup(design.ReserveEnergy()) — a sqrt — refreshed by
-	// refreshThresholds at reserve changes; leakW, perInstrPS, instrE,
-	// chunkComputeE and chunkFetchE hoist interface calls and products
-	// that are loop-invariant out of access/Compute; trackGolden gates
-	// golden-image maintenance to runs that consult it.
-	cursor        *power.Cursor
-	accessEB      EBAccessor // non-nil when the design supports the out-param fast path
-	vb            float64
-	leakW         float64
-	perInstrPS    int64
-	instrE        float64
-	chunkComputeE float64
-	chunkFetchE   float64
-	trackGolden   bool
-	noFault       bool // cfg.FaultPlan == nil
-	untraced      bool // cfg.Trace == nil
+	// refreshThresholds at reserve changes; leakW, perInstrPS and instrE
+	// hoist interface calls and products that are loop-invariant out of
+	// access/Compute; trackGolden gates golden-image maintenance to runs
+	// that consult it.
+	cursor      *power.Cursor
+	accessEB    EBAccessor // non-nil when the design supports the out-param fast path
+	vb          float64
+	leakW       float64
+	perInstrPS  int64
+	instrE      float64
+	trackGolden bool
+	noFault     bool // cfg.FaultPlan == nil
+	untraced    bool // cfg.Trace == nil
 
-	// Fast-tier state (TierFast only; see fast.go and DESIGN.md §16).
-	// fastEligible is decided once in New: the fast loop only engages
-	// on plain measurement runs (no fault plan, no recorder — both
-	// observe per-event capacitor state the fast tier defers).
-	// fastHot marks the windows where the fast loop owns the capacitor
-	// state; outage sequences and the final flush drop back to the
-	// exact voltage-space code via an energy<->voltage sync.
-	fastEligible   bool
-	fastHot        bool
-	fcapE          float64 // capacitor energy (J); authoritative while fastHot
-	eVb            float64 // ½·C·Vbackup² — the monitor threshold in energy space
+	// Settle window (fast.go, DESIGN.md §16). perEvent is the window
+	// policy, decided once in New: the exact policy settles every event
+	// alone in voltage space; the fast policy batches events in energy
+	// space, and only engages on plain measurement runs (no fault plan,
+	// no recorder — both observe per-event capacitor state it defers).
+	perEvent       bool
+	fcapE          float64 // fast: capacitor energy (J); the capacitor voltage is synced from it on demand
+	eVb            float64 // fast: ½·C·Vbackup² — the monitor threshold in energy space
 	eCapMax        float64 // ½·C·VMax² — the harvest clamp in energy space
 	eFloor         float64 // ½·C·(VMin−1e-9)² — the guarded-draw floor in energy space
 	settleT        int64   // start of the open settle window
 	settleDeadline int64   // no event may reach past this without settling
-	pendingBlock   float64 // draw of fused Compute blocks since settleT
-	scratchDraw    float64 // ebScratch.Total() as of the last access event
-	drawBudget     float64 // zero-harvest-safe draw before a settle is forced
+	pendingBlock   float64 // draw of Compute blocks since settleT
+	scratchDraw    float64 // fast: scratch total as of the last access event
+	drawBudget     float64 // fast: zero-harvest-safe draw before a settle is forced
 	perInstrDrawE  float64 // worst-case (zero-harvest) energy per ALU instruction
-	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div on the fast path
-	computeRetired uint64  // ALU instructions retired via fused blocks (+ exact-mode baseline)
+	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div in the fast settle
+	computeRetired uint64  // ALU instructions retired by Compute
 	blockMemo      [blockMemoSize]blockCost
 
-	// ebScratch is the per-event breakdown buffer handed to AccessEB.
+	// ebScratch is the open window's breakdown, handed to AccessEB.
 	// Passing a pointer to a local through the interface call would make
 	// the local escape — one heap allocation per simulated access; the
 	// simulator is single-threaded per run, so one reused buffer is safe.
@@ -109,13 +104,11 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	}
 	s.perInstrPS = cfg.CyclePS + cfg.ICache.perInstrStall(cfg.CyclePS)
 	s.instrE = cfg.ICache.instrEnergy()
-	s.chunkComputeE = float64(cfg.ComputeChunk) * cfg.InstrEnergy
-	s.chunkFetchE = float64(cfg.ComputeChunk) * s.instrE
 	s.leakW = design.LeakPower()
 	s.trackGolden = cfg.CheckInvariants
 	s.noFault = cfg.FaultPlan == nil
 	s.untraced = cfg.Trace == nil
-	s.fastEligible = cfg.Tier == TierFast && s.noFault && cfg.Obs == nil
+	s.perEvent = cfg.Tier != TierFast || !s.noFault || cfg.Obs != nil
 	s.eCapMax = 0.5 * cfg.CapacitorF * cfg.VMax * cfg.VMax
 	floor := cfg.VMin - 1e-9
 	s.eFloor = 0.5 * cfg.CapacitorF * floor * floor
@@ -127,7 +120,7 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	if eba, ok := design.(EBAccessor); ok {
 		s.accessEB = eba
 	}
-	s.refreshThresholds()
+	s.vb = cfg.Vbackup(design.ReserveEnergy())
 	// The initial boot happens with a full capacitor.
 	s.cap.SetVoltage(cfg.VMax)
 	if binder, ok := design.(EnergyProbeBinder); ok {
@@ -160,27 +153,28 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 }
 
 // refreshThresholds recomputes the cached Vbackup from the design's
-// current reserve. It runs at construction, after every OnBoot, and —
-// via ReserveNotifyBinder — whenever an adaptive design changes its
-// reserve mid-run (dynamic maxline raises), so the cached threshold is
-// never consulted stale.
+// current reserve. It runs at every window opening, after every OnBoot
+// and — via ReserveNotifyBinder — whenever an adaptive design changes
+// its reserve (boot-time adaptation, dynamic maxline raises
+// mid-access), so the cached threshold is never consulted stale. The
+// fast policy then settles at the current trajectory so its budget
+// re-derives from real state against the new threshold; the exact
+// policy's window has no budget to re-derive.
+//
+// The block-cost memo is cleared too. Its entries fold only per-run
+// constants, so no entry is ever stale, but the flush decides window
+// boundaries: a cold entry sends the next Compute(n) through the block
+// loop, whose budget split counts leakage where the fused check does
+// not. Dropping the flush moves fast-tier sums by an ulp on some
+// outage-heavy cells, so it waits for an EngineVersion bump.
 func (s *Simulator) refreshThresholds() {
 	s.vb = s.cfg.Vbackup(s.design.ReserveEnergy())
-	if !s.fastEligible {
+	if s.perEvent {
 		return
 	}
 	s.eVb = 0.5 * s.cfg.CapacitorF * s.vb * s.vb
-	// Energy constants are per-run constants today, but the memo folds
-	// them; clear it so a future design that retunes costs when it
-	// reconfigures can never be served a stale block.
 	s.blockMemo = [blockMemoSize]blockCost{}
-	if s.fastHot {
-		// Adaptive reserve change mid-run: settle at the current
-		// trajectory so the new budget derives from real state, then
-		// re-arm against the new threshold (settleFast calls rearmFast,
-		// which reads the eVb just set).
-		s.settleFast()
-	}
+	s.settle()
 }
 
 // Vbackup returns the checkpoint threshold currently enforced by the
@@ -197,12 +191,7 @@ func (s *Simulator) probeReserve(newReserve float64) bool {
 	if s.cfg.Von(vb) <= vb {
 		return false
 	}
-	if s.fastHot {
-		// Materialize the settled trajectory so the probe reads the
-		// same state the exact tier would (one sqrt, probe-rate only).
-		s.settleFast()
-		s.syncCapFromFast()
-	}
+	s.syncCap()
 	// Require some compute headroom above the raised threshold so the
 	// raise does not immediately trigger a checkpoint.
 	const headroom = 100e-9
@@ -247,16 +236,12 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 		s.cfg.Obs.VoltageMark(s.now, von)
 		s.bootTime = s.now
 	}
-	if s.fastEligible {
-		s.enterFast()
-	}
+	s.openWindow()
 
 	sum := program(s)
-	if s.fastHot {
-		// Hand authority back to the voltage-space capacitor before the
-		// final flush (and before anyone inspects it post-run).
-		s.exitFast()
-	}
+	// Hand the settled state to the capacitor before the final flush
+	// (and before anyone inspects it post-run).
+	s.syncCap()
 	s.res.Checksum = sum
 	s.res.ExecTime = s.now
 
@@ -301,10 +286,10 @@ func (s *Simulator) Load32(addr uint32) uint32 {
 	if s.cfg.Obs.WantsOpContext() {
 		s.cfg.Obs.OpContext(memOpPC())
 	}
-	// Counted before the access so the fast tier's settle — which can
-	// run inside access and derives Instructions from Loads + Stores +
-	// retired compute blocks — sees the completing event (the order is
-	// invisible to the exact tier; nothing reads Loads mid-event).
+	// Counted before the access: every settle derives Instructions from
+	// Loads + Stores + retired compute blocks, and a fast-policy settle
+	// can run inside access (a mid-access reserve change), where it must
+	// already see the completing event.
 	s.res.Loads++
 	v := s.access(isa.OpLoad, addr, 0)
 	if s.cfg.CheckInvariants {
@@ -328,90 +313,104 @@ func (s *Simulator) Store32(addr uint32, v uint32) {
 	s.access(isa.OpStore, addr, v)
 }
 
-// Compute accounts for n ALU instructions, checking the voltage
-// monitor every ComputeChunk instructions.
+// Compute accounts for n ALU instructions. A block the open settle
+// window covers whole is fused into it: one memo lookup, seven adds, no
+// division. Otherwise — a cold memo, a block near a window bound, and
+// every block on the exact policy, whose window is empty — the loop
+// fuses what the window proves safe and degrades to ComputeChunk
+// monitor granularity (a chunk, then a settle-and-check) when it is
+// cramped; the exact policy's window has no room, so it always takes
+// the chunk path.
 func (s *Simulator) Compute(n int) {
-	if s.fastHot {
-		s.computeFast(n)
-		return
-	}
 	if n < 0 {
 		s.abort(fmt.Errorf("negative Compute(%d)", n))
 	}
+	if n == 0 {
+		return
+	}
+	m := &s.blockMemo[n&(blockMemoSize-1)]
+	if m.n == n && s.now+m.dt < s.settleDeadline && s.pendingBlock+s.scratchDraw+m.draw < s.drawBudget {
+		s.addBlock(m, n)
+		return
+	}
 	for n > 0 {
-		chunk := n
-		if chunk > s.cfg.ComputeChunk {
-			chunk = s.cfg.ComputeChunk
+		run, check := n, false
+		if room := s.windowRoom(n); room < int64(s.cfg.ComputeChunk) && room < int64(n) {
+			run, check = min(n, s.cfg.ComputeChunk), true
+		} else if room < int64(n) {
+			run = int(room)
 		}
-		var eb energy.Breakdown
-		if chunk == s.cfg.ComputeChunk {
-			// Full chunks reuse the precomputed products (identical
-			// expressions, evaluated once in New).
-			eb.Compute = s.chunkComputeE
-			eb.CacheRead = s.chunkFetchE
-		} else {
-			eb.Compute = float64(chunk) * s.cfg.InstrEnergy
-			eb.CacheRead = float64(chunk) * s.instrE
+		m := s.block(run)
+		s.closeWindowBefore(s.now + m.dt)
+		s.addBlock(m, run)
+		if check {
+			s.settleAndCheck()
 		}
-		s.advance(s.now+int64(chunk)*s.perInstrPS, &eb, &s.res.OnTime)
-		s.res.Instructions += uint64(chunk)
-		s.checkPower()
-		n -= chunk
+		n -= run
 	}
 }
 
 // access runs one memory operation: the design models the hierarchy;
-// the simulator adds the 1-cycle pipeline slot and core energy.
+// the simulator adds the 1-cycle pipeline slot and core energy. The
+// event's breakdown accumulates into the open window's scratch (every
+// design accumulates with +=). end is strictly after s.now (at least
+// one pipeline slot), so time cannot run backwards here.
 func (s *Simulator) access(op isa.Op, addr uint32, val uint32) uint32 {
 	var v uint32
 	var done int64
 	eb := &s.ebScratch
 	if s.accessEB != nil {
-		// The fast tier accumulates events in the scratch between
-		// settles (designs accumulate with +=); the exact tier zeroes it
-		// per event.
-		if !s.fastHot {
-			*eb = energy.Breakdown{}
-		}
 		v, done = s.accessEB.AccessEB(s.now, op, addr, val, eb)
 	} else {
 		var one energy.Breakdown
 		v, done, one = s.design.Access(s.now, op, addr, val)
-		if s.fastHot {
-			eb.Add(one)
-		} else {
-			*eb = one
-		}
+		eb.Add(one)
 	}
-	end := s.now + s.perInstrPS
-	if done > end {
-		end = done
-	}
+	end := max(s.now+s.perInstrPS, done)
 	eb.Compute += s.cfg.InstrEnergy
 	eb.CacheRead += s.instrE
-	if s.fastHot {
-		s.accessTail(end)
+	if end >= s.settleDeadline {
+		// Past the deadline — every event, on the exact policy: the
+		// event settles in its own single-event window.
+		s.closeWindowBefore(end)
+		s.now = end
+		s.settleAndCheck()
 		return v
 	}
-	s.advance(end, eb, &s.res.OnTime)
-	s.res.Instructions++
-	s.checkPower()
+	// Inside the fast window leakage, on-time and the instruction count
+	// are left to the settle: the category sum, two stores, a compare.
+	s.scratchDraw = s.scratchTotal()
+	s.now = end
+	if s.pendingBlock+s.scratchDraw < s.drawBudget {
+		return v
+	}
+	s.settleAndCheck()
 	return v
 }
 
-// advance moves time to `to`, integrating harvest and drawing the
-// event energy plus leakage, and accumulating dt into the given phase
-// counter.
+// advance runs one outage-sequence event (checkpoint, restore, icache
+// refill) in voltage space: it moves time to `to`, drawing the event
+// energy plus leakage, and accumulates dt into the given phase counter.
 func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 	dt := to - s.now
 	if dt < 0 {
 		s.abort(fmt.Errorf("time went backwards: %d -> %d", s.now, to))
 	}
-	leak := s.leakW * float64(dt) / 1e12
-	eb.Leak += leak
-	if s.cfg.Trace != nil {
-		h := s.cfg.OnHarvestEff * s.cursor.Integrate(s.now, to)
-		e := eb.Total()
+	s.step(s.now, to, eb, 0)
+	*phase += dt
+	s.now = to
+}
+
+// step is the voltage-space arithmetic of one event spanning [from, to]:
+// integrate the harvest, draw eb's energy plus leakage plus draw (tracked
+// energy held outside eb — a Compute block's), and add eb to the
+// result. Every event of the exact policy and every outage-sequence
+// event of both policies settles through here.
+func (s *Simulator) step(from, to int64, eb *energy.Breakdown, draw float64) {
+	eb.Leak += s.leakW * float64(to-from) / 1e12
+	if !s.untraced {
+		h := s.cfg.OnHarvestEff * s.cursor.Integrate(from, to)
+		e := eb.Total() + draw
 		// Checkpoints spend the reserved band unguarded; the
 		// post-checkpoint reserve check in powerFail polices VMin.
 		if !s.cap.Step(h, e, s.cfg.VMin, !s.inCheckpoint) {
@@ -420,22 +419,12 @@ func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 		}
 	}
 	s.res.Energy.Add(*eb)
-	*phase += dt
-	s.now = to
 }
 
-// checkPower triggers the JIT checkpoint + outage + restore sequence
-// when the capacitor has discharged to the design's Vbackup, or when
-// an installed fault plan forces a crash at this boundary. The common
-// case — no fault plan, voltage above threshold — must inline into the
-// per-event loop, so everything else lives in checkPowerSlow.
-func (s *Simulator) checkPower() {
-	if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
-		return
-	}
-	s.checkPowerSlow()
-}
-
+// checkPowerSlow triggers the JIT checkpoint + outage + restore
+// sequence when the capacitor has discharged to the design's Vbackup,
+// or when an installed fault plan forces a crash at this boundary.
+// settleAndCheck filters the common case out before calling it.
 func (s *Simulator) checkPowerSlow() {
 	if s.cfg.FaultPlan != nil {
 		if s.cfg.FaultPlan.ShouldCrash(s.res.Instructions, s.now) {
@@ -523,6 +512,9 @@ func (s *Simulator) powerFail(forced bool) {
 		s.advance(s.now+dt, &ieb, &s.res.RestoreTime)
 	}
 	s.cfg.Obs.RestoreDone(restoreStart, s.now, eb.Total())
+	// The new on-period opens a settle window. Boot-time adaptation runs
+	// inside it, so a reserve change re-arms it like any other.
+	s.openWindow()
 	s.prevOn, s.lastOn = s.lastOn, onDur
 	if rb, ok := s.design.(Rebooter); ok {
 		rb.OnBoot(s.lastOn, s.prevOn)
