@@ -7,7 +7,6 @@
 //	wlbench -list                       # show available experiments
 //	wlbench -experiment fig5 -workloads sha,qsort -scale 2
 //	wlbench -experiment fig4 -out dir   # also save the output to dir/fig4.txt
-//	wlbench -json results.json          # machine-readable benchmark suite
 //	wlbench -sweep -journal j.jsonl     # resumable golden sweep matrix
 //	wlbench -chaos -seed 7              # kill a sweep mid-journal, resume, verify
 //	wlbench -chaos -serve -golden g.json  # same gate against the wlserve HTTP service
@@ -16,7 +15,7 @@
 //
 //	0  requested run completed, every check passed
 //	1  usage or infrastructure error (bad flags, unknown experiment, I/O)
-//	2  a -compare / -golden check completed and found divergent results
+//	2  a -golden check completed and found divergent results
 //	3  the -chaos gate failed (lost journal work, recomputation, or a
 //	   stitched matrix that diverged from the committed golden)
 package main
@@ -24,7 +23,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -71,8 +69,8 @@ func main() {
 // Sentinel errors classifying a failed run for exitCodeFor. They wrap
 // the detailed error, so errors.Is sees them anywhere in the chain.
 var (
-	// errMismatch marks a completed comparison that found divergent
-	// results (-compare or a -sweep/-json golden check).
+	// errMismatch marks a completed -sweep golden check that found
+	// divergent results.
 	errMismatch = errors.New("results diverged from golden")
 	// errChaos marks a failed crash-resume gate: durable work was lost,
 	// journaled cells recomputed, or the stitched matrix drifted.
@@ -110,8 +108,6 @@ func run(args []string, stdout io.Writer) error {
 		parallel   = fs.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
 		check      = fs.Bool("check", false, "enable expensive correctness invariants")
 		outDir     = fs.String("out", "", "also write each experiment's output to <out>/<id>.txt")
-		jsonOut    = fs.String("json", "", "run the benchmark suite and write JSON results to this file ('-' = stdout)")
-		compare    = fs.String("compare", "", "run the benchmark suite and fail unless every simulated outcome matches this golden JSON")
 		sweep      = fs.Bool("sweep", false, "run the pinned golden sweep matrix (resumable with -journal)")
 		chaos      = fs.Bool("chaos", false, "kill a -sweep at a random journal append, resume it, and verify bit-identical stitching")
 		journal    = fs.String("journal", "", "with -sweep: content-addressed cell journal; journaled cells are served, not recomputed, on restart")
@@ -164,14 +160,6 @@ func run(args []string, stdout io.Writer) error {
 			return runChaos(*seed, *journal, *golden, wls, srcs, *parallel, stdout)
 		}
 		return runSweep(tier, *journal, *golden, wls, srcs, *parallel, *killAfter, stdout)
-	}
-
-	if *jsonOut != "" || *compare != "" {
-		wls := benchWorkloads
-		if *workloads != "" {
-			wls = strings.Split(*workloads, ",")
-		}
-		return runJSONBench(tier, *jsonOut, *compare, wls, *scale, stdout)
 	}
 
 	if *list || *experiment == "" {
@@ -740,184 +728,4 @@ func countGolden(committed []expt.GoldenCell, designs, wls, trs []string) (feasi
 		}
 	}
 	return feasible, infeasible, nil
-}
-
-// benchSchema identifies the -json output format.
-const benchSchema = "wlbench/v1"
-
-// benchWorkloads is the default -json suite: one short benchmark per
-// MiBench category the paper leans on.
-var benchWorkloads = []string{"adpcmencode", "sha", "qsort", "susanedges"}
-
-// benchResult is one (design, workload) cell of the -json suite:
-// host-side throughput plus the simulated outcomes regression tooling
-// tracks (dirty-line stats, stalls, write-backs).
-type benchResult struct {
-	Design   string `json:"design"`
-	Workload string `json:"workload"`
-	Trace    string `json:"trace"`
-
-	HostNs       int64   `json:"host_ns"`            // wall-clock for the whole run
-	NsPerOp      float64 `json:"ns_per_op"`          // host ns per simulated instruction
-	InstrsPerSec float64 `json:"sim_instrs_per_sec"` // simulated instructions per host second
-	ExecPS       int64   `json:"sim_exec_ps"`
-
-	Instructions uint64  `json:"instructions"`
-	Outages      uint64  `json:"outages"`
-	Stalls       uint64  `json:"stalls"`
-	Writebacks   uint64  `json:"writebacks"`
-	DirtyPeak    int     `json:"dirty_peak"`
-	AvgDirty     float64 `json:"avg_dirty_per_ckpt"`
-	Checksum     uint32  `json:"checksum"`
-}
-
-// benchFile is the -json document. Host self-describes the machine and
-// binary that produced the numbers so run-history entries are
-// comparable-or-explicitly-not; old documents without it still ingest
-// (as host "unknown"). Tier records the engine fidelity that produced
-// the numbers (empty = exact, the pre-tier format): fast-tier documents
-// form their own comparability series and are never gated against
-// exact baselines.
-type benchFile struct {
-	Schema  string         `json:"schema"`
-	Host    *hostinfo.Info `json:"host,omitempty"`
-	Tier    string         `json:"tier,omitempty"`
-	Results []benchResult  `json:"results"`
-}
-
-// runJSONBench runs the machine-readable benchmark suite: the paper's
-// figure designs over the given workloads under tr1. With a non-empty
-// goldenPath the simulated outcomes are additionally compared against
-// the committed golden document (host timings are machine-dependent and
-// ignored); any divergence is an error, which is what lets CI catch an
-// optimization that changed simulation results.
-func runJSONBench(tier sim.Tier, path, goldenPath string, wls []string, scale int, stdout io.Writer) error {
-	host := hostinfo.Collect()
-	doc := benchFile{Schema: benchSchema, Host: &host}
-	if tier != sim.TierExact {
-		doc.Tier = tier.String()
-	}
-	cfg := sim.DefaultConfig()
-	cfg.Tier = tier
-	for _, kind := range expt.FigureKinds() {
-		for _, wl := range wls {
-			start := time.Now()
-			res, err := expt.Run(kind, expt.Options{}, strings.TrimSpace(wl), scale, power.Trace1, cfg)
-			if err != nil {
-				return fmt.Errorf("bench %s/%s: %w", kind, wl, err)
-			}
-			host := time.Since(start).Nanoseconds()
-			r := benchResult{
-				Design:       string(kind),
-				Workload:     res.Workload,
-				Trace:        res.Trace,
-				HostNs:       host,
-				ExecPS:       res.ExecTime,
-				Instructions: res.Instructions,
-				Outages:      res.Outages,
-				Stalls:       res.Extra.Stalls,
-				Writebacks:   res.Extra.Writebacks,
-				DirtyPeak:    res.Extra.DirtyPeak,
-				AvgDirty:     res.AvgDirtyAtCheckpoint(),
-				Checksum:     res.Checksum,
-			}
-			if res.Instructions > 0 {
-				r.NsPerOp = float64(host) / float64(res.Instructions)
-			}
-			if host > 0 {
-				r.InstrsPerSec = float64(res.Instructions) / (float64(host) / 1e9)
-			}
-			doc.Results = append(doc.Results, r)
-		}
-	}
-	if path != "" {
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if path == "-" {
-			if _, err := stdout.Write(buf); err != nil {
-				return err
-			}
-		} else {
-			if err := os.WriteFile(path, buf, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "wrote %d results to %s\n", len(doc.Results), path)
-		}
-	}
-	if goldenPath != "" {
-		if err := compareGolden(doc, goldenPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "golden check passed: %d cells match %s\n", len(doc.Results), goldenPath)
-	}
-	return nil
-}
-
-// compareGolden checks every simulated (machine-independent) outcome of
-// doc against the golden document: checksum, simulated execution time,
-// instruction/outage/stall/write-back counts and dirty-line stats. Host
-// timings differ per machine and are not compared. When either side was
-// produced by the fast tier, sim_exec_ps is compared within the
-// committed time tolerance (counts stay exact — the fast tier's
-// contract).
-func compareGolden(doc benchFile, goldenPath string) error {
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		return err
-	}
-	var golden benchFile
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		return fmt.Errorf("golden %s: %w", goldenPath, err)
-	}
-	if golden.Schema != benchSchema {
-		return fmt.Errorf("golden %s: schema %q, want %q", goldenPath, golden.Schema, benchSchema)
-	}
-	want := make(map[string]benchResult, len(golden.Results))
-	for _, g := range golden.Results {
-		want[g.Design+"/"+g.Workload+"/"+g.Trace] = g
-	}
-	var mismatches []string
-	for _, r := range doc.Results {
-		key := r.Design + "/" + r.Workload + "/" + r.Trace
-		g, ok := want[key]
-		if !ok {
-			// An unpinned cell is as much drift as a changed one: a
-			// suite that silently grows past its golden would let new
-			// cells regress unchecked.
-			mismatches = append(mismatches, fmt.Sprintf("%s: produced by this run but not pinned by the golden (extra cell)", key))
-			continue
-		}
-		delete(want, key)
-		check := func(field string, got, exp any) {
-			if got != exp {
-				mismatches = append(mismatches, fmt.Sprintf("%s: %s = %v, golden %v", key, field, got, exp))
-			}
-		}
-		check("checksum", r.Checksum, g.Checksum)
-		if doc.Tier == "fast" || golden.Tier == "fast" {
-			tol := expt.FastTolerance()
-			if !tol.WithinTime(float64(r.ExecPS), float64(g.ExecPS)) {
-				mismatches = append(mismatches, fmt.Sprintf("%s: sim_exec_ps = %v, golden %v (outside fast-tier time tolerance)", key, r.ExecPS, g.ExecPS))
-			}
-		} else {
-			check("sim_exec_ps", r.ExecPS, g.ExecPS)
-		}
-		check("instructions", r.Instructions, g.Instructions)
-		check("outages", r.Outages, g.Outages)
-		check("stalls", r.Stalls, g.Stalls)
-		check("writebacks", r.Writebacks, g.Writebacks)
-		check("dirty_peak", r.DirtyPeak, g.DirtyPeak)
-		check("avg_dirty_per_ckpt", r.AvgDirty, g.AvgDirty)
-	}
-	for key := range want {
-		mismatches = append(mismatches, fmt.Sprintf("%s: present in golden but not produced by this run", key))
-	}
-	if len(mismatches) > 0 {
-		return fmt.Errorf("%w: simulation outcomes diverged from %s:\n  %s",
-			errMismatch, goldenPath, strings.Join(mismatches, "\n  "))
-	}
-	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wlcache/internal/expt"
 )
 
 // TestMain intercepts the chaos harness's re-exec: when -chaos spawns
@@ -85,172 +87,6 @@ func TestRunExperimentOnSubset(t *testing.T) {
 	}
 }
 
-// The -json suite must emit a schema-tagged document with one result
-// per (figure design, workload), carrying throughput and dirty-line
-// stats.
-func TestJSONBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var b strings.Builder
-	if err := run([]string{"-json", path, "-workloads", "sha"}, &b); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema  string `json:"schema"`
-		Results []struct {
-			Design    string  `json:"design"`
-			Workload  string  `json:"workload"`
-			HostNs    int64   `json:"host_ns"`
-			NsPerOp   float64 `json:"ns_per_op"`
-			ExecPS    int64   `json:"sim_exec_ps"`
-			DirtyPeak int     `json:"dirty_peak"`
-			Checksum  uint32  `json:"checksum"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bench JSON: %v", err)
-	}
-	if doc.Schema != "wlbench/v1" {
-		t.Errorf("schema %q", doc.Schema)
-	}
-	if len(doc.Results) != 4 {
-		t.Fatalf("got %d results, want 4 (figure designs x sha)", len(doc.Results))
-	}
-	var wl *struct {
-		Design    string  `json:"design"`
-		Workload  string  `json:"workload"`
-		HostNs    int64   `json:"host_ns"`
-		NsPerOp   float64 `json:"ns_per_op"`
-		ExecPS    int64   `json:"sim_exec_ps"`
-		DirtyPeak int     `json:"dirty_peak"`
-		Checksum  uint32  `json:"checksum"`
-	}
-	for i := range doc.Results {
-		r := &doc.Results[i]
-		if r.HostNs <= 0 || r.NsPerOp <= 0 || r.ExecPS <= 0 {
-			t.Errorf("%s/%s: non-positive timings %+v", r.Design, r.Workload, r)
-		}
-		if r.Design == "wl" {
-			wl = r
-		}
-		if r.Checksum != doc.Results[0].Checksum {
-			t.Errorf("checksum mismatch across designs: %+v", r)
-		}
-	}
-	if wl == nil {
-		t.Fatal("no wl design in results")
-	}
-	if wl.DirtyPeak <= 0 {
-		t.Errorf("wl dirty_peak = %d, want > 0", wl.DirtyPeak)
-	}
-}
-
-// The committed golden must match a fresh run (simulation is
-// deterministic), and a corrupted golden must be detected with a
-// non-nil error naming the diverging field.
-func TestCompareGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	var b strings.Builder
-	if err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode,sha"}, &b); err != nil {
-		t.Fatalf("compare against committed golden: %v", err)
-	}
-	if !strings.Contains(b.String(), "golden check passed") {
-		t.Fatalf("missing pass message:\n%s", b.String())
-	}
-
-	// Corrupt one checksum; the run must now fail and say where.
-	raw, err := os.ReadFile("testdata/bench_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc.Results[0].Checksum++
-	bad, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	badPath := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-compare", badPath, "-workloads", "adpcmencode"}, &b)
-	if err == nil {
-		t.Fatal("corrupted golden accepted")
-	}
-	if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("error does not name the diverging field: %v", err)
-	}
-}
-
-// A golden pinning a cell the run does not produce must fail loudly
-// (a silently shrinking suite would hollow out the regression check).
-func TestCompareGoldenMissingCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	var b strings.Builder
-	err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode"}, &b)
-	if err == nil {
-		t.Fatal("golden cells for sha were not produced, yet compare passed")
-	}
-	if !strings.Contains(err.Error(), "not produced") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// The mirror failure: a run producing cells the golden does not pin
-// must fail too — a silently growing suite would let new cells regress
-// unchecked.
-func TestCompareGoldenExtraCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	// Shrink the committed golden to adpcmencode only; running both
-	// workloads then produces sha cells the golden does not pin.
-	raw, err := os.ReadFile("testdata/bench_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var kept []benchResult
-	for _, r := range doc.Results {
-		if r.Workload == "adpcmencode" {
-			kept = append(kept, r)
-		}
-	}
-	doc.Results = kept
-	shrunk, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "shrunk.json")
-	if err := os.WriteFile(path, shrunk, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	err = run([]string{"-compare", path, "-workloads", "adpcmencode,sha"}, &b)
-	if err == nil {
-		t.Fatal("sha cells are not pinned by the golden, yet compare passed")
-	}
-	if !strings.Contains(err.Error(), "extra cell") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // The full crash-resume proof, in-process: -chaos re-execs this test
 // binary as a sweep child that SIGKILLs itself mid-journal (see
 // TestMain), resumes, and verifies the stitched subset matrix against
@@ -316,7 +152,7 @@ func TestSweepUnknownTraceRejected(t *testing.T) {
 	}
 }
 
-// The documented exit codes: 1 usage/infra, 2 compare mismatch, 3
+// The documented exit codes: 1 usage/infra, 2 golden mismatch, 3
 // chaos failure — and a chaos failure whose symptom is a mismatch
 // stays 3, because scripts branch on which *gate* failed.
 func TestExitCodes(t *testing.T) {
@@ -344,20 +180,43 @@ func TestExitCodes(t *testing.T) {
 // drifted".
 func TestCompareMismatchClassified(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs simulations")
+		t.Skip("runs a sweep subset")
 	}
-	// A golden pinning sha cells that a -workloads adpcmencode run never
-	// produces: compare completes and finds divergence.
+	// A copy of the committed golden with one field of one adpcmencode
+	// cell changed: the sweep completes and finds the divergence.
+	cells, err := expt.LoadGoldenFile(filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doctored := -1
+	for i, c := range cells {
+		if c.Workload == "adpcmencode" && c.Trace == "none" && c.Err == "" {
+			c.Fields["Checksum"] = "1"
+			doctored = i
+			break
+		}
+	}
+	if doctored < 0 {
+		t.Fatal("golden pins no feasible adpcmencode cell without power failures")
+	}
+	raw, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "doctored.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode"}, &b)
+	err = run([]string{"-sweep", "-workloads", "adpcmencode", "-traces", "none", "-golden", path}, &b)
 	if err == nil {
-		t.Fatal("divergent compare passed")
+		t.Fatal("divergent sweep passed the golden check")
 	}
-	if !errors.Is(err, errMismatch) {
-		t.Fatalf("compare divergence not classified as mismatch: %v", err)
+	if !errors.Is(err, errMismatch) || !strings.Contains(err.Error(), cells[doctored].ID()) {
+		t.Fatalf("golden divergence not classified as a mismatch of %s: %v", cells[doctored].ID(), err)
 	}
 	if code := exitCodeFor(err); code != 2 {
-		t.Fatalf("compare divergence exit code = %d, want 2", code)
+		t.Fatalf("golden divergence exit code = %d, want 2", code)
 	}
 }
 

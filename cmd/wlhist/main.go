@@ -4,23 +4,23 @@
 // commit and host fingerprint so entries are comparable or explicitly
 // not.
 //
-// `record` ingests report files (wlbench -json output, the PR-5
-// before/after report, wlload/v1 reports, wlobs/v1 manifests,
-// wlattr/v1 ledgers, or a saved Prometheus exposition) into the
-// store, deduplicating by content. `scrape` pulls /metrics from a
+// `record` ingests report files (wlperf/v1 reports from the bench/
+// benchmark's -json, wlload/v1 reports, wlobs/v1 manifests, wlattr/v1
+// ledgers, or a saved Prometheus exposition) into the store,
+// deduplicating by content. `scrape` pulls /metrics from a
 // running wlserve and records the snapshot. `trend` prints a
 // per-metric sparkline table; `html` writes the self-contained trend
 // dashboard. `gate` judges each metric's newest transition against
 // its comparable history and exits 2 on drift — host-speed metrics
 // only ever gate against runs from the same host fingerprint, so a
 // slower CI runner cannot fail the build, while simulated outcomes
-// (checksums, outage counts) gate across hosts.
+// (failed benchmark cells, checksums, outage counts) gate across hosts.
 //
 // Usage:
 //
-//	wlhist record -store HISTORY.jsonl -label pr8 BENCH_PR8.json
+//	wlhist record -store HISTORY.jsonl -now 0 -label baseline perf/*.json
 //	wlhist scrape -store HISTORY.jsonl -url http://127.0.0.1:8080/metrics
-//	wlhist trend -store HISTORY.jsonl -filter ns_per_op
+//	wlhist trend -store HISTORY.jsonl -filter sim_mips
 //	wlhist gate -store HISTORY.jsonl -threshold 0.10
 //	wlhist html -store HISTORY.jsonl -out dashboard.html
 //
@@ -95,7 +95,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if fs.NArg() == 0 {
-		return 0, fmt.Errorf("record: no input files (wlbench/wlload/wlobs/wlattr reports or a saved scrape)")
+		return 0, fmt.Errorf("record: no input files (wlperf/wlload/wlobs/wlattr reports or a saved scrape)")
 	}
 	s, err := hist.Open(*store)
 	if err != nil {

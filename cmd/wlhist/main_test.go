@@ -13,16 +13,18 @@ import (
 	"wlcache/internal/serve"
 )
 
-// benchDoc is a minimal wlbench/v1 report with a host block so two
+// perfDoc is a minimal wlperf/v1 report with a host block, so two
 // recordings are comparable.
-const benchDoc = `{"schema":"wlbench/v1","host":{"go_version":"go1.x","goos":"linux","goarch":"amd64","gomaxprocs":8,"cpu_model":"T","engine":"wlcache-sim/6"},"results":[
-  {"design":"wl","workload":"sha","trace":"tr1","host_ns":1000,"ns_per_op":16.7,"sim_instrs_per_sec":6e7,"sim_exec_ps":3937,"instructions":466947,"outages":22,"stalls":0,"writebacks":0,"dirty_peak":0,"avg_dirty_per_ckpt":0,"checksum":3188836267}]}`
+const perfDoc = `{"schema":"wlperf/v1","host":{"go_version":"go1.x","goos":"linux","goarch":"amd64","gomaxprocs":2,"cpu_model":"T","engine":"wlcache-sim/6"},
+  "engine":"wlcache-sim/6","workload":"fig-fast","attempted":840,"failed":0,"metrics":[
+  {"name":"sim_mips","unit":"Minstr/s","value":203.3,"n":8},
+  {"name":"request_ms_p50","unit":"ms","value":5.6,"n":105}]}`
 
 func TestRecordGateTrendHTML(t *testing.T) {
 	dir := t.TempDir()
 	store := filepath.Join(dir, "h.jsonl")
 	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(benchDoc), 0o644); err != nil {
+	if err := os.WriteFile(good, []byte(perfDoc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -50,12 +52,12 @@ func TestRecordGateTrendHTML(t *testing.T) {
 		t.Fatalf("gate on single entry: code=%d err=%v\n%s", code, err, out.String())
 	}
 
-	// Inject a 10x ns_per_op regression (same host block): the gate
+	// Inject a 10x sim_mips regression (same host block): the gate
 	// must fail with exit 2.
 	var doc map[string]any
-	json.Unmarshal([]byte(benchDoc), &doc)
-	cell := doc["results"].([]any)[0].(map[string]any)
-	cell["ns_per_op"] = cell["ns_per_op"].(float64) * 10
+	json.Unmarshal([]byte(perfDoc), &doc)
+	m := doc["metrics"].([]any)[0].(map[string]any)
+	m["value"] = m["value"].(float64) * 0.1
 	slowed, _ := json.Marshal(doc)
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, slowed, 0o644)
@@ -68,7 +70,7 @@ func TestRecordGateTrendHTML(t *testing.T) {
 	if err != nil || code != 2 {
 		t.Fatalf("gate must exit 2 on injected regression: code=%d err=%v\n%s", code, err, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESSED") || !strings.Contains(out.String(), "ns_per_op") {
+	if !strings.Contains(out.String(), "REGRESSED") || !strings.Contains(out.String(), "fig-fast.sim_mips") {
 		t.Fatalf("gate output: %s", out.String())
 	}
 
@@ -79,10 +81,10 @@ func TestRecordGateTrendHTML(t *testing.T) {
 	}
 
 	out.Reset()
-	if code, err := run([]string{"trend", "-store", store, "-filter", "ns_per_op"}, &out); err != nil || code != 0 {
+	if code, err := run([]string{"trend", "-store", store, "-filter", "sim_mips"}, &out); err != nil || code != 0 {
 		t.Fatalf("trend: %d %v", code, err)
 	}
-	if !strings.Contains(out.String(), "ns_per_op") {
+	if !strings.Contains(out.String(), "sim_mips") {
 		t.Fatalf("trend output: %s", out.String())
 	}
 

@@ -260,6 +260,8 @@ func comparableExact(a, b Key) bool {
 	return enginesCompatible(a.Engine, b.Engine)
 }
 
+// enginesCompatible: two known engine versions must be equal; an
+// unknown one (a host block that names no engine) is a wildcard.
 func enginesCompatible(a, b string) bool {
 	if a == "" || a == Unknown || b == "" || b == Unknown {
 		return true

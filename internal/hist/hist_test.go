@@ -14,7 +14,7 @@ import (
 func testEntry(label string, key Key, metrics map[string]Metric) Entry {
 	return Entry{
 		Label:   label,
-		Source:  Source{Format: "wlbench/v1", Name: label + ".json"},
+		Source:  Source{Format: "wlperf/v1", Name: label + ".json"},
 		Key:     key,
 		Metrics: metrics,
 	}
@@ -257,7 +257,7 @@ func TestGateExactEngineConflictSkips(t *testing.T) {
 	if f.Verdict != "skipped" || !strings.Contains(f.Note, "engine differs") {
 		t.Fatalf("engine conflict must skip: %+v", f)
 	}
-	// But an Unknown engine is a wildcard (hand-written reports).
+	// But an Unknown engine is a wildcard (a host block without one).
 	unk := Key{Engine: Unknown, Host: hostA.Host}
 	rep = gateOver(t,
 		testEntry("a", unk, map[string]Metric{"sum": exact(1)}),
@@ -332,8 +332,7 @@ func TestGateInfoAndSinglePointIgnored(t *testing.T) {
 
 func TestSniff(t *testing.T) {
 	cases := map[string]string{
-		`{"schema":"wlbench/v1","results":[]}`:     "wlbench/v1",
-		`{"schema":"wlbench-pr/v1"}`:               "wlbench-pr/v1",
+		`{"schema":"wlperf/v1","metrics":[]}`:      "wlperf/v1",
 		`{"schema":"wlload/v1"}`:                   "wlload/v1",
 		`{"schema":"wlobs/v1"}` + "\n" + `{"x":1}`: "wlobs/v1",
 		`{"format":"wlattr/v1"}`:                   "wlattr/v1",
@@ -353,10 +352,17 @@ func TestSniff(t *testing.T) {
 	}
 }
 
+// perfReport is a wlperf/v1 report as bench/ writes it.
+const perfReport = `{"schema":"wlperf/v1","host":{"go_version":"go1.x","gomaxprocs":2,"num_cpu":2,"goos":"linux","goarch":"amd64","cpu_model":"T","engine":"wlcache-sim/6"},
+  "engine":"wlcache-sim/6","workload":"fig-fast","seed":1,"seconds":4,"passes":8,"workers":2,"traced":false,"attempted":840,"failed":0,"metrics":[
+  {"name":"setup_s","unit":"s","value":0.008,"n":15},
+  {"name":"sim_mips","unit":"Minstr/s","value":203.3,"n":8},
+  {"name":"request_ms_p50","unit":"ms","value":5.6,"n":105},
+  {"name":"max_rss_mb","unit":"MB","value":15.7,"n":1},
+  {"name":"host.slowdown","unit":"ratio","value":1.04,"n":8}]}`
+
 func TestIngestBenchAndSyntheticRegression(t *testing.T) {
-	doc := `{"schema":"wlbench/v1","host":{"go_version":"go1.x","goos":"linux","goarch":"amd64","gomaxprocs":8,"cpu_model":"T","engine":"wlcache-sim/6"},"results":[
-	  {"design":"wl","workload":"sha","trace":"tr1","host_ns":1000,"ns_per_op":16.7,"sim_instrs_per_sec":6e7,"sim_exec_ps":3937,"instructions":466947,"outages":22,"stalls":0,"writebacks":0,"dirty_peak":0,"avg_dirty_per_ckpt":0,"checksum":3188836267}]}`
-	entries, err := Ingest([]byte(doc), "fresh.json", "run-a")
+	entries, err := Ingest([]byte(perfReport), "fresh.json", "run-a")
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("ingest: %v, %d entries", err, len(entries))
 	}
@@ -364,95 +370,35 @@ func TestIngestBenchAndSyntheticRegression(t *testing.T) {
 	if e.Label != "run-a" || e.Key.Engine != "wlcache-sim/6" || e.Key.Host == Unknown {
 		t.Fatalf("entry key: %+v", e.Key)
 	}
-	m, ok := e.Metrics["cell.wl.sha.tr1.ns_per_op"]
-	if !ok || m.Kind != KindPerf || m.Dir != "lower" {
-		t.Fatalf("ns_per_op metric: %+v (ok=%v)", m, ok)
+	for name, want := range map[string]Metric{
+		"fig-fast.setup_s":        {Value: 0.008, Unit: "s", Dir: "lower", Kind: KindPerf},
+		"fig-fast.sim_mips":       {Value: 203.3, Unit: "Minstr/s", Dir: "higher", Kind: KindPerf},
+		"fig-fast.max_rss_mb":     {Value: 15.7, Unit: "MB", Dir: "lower", Kind: KindPerf},
+		"fig-fast.request_ms_p50": {Value: 5.6, Unit: "ms", Dir: "lower", Kind: KindLatency},
+		"fig-fast.failed":         {Value: 0, Dir: "lower", Kind: KindExact},
+		"fig-fast.attempted":      {Value: 840, Kind: KindInfo},
+		"fig-fast.host.slowdown":  {Value: 1.04, Unit: "ratio", Kind: KindInfo},
+	} {
+		if got := e.Metrics[name]; got != want {
+			t.Errorf("%s = %+v, want %+v", name, got, want)
+		}
 	}
-	if c := e.Metrics["cell.wl.sha.tr1.checksum"]; c.Kind != KindExact || c.Value != 3188836267 {
-		t.Fatalf("checksum metric: %+v", c)
+	if len(e.Metrics) != 7 {
+		t.Errorf("%d metrics, want 7", len(e.Metrics))
 	}
 
-	// The acceptance scenario: the same document with ns_per_op
-	// multiplied by 10 (same host!) must fail the gate.
-	perturbed := strings.Replace(doc, `"ns_per_op":16.7`, `"ns_per_op":167`, 1)
+	// The acceptance scenario: the same report with sim_mips cut
+	// tenfold (same host) must fail the gate on sim_mips alone.
+	perturbed := strings.Replace(perfReport, `"value":203.3`, `"value":20.33`, 1)
 	bad, err := Ingest([]byte(perturbed), "fresh2.json", "run-b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "h.jsonl")
-	s, _ := Open(path)
-	s.Append(entries[0])
-	s.Append(bad[0])
-	rep := Gate(s, GateConfig{})
-	f := findFinding(t, rep, "cell.wl.sha.tr1.ns_per_op")
+	rep := gateOver(t, entries[0], bad[0])
+	f := findFinding(t, rep, "fig-fast.sim_mips")
 	if !f.Regressed() || rep.Regressions != 1 {
-		t.Fatalf("injected 10x ns_per_op must regress (got %+v, report %+v)", f, rep)
+		t.Fatalf("injected 10x slower sim_mips must regress alone (got %+v, report %+v)", f, rep)
 	}
-	// Everything else in the pair is identical: no other finding fails.
-	for _, other := range rep.Findings {
-		if other.Metric != f.Metric && other.Regressed() {
-			t.Fatalf("unexpected extra regression: %+v", other)
-		}
-	}
-}
-
-func TestIngestBenchWithoutHost(t *testing.T) {
-	// A pre-PR-9 report has no host block: its wall-clock numbers must
-	// land under the Unknown fingerprint, not this machine's.
-	doc := `{"schema":"wlbench/v1","results":[{"design":"wl","workload":"sha","trace":"tr1","ns_per_op":16.7,"checksum":1}]}`
-	entries, err := Ingest([]byte(doc), "old.json", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries[0].Key.Host != Unknown {
-		t.Fatalf("host: %q", entries[0].Key.Host)
-	}
-}
-
-func TestIngestBenchTierPrefix(t *testing.T) {
-	// A fast-tier report's metrics are namespaced under "fast." so
-	// they can never gate against (or be gated by) the exact-tier
-	// series of the same cells; exact reports keep historical names.
-	doc := `{"schema":"wlbench/v1","tier":"fast","results":[{"design":"wl","workload":"sha","trace":"tr1","ns_per_op":16.7,"checksum":1}]}`
-	entries, err := Ingest([]byte(doc), "fast.json", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := entries[0].Metrics["fast.cell.wl.sha.tr1.checksum"]; !ok {
-		t.Fatalf("fast-tier metric not prefixed: %v", keysOf(entries[0].Metrics))
-	}
-	if _, ok := entries[0].Metrics["cell.wl.sha.tr1.checksum"]; ok {
-		t.Fatal("fast-tier report leaked into the exact-tier namespace")
-	}
-	for _, tier := range []string{"", "exact"} {
-		doc := `{"schema":"wlbench/v1","tier":"` + tier + `","results":[{"design":"wl","workload":"sha","trace":"tr1","checksum":1}]}`
-		entries, err := Ingest([]byte(doc), "exact.json", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := entries[0].Metrics["cell.wl.sha.tr1.checksum"]; !ok {
-			t.Fatalf("tier %q: exact-tier metric renamed: %v", tier, keysOf(entries[0].Metrics))
-		}
-	}
-	// The PR-style before/after report namespaces the same way.
-	pr := `{"schema":"wlbench-pr/v1","tier":"fast","host":"h","benchmarks":[],"end_to_end":{"seed_wall_s":100,"optimized_wall_s":50}}`
-	prEntries, err := Ingest([]byte(pr), "pr.json", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range prEntries {
-		if _, ok := e.Metrics["fast.e2e.wall_s"]; !ok {
-			t.Fatalf("%s: fast e2e metric not prefixed: %v", e.Source.Name, keysOf(e.Metrics))
-		}
-	}
-}
-
-func keysOf(m map[string]Metric) []string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	return ks
 }
 
 func TestIngestLoad(t *testing.T) {
@@ -504,79 +450,86 @@ func TestIngestProm(t *testing.T) {
 	}
 }
 
-// --- the real repo trajectory ---------------------------------------
+// --- the committed baseline -----------------------------------------
 
-// TestGateRealBaselines replays the committed BENCH_PR5 → BENCH_PR8
-// reports: the recorded optimization history must pass the gate (the
-// end-to-end wall time *improved*), and appending a synthetically
-// slowed copy of PR-8 on the same (unknown) host must fail it.
+// TestGateRealBaselines replays the committed perf/*.json reports, as
+// HISTORY.jsonl records them: one entry per benchmark workload, every
+// one keyed by a real engine and host. A copy of one report with
+// sim_mips cut tenfold must then regress sim_mips alone, and a copy
+// with a failed cell must regress failed even from another host.
 func TestGateRealBaselines(t *testing.T) {
-	pr5, err := os.ReadFile("../../BENCH_PR5.json")
-	if err != nil {
-		t.Skipf("baseline not present: %v", err)
+	paths, err := filepath.Glob("../../perf/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed perf reports: %v", err)
 	}
-	pr8, err := os.ReadFile("../../BENCH_PR8.json")
-	if err != nil {
-		t.Skipf("baseline not present: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "h.jsonl")
-	s, _ := Open(path)
-	for _, in := range []struct {
-		raw  []byte
-		name string
-	}{{pr5, "BENCH_PR5.json"}, {pr8, "BENCH_PR8.json"}} {
-		entries, err := Ingest(in.raw, in.name, in.name)
+	var base []Entry
+	var fig map[string]any
+	for _, p := range paths {
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := Ingest(raw, p, "baseline")
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if _, _, err := s.Append(e); err != nil {
+			if e.Key.Engine == Unknown || e.Key.Host == Unknown {
+				t.Fatalf("%s: key %+v has an unknown field", p, e.Key)
+			}
+		}
+		base = append(base, entries...)
+		if filepath.Base(p) == "fig-fast.json" {
+			if err := json.Unmarshal(raw, &fig); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if s.Len() != 3 { // PR5 seed + PR5 optimized + PR8
-		t.Fatalf("entries: %d, want 3", s.Len())
+	if rep := gateOver(t, base...); rep.Regressions != 0 {
+		t.Fatalf("committed baseline must pass: %+v", rep.Findings)
 	}
-	rep := Gate(s, GateConfig{})
-	if rep.Regressions != 0 {
-		t.Fatalf("real trajectory must pass: %+v", rep.Findings)
-	}
-	f := findFinding(t, rep, "e2e.wall_s")
-	if f.Verdict != "improved" || f.Baseline != 235.5 || f.Latest != 123.5 {
-		t.Fatalf("e2e.wall_s: %+v", f)
+	if fig == nil {
+		t.Fatal("no committed fig-fast report")
 	}
 
-	// Now the synthetic regression: PR-8 again, every sha cell 10x
-	// slower. Hosts match (both unknown fingerprints), so it gates.
-	var doc map[string]any
-	if err := json.Unmarshal(pr8, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range doc["results"].([]any) {
-		cell := r.(map[string]any)
-		cell["ns_per_op"] = cell["ns_per_op"].(float64) * 10
-	}
-	slowed, _ := json.Marshal(doc)
-	entries, err := Ingest(slowed, "slowed.json", "slowed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if _, _, err := s.Append(e); err != nil {
+	// ingestCopy ingests fig-fast.json after edit changes its document.
+	ingestCopy := func(edit func(doc map[string]any)) Entry {
+		t.Helper()
+		raw, _ := json.Marshal(fig)
+		var doc map[string]any
+		json.Unmarshal(raw, &doc)
+		edit(doc)
+		raw, _ = json.Marshal(doc)
+		entries, err := Ingest(raw, "copy.json", "copy")
+		if err != nil {
 			t.Fatal(err)
 		}
+		return entries[0]
 	}
-	rep = Gate(s, GateConfig{})
-	if rep.Regressions == 0 {
-		t.Fatal("10x ns_per_op on every cell must fail the gate")
-	}
-	for _, f := range rep.Findings {
-		if f.Regressed() && !strings.HasSuffix(f.Metric, "ns_per_op") &&
-			!strings.HasSuffix(f.Metric, "host_ns") && !strings.HasSuffix(f.Metric, "sim_instrs_per_sec") {
-			t.Fatalf("only the perturbed perf metrics may fail: %+v", f)
+	onlyRegression := func(rep GateReport, metric string) {
+		t.Helper()
+		if f := findFinding(t, rep, metric); !f.Regressed() || rep.Regressions != 1 {
+			t.Fatalf("%s must regress alone: %+v", metric, rep.Findings)
 		}
 	}
+
+	slowed := ingestCopy(func(doc map[string]any) {
+		for _, m := range doc["metrics"].([]any) {
+			if m := m.(map[string]any); m["name"] == "sim_mips" {
+				m["value"] = m["value"].(float64) * 0.1
+			}
+		}
+	})
+	onlyRegression(gateOver(t, append(base, slowed)...), "fig-fast.sim_mips")
+
+	failing := ingestCopy(func(doc map[string]any) {
+		doc["failed"] = 1
+		doc["host"].(map[string]any)["cpu_model"] = "another CPU"
+	})
+	if failing.Key.Host == base[0].Key.Host {
+		t.Fatal("test setup: host unchanged")
+	}
+	onlyRegression(gateOver(t, append(base, failing)...), "fig-fast.failed")
 }
 
 // --- rendering ------------------------------------------------------

@@ -1,5 +1,5 @@
 // Format sniffing and ingestion: each supported document becomes one
-// history entry (two for the PR-5 before/after benchmark report) with
+// history entry (one per cell for wlobs/v1 and wlattr/v1 streams) with
 // a flat, namespaced metric map. The metric kind and direction tables
 // here are the drift policy: what gates, what is informational, and
 // which way is "better".
@@ -44,10 +44,8 @@ func Ingest(raw []byte, name, label string) ([]Entry, error) {
 	}
 	var entries []Entry
 	switch format {
-	case "wlbench/v1":
-		entries, err = ingestBench(raw, name)
-	case "wlbench-pr/v1":
-		entries, err = ingestBenchPR(raw, name)
+	case "wlperf/v1":
+		entries, err = ingestPerf(raw, name)
 	case "wlload/v1":
 		entries, err = ingestLoad(raw, name)
 	case obs.Schema: // wlobs/v1
@@ -112,140 +110,66 @@ func Sniff(raw []byte) (string, error) {
 	return "", fmt.Errorf("sniff: unrecognized document")
 }
 
-// tierPrefix namespaces metrics from a non-exact engine tier:
-// "fast.cell...." series never share a name with the bit-exact
-// "cell...." baselines, so a fast-tier report can never gate (or be
-// gated) against exact history — the two tiers are separate
-// comparability series by construction. Exact reports (tier "" or
-// "exact") keep their historical names.
-func tierPrefix(tier string) string {
-	if tier == "" || tier == "exact" {
-		return ""
-	}
-	return tier + "."
+// --- wlperf/v1 ------------------------------------------------------
+
+// perfDoc mirrors the report bench/ writes with -json.
+type perfDoc struct {
+	Host      hostinfo.Info `json:"host"`
+	Engine    string        `json:"engine"`
+	Workload  string        `json:"workload"`
+	Attempted int           `json:"attempted"`
+	Failed    int           `json:"failed"`
+	Metrics   []struct {
+		Name  string  `json:"name"`
+		Unit  string  `json:"unit"`
+		Value float64 `json:"value"`
+	} `json:"metrics"`
 }
 
-// --- wlbench/v1 -----------------------------------------------------
-
-// benchDoc mirrors cmd/wlbench's -json output.
-type benchDoc struct {
-	Schema  string         `json:"schema"`
-	Host    *hostinfo.Info `json:"host"`
-	Tier    string         `json:"tier"`
-	Results []struct {
-		Design   string  `json:"design"`
-		Workload string  `json:"workload"`
-		Trace    string  `json:"trace"`
-		HostNs   int64   `json:"host_ns"`
-		NsPerOp  float64 `json:"ns_per_op"`
-		IPS      float64 `json:"sim_instrs_per_sec"`
-		ExecPS   int64   `json:"sim_exec_ps"`
-		Instrs   uint64  `json:"instructions"`
-		Outages  uint64  `json:"outages"`
-		Stalls   uint64  `json:"stalls"`
-		Wbacks   uint64  `json:"writebacks"`
-		DirtyPk  int     `json:"dirty_peak"`
-		AvgDirty float64 `json:"avg_dirty_per_ckpt"`
-		Checksum uint32  `json:"checksum"`
-	} `json:"results"`
+// perfGated are the benchmark's end-to-end metrics, with the kinds and
+// directions BENCHMARK.json declares for them. Every other metric of
+// the report (per-layer costs, host.slowdown, exact counts per pass)
+// trends as info.
+var perfGated = map[string]Metric{
+	"setup_s":        {Dir: "lower", Kind: KindPerf},
+	"sim_mips":       {Dir: "higher", Kind: KindPerf},
+	"max_rss_mb":     {Dir: "lower", Kind: KindPerf},
+	"request_ms_p50": {Dir: "lower", Kind: KindLatency},
 }
 
-func ingestBench(raw []byte, name string) ([]Entry, error) {
-	var doc benchDoc
+func ingestPerf(raw []byte, name string) ([]Entry, error) {
+	var doc perfDoc
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		return nil, err
 	}
-	key := SelfKey()
-	if doc.Host != nil {
-		key = keyFrom(*doc.Host)
-	} else {
-		// No host block (pre-PR-9 report): the wall-clock numbers are
-		// from an unknown machine, not this one.
-		key.Host = Unknown
-		key.GitCommit = ""
+	if doc.Workload == "" {
+		return nil, fmt.Errorf("wlperf/v1 report names no workload")
 	}
-	metrics := make(map[string]Metric)
-	for _, r := range doc.Results {
-		p := fmt.Sprintf("%scell.%s.%s.%s.", tierPrefix(doc.Tier), r.Design, r.Workload, r.Trace)
-		// Simulated outcomes: deterministic, host-independent.
-		metrics[p+"checksum"] = Metric{Value: float64(r.Checksum), Kind: KindExact}
-		metrics[p+"instructions"] = Metric{Value: float64(r.Instrs), Kind: KindExact}
-		metrics[p+"sim_exec_ps"] = Metric{Value: float64(r.ExecPS), Unit: "ps", Dir: "lower", Kind: KindExact}
-		metrics[p+"outages"] = Metric{Value: float64(r.Outages), Dir: "lower", Kind: KindExact}
-		metrics[p+"stalls"] = Metric{Value: float64(r.Stalls), Dir: "lower", Kind: KindExact}
-		metrics[p+"writebacks"] = Metric{Value: float64(r.Wbacks), Dir: "lower", Kind: KindExact}
-		metrics[p+"dirty_peak"] = Metric{Value: float64(r.DirtyPk), Dir: "lower", Kind: KindExact}
-		metrics[p+"avg_dirty_per_ckpt"] = Metric{Value: r.AvgDirty, Dir: "lower", Kind: KindExact}
-		// Host-speed measurements: gate only within one fingerprint.
-		metrics[p+"host_ns"] = Metric{Value: float64(r.HostNs), Unit: "ns", Dir: "lower", Kind: KindPerf}
-		metrics[p+"ns_per_op"] = Metric{Value: r.NsPerOp, Unit: "ns/op", Dir: "lower", Kind: KindPerf}
-		metrics[p+"sim_instrs_per_sec"] = Metric{Value: r.IPS, Unit: "instr/s", Dir: "higher", Kind: KindPerf}
+	key := keyFrom(doc.Host)
+	if doc.Engine != "" {
+		key.Engine = doc.Engine
+	}
+	// The workload name separates the tiers (fig-exact, fig-fast).
+	p := doc.Workload + "."
+	metrics := map[string]Metric{
+		// Every cell is checked against the benchmark's expected
+		// outcomes, so a failure is drift on any host.
+		p + "failed":    {Value: float64(doc.Failed), Dir: "lower", Kind: KindExact},
+		p + "attempted": {Value: float64(doc.Attempted), Kind: KindInfo},
+	}
+	for _, m := range doc.Metrics {
+		g, ok := perfGated[m.Name]
+		if !ok {
+			g.Kind = KindInfo
+		}
+		g.Value, g.Unit = m.Value, m.Unit
+		metrics[p+m.Name] = g
 	}
 	return []Entry{{
-		Source:  Source{Format: "wlbench/v1", Name: name},
+		Source:  Source{Format: "wlperf/v1", Name: name},
 		Key:     key,
 		Metrics: metrics,
 	}}, nil
-}
-
-// --- wlbench-pr/v1 --------------------------------------------------
-
-// benchPRDoc mirrors the hand-written BENCH_PR5.json before/after
-// report. It becomes TWO entries — the seed column and the optimized
-// column — sharing one host string, so the end-to-end wall time forms
-// a real two-point series. The per-benchmark numbers are recorded as
-// info metrics on the optimized entry only: the report itself accepts
-// one microbenchmark regression (IntegrateShort) as a deliberate
-// trade, so those columns must not feed the gate.
-type benchPRDoc struct {
-	Schema     string `json:"schema"`
-	Host       string `json:"host"`
-	Tier       string `json:"tier"`
-	Benchmarks []struct {
-		Name      string   `json:"name"`
-		Unit      string   `json:"unit"`
-		Seed      *float64 `json:"seed"`
-		Optimized float64  `json:"optimized"`
-	} `json:"benchmarks"`
-	EndToEnd struct {
-		SeedWallS      float64 `json:"seed_wall_s"`
-		OptimizedWallS float64 `json:"optimized_wall_s"`
-	} `json:"end_to_end"`
-}
-
-func ingestBenchPR(raw []byte, name string) ([]Entry, error) {
-	var doc benchPRDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, err
-	}
-	host := doc.Host
-	if host == "" {
-		host = Unknown
-	}
-	key := Key{Engine: Unknown, Host: host}
-	tp := tierPrefix(doc.Tier)
-	seed := Entry{
-		Source: Source{Format: "wlbench-pr/v1", Name: name + "#seed"},
-		Key:    key,
-		Metrics: map[string]Metric{
-			tp + "e2e.wall_s": {Value: doc.EndToEnd.SeedWallS, Unit: "s", Dir: "lower", Kind: KindPerf},
-		},
-	}
-	opt := Entry{
-		Source: Source{Format: "wlbench-pr/v1", Name: name + "#optimized"},
-		Key:    key,
-		Metrics: map[string]Metric{
-			tp + "e2e.wall_s": {Value: doc.EndToEnd.OptimizedWallS, Unit: "s", Dir: "lower", Kind: KindPerf},
-		},
-	}
-	for _, b := range doc.Benchmarks {
-		n := strings.TrimPrefix(b.Name, "Benchmark")
-		opt.Metrics[tp+"bench."+n] = Metric{Value: b.Optimized, Unit: b.Unit, Dir: "lower", Kind: KindInfo}
-		if b.Seed != nil {
-			seed.Metrics[tp+"bench."+n] = Metric{Value: *b.Seed, Unit: b.Unit, Dir: "lower", Kind: KindInfo}
-		}
-	}
-	return []Entry{seed, opt}, nil
 }
 
 // --- wlload/v1 ------------------------------------------------------
