@@ -202,7 +202,10 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
-		fmt.Fprintf(stdout, "==== %s: %s ====\n\n%s\n(elapsed %.1fs)\n\n", e.ID, e.Title, out, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "==== %s: %s ====\n\n%s\n\n", e.ID, e.Title, out)
+		// Host time goes to stderr: stdout is the evaluation itself,
+		// which must be identical on every host.
+		fmt.Fprintf(os.Stderr, "%s: elapsed %.1fs\n", e.ID, time.Since(start).Seconds())
 		if *outDir != "" {
 			if err := os.WriteFile(filepath.Join(*outDir, e.ID+".txt"), []byte(out), 0o644); err != nil {
 				return err

@@ -14,8 +14,8 @@ import (
 	"wlcache/internal/sim"
 )
 
-// foldResult is the bridge between run-level results and the manifest
-// differ; every field must land as the right gauge.
+// foldResult is the bridge between run-level results and the
+// manifest; every field must land as the right gauge.
 func TestFoldResult(t *testing.T) {
 	res := sim.Result{
 		ExecTime:       1_000_000,
@@ -55,45 +55,6 @@ func TestFoldResult(t *testing.T) {
 		if diff := math.Abs(got[name] - v); diff > 1e-9*math.Abs(v) {
 			t.Errorf("gauge %s = %g, want %g", name, got[name], v)
 		}
-	}
-}
-
-// A metric present on one side only must surface as a new/gone row —
-// the exact blind spot the differ used to have.
-func TestDiffReportsNewAndGoneMetrics(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(path, extra string) {
-		rec := obs.NewRecorder(obs.RunMeta{Design: "wl", Workload: "sha", Trace: "tr1"}, 16)
-		rec.StoreStall(0, 100, 0x40)
-		rec.Registry().Gauge(extra, obs.DirNone).Set(5)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.AppendManifest(f, rec.Manifest()); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	oldPath := filepath.Join(dir, "old.jsonl")
-	newPath := filepath.Join(dir, "new.jsonl")
-	mk(oldPath, "old.only")
-	mk(newPath, "new.only")
-
-	var out bytes.Buffer
-	code, err := run([]string{"diff", oldPath, newPath}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("diff: code=%d err=%v\n%s", code, err, out.String())
-	}
-	s := out.String()
-	for _, want := range []string{"new", "new.only", "gone", "old.only"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("diff output missing %q:\n%s", want, s)
-		}
-	}
-	// One-sided rows are informational, never regressions.
-	if strings.Contains(s, "REGRESSION") {
-		t.Fatalf("one-sided metrics flagged as regression:\n%s", s)
 	}
 }
 

@@ -1,14 +1,12 @@
-// Command wlobs records instrumented simulation runs, explains them
-// causally, and compares their metric manifests across code versions.
+// Command wlobs records instrumented simulation runs and explains them
+// causally.
 //
 // `record` runs one workload on one or more designs with the
 // observability layer enabled (internal/obs), prints a per-run
 // summary, and writes a JSONL manifest plus one Chrome trace_event
 // JSON file per design (loadable in chrome://tracing or Perfetto).
-// `diff` compares two manifests cell by cell and flags metric changes
-// beyond a threshold in the bad direction; its exit status is non-zero
-// when any regression is found. `summary` re-renders a saved manifest,
-// or — given a wlload/v1 load report — its latency/throughput table.
+// `summary` re-renders a saved manifest, or — given a wlload/v1 load
+// report — its latency/throughput table.
 // `spans` reconstructs the causal span graph of a run (store stall →
 // write-back → port wait → DirtyQueue release; checkpoint/off/restore
 // under their outage). `attribute` charges every simulated cycle to
@@ -16,11 +14,14 @@
 // JSON with -json). `flame` renders the ledger as folded stacks for
 // standard flamegraph tooling.
 //
+// A manifest is judged by the run-history gate: `wlhist record` it into
+// a store holding earlier manifests, then `wlhist gate`. Every metric
+// in it is an exact simulated outcome.
+//
 // Usage:
 //
 //	wlobs record -designs wl,wl-dyn -workload sha -trace tr1 -out obs-out
 //	wlobs record -fault tornckpt -crashes 3 -workload qsort
-//	wlobs diff -threshold 0.05 old/manifest.jsonl new/manifest.jsonl
 //	wlobs summary obs-out/manifest.jsonl
 //	wlobs spans -design wl -workload sha -trace tr1 -kind stall
 //	wlobs attribute -designs nvcache-wb,vcache-wt,wl -workload sha -trace tr1
@@ -60,7 +61,7 @@ func main() {
 // the process exit code for a completed command.
 func run(args []string, stdout io.Writer) (int, error) {
 	if len(args) == 0 {
-		return 0, fmt.Errorf("usage: wlobs record|diff|summary|spans|attribute|flame [flags]; see `wlobs <cmd> -h`")
+		return 0, fmt.Errorf("usage: wlobs record|summary|spans|attribute|flame [flags]; see `wlobs <cmd> -h`")
 	}
 	switch args[0] {
 	case "-version", "--version", "version":
@@ -68,8 +69,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 0, nil
 	case "record":
 		return runRecord(args[1:], stdout)
-	case "diff":
-		return runDiff(args[1:], stdout)
 	case "summary":
 		return runSummary(args[1:], stdout)
 	case "spans":
@@ -79,7 +78,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	case "flame":
 		return runFlame(args[1:], stdout)
 	}
-	return 0, fmt.Errorf("unknown subcommand %q (want record, diff, summary, spans, attribute or flame)", args[0])
+	return 0, fmt.Errorf("unknown subcommand %q (want record, summary, spans, attribute or flame)", args[0])
 }
 
 // crashSpacing is the instruction distance between forced crashes when
@@ -190,8 +189,9 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 }
 
 // foldResult folds the run-level sim.Result into the registry as
-// gauges, so `wlobs diff` compares end-to-end outcomes (execution
-// time, energy, traffic) alongside the event-derived distributions.
+// gauges, so the manifest carries the end-to-end outcomes (execution
+// time, energy, traffic, checksum) alongside the event-derived
+// distributions.
 func foldResult(reg *obs.Registry, res sim.Result) {
 	reg.Gauge("result.exec_ps", obs.DirLower).Set(float64(res.ExecTime))
 	reg.Gauge("result.on_ps", obs.DirLower).Set(float64(res.OnTime))
@@ -204,75 +204,6 @@ func foldResult(reg *obs.Registry, res sim.Result) {
 	reg.Gauge("result.nvm_write_bytes", obs.DirLower).Set(float64(res.NVMTraffic.WriteBytes()))
 	reg.Gauge("result.reserve_wasted_pj", obs.DirLower).Set(res.ReserveWasted * 1e12)
 	reg.Gauge("result.checksum", obs.DirNone).Set(float64(res.Checksum))
-}
-
-func runDiff(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlobs diff", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		threshold = fs.Float64("threshold", 0.05, "relative change flagged as a regression")
-		all       = fs.Bool("all", false, "also print non-regression changes beyond the threshold")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	if fs.NArg() != 2 {
-		return 0, fmt.Errorf("usage: wlobs diff [-threshold f] [-all] OLD.jsonl NEW.jsonl")
-	}
-	oldMs, err := readManifestFile(fs.Arg(0))
-	if err != nil {
-		return 0, err
-	}
-	newMs, err := readManifestFile(fs.Arg(1))
-	if err != nil {
-		return 0, err
-	}
-	byKey := func(ms []obs.Manifest) map[string]obs.Manifest {
-		out := make(map[string]obs.Manifest, len(ms))
-		for _, m := range ms {
-			out[m.Key()] = m
-		}
-		return out
-	}
-	on, nn := byKey(oldMs), byKey(newMs)
-
-	regressions, cells := 0, 0
-	for _, om := range oldMs {
-		nm, ok := nn[om.Key()]
-		if !ok {
-			fmt.Fprintf(stdout, "== %s: only in %s\n", om.Key(), fs.Arg(0))
-			continue
-		}
-		cells++
-		rep := obs.DiffManifests(om, nm, *threshold)
-		deltas := rep.Regressions()
-		if *all {
-			deltas = rep.Changed(*threshold)
-		}
-		fmt.Fprintf(stdout, "== %s (%d metrics compared)\n", rep.Key, len(rep.Deltas))
-		for _, d := range deltas {
-			fmt.Fprintf(stdout, "  %s\n", d)
-		}
-		// Metrics on one side only always print: a new code version's
-		// added (or lost) metric must be visible even without -all.
-		if !*all {
-			for _, d := range rep.OneSided() {
-				fmt.Fprintf(stdout, "  %s\n", d)
-			}
-		}
-		regressions += len(rep.Regressions())
-	}
-	for _, nm := range newMs {
-		if _, ok := on[nm.Key()]; !ok {
-			fmt.Fprintf(stdout, "== %s: only in %s\n", nm.Key(), fs.Arg(1))
-		}
-	}
-	fmt.Fprintf(stdout, "wlobs diff: %d regression(s) across %d cell(s) at threshold %.0f%%\n",
-		regressions, cells, 100**threshold)
-	if regressions > 0 {
-		return 1, nil
-	}
-	return 0, nil
 }
 
 func runSummary(args []string, stdout io.Writer) (int, error) {

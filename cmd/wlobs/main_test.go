@@ -11,10 +11,9 @@ import (
 	"wlcache/internal/obs"
 )
 
-// TestRecordDiffRoundTrip drives the full CLI: record one instrumented
-// run, check the artifacts, self-diff to zero regressions, then doctor
-// the manifest and watch the diff fail.
-func TestRecordDiffRoundTrip(t *testing.T) {
+// TestRecordRoundTrip drives the full CLI: record one instrumented
+// run, check the artifacts, then re-render the saved manifest.
+func TestRecordRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	code, err := run([]string{"record", "-designs", "wl", "-workload", "sha", "-trace", "tr1", "-out", dir}, &out)
@@ -63,51 +62,6 @@ func TestRecordDiffRoundTrip(t *testing.T) {
 	}
 	if len(tr.TraceEvents) == 0 {
 		t.Fatal("trace JSON has no events")
-	}
-
-	// Self-diff: identical manifests must report zero regressions.
-	out.Reset()
-	code, err = run([]string{"diff", manifest, manifest}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("self-diff: code=%d err=%v\n%s", code, err, out.String())
-	}
-	if !strings.Contains(out.String(), "0 regression(s)") {
-		t.Errorf("self-diff output:\n%s", out.String())
-	}
-
-	// Doctor a direction-lower counter upward: the diff must flag it.
-	doctored := ms[0]
-	doctored.Counters = append([]obs.CounterSnap(nil), doctored.Counters...)
-	bumped := false
-	for i, c := range doctored.Counters {
-		if c.Name == "core.stalls" {
-			doctored.Counters[i].Value = c.Value*2 + 100
-			bumped = true
-		}
-	}
-	if !bumped {
-		t.Fatal("manifest lacks core.stalls")
-	}
-	worse := filepath.Join(dir, "worse.jsonl")
-	wf, err := os.Create(worse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.AppendManifest(wf, doctored); err != nil {
-		t.Fatal(err)
-	}
-	wf.Close()
-
-	out.Reset()
-	code, err = run([]string{"diff", manifest, worse}, &out)
-	if err != nil {
-		t.Fatalf("diff: %v", err)
-	}
-	if code != 1 {
-		t.Errorf("doctored diff: code=%d, want 1\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") || !strings.Contains(out.String(), "core.stalls") {
-		t.Errorf("doctored diff output:\n%s", out.String())
 	}
 
 	// summary re-renders the saved manifest.
@@ -166,8 +120,8 @@ func TestBadUsage(t *testing.T) {
 	if _, err := run([]string{"bogus"}, &out); err == nil {
 		t.Error("unknown subcommand: want error")
 	}
-	if _, err := run([]string{"diff", "one-file-only"}, &out); err == nil {
-		t.Error("diff with one file: want error")
+	if _, err := run([]string{"diff", "a.jsonl", "b.jsonl"}, &out); err == nil {
+		t.Error("diff is retired (wlhist gate judges manifests): want error")
 	}
 	if _, err := run([]string{"record", "-workload", "nope"}, &out); err == nil {
 		t.Error("unknown workload: want error")

@@ -30,3 +30,25 @@ func TestSmokeAllWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// TestDesignSourcesOutsideExperiments runs, on one short kernel, the
+// (design, source) pairs at default options that no experiment and no
+// other test reaches. The golden matrix pins every design on
+// none/tr1/tr3; Fig. 13(a) runs VCache-WT, ReplayCache, NVSRAM, WL and
+// WL-dyn on every trace; Figs. 6 and 12 run NVCache-WB and WL-fixed on
+// tr2. That leaves NVCache-WB and WL-fixed on solar and thermal.
+func TestDesignSourcesOutsideExperiments(t *testing.T) {
+	for _, c := range []struct {
+		kind Kind
+		src  power.Source
+	}{
+		{KindNVCache, power.Solar},
+		{KindNVCache, power.Thermal},
+		{KindWLFixed, power.Solar},
+		{KindWLFixed, power.Thermal},
+	} {
+		if _, err := Run(c.kind, Options{}, "adpcmencode", 1, c.src, sim.DefaultConfig()); err != nil {
+			t.Errorf("%s/%s: %v", c.kind, c.src, err)
+		}
+	}
+}

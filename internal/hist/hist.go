@@ -6,8 +6,8 @@
 // the same fingerprint; simulated outcomes (checksums, outage counts)
 // are host-independent and gate across hosts as long as the engine
 // versions do not conflict. On top of the store sit trend extraction
-// (per-metric time series with good/bad directions reused from the
-// manifest differ), a drift gate for CI, and terminal/HTML renderers.
+// (per-metric time series with the good/bad direction each document
+// declares), the one drift gate for CI, and terminal/HTML renderers.
 package hist
 
 import (

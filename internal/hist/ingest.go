@@ -237,6 +237,10 @@ func ingestLoad(raw []byte, name string) ([]Entry, error) {
 
 // --- wlobs/v1 (manifest JSONL) --------------------------------------
 
+// ingestManifest records every manifest metric as directed exact: a
+// manifest holds simulated outcomes only, deterministic within one
+// engine version, so any move in the bad direction is drift, and so is
+// any move at all of a metric with direction none (the checksum).
 func ingestManifest(raw []byte, name string) ([]Entry, error) {
 	ms, err := obs.ReadManifests(bytes.NewReader(raw))
 	if err != nil {
@@ -248,18 +252,18 @@ func ingestManifest(raw []byte, name string) ([]Entry, error) {
 		p := fmt.Sprintf("obs.%s.%s.%s.", m.Design, m.Workload, m.Trace)
 		metrics := make(map[string]Metric)
 		for _, c := range m.Counters {
-			metrics[p+c.Name] = Metric{Value: float64(c.Value), Dir: c.Dir, Kind: manifestKind(c.Name)}
+			metrics[p+c.Name] = Metric{Value: float64(c.Value), Dir: c.Dir, Kind: KindExact}
 		}
 		for _, g := range m.Gauges {
-			metrics[p+g.Name+".last"] = Metric{Value: g.Last, Dir: g.Dir, Kind: KindInfo}
-			metrics[p+g.Name+".max"] = Metric{Value: g.Max, Dir: g.Dir, Kind: KindInfo}
+			metrics[p+g.Name+".last"] = Metric{Value: g.Last, Dir: g.Dir, Kind: KindExact}
+			metrics[p+g.Name+".max"] = Metric{Value: g.Max, Dir: g.Dir, Kind: KindExact}
 		}
 		for _, h := range m.Histograms {
 			if h.Count == 0 {
 				continue
 			}
-			metrics[p+h.Name+".mean"] = Metric{Value: h.Sum / float64(h.Count), Dir: h.Dir, Kind: KindInfo}
-			metrics[p+h.Name+".max"] = Metric{Value: h.Max, Dir: h.Dir, Kind: KindInfo}
+			metrics[p+h.Name+".mean"] = Metric{Value: h.Mean(), Dir: h.Dir, Kind: KindExact}
+			metrics[p+h.Name+".max"] = Metric{Value: h.Max, Dir: h.Dir, Kind: KindExact}
 		}
 		entries = append(entries, Entry{
 			Source:  Source{Format: obs.Schema, Name: name + "#" + m.Design + "/" + m.Workload + "/" + m.Trace},
@@ -268,18 +272,6 @@ func ingestManifest(raw []byte, name string) ([]Entry, error) {
 		})
 	}
 	return entries, nil
-}
-
-// manifestKind classifies a manifest counter: the simulated outcome
-// and power counters are deterministic per engine version, the rest
-// trend informationally (their regressions are judged by the manifest
-// differ, which knows per-metric thresholds).
-func manifestKind(name string) string {
-	switch name {
-	case "result.checksum", "power.outages":
-		return KindExact
-	}
-	return KindInfo
 }
 
 // --- wlattr/v1 ------------------------------------------------------

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strconv"
 )
 
 // Schema identifies the manifest format this package writes.
@@ -140,185 +138,4 @@ func ReadManifests(r io.Reader) ([]Manifest, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Delta is one metric compared across two manifests.
-type Delta struct {
-	Metric string
-	Kind   string // "counter", "gauge" or "histogram"
-	Dir    Dir
-	Old    float64
-	New    float64
-	// Rel is the relative change (new-old)/old; +Inf when old is zero
-	// and new is not.
-	Rel float64
-	// Regression marks a change beyond the threshold in the metric's
-	// bad direction.
-	Regression bool
-	// State is "" for a metric present on both sides, "new" for one
-	// only the new manifest has (a metric a code change added), "gone"
-	// for one only the old manifest has.
-	State string
-}
-
-// String renders the delta as one report line.
-func (d Delta) String() string {
-	switch d.State {
-	case "new":
-		return fmt.Sprintf("%-10s %-9s %-22s %14s -> %-14s", "new", d.Kind, d.Metric, "-", trimFloat(d.New))
-	case "gone":
-		return fmt.Sprintf("%-10s %-9s %-22s %14s -> %-14s", "gone", d.Kind, d.Metric, trimFloat(d.Old), "-")
-	}
-	tag := "  "
-	switch {
-	case d.Regression:
-		tag = "REGRESSION"
-	case d.Dir == DirLower && d.Rel < 0, d.Dir == DirHigher && d.Rel > 0:
-		tag = "improved"
-	}
-	return fmt.Sprintf("%-10s %-9s %-22s %14s -> %-14s (%+.2f%%)",
-		tag, d.Kind, d.Metric, trimFloat(d.Old), trimFloat(d.New), 100*d.Rel)
-}
-
-func trimFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatFloat(v, 'f', 0, 64)
-	}
-	return strconv.FormatFloat(v, 'g', 6, 64)
-}
-
-// DiffReport compares one run cell across two manifests. Metrics
-// present on one side only appear as Deltas with State "new"/"gone".
-type DiffReport struct {
-	Key    string
-	Deltas []Delta
-}
-
-// OneSided returns the "new"/"gone" deltas — metrics a code change
-// added or removed, which a value diff alone would hide.
-func (r DiffReport) OneSided() []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if d.State != "" {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Regressions returns the deltas flagged as regressions.
-func (r DiffReport) Regressions() []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if d.Regression {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// Changed returns the deltas whose relative change exceeds the given
-// threshold in either direction (reporting aid).
-func (r DiffReport) Changed(threshold float64) []Delta {
-	var out []Delta
-	for _, d := range r.Deltas {
-		if math.Abs(d.Rel) > threshold || d.Regression || d.State != "" {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// DiffManifests compares every metric present in both manifests.
-// Counters compare values, gauges and histograms compare means; a
-// change beyond threshold (relative) in a metric's bad direction is a
-// regression. Metrics with direction "none" never regress.
-func DiffManifests(old, new Manifest, threshold float64) DiffReport {
-	rep := DiffReport{Key: old.Key()}
-
-	collect := func(m Manifest) map[string]side {
-		out := map[string]side{}
-		for _, c := range m.Counters {
-			out["counter/"+c.Name] = side{"counter", dirFrom(c.Dir), float64(c.Value), true}
-		}
-		for _, g := range m.Gauges {
-			out["gauge/"+g.Name] = side{"gauge", dirFrom(g.Dir), g.Mean, g.Samples > 0}
-		}
-		for _, h := range m.Histograms {
-			v := 0.0
-			if h.Count > 0 {
-				v = h.Sum / float64(h.Count)
-			}
-			out["histogram/"+h.Name] = side{"histogram", dirFrom(h.Dir), v, h.Count > 0}
-		}
-		return out
-	}
-	a, b := collect(old), collect(new)
-
-	keys := make([]string, 0, len(a))
-	for k := range a {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		av := a[k]
-		bv, ok := b[k]
-		if !ok {
-			rep.Deltas = append(rep.Deltas, Delta{
-				Metric: av.name(k), Kind: av.kind, Dir: av.dir, Old: av.v, State: "gone"})
-			continue
-		}
-		if !av.ok && !bv.ok {
-			continue // empty on both sides
-		}
-		d := Delta{Metric: av.name(k), Kind: av.kind, Dir: av.dir, Old: av.v, New: bv.v}
-		switch {
-		case av.v == bv.v:
-			d.Rel = 0
-		case av.v == 0:
-			d.Rel = math.Inf(sign(bv.v))
-		default:
-			d.Rel = (bv.v - av.v) / math.Abs(av.v)
-		}
-		switch av.dir {
-		case DirLower:
-			d.Regression = d.Rel > threshold
-		case DirHigher:
-			d.Regression = d.Rel < -threshold
-		}
-		rep.Deltas = append(rep.Deltas, d)
-	}
-	bKeys := make([]string, 0, len(b))
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			bKeys = append(bKeys, k)
-		}
-	}
-	sort.Strings(bKeys)
-	for _, k := range bKeys {
-		bv := b[k]
-		rep.Deltas = append(rep.Deltas, Delta{
-			Metric: bv.name(k), Kind: bv.kind, Dir: bv.dir, New: bv.v, State: "new"})
-	}
-	return rep
-}
-
-// side is one metric's value on one side of a diff.
-type side struct {
-	kind string
-	dir  Dir
-	v    float64
-	ok   bool // value meaningful (non-empty)
-}
-
-// name strips the kind prefix off a collected key.
-func (s side) name(key string) string {
-	return key[len(s.kind)+1:]
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
 }

@@ -5,11 +5,13 @@ import (
 	"sort"
 )
 
-// Dir declares which direction of change a metric considers a
-// regression when two run manifests are diffed: for a DirLower metric
-// (latencies, stalls, energy) growth is a regression; for a DirHigher
-// metric shrinkage is; DirNone metrics are informational only
-// (occupancy distributions, configuration gauges).
+// Dir declares a metric's good direction of change: for a DirLower
+// metric (latencies, stalls, energy) growth is a regression; for a
+// DirHigher metric shrinkage is; a DirNone metric (occupancy
+// distributions, configuration gauges, the checksum) has no good
+// direction. The run-history gate (internal/hist) judges a manifest's
+// metrics as exact simulated outcomes, so a DirNone metric there must
+// not move at all.
 type Dir int8
 
 // The regression directions.
@@ -31,12 +33,8 @@ func (d Dir) String() string {
 }
 
 // DirFrom parses the manifest encoding of a direction ("lower",
-// "higher", anything else = none). The run-history store reuses it so
-// drift detection and manifest diffing agree on what a regression is.
-func DirFrom(s string) Dir { return dirFrom(s) }
-
-// dirFrom parses the manifest encoding back.
-func dirFrom(s string) Dir {
+// "higher", anything else = none).
+func DirFrom(s string) Dir {
 	switch s {
 	case "lower":
 		return DirLower

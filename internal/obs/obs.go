@@ -10,8 +10,9 @@
 // — and end-of-run aggregates cannot show them. A Recorder captures
 // the per-event timeline (exportable as Chrome trace_event JSON for
 // chrome://tracing / Perfetto) and the distributions behind it, and
-// snapshots both into a manifest that `wlobs diff` can compare across
-// code versions to flag metric regressions.
+// snapshots both into a manifest that the run-history gate
+// (internal/hist, `wlhist gate`) compares across code versions to flag
+// any changed simulated outcome.
 //
 // # Overhead model
 //
