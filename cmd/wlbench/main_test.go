@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,20 +13,18 @@ import (
 	"wlcache/internal/expt"
 )
 
-// TestMain intercepts the chaos harness's re-exec: when -chaos spawns
-// os.Executable() with WLBENCH_CHAOS_CHILD set, under `go test` that
-// executable is this test binary. Routing the env var into run() here
-// makes the child behave exactly like the installed wlbench would.
-func TestMain(m *testing.M) {
-	if child, ok := os.LookupEnv(chaosChildEnv); ok {
-		os.Unsetenv(chaosChildEnv)
-		if err := run(strings.Split(child, chaosChildSep), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "wlbench:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+var goldenFile = filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json")
+
+// buildWlserve compiles the real wlserve command into a temp dir: the
+// chaos gate crashes that binary, not a stand-in.
+func buildWlserve(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "wlserve")
+	out, err := exec.Command("go", "build", "-o", bin, "wlcache/cmd/wlserve").CombinedOutput()
+	if err != nil {
+		t.Fatalf("building wlserve: %v\n%s", err, out)
 	}
-	os.Exit(m.Run())
+	return bin
 }
 
 func TestListExperiments(t *testing.T) {
@@ -87,63 +86,10 @@ func TestRunExperimentOnSubset(t *testing.T) {
 	}
 }
 
-// The full crash-resume proof, in-process: -chaos re-execs this test
-// binary as a sweep child that SIGKILLs itself mid-journal (see
-// TestMain), resumes, and verifies the stitched subset matrix against
-// the committed golden with zero recomputation of journaled cells.
-func TestChaosKillResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-execs a full sweep subset")
-	}
-	journal := filepath.Join(t.TempDir(), "chaos.jsonl")
-	var b strings.Builder
-	err := run([]string{
-		"-chaos", "-seed", "7",
-		"-journal", journal,
-		"-workloads", "adpcmencode",
-		"-golden", filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json"),
-	}, &b)
-	if err != nil {
-		t.Fatalf("chaos run failed: %v\n%s", err, b.String())
-	}
-	out := b.String()
-	if !strings.Contains(out, "child killed mid-sweep") {
-		t.Fatalf("child was not killed:\n%s", out)
-	}
-	if !strings.Contains(out, "zero recomputation") || !strings.Contains(out, "PASS") {
-		t.Fatalf("missing pass verdict:\n%s", out)
-	}
-	// The journal survived the SIGKILL with the child's appends intact.
-	if fi, err := os.Stat(journal); err != nil || fi.Size() == 0 {
-		t.Fatalf("journal missing or empty after chaos run: %v", err)
-	}
-}
-
-// A second chaos pass over the same journal must serve everything: the
-// resumed sweep journals the cells the child never reached, so a
-// subsequent sweep computes nothing.
-func TestSweepFullyJournaledComputesNothing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a sweep subset")
-	}
-	journal := filepath.Join(t.TempDir(), "j.jsonl")
-	var b1 strings.Builder
-	if err := run([]string{"-sweep", "-journal", journal, "-workloads", "adpcmencode", "-traces", "none"}, &b1); err != nil {
-		t.Fatal(err)
-	}
-	var b2 strings.Builder
-	if err := run([]string{"-sweep", "-journal", journal, "-workloads", "adpcmencode", "-traces", "none"}, &b2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b2.String(), "0 computed") {
-		t.Fatalf("second sweep recomputed journaled cells:\n%s", b2.String())
-	}
-}
-
-// -traces must reject unknown names before any simulation starts.
+// -traces must reject unknown names before any server starts.
 func TestSweepUnknownTraceRejected(t *testing.T) {
 	var b strings.Builder
-	err := run([]string{"-sweep", "-traces", "tr99"}, &b)
+	err := run([]string{"-chaos", "-traces", "tr99"}, &b)
 	if err == nil || !strings.Contains(err.Error(), "unknown power trace") {
 		t.Fatalf("unknown trace accepted: %v", err)
 	}
@@ -152,9 +98,8 @@ func TestSweepUnknownTraceRejected(t *testing.T) {
 	}
 }
 
-// The documented exit codes: 1 usage/infra, 2 golden mismatch, 3
-// chaos failure — and a chaos failure whose symptom is a mismatch
-// stays 3, because scripts branch on which *gate* failed.
+// The documented exit codes: 1 usage/infra, 3 chaos failure — scripts
+// branch on whether the gate itself failed.
 func TestExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -163,10 +108,8 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"nil is unreachable but safe", errors.New("plain"), 1},
 		{"usage", fmt.Errorf("unknown experiment %q", "x"), 1},
-		{"mismatch", fmt.Errorf("%w: checksum drifted", errMismatch), 2},
-		{"wrapped mismatch", fmt.Errorf("outer: %w", fmt.Errorf("%w: inner", errMismatch)), 2},
 		{"chaos", chaosFail("journaled work was lost"), 3},
-		{"chaos wrapping a mismatch", fmt.Errorf("%w: %w", errChaos, errMismatch), 3},
+		{"wrapped chaos", fmt.Errorf("outer: %w", chaosFail("stitched results diverged")), 3},
 	}
 	for _, c := range cases {
 		if got := exitCodeFor(c.err); got != c.want {
@@ -175,16 +118,41 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// A failed golden comparison must classify as a mismatch (exit 2), not
-// a generic error: CI distinguishes "the run broke" from "the results
-// drifted".
-func TestCompareMismatchClassified(t *testing.T) {
+// The crash-resume gate against the real wlserve: two overlapping
+// sweeps, SIGKILL at a seed-chosen journal append, restart, resubmit;
+// zero journaled cells recompute, duplicates compute exactly once, and
+// the stitched matrix is bit-identical to the committed golden.
+func TestChaosServe(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs a sweep subset")
+		t.Skip("builds wlserve and runs two sweep subsets twice")
 	}
-	// A copy of the committed golden with one field of one adpcmencode
-	// cell changed: the sweep completes and finds the divergence.
-	cells, err := expt.LoadGoldenFile(filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json"))
+	var b strings.Builder
+	err := run([]string{
+		"-chaos", "-serve-bin", buildWlserve(t), "-seed", "5",
+		"-workloads", "adpcmencode",
+		"-golden", goldenFile,
+	}, &b)
+	if err != nil {
+		t.Fatalf("chaos gate failed: %v\n%s", err, b.String())
+	}
+	out := b.String()
+	if !strings.Contains(out, "server killed mid-sweep") {
+		t.Fatalf("server was not killed:\n%s", out)
+	}
+	if !strings.Contains(out, "PASS") || !strings.Contains(out, "bit-identical") {
+		t.Fatalf("missing pass verdict:\n%s", out)
+	}
+}
+
+// The gate's failing side: against a golden copy with one feasible
+// adpcmencode cell's checksum changed, the crash and resume succeed
+// but the stitched matrix diverges, and the gate must fail with exit 3
+// naming that cell.
+func TestChaosServeDetectsDivergence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds wlserve and runs two sweep subsets twice")
+	}
+	cells, err := expt.LoadGoldenFile(goldenFile)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,55 +176,39 @@ func TestCompareMismatchClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	err = run([]string{"-sweep", "-workloads", "adpcmencode", "-traces", "none", "-golden", path}, &b)
-	if err == nil {
-		t.Fatal("divergent sweep passed the golden check")
-	}
-	if !errors.Is(err, errMismatch) || !strings.Contains(err.Error(), cells[doctored].ID()) {
-		t.Fatalf("golden divergence not classified as a mismatch of %s: %v", cells[doctored].ID(), err)
-	}
-	if code := exitCodeFor(err); code != 2 {
-		t.Fatalf("golden divergence exit code = %d, want 2", code)
-	}
-}
-
-// The end-to-end service chaos gate: two overlapping sweeps against a
-// live wlserve (this test binary re-exec'd via TestMain), SIGKILL at a
-// seed-chosen journal append, restart, resubmit; zero journaled cells
-// recompute, duplicates compute exactly once, and the stitched matrix
-// is bit-identical to the committed golden.
-func TestChaosServe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-execs a server and runs two sweep subsets twice")
-	}
-	var b strings.Builder
-	err := run([]string{
-		"-chaos", "-serve", "-seed", "5",
-		"-data", t.TempDir(),
+	err = run([]string{
+		"-chaos", "-serve-bin", buildWlserve(t), "-seed", "5",
 		"-workloads", "adpcmencode",
-		"-golden", filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json"),
+		"-golden", path,
 	}, &b)
-	if err != nil {
-		t.Fatalf("serve chaos gate failed: %v\n%s", err, b.String())
+	if err == nil {
+		t.Fatalf("divergent stitch passed the gate:\n%s", b.String())
 	}
-	out := b.String()
-	if !strings.Contains(out, "server killed mid-sweep") {
-		t.Fatalf("server was not killed:\n%s", out)
+	if !strings.Contains(err.Error(), cells[doctored].ID()) {
+		t.Fatalf("gate failure does not name the doctored cell %s: %v", cells[doctored].ID(), err)
 	}
-	if !strings.Contains(out, "PASS") || !strings.Contains(out, "bit-identical") {
-		t.Fatalf("missing pass verdict:\n%s", out)
+	if code := exitCodeFor(err); code != 3 {
+		t.Fatalf("divergent stitch exit code = %d, want 3 (%v)", code, err)
 	}
 }
 
-// The serve gate requires a committed golden: without one it cannot
-// prove bit-identity, so it must refuse to run (usage error, exit 1).
+// The gate requires a committed golden and a wlserve binary: without
+// either it cannot run, so it must refuse (usage error, exit 1).
 func TestChaosServeNeedsGolden(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-chaos", "-serve"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "-golden") {
-		t.Fatalf("serve gate ran without a golden: %v", err)
-	}
-	if code := exitCodeFor(err); code != 1 {
-		t.Fatalf("missing-golden exit code = %d, want 1", code)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-chaos", "-serve-bin", "wlserve"}, "-golden"},
+		{[]string{"-chaos", "-golden", goldenFile}, "-serve-bin"},
+	} {
+		var b strings.Builder
+		err := run(c.args, &b)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("run(%v) = %v, want an error naming %s", c.args, err, c.want)
+		}
+		if code := exitCodeFor(err); code != 1 {
+			t.Fatalf("run(%v) exit code = %d, want 1", c.args, code)
+		}
 	}
 }

@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -194,35 +193,19 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// startServer spawns the wlserve binary on a random port with a fresh
-// temp data dir, returning once it prints its listen address.
+// startServer spawns the wlserve binary on a fresh temp data dir,
+// removing the dir again if the server never comes up.
 func startServer(bin string) (*exec.Cmd, string, string, error) {
 	dir, err := os.MkdirTemp("", "wlload-data-*")
 	if err != nil {
 		return nil, "", "", err
 	}
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-data", dir)
-	cmd.Stderr = io.Discard
-	pipe, err := cmd.StdoutPipe()
+	cmd, url, err := serve.StartProcess(bin, dir, 0)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, "", "", err
 	}
-	if err := cmd.Start(); err != nil {
-		os.RemoveAll(dir)
-		return nil, "", "", err
-	}
-	sc := bufio.NewScanner(pipe)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if a, ok := strings.CutPrefix(line, "listening on "); ok {
-			go io.Copy(io.Discard, pipe) // keep the server's stdout drained
-			return cmd, "http://" + a, dir, nil
-		}
-	}
-	err = cmd.Wait()
-	os.RemoveAll(dir)
-	return nil, "", "", fmt.Errorf("server exited before listening: %v", err)
+	return cmd, url, dir, nil
 }
 
 // stopServer drains the spawned server: SIGTERM, then SIGKILL after a

@@ -20,8 +20,9 @@
 // submissions get 503. A second signal exits immediately.
 //
 // -kill-after N SIGKILLs the process after the N-th durable journal
-// append; it exists for the chaos harness (wlbench -chaos -serve) and
-// simulates a power failure with a precisely known journal footprint.
+// append; it exists for the crash-resume gate (wlbench -chaos, the one
+// kill/resume proof of the repo's durable sweeps) and simulates a
+// power failure with a precisely known journal footprint.
 package main
 
 import (

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 
-	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
@@ -33,20 +32,9 @@ type Context struct {
 	// Ctx cancels the sweep (nil = context.Background()). Cells not
 	// yet started when it fires are reported as deterministic skips.
 	Ctx context.Context
-	// Journal enables crash-resumable sweeps: completed cells are
-	// appended to this wlrun/v1 JSONL file and served back by content
-	// address on the next run ("" = off).
-	Journal string
 	// Metrics, when non-nil, receives the runner metrics of the sweep
-	// (journal hits, recomputations, failures, skips).
+	// (computed cells, failures, skips).
 	Metrics *runner.Metrics
-	// AfterJournal is the chaos seam: it runs after each durable
-	// journal append, under the journal lock. The chaos harness kills
-	// the process here.
-	AfterJournal func(appended int)
-	// Obs, when non-nil, receives the runner's journal-reload metrics
-	// (records served, dropped records, torn-tail bytes).
-	Obs *obs.Registry
 }
 
 func (c Context) normalize() Context {
@@ -115,7 +103,7 @@ type cell struct {
 	optional bool
 }
 
-// runCells executes all cells through the crash-resumable runner
+// runCells executes all cells through the runner's worker pool
 // (internal/runner) and returns results keyed by index. Failed
 // optional cells keep a zero Result; the first failing required cell
 // — by submission index, never by scheduling race — becomes the
@@ -125,9 +113,8 @@ func runCells(ctx Context, cells []cell) ([]sim.Result, error) {
 	return rep.Results, err
 }
 
-// runCellsReport is runCells with the full per-cell error vector and
-// runner metrics exposed; the golden sweep and the chaos harness need
-// them.
+// runCellsReport is runCells with the full per-cell error vector
+// exposed; the golden sweep pins every cell's error.
 func runCellsReport(ctx Context, cells []cell) (runner.Report, error) {
 	ctx = ctx.normalize()
 	rcells := make([]runner.Cell, len(cells))
@@ -141,11 +128,8 @@ func runCellsReport(ctx Context, cells []cell) (runner.Report, error) {
 		rcells[i] = rc
 	}
 	rep, err := runner.RunCells(ctx.Ctx, runner.Config{
-		Workers:      ctx.Parallelism,
-		Engine:       sim.EngineVersion,
-		JournalPath:  ctx.Journal,
-		AfterJournal: ctx.AfterJournal,
-		Obs:          ctx.Obs,
+		Workers: ctx.Parallelism,
+		Engine:  sim.EngineVersion,
 	}, rcells)
 	if ctx.Metrics != nil {
 		*ctx.Metrics = rep.Metrics

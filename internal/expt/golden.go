@@ -81,13 +81,10 @@ func flattenValue(prefix string, v reflect.Value, out map[string]string) {
 
 // RunGoldenMatrix executes the pinned matrix — restricted to the given
 // workloads and sources, both defaulting to the full pinned sets —
-// through the crash-resumable runner, in the committed fixed order.
+// through the runner's worker pool, in the committed fixed order.
 // Every cell is tolerated (infeasible designs are part of the pin), so
-// the sweep never aborts; per-cell errors land in the GoldenCells. The
-// Context's Journal/Ctx/Metrics/AfterJournal fields thread straight
-// through, which is what makes the golden sweep resumable and
-// chaos-testable.
-func RunGoldenMatrix(ctx Context, workloads []string, sources []power.Source) ([]GoldenCell, runner.Metrics, error) {
+// the sweep never aborts; per-cell errors land in the GoldenCells.
+func RunGoldenMatrix(ctx Context, workloads []string, sources []power.Source) ([]GoldenCell, error) {
 	if len(workloads) == 0 {
 		workloads = GoldenWorkloads()
 	}
@@ -107,7 +104,7 @@ func RunGoldenMatrix(ctx Context, workloads []string, sources []power.Source) ([
 	}
 	rep, err := runCellsReport(ctx, cells)
 	if err != nil {
-		return nil, rep.Metrics, err
+		return nil, err
 	}
 	for i := range golden {
 		if cerr := rep.Errs[i]; cerr != nil {
@@ -124,7 +121,7 @@ func RunGoldenMatrix(ctx Context, workloads []string, sources []power.Source) ([
 			golden[i].Fields = FlattenResult(rep.Results[i])
 		}
 	}
-	return golden, rep.Metrics, nil
+	return golden, nil
 }
 
 // LoadGoldenFile reads a committed golden matrix.

@@ -18,14 +18,13 @@ const goldenPath = "testdata/golden_results.json"
 // results for every design×workload×trace cell of the pinned matrix.
 // The committed golden file was generated from the pre-optimization
 // engine, so this is the before/after equivalence proof for the
-// hot-path work — and, since the matrix now runs through the
-// crash-resumable runner, it also proves the runner's worker pool and
-// journal plumbing do not perturb results. Regenerate deliberately
-// with:
+// hot-path work — and, since the matrix runs through the runner, it
+// also proves the runner's worker pool does not perturb results.
+// Regenerate deliberately with:
 //
 //	go test ./internal/expt -run TestGoldenResults -update
 func TestGoldenResults(t *testing.T) {
-	got, _, err := RunGoldenMatrix(Context{}, nil, nil)
+	got, err := RunGoldenMatrix(Context{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestGoldenResultsFastTier(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden file is generated from the exact tier only")
 	}
-	got, _, err := RunGoldenMatrix(Context{Tier: sim.TierFast}, nil, nil)
+	got, err := RunGoldenMatrix(Context{Tier: sim.TierFast}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,45 +86,5 @@ func TestGoldenResultsFastTier(t *testing.T) {
 	}
 	if err := CompareGoldenCellsTol(got, want, false, FastTolerance()); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestGoldenMatrixResumesFromJournal reruns a prefix of the golden
-// matrix with a journal, then the full matrix against the same
-// journal, and asserts the second pass served every journaled cell by
-// content address with zero recomputation and bit-identical output.
-func TestGoldenMatrixResumesFromJournal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
-	wls := []string{"adpcmencode"}
-
-	first, m1, err := RunGoldenMatrix(Context{Journal: journal}, wls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.FromJournal != 0 || m1.Computed == 0 {
-		t.Fatalf("first pass metrics off: %+v", m1)
-	}
-
-	second, m2, err := RunGoldenMatrix(Context{Journal: journal}, wls, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.FromJournal != m1.Computed {
-		t.Fatalf("resume recomputed journaled cells: served %d from journal, first pass computed %d (metrics %+v)",
-			m2.FromJournal, m1.Computed, m2)
-	}
-	// Only the infeasible (error) cells recompute on resume — errors
-	// are never journaled — so no cell computes to success twice.
-	if m2.Computed != 0 {
-		t.Fatalf("%d cells recomputed to success on resume, want 0 (metrics %+v)", m2.Computed, m2)
-	}
-	if m2.OptionalFailed != m1.OptionalFailed {
-		t.Fatalf("infeasible-cell count changed across resume: %d vs %d", m2.OptionalFailed, m1.OptionalFailed)
-	}
-	if err := CompareGoldenCells(second, first, false); err != nil {
-		t.Fatalf("journal-served results diverged from computed results: %v", err)
 	}
 }

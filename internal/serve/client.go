@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os/exec"
 	"strconv"
+	"strings"
 	"time"
 
 	"wlcache/internal/obs"
@@ -82,8 +84,8 @@ func sweepMetricsFrom(m runner.Metrics) *SweepMetrics {
 	}
 }
 
-// Client is a minimal wlserve API client; the chaos harness and tests
-// drive the service through it.
+// Client is a minimal wlserve API client; the chaos gate, the load
+// harness and tests drive the service through it.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -96,6 +98,40 @@ func (c *Client) http() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
+}
+
+// StartProcess launches the wlserve binary bin on a free loopback port
+// with the given data directory, and returns once the server prints its
+// listen address, with the server root for a Client. killAfter > 0
+// arms the server's chaos seam (-kill-after): it SIGKILLs itself after
+// that many durable journal appends. The server's stdout stays drained
+// for its lifetime; stderr is discarded. The caller owns the process:
+// kill or signal it, then Wait.
+func StartProcess(bin, dataDir string, killAfter int) (*exec.Cmd, string, error) {
+	args := []string{"-addr", "127.0.0.1:0", "-data", dataDir}
+	if killAfter > 0 {
+		args = append(args, "-kill-after", strconv.Itoa(killAfter))
+	}
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = io.Discard
+	pipe, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, "", err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, "", err
+	}
+	sc := bufio.NewScanner(pipe)
+	for sc.Scan() {
+		if a, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "listening on "); ok {
+			// Keep draining stdout so the server never blocks on a full
+			// pipe.
+			go io.Copy(io.Discard, pipe)
+			return cmd, "http://" + a, nil
+		}
+	}
+	err = cmd.Wait()
+	return nil, "", fmt.Errorf("server exited before listening: %v", err)
 }
 
 // OverloadedError is a 429 shed: retry after the hinted delay.
