@@ -1,25 +1,22 @@
 // Command wlhist maintains the longitudinal run-history store: an
-// append-only wlhist/v1 JSONL log of benchmark, load-test,
-// observability and attribution results, keyed by engine version, git
-// commit and host fingerprint so entries are comparable or explicitly
-// not.
+// append-only wlhist/v1 JSONL log of benchmark, observability and
+// attribution results, keyed by engine version, git commit and host
+// fingerprint so entries are comparable or explicitly not.
 //
 // `record` ingests report files (wlperf/v1 reports from the bench/
-// benchmark's -json, wlload/v1 reports, wlobs/v1 manifests, wlattr/v1
-// ledgers, or a saved Prometheus exposition) into the store,
-// deduplicating by content. `scrape` pulls /metrics from a
-// running wlserve and records the snapshot. `trend` prints a
-// per-metric sparkline table; `html` writes the self-contained trend
-// dashboard. `gate` judges each metric's newest transition against
-// its comparable history and exits 2 on drift — host-speed metrics
-// only ever gate against runs from the same host fingerprint, so a
-// slower CI runner cannot fail the build, while simulated outcomes
-// (failed benchmark cells, checksums, outage counts) gate across hosts.
+// benchmark's -json, wlobs/v1 manifests and wlattr/v1 ledgers) into
+// the store, deduplicating by content. `trend` prints a per-metric
+// sparkline table; `html` writes the self-contained trend dashboard.
+// `gate` judges each metric's newest transition against its
+// comparable history and exits 2 on drift — host-speed metrics only
+// ever gate against runs from the same host fingerprint, so a slower
+// CI runner cannot fail the build, while simulated outcomes (failed
+// benchmark cells, checksums, outage counts, cycle ledgers) gate
+// across hosts.
 //
 // Usage:
 //
 //	wlhist record -store HISTORY.jsonl -now 0 -label baseline perf/*.json
-//	wlhist scrape -store HISTORY.jsonl -url http://127.0.0.1:8080/metrics
 //	wlhist trend -store HISTORY.jsonl -filter sim_mips
 //	wlhist gate -store HISTORY.jsonl -threshold 0.10
 //	wlhist html -store HISTORY.jsonl -out dashboard.html
@@ -35,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"time"
 
@@ -56,7 +52,7 @@ func main() {
 // the process exit code for a completed command.
 func run(args []string, stdout io.Writer) (int, error) {
 	if len(args) == 0 {
-		return 0, fmt.Errorf("usage: wlhist record|scrape|trend|gate|html|list [flags]; see `wlhist <cmd> -h`")
+		return 0, fmt.Errorf("usage: wlhist record|trend|gate|html|list [flags]; see `wlhist <cmd> -h`")
 	}
 	switch args[0] {
 	case "-version", "--version", "version":
@@ -64,8 +60,6 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 0, nil
 	case "record":
 		return runRecord(args[1:], stdout)
-	case "scrape":
-		return runScrape(args[1:], stdout)
 	case "trend":
 		return runTrend(args[1:], stdout)
 	case "gate":
@@ -75,7 +69,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 	case "list":
 		return runList(args[1:], stdout)
 	}
-	return 0, fmt.Errorf("unknown subcommand %q (want record, scrape, trend, gate, html or list)", args[0])
+	return 0, fmt.Errorf("unknown subcommand %q (want record, trend, gate, html or list)", args[0])
 }
 
 // storeFlag registers the shared -store flag.
@@ -95,7 +89,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if fs.NArg() == 0 {
-		return 0, fmt.Errorf("record: no input files (wlperf/wlload/wlobs/wlattr reports or a saved scrape)")
+		return 0, fmt.Errorf("record: no input files (wlperf/v1 reports, wlobs/v1 manifests or wlattr/v1 ledgers)")
 	}
 	s, err := hist.Open(*store)
 	if err != nil {
@@ -127,58 +121,6 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 			fmt.Fprintf(stdout, "%s %s (%d metrics) as seq %d id %.12s\n",
 				verb, appended.Source.Name, len(appended.Metrics), appended.Seq, appended.ID)
 		}
-	}
-	return 0, nil
-}
-
-func runScrape(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlhist scrape", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		store   = storeFlag(fs)
-		url     = fs.String("url", "", "metrics endpoint of a running wlserve (e.g. http://127.0.0.1:8080/metrics)")
-		label   = fs.String("label", "", "label recorded on the entry")
-		timeout = fs.Duration("timeout", 10*time.Second, "scrape timeout")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	if *url == "" {
-		return 0, fmt.Errorf("scrape: -url is required")
-	}
-	client := &http.Client{Timeout: *timeout}
-	resp, err := client.Get(*url)
-	if err != nil {
-		return 0, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("scrape: %s returned %s", *url, resp.Status)
-	}
-	s, err := hist.Open(*store)
-	if err != nil {
-		return 0, err
-	}
-	entries, err := hist.Ingest(raw, *url, *label)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range entries {
-		e.RecordedUnix = time.Now().Unix()
-		appended, added, err := s.Append(e)
-		if err != nil {
-			return 0, err
-		}
-		verb := "recorded"
-		if !added {
-			verb = "already recorded"
-		}
-		fmt.Fprintf(stdout, "%s scrape of %s (%d metrics) as seq %d\n",
-			verb, *url, len(appended.Metrics), appended.Seq)
 	}
 	return 0, nil
 }

@@ -2,15 +2,10 @@ package main
 
 import (
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"wlcache/internal/hist"
-	"wlcache/internal/serve"
 )
 
 // perfDoc is a minimal wlperf/v1 report with a host block, so two
@@ -107,58 +102,6 @@ func TestRecordGateTrendHTML(t *testing.T) {
 	}
 }
 
-func TestScrape(t *testing.T) {
-	exposition := "# TYPE wlserve_sweeps_total counter\nwlserve_sweeps_total 7\n"
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(exposition))
-	}))
-	defer srv.Close()
-
-	store := filepath.Join(t.TempDir(), "h.jsonl")
-	var out strings.Builder
-	code, err := run([]string{"scrape", "-store", store, "-url", srv.URL, "-label", "live"}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("scrape: code=%d err=%v\n%s", code, err, out.String())
-	}
-	out.Reset()
-	if code, err := run([]string{"list", "-store", store}, &out); err != nil || code != 0 {
-		t.Fatalf("list: %d %v", code, err)
-	}
-	if !strings.Contains(out.String(), "prometheus") || !strings.Contains(out.String(), "live") {
-		t.Fatalf("list output: %s", out.String())
-	}
-}
-
-// scrape records a live wlserve's /metrics: every service counter
-// lands in the store as a prom.* info metric.
-func TestScrapeLiveServer(t *testing.T) {
-	srv, err := serve.New(serve.Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	store := filepath.Join(t.TempDir(), "h.jsonl")
-	var out strings.Builder
-	if code, err := run([]string{"scrape", "-store", store, "-url", hs.URL + "/metrics"}, &out); err != nil || code != 0 {
-		t.Fatalf("scrape: code=%d err=%v\n%s", code, err, out.String())
-	}
-	s, err := hist.Open(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := s.Entries()
-	if len(entries) != 1 {
-		t.Fatalf("%d entries, want 1", len(entries))
-	}
-	for _, name := range []string{"prom.wlserve_store_loaded", "prom.wlserve_sweeps_total{state=accepted}"} {
-		if _, ok := entries[0].Metrics[name]; !ok {
-			t.Errorf("scrape entry lacks %s", name)
-		}
-	}
-}
-
 func TestUsageErrors(t *testing.T) {
 	var out strings.Builder
 	if _, err := run(nil, &out); err == nil {
@@ -170,8 +113,19 @@ func TestUsageErrors(t *testing.T) {
 	if _, err := run([]string{"record", "-store", filepath.Join(t.TempDir(), "h.jsonl")}, &out); err == nil {
 		t.Fatal("record with no files must error")
 	}
-	if _, err := run([]string{"scrape"}, &out); err == nil {
-		t.Fatal("scrape without -url must error")
+	if _, err := run([]string{"scrape"}, &out); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+		t.Fatalf("scrape is not a subcommand: %v", err)
+	}
+	// record takes only the three report formats: a report of the
+	// retired load harness and a Prometheus exposition are refused.
+	store := filepath.Join(t.TempDir(), "h.jsonl")
+	for _, path := range []string{
+		"../../internal/hist/testdata/load_report.json",
+		"../../internal/hist/testdata/metrics.prom",
+	} {
+		if _, err := run([]string{"record", "-store", store, path}, &out); err == nil {
+			t.Errorf("record %s accepted", path)
+		}
 	}
 }
 

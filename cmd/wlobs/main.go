@@ -5,8 +5,7 @@
 // observability layer enabled (internal/obs), prints a per-run
 // summary, and writes a JSONL manifest plus one Chrome trace_event
 // JSON file per design (loadable in chrome://tracing or Perfetto).
-// `summary` re-renders a saved manifest, or — given a wlload/v1 load
-// report — its latency/throughput table.
+// `summary` re-renders a saved manifest.
 // `spans` reconstructs the causal span graph of a run (store stall →
 // write-back → port wait → DirtyQueue release; checkpoint/off/restore
 // under their outage). `attribute` charges every simulated cycle to
@@ -41,7 +40,6 @@ import (
 	"wlcache/internal/fault"
 	"wlcache/internal/hostinfo"
 	"wlcache/internal/isa"
-	"wlcache/internal/load"
 	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
@@ -213,11 +211,7 @@ func runSummary(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if fs.NArg() != 1 {
-		return 0, fmt.Errorf("usage: wlobs summary MANIFEST.jsonl|WLLOAD.json")
-	}
-	if rep, ok := tryLoadReport(fs.Arg(0)); ok {
-		fmt.Fprint(stdout, load.Summarize(rep))
-		return 0, nil
+		return 0, fmt.Errorf("usage: wlobs summary MANIFEST.jsonl")
 	}
 	ms, err := readManifestFile(fs.Arg(0))
 	if err != nil {
@@ -228,19 +222,6 @@ func runSummary(args []string, stdout io.Writer) (int, error) {
 		fmt.Fprintln(stdout)
 	}
 	return 0, nil
-}
-
-// tryLoadReport sniffs whether the file is a wlload/v1 load report;
-// anything else (including a wlobs manifest) falls through to the
-// manifest reader.
-func tryLoadReport(path string) (load.Report, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return load.Report{}, false
-	}
-	defer f.Close()
-	rep, err := load.ReadReport(f)
-	return rep, err == nil
 }
 
 // warnDropped surfaces ring overwrites on stderr: a truncated trace

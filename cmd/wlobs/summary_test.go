@@ -2,49 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"wlcache/internal/load"
 )
 
-// `wlobs summary` on a wlload/v1 report prints the load table instead
-// of trying to parse it as a manifest.
-func TestSummaryReadsLoadReport(t *testing.T) {
-	rep := load.Report{
-		Schema: load.Schema, Target: "http://test", Clients: 3,
-		Phases: 2, RequestsPerPhase: 6,
-		Submitted: 12, Completed: 12, DurMS: 1500,
-		ThroughputRPS: 8, CellsPerSec: 400,
-		Latency:    load.Latency{P50MS: 15, P95MS: 90, P99MS: 120, MeanMS: 30, MaxMS: 120},
-		Cells:      load.Cells{Total: 612, Computed: 74},
-		DedupRatio: 0.879,
-	}
-	path := filepath.Join(t.TempDir(), "load.json")
-	raw, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	code, err := run([]string{"summary", path}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("summary: code=%d err=%v\n%s", code, err, out.String())
-	}
-	for _, want := range []string{"wlload/v1", "latency_p50_ms", "dedup_ratio", "throughput_rps"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("summary output lacks %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// A file that is neither a manifest nor a load report errors rather
+// A file that is not a manifest errors rather
 // than printing an empty summary.
 func TestSummaryRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk.json")

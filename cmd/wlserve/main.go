@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"os"
@@ -98,7 +97,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		RequestBudget: *reqBudget,
 		CellBudget:    *cellBudget,
 		EnablePprof:   *pprof,
-		Log:           log.New(os.Stderr, "wlserve: ", log.LstdFlags),
 		Logger:        slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
 	}
 	if *killAfter > 0 {

@@ -2,10 +2,11 @@
 // comparable history. The rules per kind:
 //
 //   - exact: the latest value must equal the most recent comparable
-//     value. For a directed exact metric (outages, http_5xx) only the
-//     bad direction is a regression — fewer outages is an improvement;
-//     a metric with direction none (a checksum) must not move at all.
-//     Every wlobs/v1 manifest metric is exact.
+//     value. For a directed exact metric (outages, failed cells) only
+//     the bad direction is a regression — fewer outages is an
+//     improvement; a metric with direction none (a checksum) must not
+//     move at all. Every wlobs/v1 manifest metric and every wlattr/v1
+//     ledger value is exact.
 //     Exact metrics are host-independent, so they compare across hosts
 //     as long as the engine versions do not conflict: a checksum from
 //     engine 6 never gates against one from engine 5.

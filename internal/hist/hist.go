@@ -1,7 +1,7 @@
 // Package hist is the longitudinal run-history store: an append-only,
-// content-addressed JSONL log (wlhist/v1) of benchmark, load-test,
-// observability and attribution results, keyed so that any two entries
-// are either comparable or explicitly not. Host-speed metrics carry
+// content-addressed JSONL log (wlhist/v1) of benchmark, observability
+// and attribution results, keyed so that any two entries are either
+// comparable or explicitly not. Host-speed metrics carry
 // the full host fingerprint and only ever gate against entries from
 // the same fingerprint; simulated outcomes (checksums, outage counts)
 // are host-independent and gate across hosts as long as the engine

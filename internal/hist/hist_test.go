@@ -333,11 +333,8 @@ func TestGateInfoAndSinglePointIgnored(t *testing.T) {
 func TestSniff(t *testing.T) {
 	cases := map[string]string{
 		`{"schema":"wlperf/v1","metrics":[]}`:      "wlperf/v1",
-		`{"schema":"wlload/v1"}`:                   "wlload/v1",
 		`{"schema":"wlobs/v1"}` + "\n" + `{"x":1}`: "wlobs/v1",
 		`{"format":"wlattr/v1"}`:                   "wlattr/v1",
-		"# TYPE x counter\nx 1\n":                  "prometheus",
-		"wlserve_http_requests_total 12\n":         "prometheus",
 	}
 	for in, want := range cases {
 		got, err := Sniff([]byte(in))
@@ -349,6 +346,25 @@ func TestSniff(t *testing.T) {
 		if _, err := Sniff([]byte(bad)); err == nil {
 			t.Errorf("Sniff(%q) must error", bad)
 		}
+	}
+	// Run history takes only the three report formats. A report of the
+	// retired load harness names a schema with no ingestor, and a
+	// Prometheus exposition, with or without comments, is not a report.
+	for file, want := range map[string]string{
+		"testdata/load_report.json": "unsupported format",
+		"testdata/metrics.prom":     "unrecognized document",
+	} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Ingest(raw, file, ""); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Ingest(%s) = %v, want an error containing %q", file, err, want)
+		}
+	}
+	if _, err := Ingest([]byte("wlserve_http_requests_total 12\n"), "bare", ""); err == nil ||
+		!strings.Contains(err.Error(), "unrecognized document") {
+		t.Errorf("a bare exposition must be unrecognized: %v", err)
 	}
 }
 
@@ -398,55 +414,6 @@ func TestIngestBenchAndSyntheticRegression(t *testing.T) {
 	f := findFinding(t, rep, "fig-fast.sim_mips")
 	if !f.Regressed() || rep.Regressions != 1 {
 		t.Fatalf("injected 10x slower sim_mips must regress alone (got %+v, report %+v)", f, rep)
-	}
-}
-
-func TestIngestLoad(t *testing.T) {
-	doc := `{"schema":"wlload/v1","target":"x","clients":4,"phases":2,"requests_per_phase":8,"dur_ms":100,
-	  "submitted":16,"completed":16,"shed":1,"http_5xx":0,"failed":0,
-	  "throughput_rps":120.5,"cells_per_sec":900,
-	  "latency":{"p50_ms":2,"p95_ms":9,"p99_ms":12,"mean_ms":3,"max_ms":15},
-	  "cells":{"total":32,"computed":20,"from_journal":6,"from_shared":6,"deduped":6,"failed":0,"skipped":0,"retries":0},
-	  "dedup_ratio":0.18,"shed_rate":0.05,"sweeps":[]}`
-	entries, err := Ingest([]byte(doc), "load.json", "")
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("ingest: %v", err)
-	}
-	m := entries[0].Metrics
-	if m["load.latency.p95_ms"].Kind != KindLatency || m["load.latency.p95_ms"].Value != 9 {
-		t.Fatalf("p95: %+v", m["load.latency.p95_ms"])
-	}
-	if m["load.http_5xx"].Kind != KindExact || m["load.throughput_rps"].Kind != KindPerf {
-		t.Fatalf("kinds: %+v %+v", m["load.http_5xx"], m["load.throughput_rps"])
-	}
-	if m["load.dedup_ratio"].Kind != KindInfo {
-		t.Fatalf("dedup_ratio must be info: %+v", m["load.dedup_ratio"])
-	}
-}
-
-func TestIngestProm(t *testing.T) {
-	exp := "# TYPE wlserve_cell_us histogram\n" +
-		"wlserve_cell_us_bucket{le=\"10\"} 1\n" +
-		"wlserve_cell_us_bucket{le=\"+Inf\"} 2\n" +
-		"wlserve_cell_us_sum 14\n" +
-		"wlserve_cell_us_count 2\n" +
-		"# TYPE wlserve_sweeps_total counter\n" +
-		"wlserve_sweeps_total 7\n"
-	entries, err := Ingest([]byte(exp), "http://x/metrics", "scrape")
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("ingest: %v", err)
-	}
-	m := entries[0].Metrics
-	if m["prom.wlserve_sweeps_total"].Value != 7 || m["prom.wlserve_sweeps_total"].Kind != KindInfo {
-		t.Fatalf("counter: %+v", m["prom.wlserve_sweeps_total"])
-	}
-	for name := range m {
-		if strings.Contains(name, "_bucket") {
-			t.Fatalf("bucket sample leaked into metrics: %s", name)
-		}
-	}
-	if _, ok := m["prom.wlserve_cell_us_sum"]; !ok {
-		t.Fatal("histogram _sum must be kept")
 	}
 }
 
@@ -538,14 +505,14 @@ func TestTrendTableAndDashboard(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "h.jsonl")
 	s, _ := Open(path)
 	s.Append(testEntry("a", hostA, map[string]Metric{
-		"cell.wl.sha.tr1.ns_per_op": {Value: 16.7, Unit: "ns/op", Dir: "lower", Kind: KindPerf},
+		"fig-fast.sim_mips": {Value: 180.4, Unit: "Minstr/s", Dir: "higher", Kind: KindPerf},
 	}))
 	s.Append(testEntry("b", hostA, map[string]Metric{
-		"cell.wl.sha.tr1.ns_per_op": {Value: 12.1, Unit: "ns/op", Dir: "lower", Kind: KindPerf},
+		"fig-fast.sim_mips": {Value: 203.3, Unit: "Minstr/s", Dir: "higher", Kind: KindPerf},
 	}))
 
 	trend := TrendTable(s, "")
-	if !strings.Contains(trend, "ns_per_op") || !strings.Contains(trend, "▁") {
+	if !strings.Contains(trend, "sim_mips") || !strings.Contains(trend, "▁") {
 		t.Fatalf("trend table lacks series or sparkline:\n%s", trend)
 	}
 	if out := TrendTable(s, "nomatch"); !strings.Contains(out, "no series match") {
@@ -561,19 +528,22 @@ func TestTrendTableAndDashboard(t *testing.T) {
 	page := Dashboard(s, rep)
 	for _, want := range []string{
 		"<!doctype html>", "<svg", "data-tip", "prefers-color-scheme: dark",
-		"ns_per_op", "table view", "no drift",
+		"sim_mips", "table view", "no drift",
+		// A wlperf/v1 metric is <workload>.<metric>: it files under
+		// its workload's benchmark section.
+		"<h2>Benchmark (fig-fast)</h2>",
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("dashboard missing %q", want)
 		}
 	}
 	// Metric names are attacker-ish strings in principle; ensure the
-	// page escapes what it interpolates.
+	// page escapes what it interpolates, the section title included.
 	s.Append(testEntry("evil", hostA, map[string]Metric{
-		"cell.<script>.x.y.z": {Value: 1, Kind: KindInfo},
+		"<script>.x": {Value: 1, Kind: KindInfo},
 	}))
 	page = Dashboard(s, Gate(s, GateConfig{}))
-	if strings.Contains(page, "cell.<script>") {
+	if strings.Contains(page, "<script>.x") || strings.Contains(page, "(<script>)") {
 		t.Fatal("unescaped metric name in dashboard")
 	}
 }

@@ -57,41 +57,36 @@ type seriesGroup struct {
 	series []Series
 }
 
+// streamTitles names the per-cell stream namespaces. Every other
+// prefix is a bench/ workload: wlperf/v1 metrics are named
+// <workload>.<metric>.
+var streamTitles = map[string]string{
+	"obs":  "Observability manifests (wlobs)",
+	"attr": "Time attribution (wlattr)",
+}
+
 // groupSeries buckets series by their namespace prefix so the page
-// reads bench cells, load runs and scrapes as separate sections.
+// reads each benchmark workload, the manifests and the ledgers as
+// separate sections, benchmark workloads first.
 func groupSeries(series []Series) []seriesGroup {
-	titles := map[string]string{
-		"cell":  "Benchmark cells (wlbench)",
-		"e2e":   "End-to-end wall time",
-		"bench": "Microbenchmarks",
-		"load":  "Load harness (wlload)",
-		"obs":   "Observability manifests (wlobs)",
-		"attr":  "Time attribution (wlattr)",
-		"prom":  "Live scrapes (/metrics)",
-	}
-	order := []string{"e2e", "cell", "load", "obs", "attr", "bench", "prom"}
 	byPrefix := make(map[string][]Series)
+	var workloads []string
 	for _, sr := range series {
 		p, _, _ := strings.Cut(sr.Name, ".")
-		if _, ok := titles[p]; !ok {
-			p = "other"
+		if _, stream := streamTitles[p]; !stream && byPrefix[p] == nil {
+			workloads = append(workloads, p)
 		}
 		byPrefix[p] = append(byPrefix[p], sr)
 	}
+	sort.Strings(workloads)
 	var out []seriesGroup
-	for _, p := range order {
+	for _, w := range workloads {
+		out = append(out, seriesGroup{"Benchmark (" + w + ")", byPrefix[w]})
+	}
+	for _, p := range []string{"obs", "attr"} {
 		if len(byPrefix[p]) > 0 {
-			out = append(out, seriesGroup{titles[p], byPrefix[p]})
-			delete(byPrefix, p)
+			out = append(out, seriesGroup{streamTitles[p], byPrefix[p]})
 		}
-	}
-	var rest []string
-	for p := range byPrefix {
-		rest = append(rest, p)
-	}
-	sort.Strings(rest)
-	for _, p := range rest {
-		out = append(out, seriesGroup{"Other (" + p + ")", byPrefix[p]})
 	}
 	return out
 }

@@ -1,16 +1,15 @@
-// Format sniffing and ingestion: each supported document becomes one
-// history entry (one per cell for wlobs/v1 and wlattr/v1 streams) with
-// a flat, namespaced metric map. The metric kind and direction tables
-// here are the drift policy: what gates, what is informational, and
-// which way is "better".
+// Format sniffing and ingestion: each supported document — a bench/
+// wlperf/v1 report, a wlobs/v1 manifest stream or a wlattr/v1 ledger
+// stream — becomes one history entry (one per cell for the two
+// streams) with a flat, namespaced metric map. The metric kind and
+// direction tables here are the drift policy: what gates, what is
+// informational, and which way is "better".
 package hist
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 
 	"wlcache/internal/hostinfo"
 	"wlcache/internal/obs"
@@ -30,8 +29,8 @@ func keyFrom(i hostinfo.Info) Key {
 }
 
 // SelfKey is the comparability key of the running process: used when
-// the ingested document carries no host block (a live scrape, an obs
-// manifest) and the caller asserts the numbers were produced here.
+// the ingested document carries no host block (a wlobs/v1 manifest or
+// a wlattr/v1 ledger) and the caller asserts it was produced here.
 func SelfKey() Key { return keyFrom(hostinfo.Collect()) }
 
 // Ingest sniffs the document format and converts it to history
@@ -46,14 +45,10 @@ func Ingest(raw []byte, name, label string) ([]Entry, error) {
 	switch format {
 	case "wlperf/v1":
 		entries, err = ingestPerf(raw, name)
-	case "wlload/v1":
-		entries, err = ingestLoad(raw, name)
 	case obs.Schema: // wlobs/v1
 		entries, err = ingestManifest(raw, name)
 	case obs.AttrFormat: // wlattr/v1
 		entries, err = ingestAttr(raw, name)
-	case "prometheus":
-		entries, err = ingestProm(raw, name)
 	default:
 		return nil, fmt.Errorf("hist: %s: unsupported format %q", name, format)
 	}
@@ -66,9 +61,8 @@ func Ingest(raw []byte, name, label string) ([]Entry, error) {
 	return entries, nil
 }
 
-// Sniff identifies a document: one of the repo's JSON report schemas,
-// a wlobs/v1 or wlattr/v1 JSONL stream, or a Prometheus text
-// exposition.
+// Sniff identifies a document by its JSON schema: a whole-document
+// report, or the first line of a wlobs/v1 or wlattr/v1 JSONL stream.
 func Sniff(raw []byte) (string, error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) == 0 {
@@ -98,14 +92,6 @@ func Sniff(raw []byte) (string, error) {
 			return head.Format, nil
 		}
 		return "", fmt.Errorf("sniff: JSON document carries no schema/format field")
-	}
-	if trimmed[0] == '#' || bytes.Contains(trimmed, []byte("# TYPE")) {
-		return "prometheus", nil
-	}
-	// A bare exposition with no comment lines still parses as
-	// name/value pairs; accept it if the first token looks like one.
-	if f := bytes.Fields(bytes.SplitN(trimmed, []byte("\n"), 2)[0]); len(f) == 2 {
-		return "prometheus", nil
 	}
 	return "", fmt.Errorf("sniff: unrecognized document")
 }
@@ -172,69 +158,6 @@ func ingestPerf(raw []byte, name string) ([]Entry, error) {
 	}}, nil
 }
 
-// --- wlload/v1 ------------------------------------------------------
-
-// loadDoc mirrors load.Report.
-type loadDoc struct {
-	Schema string         `json:"schema"`
-	Host   *hostinfo.Info `json:"host"`
-
-	Submitted     int     `json:"submitted"`
-	Completed     int     `json:"completed"`
-	Shed          int     `json:"shed"`
-	HTTP5xx       int     `json:"http_5xx"`
-	Failed        int     `json:"failed"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	CellsPerSec   float64 `json:"cells_per_sec"`
-	Latency       struct {
-		P50MS  float64 `json:"p50_ms"`
-		P95MS  float64 `json:"p95_ms"`
-		P99MS  float64 `json:"p99_ms"`
-		MeanMS float64 `json:"mean_ms"`
-		MaxMS  float64 `json:"max_ms"`
-	} `json:"latency"`
-	DedupRatio float64 `json:"dedup_ratio"`
-	ShedRate   float64 `json:"shed_rate"`
-}
-
-func ingestLoad(raw []byte, name string) ([]Entry, error) {
-	var doc loadDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, err
-	}
-	key := SelfKey()
-	if doc.Host != nil {
-		key = keyFrom(*doc.Host)
-	} else {
-		key.Host = Unknown
-		key.GitCommit = ""
-	}
-	metrics := map[string]Metric{
-		"load.throughput_rps":  {Value: doc.ThroughputRPS, Unit: "req/s", Dir: "higher", Kind: KindPerf},
-		"load.cells_per_sec":   {Value: doc.CellsPerSec, Unit: "cells/s", Dir: "higher", Kind: KindPerf},
-		"load.latency.p50_ms":  {Value: doc.Latency.P50MS, Unit: "ms", Dir: "lower", Kind: KindLatency},
-		"load.latency.p95_ms":  {Value: doc.Latency.P95MS, Unit: "ms", Dir: "lower", Kind: KindLatency},
-		"load.latency.p99_ms":  {Value: doc.Latency.P99MS, Unit: "ms", Dir: "lower", Kind: KindLatency},
-		"load.latency.mean_ms": {Value: doc.Latency.MeanMS, Unit: "ms", Dir: "lower", Kind: KindLatency},
-		"load.latency.max_ms":  {Value: doc.Latency.MaxMS, Unit: "ms", Dir: "lower", Kind: KindLatency},
-		// Correctness counters: any 5xx or failed cell is drift even
-		// across hosts.
-		"load.http_5xx": {Value: float64(doc.HTTP5xx), Dir: "lower", Kind: KindExact},
-		"load.failed":   {Value: float64(doc.Failed), Dir: "lower", Kind: KindExact},
-		// Shape of the run: informational (depends on flags and load).
-		"load.submitted":   {Value: float64(doc.Submitted), Kind: KindInfo},
-		"load.completed":   {Value: float64(doc.Completed), Kind: KindInfo},
-		"load.shed":        {Value: float64(doc.Shed), Kind: KindInfo},
-		"load.dedup_ratio": {Value: doc.DedupRatio, Kind: KindInfo},
-		"load.shed_rate":   {Value: doc.ShedRate, Kind: KindInfo},
-	}
-	return []Entry{{
-		Source:  Source{Format: "wlload/v1", Name: name},
-		Key:     key,
-		Metrics: metrics,
-	}}, nil
-}
-
 // --- wlobs/v1 (manifest JSONL) --------------------------------------
 
 // ingestManifest records every manifest metric as directed exact: a
@@ -276,6 +199,9 @@ func ingestManifest(raw []byte, name string) ([]Entry, error) {
 
 // --- wlattr/v1 ------------------------------------------------------
 
+// ingestAttr records a cycle ledger as directed exact, like a
+// manifest: it charges simulated picoseconds, so it is deterministic
+// within one engine version and gates across hosts.
 func ingestAttr(raw []byte, name string) ([]Entry, error) {
 	recs, err := obs.ReadAttrs(bytes.NewReader(raw))
 	if err != nil {
@@ -287,18 +213,18 @@ func ingestAttr(raw []byte, name string) ([]Entry, error) {
 		p := fmt.Sprintf("attr.%s.%s.%s.", r.Design, r.Workload, r.Trace)
 		metrics := map[string]Metric{
 			p + "total_ps":       {Value: float64(r.TotalPS), Unit: "ps", Dir: "lower", Kind: KindExact},
-			p + "coverage":       {Value: r.Coverage, Dir: "higher", Kind: KindPerf},
-			p + "unknown_ps":     {Value: float64(r.UnknownPS), Unit: "ps", Dir: "lower", Kind: KindInfo},
+			p + "coverage":       {Value: r.Coverage, Dir: "higher", Kind: KindExact},
+			p + "unknown_ps":     {Value: float64(r.UnknownPS), Unit: "ps", Dir: "lower", Kind: KindExact},
 			p + "events_dropped": {Value: float64(r.EventsDropped), Dir: "lower", Kind: KindExact},
 		}
 		for cat, ps := range r.Categories {
-			kind := KindPerf
 			dir := "lower"
 			if cat == "compute" {
-				// Compute time is the workload itself, not overhead.
-				kind, dir = KindInfo, ""
+				// Compute time is the workload itself, not overhead:
+				// it has no good direction, so any move is drift.
+				dir = "none"
 			}
-			metrics[p+"cat."+cat+"_ps"] = Metric{Value: float64(ps), Unit: "ps", Dir: dir, Kind: kind}
+			metrics[p+"cat."+cat+"_ps"] = Metric{Value: float64(ps), Unit: "ps", Dir: dir, Kind: KindExact}
 		}
 		entries = append(entries, Entry{
 			Source:  Source{Format: obs.AttrFormat, Name: name + "#" + r.Design + "/" + r.Workload + "/" + r.Trace},
@@ -307,47 +233,4 @@ func ingestAttr(raw []byte, name string) ([]Entry, error) {
 		})
 	}
 	return entries, nil
-}
-
-// --- Prometheus text ------------------------------------------------
-
-// ingestProm flattens a /metrics scrape into info metrics: a live
-// gauge read is a point-in-time snapshot of a moving system, useful
-// for trends and dashboards but never a gate. Histogram buckets are
-// skipped (the _sum/_count series carry the trend).
-func ingestProm(raw []byte, name string) ([]Entry, error) {
-	samples, err := obs.ParsePrometheus(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	metrics := make(map[string]Metric)
-	for _, s := range samples {
-		if strings.HasSuffix(s.Name, "_bucket") {
-			continue
-		}
-		n := "prom." + s.Name
-		if len(s.Labels) > 0 {
-			n += "{" + promLabelSignature(s.Labels) + "}"
-		}
-		metrics[n] = Metric{Value: s.Value, Kind: KindInfo}
-	}
-	return []Entry{{
-		Source:  Source{Format: "prometheus", Name: name},
-		Key:     SelfKey(),
-		Metrics: metrics,
-	}}, nil
-}
-
-// promLabelSignature renders a label set deterministically.
-func promLabelSignature(labels map[string]string) string {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + labels[k]
-	}
-	return strings.Join(parts, ",")
 }

@@ -17,8 +17,8 @@ import (
 	"wlcache/internal/sim"
 )
 
-// Info is the host metadata block embedded in wlbench/wlload reports
-// and used for run-history comparability keys.
+// Info is the host metadata block embedded in the bench/ module's
+// wlperf/v1 reports and used for run-history comparability keys.
 type Info struct {
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`

@@ -84,8 +84,8 @@ func sweepMetricsFrom(m runner.Metrics) *SweepMetrics {
 	}
 }
 
-// Client is a minimal wlserve API client; the chaos gate, the load
-// harness and tests drive the service through it.
+// Client is a minimal wlserve API client; the chaos gate, the
+// benchmark and tests drive the service through it.
 type Client struct {
 	// Base is the server root, e.g. "http://127.0.0.1:8080".
 	Base string
@@ -144,27 +144,10 @@ func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("server overloaded, retry after %s: %s", e.RetryAfter, e.Body)
 }
 
-// StatusError is any other non-200 submission response, with the
-// status code preserved — the load harness keys its 5xx gate on it.
-type StatusError struct {
-	Code int
-	Body string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("submit: %d %s: %s", e.Code, http.StatusText(e.Code), e.Body)
-}
-
 // Submit POSTs a sweep spec and returns the live event stream, having
 // already consumed the accepted event (available as Stream.Accepted).
+// The server assigns the request ID.
 func (c *Client) Submit(ctx context.Context, spec Spec) (*Stream, error) {
-	return c.SubmitRequest(ctx, spec, "")
-}
-
-// SubmitRequest is Submit with a caller-chosen request ID sent as
-// X-Request-Id; the server echoes it on the response header and every
-// stream event ("" lets the server assign one).
-func (c *Client) SubmitRequest(ctx context.Context, spec Spec, requestID string) (*Stream, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -174,9 +157,6 @@ func (c *Client) SubmitRequest(ctx context.Context, spec Spec, requestID string)
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if requestID != "" {
-		req.Header.Set("X-Request-Id", requestID)
-	}
 	resp, err := c.http().Do(req)
 	if err != nil {
 		return nil, err
@@ -188,7 +168,7 @@ func (c *Client) SubmitRequest(ctx context.Context, spec Spec, requestID string)
 			secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
 			return nil, &OverloadedError{RetryAfter: time.Duration(secs) * time.Second, Body: string(bytes.TrimSpace(msg))}
 		}
-		return nil, &StatusError{Code: resp.StatusCode, Body: string(bytes.TrimSpace(msg))}
+		return nil, fmt.Errorf("submit: %d %s: %s", resp.StatusCode, http.StatusText(resp.StatusCode), bytes.TrimSpace(msg))
 	}
 	st := &Stream{resp: resp, dec: json.NewDecoder(bufio.NewReader(resp.Body))}
 	ev, err := st.Next()

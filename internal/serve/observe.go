@@ -280,12 +280,12 @@ func (s *Server) exposition() []byte {
 }
 
 // handleMetrics is GET /metrics: every service counter, gauge and
-// latency histogram. The chaos gate, the load harness and run history
-// all read this endpoint.
+// latency histogram. The chaos gate and the benchmark's serve-resume
+// workload read this endpoint.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if _, err := w.Write(s.exposition()); err != nil {
-		s.cfg.Log.Printf("serve: /metrics write: %v", err)
+		s.slog.Warn("metrics response failed", "err", err)
 	}
 }
 
@@ -510,7 +510,7 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		s.cfg.Log.Printf("serve: progress response: %v", err)
+		s.slog.Warn("progress response failed", "sweep", r.PathValue("id"), "err", err)
 	}
 }
 
@@ -541,6 +541,6 @@ func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	name := fmt.Sprintf("%s %s (request %s)", traceProcess, id, request)
 	if err := obs.WriteTraceEvents(w, name, lanes, spans); err != nil {
-		s.cfg.Log.Printf("serve: trace response: %v", err)
+		s.slog.Warn("trace response failed", "sweep", id, "err", err)
 	}
 }

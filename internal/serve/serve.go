@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -76,11 +75,10 @@ type Config struct {
 	// server-wide becomes durable, under that journal's append lock —
 	// the chaos harness SIGKILLs the process here.
 	AfterJournal func(total int)
-	// Log receives operational messages (nil = discard).
-	Log *log.Logger
-	// Logger receives structured request/sweep/cell logs keyed by
-	// request ID (nil = discard). Sweep lifecycle logs at Info,
-	// per-cell and probe traffic at Debug.
+	// Logger receives structured logs (nil = discard): store reload
+	// and sweep lifecycle at Info, quarantines and failures at Warn,
+	// per-cell and probe traffic at Debug, keyed by request ID where
+	// there is one.
 	Logger *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints are opt-in, never ambient.
@@ -108,9 +106,6 @@ func (c Config) normalize() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 5 * time.Second
-	}
-	if c.Log == nil {
-		c.Log = log.New(io.Discard, "", 0)
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -222,7 +217,7 @@ func (s *Server) loadStore() error {
 	}
 	loaded := s.store.Len()
 	s.reg.Set(mStoreLoaded, obs.DirNone, float64(loaded))
-	s.cfg.Log.Printf("serve: store loaded: %d results from %d journals", loaded, len(paths))
+	s.slog.Info("store loaded", "results", loaded, "journals", len(paths))
 	return nil
 }
 
@@ -232,10 +227,10 @@ func (s *Server) quarantine(path string, cause error) {
 	s.count(mJournalsQuarantined, 1)
 	dst := path + ".corrupt"
 	if err := os.Rename(path, dst); err != nil {
-		s.cfg.Log.Printf("serve: quarantine %s failed: %v (corruption: %v)", path, err, cause)
+		s.slog.Warn("quarantine failed", "journal", path, "err", err, "corruption", cause)
 		return
 	}
-	s.cfg.Log.Printf("serve: quarantined corrupt journal %s -> %s: %v", path, dst, cause)
+	s.slog.Warn("quarantined corrupt journal", "journal", path, "to", dst, "corruption", cause)
 }
 
 // noteLoadStats folds one journal reload's loss accounting into the
@@ -245,8 +240,8 @@ func (s *Server) noteLoadStats(stats runner.LoadStats) {
 	s.count(mJournalDropped, uint64(stats.Dropped))
 	s.count(mJournalTornBytes, uint64(stats.TornTailBytes))
 	if stats.Dropped > 0 || stats.TornTailBytes > 0 {
-		s.cfg.Log.Printf("serve: journal reload: %d records served, %d dropped, %d torn-tail bytes",
-			stats.Records, stats.Dropped, stats.TornTailBytes)
+		s.slog.Info("journal reload lost records", "served", stats.Records,
+			"dropped", stats.Dropped, "torn_tail_bytes", stats.TornTailBytes)
 	}
 }
 
@@ -586,7 +581,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		// Cells are all tolerated, so this is journal/infrastructure
 		// damage; the stream still ends well-formed.
 		doneEv.Error = runErr.Error()
-		s.cfg.Log.Printf("serve: sweep %s: %v", sweepID, runErr)
+		s.slog.Warn("sweep failed", "request", rid, "sweep", sweepID, "err", runErr)
 	}
 	writeEvent(doneEv)
 }

@@ -143,7 +143,8 @@ func TestRestartServesFromJournal(t *testing.T) {
 }
 
 // Two overlapping sweeps submitted concurrently compute every
-// duplicate cell exactly once, with the dedup visible in the metrics.
+// duplicate cell exactly once, with the dedup visible in the metrics;
+// resubmitting both on the same server computes nothing more.
 func TestConcurrentOverlapComputesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs sweep subsets")
@@ -162,28 +163,38 @@ func TestConcurrentOverlapComputesOnce(t *testing.T) {
 		done *Event
 		err  error
 	}
-	res := make(chan out, 2)
-	for _, spec := range []Spec{specA, specB} {
-		spec := spec
-		go func() {
-			st, err := cl.Submit(ctx, spec)
-			if err != nil {
-				res <- out{err: err}
-				return
-			}
-			defer st.Close()
-			_, done, err := st.Drain()
-			res <- out{done: done, err: err}
-		}()
-	}
-	var computed, shared int
-	for i := 0; i < 2; i++ {
-		o := <-res
-		if o.err != nil || o.done == nil {
-			t.Fatalf("sweep failed: done=%v err=%v", o.done, o.err)
+	// round submits both specs concurrently and returns their done
+	// events.
+	round := func() []*Event {
+		res := make(chan out, 2)
+		for _, spec := range []Spec{specA, specB} {
+			spec := spec
+			go func() {
+				st, err := cl.Submit(ctx, spec)
+				if err != nil {
+					res <- out{err: err}
+					return
+				}
+				defer st.Close()
+				_, done, err := st.Drain()
+				res <- out{done: done, err: err}
+			}()
 		}
-		computed += o.done.Metrics.Computed
-		shared += o.done.Metrics.FromShared
+		var dones []*Event
+		for i := 0; i < 2; i++ {
+			o := <-res
+			if o.err != nil || o.done == nil {
+				t.Fatalf("sweep failed: done=%v err=%v", o.done, o.err)
+			}
+			dones = append(dones, o.done)
+		}
+		return dones
+	}
+
+	var computed, shared int
+	for _, done := range round() {
+		computed += done.Metrics.Computed
+		shared += done.Metrics.FromShared
 	}
 	// 3 unique cells across both sweeps; the 2 overlapping cells are
 	// each served to exactly one sweep from the shared store.
@@ -195,6 +206,24 @@ func TestConcurrentOverlapComputesOnce(t *testing.T) {
 	}
 	if got := metric(t, s, mCells+outcomeLabels(runner.SourceShared)); got != 2 {
 		t.Fatalf("server metrics count %v shared cells, want 2", got)
+	}
+
+	// Resubmission without a restart: every cell is already in the
+	// store, so neither sweep computes, and /metrics agrees.
+	for _, done := range round() {
+		if done.Metrics.Computed != 0 {
+			t.Fatalf("resubmitted sweep %s computed %d cells, want 0", done.Sweep, done.Metrics.Computed)
+		}
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m[`wlserve_sweeps_total{state="completed"}`]; got != 4 {
+		t.Fatalf("/metrics reports %v completed sweeps, want 4", got)
+	}
+	if got := m[`wlserve_cells_total{outcome="computed"}`]; got != 3 {
+		t.Fatalf("/metrics reports %v computed cells after resubmission, want still 3", got)
 	}
 }
 
