@@ -64,7 +64,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		maxCells   = fs.Int("max-cells", 0, "max cells in one sweep spec (0 = 10000)")
 		retryAfter = fs.Duration("retry-after", 0, "Retry-After hint on shed load (0 = 5s)")
 		reqBudget  = fs.Duration("request-budget", 0, "per-sweep wall-time budget; late cells become deterministic skips (0 = none)")
-		cellBudget = fs.Duration("cell-budget", 0, "per-cell deadline budget (0 = none)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
 		killAfter  = fs.Int("kill-after", 0, "SIGKILL this process after N durable journal appends (chaos harness internal)")
 		pprof      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
@@ -95,7 +94,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		MaxCells:      *maxCells,
 		RetryAfter:    *retryAfter,
 		RequestBudget: *reqBudget,
-		CellBudget:    *cellBudget,
 		EnablePprof:   *pprof,
 		Logger:        slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
 	}

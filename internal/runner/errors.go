@@ -9,19 +9,14 @@ import (
 // classify with errors.Is instead of matching message strings,
 // mirroring the discipline internal/sim establishes for the simulator.
 var (
-	// ErrTransient marks a retryable cell failure. The default retry
-	// classifier retries exactly the errors that wrap it; everything
-	// else (simulation errors, panics) is permanent — a deterministic
-	// simulator fails the same way every time.
-	ErrTransient = errors.New("runner: transient cell failure")
-
 	// ErrCellPanic marks a cell whose Run panicked. The panic is
 	// recovered on the worker goroutine and isolated to the cell, so
 	// one poisoned cell cannot take down a whole sweep.
 	ErrCellPanic = errors.New("runner: cell panicked")
 
-	// ErrSkipped marks a cell that was never attempted because the
-	// sweep context was cancelled before a worker reached it.
+	// ErrSkipped marks a cell that never computed because the sweep
+	// context was cancelled before a worker reached it, or while it
+	// waited on another sweep's compute of the same cell.
 	ErrSkipped = errors.New("runner: cell skipped")
 
 	// ErrJournalCorrupt marks a journal whose interior (non-final)

@@ -16,9 +16,11 @@ import (
 // concurrent sweeps request it.
 //
 // Only successes are published. A leader whose compute fails releases
-// the address, and one of the waiters takes over leadership and tries
-// its own compute (with its own retry budget), so a transient failure
-// in one sweep never poisons the result for every other sweep.
+// the address, and one of the waiters takes over leadership and runs
+// its own compute. A leader's failure can be its own sweep's: a sweep
+// cancelled mid-compute must not poison the result for every other
+// sweep. A deterministic simulator error is simply reproduced by each
+// sweep that asks for the cell.
 type Flight struct {
 	mu       sync.Mutex
 	done     map[string]sim.Result
@@ -56,13 +58,14 @@ func (f *Flight) Len() int {
 }
 
 // Do returns the published result for addr, or elects this caller to
-// compute it. computed reports whether this caller's compute function
-// ran and succeeded (its result is now published); computed false with
-// a nil error means the result was served from the store or from
-// another caller's in-flight compute. A compute error is returned only
-// to the caller whose compute failed — waiters retry leadership
-// instead of inheriting it.
-func (f *Flight) Do(ctx context.Context, addr string, compute func() (sim.Result, error)) (res sim.Result, computed bool, err error) {
+// compute it. ran reports whether this caller's compute function ran;
+// its result is published when it succeeded. ran false with a nil error
+// means the result was served from the store or from another caller's
+// in-flight compute; ran false with an error means ctx was cancelled
+// while this caller waited, and the error is its cause. A compute error
+// is returned only to the caller whose compute failed — waiters retry
+// leadership instead of inheriting it.
+func (f *Flight) Do(ctx context.Context, addr string, compute func() (sim.Result, error)) (res sim.Result, ran bool, err error) {
 	for {
 		f.mu.Lock()
 		if r, ok := f.done[addr]; ok {
@@ -84,7 +87,7 @@ func (f *Flight) Do(ctx context.Context, addr string, compute func() (sim.Result
 			close(ch)
 			f.mu.Unlock()
 			if cerr != nil {
-				return sim.Result{}, false, cerr
+				return sim.Result{}, true, cerr
 			}
 			return r, true, nil
 		}

@@ -124,6 +124,66 @@ func TestFlightWaiterHonorsContext(t *testing.T) {
 	}
 }
 
+// A cell whose sweep is cancelled while it waits on another sweep's
+// in-flight compute never computed: it is a skip carrying the
+// cancellation cause, not a failure.
+func TestFlightCancelledWaiterIsSkipped(t *testing.T) {
+	shared := NewFlight()
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leader := Cell{ID: "leader", Fingerprint: "fp-x", Run: func(context.Context) (sim.Result, error) {
+		close(leaderIn)
+		<-release
+		return fakeResult(1), nil
+	}}
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := RunCells(context.Background(), Config{Workers: 1, Engine: "test", Shared: shared}, []Cell{leader})
+		leaderDone <- err
+	}()
+	<-leaderIn
+
+	// Cancel the waiter's sweep once its worker has passed the pickup
+	// check: from there on the cell can only wait on the blocked leader.
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	picked := &pickupSignal{Context: ctx, picked: make(chan struct{})}
+	go func() {
+		<-picked.picked
+		cancel(cause)
+	}()
+	waiter := Cell{ID: "waiter", Fingerprint: "fp-x", Run: func(context.Context) (sim.Result, error) {
+		t.Error("cancelled waiter computed")
+		return sim.Result{}, nil
+	}}
+	rep, err := RunCells(picked, Config{Workers: 1, Engine: "test", Shared: shared}, []Cell{waiter})
+	close(release)
+	if lerr := <-leaderDone; lerr != nil {
+		t.Fatal(lerr)
+	}
+	if rep.Metrics.Skipped != 1 || rep.Metrics.Failed != 0 {
+		t.Fatalf("metrics %+v, want 1 skipped and 0 failed", rep.Metrics)
+	}
+	if !errors.Is(err, ErrSkipped) || !errors.Is(err, cause) {
+		t.Fatalf("err = %v, want a skip carrying the cancellation cause", err)
+	}
+}
+
+// pickupSignal closes picked after the first Err call on it: the
+// worker's pickup check, the sweep's one cancellation gate before a
+// compute.
+type pickupSignal struct {
+	context.Context
+	once   sync.Once
+	picked chan struct{}
+}
+
+func (c *pickupSignal) Err() error {
+	err := c.Context.Err()
+	c.once.Do(func() { close(c.picked) })
+	return err
+}
+
 // Seed publishes reloaded journal results; the last write wins, same
 // as journal reload dedup.
 func TestFlightSeedLastWriteWins(t *testing.T) {

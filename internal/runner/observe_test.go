@@ -12,8 +12,8 @@ import (
 	"wlcache/internal/sim"
 )
 
-// Every computed cell's CellDone carries its timing — one attempt, a
-// duration covering the cell's work, a non-negative queue wait — and
+// Every computed cell's CellDone carries its timing — a duration
+// covering the cell's work, a non-negative queue wait — and
 // each journal append's fsync is reported to the ObserveFsync hook.
 func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	const n = 6
@@ -60,9 +60,6 @@ func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 		if d.Source != SourceComputed {
 			t.Fatalf("cell %s source %q, want computed", d.ID, d.Source)
 		}
-		if d.Attempts != 1 {
-			t.Fatalf("cell %s attempts %d, want 1", d.ID, d.Attempts)
-		}
 		if d.Dur < 2*time.Millisecond {
 			t.Fatalf("cell %s dur %v, want >= the cell's 2ms of work", d.ID, d.Dur)
 		}
@@ -76,56 +73,37 @@ func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	}
 }
 
-// Transient retries are visible in CellDone.Attempts, and cells served
-// from the journal on a re-run report zero attempts and the journal
-// source.
-func TestCellDoneAttemptsAndJournalReplay(t *testing.T) {
+// A cell served from the journal on a re-run reports the journal
+// source and is not recomputed.
+func TestCellDoneJournalReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.wlj")
 	var tries atomic.Int64
-	flaky := Cell{
-		ID:          "flaky",
-		Fingerprint: "fp-flaky",
+	cell := Cell{
+		ID:          "c0",
+		Fingerprint: "fp-0",
 		Run: func(context.Context) (sim.Result, error) {
-			if tries.Add(1) < 3 {
-				return sim.Result{}, fmt.Errorf("hiccup: %w", ErrTransient)
-			}
+			tries.Add(1)
 			return fakeResult(0), nil
 		},
 	}
 
-	collect := func() (func(CellDone), *[]CellDone) {
-		var mu sync.Mutex
-		out := &[]CellDone{}
-		return func(d CellDone) {
-			mu.Lock()
-			*out = append(*out, d)
-			mu.Unlock()
-		}, out
-	}
-
-	onCell, dones := collect()
+	var dones []CellDone
 	cfg := Config{
 		Workers: 1, Engine: "test", JournalPath: path,
-		MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-		OnCell: onCell,
+		OnCell: func(d CellDone) { dones = append(dones, d) },
 	}
-	if _, err := RunCells(context.Background(), cfg, []Cell{flaky}); err != nil {
-		t.Fatal(err)
+	for run := 0; run < 2; run++ {
+		if _, err := RunCells(context.Background(), cfg, []Cell{cell}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(*dones) != 1 || (*dones)[0].Attempts != 3 || (*dones)[0].Source != SourceComputed {
-		t.Fatalf("first run CellDone = %+v, want 3 attempts, computed", *dones)
+	if len(dones) != 2 || dones[0].Source != SourceComputed {
+		t.Fatalf("CellDones %+v, want computed then journal", dones)
 	}
-
-	onCell2, dones2 := collect()
-	cfg.OnCell = onCell2
-	if _, err := RunCells(context.Background(), cfg, []Cell{flaky}); err != nil {
-		t.Fatal(err)
+	if d := dones[1]; d.Source != SourceJournal || d.Result != fakeResult(0) {
+		t.Fatalf("replay CellDone = %+v, want the journaled result", d)
 	}
-	d := (*dones2)[0]
-	if d.Source != SourceJournal || d.Attempts != 0 {
-		t.Fatalf("replay CellDone = %+v, want journal source with 0 attempts", d)
-	}
-	if tries.Load() != 3 {
-		t.Fatalf("cell ran %d times total, want 3 (replay must not recompute)", tries.Load())
+	if tries.Load() != 1 {
+		t.Fatalf("cell ran %d times total, want 1 (replay must not recompute)", tries.Load())
 	}
 }

@@ -1,13 +1,9 @@
 package runner
 
 import (
-	"context"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"wlcache/internal/obs"
-	"wlcache/internal/sim"
 )
 
 // Reload surfaces exactly how many bytes of torn tail were discarded.
@@ -140,45 +136,5 @@ func TestReadJournalMissingFile(t *testing.T) {
 	}
 	if len(results) != 0 || stats.Records != 0 {
 		t.Fatalf("results %v stats %+v", results, stats)
-	}
-}
-
-// A sweep with an Obs registry logs its journal-reload accounting
-// through the standard metrics: records served, dropped records, torn
-// tail bytes.
-func TestReloadMetricsThroughObs(t *testing.T) {
-	full := recordLine(t, "test", "fp-torn", fakeResult(9))
-	cut := len(full) - 3
-	path := writeJournal(t,
-		headerLine(t, "test"),
-		recordLine(t, "test", "fp-0", fakeResult(0)),
-		recordLine(t, "test", "fp-0", fakeResult(0)))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(full[:cut]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	reg := obs.NewRegistry()
-	_, err = RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", JournalPath: path, Obs: reg,
-	}, []Cell{{ID: "c0", Fingerprint: "fp-0", Run: func(context.Context) (sim.Result, error) {
-		t.Error("journaled cell recomputed")
-		return sim.Result{}, nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("runner.journal.records", obs.DirNone).Value(); got != 1 {
-		t.Errorf("records metric = %d, want 1", got)
-	}
-	if got := reg.Counter("runner.journal.dropped_records", obs.DirLower).Value(); got != 1 {
-		t.Errorf("dropped metric = %d, want 1 (the duplicate)", got)
-	}
-	if got := reg.Counter("runner.journal.torn_tail_bytes", obs.DirLower).Value(); got != uint64(cut) {
-		t.Errorf("torn-tail metric = %d, want %d", got, cut)
 	}
 }

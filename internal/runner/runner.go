@@ -16,13 +16,12 @@
 // recomputed on reload, so a stale or tampered record is recomputed,
 // never served).
 //
-// Failure handling degrades gracefully instead of aborting: per-cell
-// panics are recovered into typed errors carrying the cell's identity,
-// transient failures retry with capped exponential backoff, and
-// cancellation (or a per-cell deadline budget) converts the remaining
-// cells into deterministic skip errors. The aggregate error is always
-// the first failing cell by submission index — never a scheduling
-// race.
+// A cell runs once. The simulator is deterministic, so a cell that
+// failed would fail the same way again: its error (or recovered panic,
+// typed and carrying the cell's identity) is recorded, never retried.
+// Cancellation converts every cell not yet computed into a
+// deterministic skip error. The aggregate error is always the first
+// failing cell by submission index — never a scheduling race.
 package runner
 
 import (
@@ -34,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wlcache/internal/obs"
 	"wlcache/internal/sim"
 )
 
@@ -53,10 +51,9 @@ type Cell struct {
 	// Optional cells may fail: their Result stays zero and their error
 	// is recorded but does not fail the sweep.
 	Optional bool
-	// Run computes the cell. The context carries sweep cancellation
-	// plus the per-cell deadline budget; the simulator itself is not
-	// preemptible, so the budget bounds retries and start times, not a
-	// single in-flight simulation.
+	// Run computes the cell. The context carries sweep cancellation;
+	// the simulator itself is not preemptible, so cancellation only
+	// stops cells that have not started.
 	Run func(ctx context.Context) (sim.Result, error)
 }
 
@@ -69,18 +66,6 @@ type Config struct {
 	Engine string
 	// JournalPath enables crash-resumable persistence ("" = off).
 	JournalPath string
-	// MaxAttempts bounds tries per cell for transient failures
-	// (0 = 3). Permanent failures never retry.
-	MaxAttempts int
-	// BackoffBase and BackoffMax shape the capped exponential backoff
-	// between transient retries (0 = 10ms / 1s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// CellBudget is the per-cell deadline (0 = none).
-	CellBudget time.Duration
-	// Retryable classifies errors as transient (nil = errors wrapping
-	// ErrTransient).
-	Retryable func(error) bool
 	// AfterJournal, when set, runs after the n-th record of this run
 	// becomes durable, under the journal's append lock. The chaos
 	// harness kills the process here to get a bit-exactly known
@@ -100,11 +85,6 @@ type Config struct {
 	// goroutines; the sweep service uses it to stream per-cell results
 	// to clients as they land.
 	OnCell func(done CellDone)
-	// Obs, when set, receives journal-reload metrics
-	// (runner.journal.records / dropped_records / torn_tail_bytes).
-	// It is written once, before any workers start, on the calling
-	// goroutine.
-	Obs *obs.Registry
 	// ObserveFsync, when set, receives the duration of each journal
 	// append's fsync — the durability tax every computed cell pays. It
 	// runs under the journal's append lock; keep it cheap.
@@ -120,8 +100,8 @@ const (
 	SourceShared   CellSource = "shared"   // served by the cross-sweep shared store
 	SourceDedup    CellSource = "dedup"    // identical cell completed earlier in this run
 	SourceComputed CellSource = "computed" // executed in this run
-	SourceFailed   CellSource = "failed"   // permanent failure
-	SourceSkipped  CellSource = "skipped"  // never attempted (cancellation / deadline)
+	SourceFailed   CellSource = "failed"   // simulator error or recovered panic
+	SourceSkipped  CellSource = "skipped"  // never computed (cancellation)
 )
 
 // CellDone reports one finished cell to Config.OnCell.
@@ -140,27 +120,11 @@ type CellDone struct {
 	// for computed cells, the wait on another sweep's in-flight compute
 	// for shared serves, ~zero for in-run dedup hits.
 	Dur time.Duration
-	// Attempts counts Run invocations, including transient retries
-	// (zero when the cell never ran: journal/shared/dedup serves and
-	// skips).
-	Attempts int
 }
 
 func (c Config) normalize() Config {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = time.Second
-	}
-	if c.Retryable == nil {
-		c.Retryable = func(err error) bool { return errors.Is(err, ErrTransient) }
 	}
 	return c
 }
@@ -174,10 +138,9 @@ type Metrics struct {
 	FromShared     int // served from the cross-sweep shared store, no recompute
 	Deduped        int // served from an identical cell completed earlier in this run
 	Computed       int // executed to success in this run
-	Failed         int // permanent failure of a required cell
-	OptionalFailed int // permanent failure of an optional cell (zero Result)
-	Skipped        int // never attempted (cancellation / deadline)
-	Retries        int // transient re-attempts
+	Failed         int // failure of a required cell
+	OptionalFailed int // failure of an optional cell (zero Result)
+	Skipped        int // never computed (cancellation)
 	Panics         int // recovered cell panics
 	Journal        LoadStats
 }
@@ -238,17 +201,12 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 		journal.afterAppend = cfg.AfterJournal
 		journal.observeFsync = cfg.ObserveFsync
 		rep.Metrics.Journal = stats
-		if cfg.Obs != nil {
-			cfg.Obs.Counter("runner.journal.records", obs.DirNone).Add(uint64(stats.Records))
-			cfg.Obs.Counter("runner.journal.dropped_records", obs.DirLower).Add(uint64(stats.Dropped))
-			cfg.Obs.Counter("runner.journal.torn_tail_bytes", obs.DirLower).Add(uint64(stats.TornTailBytes))
-		}
 	}
 
-	emit := func(i int, res sim.Result, err error, src CellSource, wait, dur time.Duration, attempts int) {
+	emit := func(i int, res sim.Result, err error, src CellSource, wait, dur time.Duration) {
 		if cfg.OnCell != nil {
 			cfg.OnCell(CellDone{Index: i, ID: cells[i].ID, Result: res, Err: err, Source: src,
-				Wait: wait, Dur: dur, Attempts: attempts})
+				Wait: wait, Dur: dur})
 		}
 	}
 
@@ -262,7 +220,7 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 			if res, ok := cache[addrs[i]]; ok {
 				rep.Results[i] = res
 				rep.Metrics.FromJournal++
-				emit(i, res, nil, SourceJournal, 0, 0, 0)
+				emit(i, res, nil, SourceJournal, 0, 0)
 				continue
 			}
 		}
@@ -271,7 +229,7 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 
 	var (
 		mu        sync.Mutex // guards cache and journErr beyond this point
-		counters  struct{ computed, failed, optFailed, skipped, retries, panics, deduped, fromShared atomic.Int64 }
+		counters  struct{ computed, failed, optFailed, skipped, panics, deduped, fromShared atomic.Int64 }
 		journErr  error // first journal append error
 		attempted = make([]atomic.Bool, len(cells))
 	)
@@ -307,27 +265,31 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 					if ok {
 						rep.Results[i] = res
 						counters.deduped.Add(1)
-						emit(i, res, nil, SourceDedup, wait, time.Since(pick), 0)
+						emit(i, res, nil, SourceDedup, wait, time.Since(pick))
 						continue
 					}
 				}
 
 				var res sim.Result
 				var err error
-				attempts := 0
 				src := SourceComputed
 				if cfg.Shared != nil && addrs[i] != "" {
-					var computed bool
-					res, computed, err = cfg.Shared.Do(ctx, addrs[i], func() (sim.Result, error) {
-						r, n, e := runCell(ctx, cfg, c, &counters.retries, &counters.panics)
-						attempts += n
-						return r, e
+					var ran bool
+					res, ran, err = cfg.Shared.Do(ctx, addrs[i], func() (sim.Result, error) {
+						return safeRun(ctx, c, &counters.panics)
 					})
-					if err == nil && !computed {
+					if !ran {
+						if err != nil {
+							// The sweep was cancelled while this cell
+							// waited on another sweep's compute: it never
+							// computed, so it becomes a skip below.
+							attempted[i].Store(false)
+							continue
+						}
 						src = SourceShared
 					}
 				} else {
-					res, attempts, err = runCell(ctx, cfg, c, &counters.retries, &counters.panics)
+					res, err = safeRun(ctx, c, &counters.panics)
 				}
 				dur := time.Since(pick)
 				if err != nil {
@@ -337,7 +299,7 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 					} else {
 						counters.failed.Add(1)
 					}
-					emit(i, sim.Result{}, rep.Errs[i], SourceFailed, wait, dur, attempts)
+					emit(i, sim.Result{}, rep.Errs[i], SourceFailed, wait, dur)
 					continue
 				}
 				rep.Results[i] = res
@@ -362,7 +324,7 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 					cache[addrs[i]] = res
 					mu.Unlock()
 				}
-				emit(i, res, nil, src, wait, time.Since(pick), attempts)
+				emit(i, res, nil, src, wait, time.Since(pick))
 			}
 		}()
 	}
@@ -377,7 +339,8 @@ feed:
 	close(idx)
 	wg.Wait()
 
-	// Cells never handed to (or declined by) a worker are deterministic
+	// Cells never handed to (or declined by) a worker, and cells whose
+	// wait on another sweep's compute was cancelled, are deterministic
 	// skips, not silent holes.
 	for _, i := range pending {
 		if !attempted[i].Load() {
@@ -387,7 +350,7 @@ feed:
 			}
 			rep.Errs[i] = &CellError{Index: i, ID: cells[i].ID, Err: errorsJoin(ErrSkipped, cause)}
 			counters.skipped.Add(1)
-			emit(i, sim.Result{}, rep.Errs[i], SourceSkipped, 0, 0, 0)
+			emit(i, sim.Result{}, rep.Errs[i], SourceSkipped, 0, 0)
 		}
 	}
 
@@ -396,7 +359,6 @@ feed:
 	rep.Metrics.Failed = int(counters.failed.Load())
 	rep.Metrics.OptionalFailed = int(counters.optFailed.Load())
 	rep.Metrics.Skipped = int(counters.skipped.Load())
-	rep.Metrics.Retries = int(counters.retries.Load())
 	rep.Metrics.Panics = int(counters.panics.Load())
 	rep.Metrics.Deduped = int(counters.deduped.Load())
 
@@ -407,64 +369,6 @@ feed:
 		return rep, journErr
 	}
 	return rep, nil
-}
-
-// runCell executes one cell with panic isolation, the per-cell
-// deadline budget, and capped exponential backoff on transient errors.
-// attempts reports how many times the cell's Run actually executed.
-func runCell(ctx context.Context, cfg Config, c Cell, retries, panics *atomic.Int64) (_ sim.Result, attempts int, _ error) {
-	cctx := ctx
-	if cfg.CellBudget > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, cfg.CellBudget)
-		defer cancel()
-	}
-	var last error
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
-		if err := cctx.Err(); err != nil {
-			if last == nil {
-				last = err
-			}
-			break
-		}
-		attempts++
-		res, err := safeRun(cctx, c, panics)
-		if err == nil {
-			return res, attempts, nil
-		}
-		last = err
-		if !cfg.Retryable(err) {
-			break
-		}
-		if attempt+1 < cfg.MaxAttempts {
-			retries.Add(1)
-			if !sleepCtx(cctx, backoffFor(cfg.BackoffBase, cfg.BackoffMax, attempt)) {
-				break
-			}
-		}
-	}
-	return sim.Result{}, attempts, last
-}
-
-// backoffFor returns the pause before the retry that follows the given
-// zero-based attempt: BackoffBase doubling per attempt, capped at
-// BackoffMax (overflow-safe, so a huge attempt count saturates at the
-// cap instead of wrapping negative).
-func backoffFor(base, cap time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	b := base
-	for i := 0; i < attempt; i++ {
-		b <<= 1
-		if b >= cap || b <= 0 {
-			return cap
-		}
-	}
-	if b > cap {
-		return cap
-	}
-	return b
 }
 
 // safeRun isolates a cell panic to a typed error instead of
@@ -478,17 +382,6 @@ func safeRun(ctx context.Context, c Cell, panics *atomic.Int64) (res sim.Result,
 		}
 	}()
 	return c.Run(ctx)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // errorsJoin wraps skip + cause so both match under errors.Is.

@@ -111,12 +111,16 @@ func TestFirstErrorByIndexIsDeterministic(t *testing.T) {
 	}
 }
 
-// A panicking cell becomes a typed, cell-attributed error; the rest of
-// the sweep completes.
+// A panicking cell runs once and becomes a typed, cell-attributed
+// error; the rest of the sweep completes.
 func TestPanicIsolation(t *testing.T) {
+	var tries atomic.Int64
 	cells := []Cell{
 		okCell(0),
-		{ID: "poisoned", Run: func(context.Context) (sim.Result, error) { panic("kaboom") }},
+		{ID: "poisoned", Run: func(context.Context) (sim.Result, error) {
+			tries.Add(1)
+			panic("kaboom")
+		}},
 		okCell(2),
 	}
 	rep, err := RunCells(context.Background(), Config{Workers: 2, Engine: "test"}, cells)
@@ -140,14 +144,20 @@ func TestPanicIsolation(t *testing.T) {
 	if rep.Metrics.Panics != 1 {
 		t.Fatalf("metrics %+v", rep.Metrics)
 	}
+	if got := tries.Load(); got != 1 {
+		t.Fatalf("panicking cell ran %d times, want 1", got)
+	}
 }
 
 // Optional cells may fail without failing the sweep; their result
-// stays zero.
+// stays zero. A failing cell runs once — the simulator is
+// deterministic — and its own error surfaces intact.
 func TestOptionalFailureTolerated(t *testing.T) {
+	var tries atomic.Int64
 	cells := []Cell{
 		okCell(0),
 		{ID: "infeasible", Optional: true, Run: func(context.Context) (sim.Result, error) {
+			tries.Add(1)
 			return sim.Result{}, errors.New("cannot charge reserve")
 		}},
 	}
@@ -158,65 +168,14 @@ func TestOptionalFailureTolerated(t *testing.T) {
 	if rep.Errs[1] == nil || rep.Results[1] != (sim.Result{}) {
 		t.Fatalf("optional failure not recorded: errs=%v", rep.Errs)
 	}
+	if msg := rep.Errs[1].Error(); msg != "cell infeasible: cannot charge reserve" {
+		t.Fatalf("failure message %q, want the cell's own error attributed to it", msg)
+	}
 	if rep.Metrics.OptionalFailed != 1 {
 		t.Fatalf("metrics %+v", rep.Metrics)
 	}
-}
-
-// Transient failures retry with backoff until they succeed; permanent
-// failures do not retry.
-func TestTransientRetry(t *testing.T) {
-	var attempts, permTries atomic.Int64
-	cells := []Cell{
-		{ID: "flaky", Run: func(context.Context) (sim.Result, error) {
-			if attempts.Add(1) < 3 {
-				return sim.Result{}, fmt.Errorf("%w: io hiccup", ErrTransient)
-			}
-			return fakeResult(0), nil
-		}},
-		{ID: "perm", Optional: true, Run: func(context.Context) (sim.Result, error) {
-			permTries.Add(1)
-			return sim.Result{}, errors.New("deterministic failure")
-		}},
-	}
-	rep, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 5,
-		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-	}, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Results[0] != fakeResult(0) {
-		t.Fatal("flaky cell did not recover")
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("flaky cell ran %d times, want 3", got)
-	}
-	if got := permTries.Load(); got != 1 {
-		t.Fatalf("permanent failure retried %d times, want 1", got)
-	}
-	if rep.Metrics.Retries != 2 {
-		t.Fatalf("metrics %+v", rep.Metrics)
-	}
-}
-
-// A transient cell that never recovers exhausts MaxAttempts and
-// surfaces the last error.
-func TestTransientExhaustion(t *testing.T) {
-	var tries atomic.Int64
-	cells := []Cell{{ID: "hopeless", Run: func(context.Context) (sim.Result, error) {
-		tries.Add(1)
-		return sim.Result{}, fmt.Errorf("%w: still down", ErrTransient)
-	}}}
-	_, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 3,
-		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-	}, cells)
-	if err == nil || !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := tries.Load(); got != 3 {
-		t.Fatalf("ran %d times, want 3", got)
+	if got := tries.Load(); got != 1 {
+		t.Fatalf("failing cell ran %d times, want 1", got)
 	}
 }
 
@@ -264,26 +223,6 @@ func TestCancellationSkipsDeterministically(t *testing.T) {
 		if cerr != nil && !errors.Is(cerr, context.Canceled) {
 			t.Fatalf("cell %d: skip does not carry the cancellation cause: %v", i, cerr)
 		}
-	}
-}
-
-// A per-cell deadline budget stops retrying a transient cell.
-func TestCellBudgetBoundsRetries(t *testing.T) {
-	var tries atomic.Int64
-	cells := []Cell{{ID: "slow-flaky", Run: func(context.Context) (sim.Result, error) {
-		tries.Add(1)
-		return sim.Result{}, fmt.Errorf("%w: down", ErrTransient)
-	}}}
-	_, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 1000,
-		BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		CellBudget: 50 * time.Millisecond,
-	}, cells)
-	if err == nil {
-		t.Fatal("budget-exceeded cell returned nil error")
-	}
-	if got := tries.Load(); got >= 1000 {
-		t.Fatalf("budget did not bound retries (%d tries)", got)
 	}
 }
 

@@ -59,7 +59,6 @@ type SweepMetrics struct {
 	Computed    int `json:"computed"`
 	Failed      int `json:"failed"`
 	Skipped     int `json:"skipped"`
-	Retries     int `json:"retries"`
 	Panics      int `json:"panics"`
 
 	JournalRecords   int `json:"journal_records"`
@@ -76,7 +75,6 @@ func sweepMetricsFrom(m runner.Metrics) *SweepMetrics {
 		Computed:         m.Computed,
 		Failed:           m.Failed + m.OptionalFailed,
 		Skipped:          m.Skipped,
-		Retries:          m.Retries,
 		Panics:           m.Panics,
 		JournalRecords:   m.Journal.Records,
 		JournalDropped:   m.Journal.Dropped,

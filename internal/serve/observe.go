@@ -92,7 +92,6 @@ const (
 	mSweepsUnavailable = `wlserve_sweeps_total{state="unavailable"}`
 	mSweepsCompleted   = `wlserve_sweeps_total{state="completed"}`
 	mCells             = "wlserve_cells_total" // counter {outcome}
-	mCellRetries       = "wlserve_cell_retries_total"
 	mCellPanics        = "wlserve_cell_panics_total"
 
 	mJournalAppends      = "wlserve_journal_appends_total"
@@ -122,8 +121,8 @@ var cellSources = []runner.CellSource{
 func (s *Server) registerMetrics() {
 	for _, name := range []string{
 		mSweepsAccepted, mSweepsRejected, mSweepsUnavailable, mSweepsCompleted,
-		mCellRetries, mCellPanics, mJournalAppends, mJournalDropped,
-		mJournalTornBytes, mJournalsQuarantined,
+		mCellPanics, mJournalAppends, mJournalDropped, mJournalTornBytes,
+		mJournalsQuarantined,
 	} {
 		s.count(name, 0)
 	}
@@ -392,9 +391,6 @@ func (s *Server) progressCell(p *progress, d runner.CellDone, elapsed time.Durat
 	args := map[string]any{
 		"source":  string(d.Source),
 		"wait_us": d.Wait.Microseconds(),
-	}
-	if d.Attempts > 0 {
-		args["attempts"] = d.Attempts
 	}
 	if d.Err != nil {
 		args["error"] = d.Err.Error()

@@ -216,8 +216,8 @@ func TestMetricsFamiliesAtBoot(t *testing.T) {
 	}
 	series := []string{
 		mSweepsAccepted, mSweepsRejected, mSweepsUnavailable, mSweepsCompleted,
-		mCellRetries, mCellPanics, mJournalAppends, mJournalDropped,
-		mJournalTornBytes, mJournalsQuarantined,
+		mCellPanics, mJournalAppends, mJournalDropped, mJournalTornBytes,
+		mJournalsQuarantined,
 		mSweepsActive, mSweepsQueued, mStoreLoaded, mStoreSize, mDraining,
 	}
 	for _, src := range cellSources {

@@ -12,10 +12,11 @@
 // is computed once per server lifetime no matter how many sweeps
 // request it. Overload and crash are first-class states: admission
 // control sheds load with 429 + Retry-After when the queue is full,
-// per-request and per-cell deadline budgets degrade to deterministic
-// skips, transient cell errors retry with capped backoff, worker panics
-// are isolated to their cell, and graceful shutdown drains or journals
-// every in-flight cell within a configured deadline. /healthz and
+// the per-request deadline budget degrades unstarted cells to
+// deterministic skips, each cell runs once (a deterministic simulator
+// error is streamed, never retried), worker panics are isolated to
+// their cell, and graceful shutdown drains or journals every in-flight
+// cell within a configured deadline. /healthz and
 // /readyz expose liveness and drain state; /metrics is the one metrics
 // surface — every counter the chaos gate audits (zero recompute,
 // exactly-once compute) plus the latency histograms, in Prometheus
@@ -65,12 +66,6 @@ type Config struct {
 	// RequestBudget bounds one sweep's wall time; cells not started
 	// when it expires become deterministic skips (0 = none).
 	RequestBudget time.Duration
-	// CellBudget is the per-cell deadline, and the cap on a spec's
-	// cell_budget_ms (0 = none).
-	CellBudget time.Duration
-	// MaxAttempts bounds tries per cell for transient failures
-	// (0 = runner default).
-	MaxAttempts int
 	// AfterJournal, when set, runs after the n-th journal append
 	// server-wide becomes durable, under that journal's append lock —
 	// the chaos harness SIGKILLs the process here.
@@ -475,14 +470,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		defer cancelBudget()
 	}
 
-	cellBudget := s.cfg.CellBudget
-	if spec.CellBudgetMS > 0 {
-		b := time.Duration(spec.CellBudgetMS) * time.Millisecond
-		if cellBudget == 0 || b < cellBudget {
-			cellBudget = b
-		}
-	}
-
 	journalPath := filepath.Join(s.cfg.DataDir, sweepID+".jsonl")
 	if _, _, err := runner.ReadJournal(journalPath, s.cfg.Engine); err != nil {
 		// Pre-flight: a corrupt journal would fail the sweep at open;
@@ -515,8 +502,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 			Workers:     s.cfg.Workers,
 			Engine:      s.cfg.Engine,
 			JournalPath: journalPath,
-			MaxAttempts: s.cfg.MaxAttempts,
-			CellBudget:  cellBudget,
 			Shared:      s.store,
 			AfterJournal: func(int) {
 				n := s.count(mJournalAppends, 1)
@@ -537,7 +522,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		s.slog.Debug("cell done",
 			"request", rid, "sweep", sweepID, "cell", d.ID,
 			"source", string(d.Source), "dur_us", d.Dur.Microseconds(),
-			"wait_us", d.Wait.Microseconds(), "attempts", d.Attempts)
+			"wait_us", d.Wait.Microseconds())
 		ev := Event{
 			Type:     EventCell,
 			Request:  rid,
@@ -564,9 +549,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		writeEvent(ev)
 	}
 
-	s.count(mCellRetries, uint64(rep.Metrics.Retries))
 	s.count(mCellPanics, uint64(rep.Metrics.Panics))
-	s.noteLoadStats(rep.Metrics.Journal)
 
 	s.progressEnd(prog, runErr)
 	s.slog.Info("sweep done",

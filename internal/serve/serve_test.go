@@ -15,6 +15,7 @@ import (
 
 	"wlcache/internal/expt"
 	"wlcache/internal/runner"
+	"wlcache/internal/sim"
 )
 
 const committedGolden = "../expt/testdata/golden_results.json"
@@ -100,7 +101,9 @@ func TestSubmitStreamsGoldenCells(t *testing.T) {
 }
 
 // A new server on the same data dir serves a completed sweep entirely
-// from its journal: zero recomputation across a restart.
+// from its journal: zero recomputation across a restart. A torn tail
+// left by the crash is counted in /metrics once, at boot, not again
+// when the resubmission reopens the journal.
 func TestRestartServesFromJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a sweep subset")
@@ -119,9 +122,24 @@ func TestRestartServesFromJournal(t *testing.T) {
 	}
 	st.Close()
 
+	// A crash mid-append leaves a torn final record.
+	const tail = `{"addr":"deadbeef","f`
+	journal := filepath.Join(dir, tinySpec().ID(sim.EngineVersion)+".jsonl")
+	f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(tail); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
 	s2, cl2 := newTestServer(t, Config{DataDir: dir})
 	if got := metric(t, s2, mStoreLoaded); got != 3 {
 		t.Fatalf("restarted store loaded %v results, want 3", got)
+	}
+	if got := metric(t, s2, mJournalTornBytes); got != float64(len(tail)) {
+		t.Fatalf("torn tail bytes after boot = %v, want %d", got, len(tail))
 	}
 	st2, err := cl2.Submit(ctx, tinySpec())
 	if err != nil {
@@ -135,10 +153,16 @@ func TestRestartServesFromJournal(t *testing.T) {
 	if done.Metrics.Computed != 0 || done.Metrics.FromJournal != 3 {
 		t.Fatalf("restart recomputed: %+v", done.Metrics)
 	}
+	if done.Metrics.JournalTornBytes != len(tail) {
+		t.Fatalf("done event journal_torn_tail_bytes = %d, want %d", done.Metrics.JournalTornBytes, len(tail))
+	}
 	for _, ev := range cells {
 		if ev.Source != string(runner.SourceJournal) {
 			t.Fatalf("cell %s served from %q, want journal", ev.ID, ev.Source)
 		}
+	}
+	if got := metric(t, s2, mJournalTornBytes); got != float64(len(tail)) {
+		t.Fatalf("torn tail bytes after resubmission = %v, want %d (counted once, at boot)", got, len(tail))
 	}
 }
 
@@ -406,7 +430,7 @@ func TestSpecRejection(t *testing.T) {
 		{"unknown field", `{"bogus":1}`},
 		{"not json", `designs=wl`},
 		{"oversized scale", `{"scale":65}`},
-		{"negative budget", `{"cell_budget_ms":-1}`},
+		{"retired cell budget", `{"designs":["wl"],"workloads":["adpcmencode"],"traces":["none"],"cell_budget_ms":100}`},
 		{"grid out of range", `{"grid":{"maxline":[65]}}`},
 		{"unknown tier", `{"tier":"warp"}`},
 		{"too many cells", `{}`}, // 78 golden cells > MaxCells 50

@@ -29,10 +29,6 @@ type Spec struct {
 	// Grid sweeps WL-Cache build parameters; nil means paper defaults
 	// (one combination).
 	Grid *Grid `json:"grid,omitempty"`
-	// CellBudgetMS bounds each cell's deadline budget in milliseconds
-	// (0 = server default). Cells that miss it degrade to deterministic
-	// skips, never partial results.
-	CellBudgetMS int64 `json:"cell_budget_ms,omitempty"`
 	// Tier selects the engine fidelity: "" or "exact" for the
 	// bit-exact engine, "fast" for the ε-bounded batched engine
 	// (DESIGN.md §16). Deliberately NOT normalized ""→"exact": the
@@ -126,9 +122,6 @@ func (s Spec) validate() error {
 		if dq < 0 || dq > 64 {
 			return fmt.Errorf("grid dqcap %d out of range [0,64]", dq)
 		}
-	}
-	if s.CellBudgetMS < 0 {
-		return fmt.Errorf("cell_budget_ms %d is negative", s.CellBudgetMS)
 	}
 	if _, err := sim.ParseTier(s.Tier); err != nil {
 		return err
