@@ -2,6 +2,7 @@ package designs
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/energy"
@@ -34,6 +35,7 @@ type NVSRAMPractical struct {
 	sets     []hybridSet
 	setShift uint32
 	setMask  uint32
+	tagShift uint32 // setShift + the set-index width, precomputed
 	offMask  uint32
 	clock    uint64
 	extra    stats.DesignExtra
@@ -86,6 +88,7 @@ func NewNVSRAMPractical(geo cache.Geometry, jit energy.JITCosts, params NVSRAMPa
 	}
 	d.setShift = shift
 	d.setMask = uint32(geo.Sets() - 1)
+	d.tagShift = shift + uint32(bits.Len32(d.setMask))
 	return d
 }
 
@@ -94,24 +97,14 @@ func (d *NVSRAMPractical) Name() string { return "NVSRAM(practical)" }
 
 func (d *NVSRAMPractical) setIndex(addr uint32) uint32 { return (addr >> d.setShift) & d.setMask }
 
-func (d *NVSRAMPractical) tagOf(addr uint32) uint32 {
-	bits := uint32(0)
-	for m := d.setMask; m != 0; m >>= 1 {
-		bits++
-	}
-	return addr >> d.setShift >> bits
-}
+func (d *NVSRAMPractical) tagOf(addr uint32) uint32 { return addr >> d.tagShift }
 
 func (d *NVSRAMPractical) lineAddr(addr uint32) uint32 { return addr &^ d.offMask }
 
 func (d *NVSRAMPractical) wordIndex(addr uint32) int { return int(addr&d.offMask) >> 2 }
 
 func (d *NVSRAMPractical) addrOf(setIdx uint32, w *hybridWay) uint32 {
-	bits := uint32(0)
-	for m := d.setMask; m != 0; m >>= 1 {
-		bits++
-	}
-	return w.tag<<(bits+d.setShift) | setIdx<<d.setShift
+	return w.tag<<d.tagShift | setIdx<<d.setShift
 }
 
 // lookup finds the way holding addr, if any.

@@ -58,19 +58,21 @@ func TestChaosAbortResume(t *testing.T) {
 		// chaos harness SIGKILLs.
 		ctx, cancel := context.WithCancel(context.Background())
 		var c1 atomic.Int64
-		RunCells(ctx, Config{
-			Workers: 4, Engine: "chaos", JournalPath: journal,
-			AfterJournal: func(done int) {
+		j1 := mustOpenJournal(t, journal, "chaos", JournalHooks{
+			AfterAppend: func(done int) {
 				if done == killAt {
 					cancel()
 				}
 			},
-		}, chaosCells(n, &c1))
+		})
+		RunCells(ctx, Config{Workers: 4, Engine: "chaos", Journal: j1}, chaosCells(n, &c1))
 		cancel()
+		j1.Close()
 
 		// Phase 2: resume. Everything journaled must be served.
 		var c2 atomic.Int64
-		rep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", JournalPath: journal}, chaosCells(n, &c2))
+		j2 := mustOpenJournal(t, journal, "chaos", JournalHooks{})
+		rep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", Journal: j2}, chaosCells(n, &c2))
 		if err != nil {
 			t.Fatalf("trial %d (killAt %d): resume failed: %v", trial, killAt, err)
 		}
@@ -102,10 +104,12 @@ func TestChaosTornJournalResume(t *testing.T) {
 	// Build a complete journal once.
 	fullPath := filepath.Join(t.TempDir(), "full.jsonl")
 	var c0 atomic.Int64
-	cleanRep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", JournalPath: fullPath}, chaosCells(n, &c0))
+	j0 := mustOpenJournal(t, fullPath, "chaos", JournalHooks{})
+	cleanRep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", Journal: j0}, chaosCells(n, &c0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	j0.Close()
 	full, err := os.ReadFile(fullPath)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +122,8 @@ func TestChaosTornJournalResume(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c atomic.Int64
-		rep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", JournalPath: torn}, chaosCells(n, &c))
+		j := mustOpenJournal(t, torn, "chaos", JournalHooks{})
+		rep, err := RunCells(context.Background(), Config{Workers: 4, Engine: "chaos", Journal: j}, chaosCells(n, &c))
 		if err != nil {
 			t.Fatalf("trial %d (cut %d/%d): resume failed: %v", trial, cut, len(full), err)
 		}

@@ -24,6 +24,11 @@ var (
 	// damage and discarded silently; damage elsewhere is not something
 	// an append-only writer can produce and aborts the sweep.
 	ErrJournalCorrupt = errors.New("runner: journal corrupt")
+
+	// ErrForeignEngine marks a journal of another engine version. None
+	// of its addresses could be served under this engine, and it is
+	// refused unmodified: whoever wrote it may still own it.
+	ErrForeignEngine = errors.New("runner: journal of another engine version")
 )
 
 // CellError attributes a failure to one cell of a sweep, by index and

@@ -274,8 +274,10 @@ func TestOnCellSources(t *testing.T) {
 	runOnce := func(shared *Flight) map[string]CellSource {
 		var mu sync.Mutex
 		sources := map[string]CellSource{}
+		j := mustOpenJournal(t, journal, "test", JournalHooks{})
+		defer j.Close()
 		_, err := RunCells(context.Background(), Config{
-			Workers: 1, Engine: "test", JournalPath: journal, Shared: shared,
+			Workers: 1, Engine: "test", Journal: j, Shared: shared,
 			OnCell: func(d CellDone) {
 				mu.Lock()
 				defer mu.Unlock()

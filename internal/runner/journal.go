@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"sync"
 	"time"
@@ -69,52 +70,70 @@ type LoadStats struct {
 	// reload loss is quantified, never silent.
 	TornTailBytes int
 	// Dropped counts every whole record present in the file but not
-	// served on reload: Duplicates + Rejected + records discarded
-	// wholesale on an engine mismatch. The torn tail is not a whole
-	// record and is accounted by TornTailBytes instead.
+	// served on reload: Duplicates + Rejected + every record of a
+	// journal refused on an engine mismatch. The torn tail is not a
+	// whole record and is accounted by TornTailBytes instead.
 	Dropped int
 	// EngineMismatch is true when the journal belonged to a different
-	// engine version; all of its records were discarded and the file
-	// restarted, since no address could ever be served anyway.
+	// engine version: none of its addresses could ever be served, so
+	// all of its records count as dropped and the file is refused
+	// untouched (ErrForeignEngine).
 	EngineMismatch bool
 }
 
 // Journal is an append-only, fsync'd JSONL file of completed sweep
-// cells. Appends are serialized; each record is durable (written and
-// synced) before Append returns, which is what makes a sweep killed at
-// an arbitrary instant resumable with at most the in-flight record
-// lost.
+// cells, plus the in-memory index of its valid records. Appends are
+// serialized; each record is durable (written and synced) before
+// Append returns, which is what makes a sweep killed at an arbitrary
+// instant resumable with at most the in-flight record lost. One open
+// Journal may back any number of sweeps, one after another or at
+// once: the file is read once, at open, and every later lookup is
+// served from the index.
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	engine   string
 	appended int
-	// afterAppend, when set, runs after the n-th record is durable,
-	// still holding the append lock — the chaos harness uses it to
-	// kill the process at a point where the journal state is exactly
-	// known.
-	afterAppend func(n int)
-	// observeFsync, when set, receives the wall time of each record's
-	// fsync, still holding the append lock.
-	observeFsync func(d time.Duration)
+	// results holds every valid record by content address: those
+	// reloaded at open plus every record appended since.
+	results map[string]sim.Result
+	// stats is what the open-time reload found and discarded.
+	stats LoadStats
+	hooks JournalHooks
+}
+
+// JournalHooks are a journal's observers. They are bound at open for
+// the life of the handle and run under its append lock; keep them
+// cheap.
+type JournalHooks struct {
+	// AfterAppend, when set, runs after the n-th record appended
+	// through this handle becomes durable. The chaos harness kills the
+	// process here to get a bit-exactly known journal state.
+	AfterAppend func(n int)
+	// ObserveFsync, when set, receives the duration of each record's
+	// fsync — the durability tax every computed cell pays.
+	ObserveFsync func(d time.Duration)
 }
 
 // OpenJournal opens (creating if needed) the journal at path for the
-// given engine version, and returns the journal ready for appends plus
-// every valid journaled result keyed by content address.
+// given engine version, reloads every valid record into the journal's
+// index, and returns the journal ready for appends plus what the
+// reload discarded.
 //
 // Reload is truncation-tolerant: a torn final record — the footprint
 // of a crash mid-append — is discarded and the file truncated back to
 // the last durable record, not treated as fatal. Corruption anywhere
 // else wraps ErrJournalCorrupt. Duplicate addresses resolve
-// last-write-wins.
-func OpenJournal(path, engine string) (*Journal, map[string]sim.Result, LoadStats, error) {
+// last-write-wins. A file this engine did not write — a foreign schema
+// (ErrJournalCorrupt) or another engine version (ErrForeignEngine,
+// with its records counted as dropped) — is refused unmodified.
+func OpenJournal(path, engine string, hooks JournalHooks) (*Journal, LoadStats, error) {
 	var stats LoadStats
 	results := make(map[string]sim.Result)
 
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, stats, err
+		return nil, stats, err
 	}
 
 	keep := 0 // byte offset past the last line worth preserving
@@ -123,7 +142,7 @@ func OpenJournal(path, engine string) (*Journal, map[string]sim.Result, LoadStat
 	if !fresh {
 		keep, fresh, err = scanJournal(data, engine, results, &stats)
 		if err != nil {
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 	}
 
@@ -131,35 +150,37 @@ func OpenJournal(path, engine string) (*Journal, map[string]sim.Result, LoadStat
 		keep = 0
 	}
 	if keep < len(data) {
-		// Drop the torn tail (or, on engine mismatch, everything)
-		// before appending: new records must start on a clean line.
+		// Drop the torn tail before appending: new records must start
+		// on a clean line.
 		if err := os.Truncate(path, int64(keep)); err != nil {
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 	}
 
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, stats, err
 	}
-	j := &Journal{f: f, engine: engine}
+	j := &Journal{f: f, engine: engine, results: results, stats: stats}
 	if fresh {
 		line, err := json.Marshal(header{Schema: Schema, Engine: engine})
 		if err != nil {
 			f.Close()
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 		if err := j.writeLine(line); err != nil {
 			f.Close()
-			return nil, nil, stats, err
+			return nil, stats, err
 		}
 	}
-	return j, results, stats, nil
+	// Bound after the header, so the hooks see cell records only.
+	j.hooks = hooks
+	return j, stats, nil
 }
 
 // scanJournal walks the raw file contents, filling results, and
 // returns the preserve-up-to offset plus whether the file must be
-// restarted from scratch (torn or mismatched header).
+// restarted from scratch (torn header).
 func scanJournal(data []byte, engine string, results map[string]sim.Result, stats *LoadStats) (keep int, fresh bool, err error) {
 	off, lineNo := 0, 0
 	for off < len(data) {
@@ -193,7 +214,7 @@ func scanJournal(data []byte, engine string, results map[string]sim.Result, stat
 			if h.Engine != engine {
 				stats.EngineMismatch = true
 				stats.Dropped += countLines(data[end:])
-				return 0, true, nil
+				return 0, false, fmt.Errorf("%w: engine %q, want %q", ErrForeignEngine, h.Engine, engine)
 			}
 			keep, off = end, end
 			continue
@@ -231,36 +252,8 @@ func countLines(data []byte) int {
 	return bytes.Count(data, []byte{'\n'})
 }
 
-// ReadJournal loads the valid records of a journal without opening it
-// for append and without repairing its tail: a pure read, safe on a
-// journal another process is still writing. A missing file returns an
-// empty map. An engine mismatch returns an empty map with
-// stats.EngineMismatch set. Interior corruption wraps
-// ErrJournalCorrupt, exactly as OpenJournal would.
-func ReadJournal(path, engine string) (map[string]sim.Result, LoadStats, error) {
-	var stats LoadStats
-	results := make(map[string]sim.Result)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return results, stats, nil
-		}
-		return nil, stats, err
-	}
-	if len(data) == 0 {
-		return results, stats, nil
-	}
-	if _, fresh, err := scanJournal(data, engine, results, &stats); err != nil {
-		return nil, stats, err
-	} else if fresh {
-		// Torn header or foreign engine: nothing servable.
-		return make(map[string]sim.Result), stats, nil
-	}
-	return results, stats, nil
-}
-
 // Append durably records one completed cell: the line is written and
-// fsync'd before Append returns.
+// fsync'd before Append returns, and the record joins the index.
 func (j *Journal) Append(addr, id, fingerprint string, res sim.Result) error {
 	line, err := json.Marshal(journalRecord{Addr: addr, ID: id, Fingerprint: fingerprint, Result: res})
 	if err != nil {
@@ -271,9 +264,10 @@ func (j *Journal) Append(addr, id, fingerprint string, res sim.Result) error {
 	if err := j.writeLine(line); err != nil {
 		return err
 	}
+	j.results[addr] = res
 	j.appended++
-	if j.afterAppend != nil {
-		j.afterAppend(j.appended)
+	if j.hooks.AfterAppend != nil {
+		j.hooks.AfterAppend(j.appended)
 	}
 	return nil
 }
@@ -286,17 +280,30 @@ func (j *Journal) writeLine(line []byte) error {
 	}
 	start := time.Now()
 	err := j.f.Sync()
-	if err == nil && j.observeFsync != nil {
-		j.observeFsync(time.Since(start))
+	if err == nil && j.hooks.ObserveFsync != nil {
+		j.hooks.ObserveFsync(time.Since(start))
 	}
 	return err
 }
 
-// Appended returns how many records this process has durably appended.
-func (j *Journal) Appended() int {
+// lookup returns the journaled result at addr; a nil journal holds
+// nothing.
+func (j *Journal) lookup(addr string) (sim.Result, bool) {
+	if j == nil {
+		return sim.Result{}, false
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.appended
+	res, ok := j.results[addr]
+	return res, ok
+}
+
+// Results returns a copy of every valid record, keyed by content
+// address.
+func (j *Journal) Results() map[string]sim.Result {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return maps.Clone(j.results)
 }
 
 // Close releases the journal file.

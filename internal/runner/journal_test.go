@@ -39,11 +39,33 @@ func recordLine(t *testing.T, engine, fp string, res sim.Result) string {
 	return string(b)
 }
 
+// openJournal opens path like OpenJournal and also returns a copy of
+// the records it reloaded.
+func openJournal(path, engine string) (*Journal, map[string]sim.Result, LoadStats, error) {
+	j, stats, err := OpenJournal(path, engine, JournalHooks{})
+	if err != nil {
+		return nil, nil, stats, err
+	}
+	return j, j.Results(), stats, nil
+}
+
+// mustOpenJournal opens path for engine, closing it when the test
+// ends.
+func mustOpenJournal(t *testing.T, path, engine string, hooks JournalHooks) *Journal {
+	t.Helper()
+	j, _, err := OpenJournal(path, engine, hooks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	return j
+}
+
 // An empty (or absent) journal resumes cleanly: no records, header
 // written, appends work.
 func TestEmptyJournalResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.jsonl")
-	j, results, stats, err := OpenJournal(path, "e1")
+	j, results, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +78,7 @@ func TestEmptyJournalResume(t *testing.T) {
 	}
 	j.Close()
 
-	_, results, stats, err = OpenJournal(path, "e1")
+	_, results, stats, err = openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +106,7 @@ func TestTruncatedLastLineDiscarded(t *testing.T) {
 		}
 		f.Close()
 
-		j, results, stats, err := OpenJournal(path, "e1")
+		j, results, stats, err := openJournal(path, "e1")
 		if err != nil {
 			t.Fatalf("cut %d: torn tail fatal: %v", cut, err)
 		}
@@ -100,7 +122,7 @@ func TestTruncatedLastLineDiscarded(t *testing.T) {
 			t.Fatal(err)
 		}
 		j.Close()
-		_, results, stats, err = OpenJournal(path, "e1")
+		_, results, stats, err = openJournal(path, "e1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +140,7 @@ func TestUnterminatedFinalLineDiscarded(t *testing.T) {
 	if err := os.WriteFile(path, append(data, []byte(recordLine(t, "e1", "fp-b", fakeResult(2)))...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, results, stats, err := OpenJournal(path, "e1")
+	j, results, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +161,7 @@ func TestDuplicateRecordsLastWriteWins(t *testing.T) {
 		recordLine(t, "e1", "fp-a", older),
 		recordLine(t, "e1", "fp-b", fakeResult(2)),
 		recordLine(t, "e1", "fp-a", newer))
-	j, results, stats, err := OpenJournal(path, "e1")
+	j, results, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +188,7 @@ func TestHashMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := writeJournal(t, headerLine(t, "e1"), good, string(tb))
-	j, results, stats, err := OpenJournal(path, "e1")
+	j, results, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +208,7 @@ func TestInteriorCorruptionFatal(t *testing.T) {
 		headerLine(t, "e1"),
 		"{this is not json",
 		recordLine(t, "e1", "fp-a", fakeResult(1)))
-	_, _, _, err := OpenJournal(path, "e1")
+	_, _, _, err := openJournal(path, "e1")
 	if err == nil || !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
@@ -196,7 +218,7 @@ func TestInteriorCorruptionFatal(t *testing.T) {
 func TestForeignFileRefused(t *testing.T) {
 	path := writeJournal(t, `{"some":"other file"}`)
 	before, _ := os.ReadFile(path)
-	_, _, _, err := OpenJournal(path, "e1")
+	_, _, _, err := openJournal(path, "e1")
 	if err == nil || !errors.Is(err, ErrJournalCorrupt) {
 		t.Fatalf("err = %v", err)
 	}
@@ -212,7 +234,7 @@ func TestTornHeaderRestarts(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"schema":"wlr`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j, results, stats, err := OpenJournal(path, "e1")
+	j, results, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +246,7 @@ func TestTornHeaderRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, results, stats, err = OpenJournal(path, "e1")
+	_, results, stats, err = openJournal(path, "e1")
 	if err != nil || stats.Records != 1 {
 		t.Fatalf("restart after torn header broken: %v, %+v", err, stats)
 	}
@@ -234,7 +256,7 @@ func TestTornHeaderRestarts(t *testing.T) {
 // including float fields.
 func TestJournalResultBitExact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, _, _, err := OpenJournal(path, "e1")
+	j, _, _, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +267,7 @@ func TestJournalResultBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	_, results, _, err := OpenJournal(path, "e1")
+	_, results, _, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}

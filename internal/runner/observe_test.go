@@ -14,7 +14,8 @@ import (
 
 // Every computed cell's CellDone carries its timing — a duration
 // covering the cell's work, a non-negative queue wait — and
-// each journal append's fsync is reported to the ObserveFsync hook.
+// each journal append's fsync is reported to the journal's
+// ObserveFsync hook.
 func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	const n = 6
 	cells := make([]Cell, n)
@@ -33,20 +34,22 @@ func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	var mu sync.Mutex
 	var dones []CellDone
 	var fsyncs atomic.Int64
-	cfg := Config{
-		Workers:     2,
-		Engine:      "test",
-		JournalPath: filepath.Join(t.TempDir(), "sweep.wlj"),
-		OnCell: func(d CellDone) {
-			mu.Lock()
-			dones = append(dones, d)
-			mu.Unlock()
-		},
+	journal := mustOpenJournal(t, filepath.Join(t.TempDir(), "sweep.wlj"), "test", JournalHooks{
 		ObserveFsync: func(d time.Duration) {
 			if d < 0 {
 				t.Errorf("negative fsync duration %v", d)
 			}
 			fsyncs.Add(1)
+		},
+	})
+	cfg := Config{
+		Workers: 2,
+		Engine:  "test",
+		Journal: journal,
+		OnCell: func(d CellDone) {
+			mu.Lock()
+			dones = append(dones, d)
+			mu.Unlock()
 		},
 	}
 	if _, err := RunCells(context.Background(), cfg, cells); err != nil {
@@ -88,14 +91,16 @@ func TestCellDoneJournalReplay(t *testing.T) {
 	}
 
 	var dones []CellDone
-	cfg := Config{
-		Workers: 1, Engine: "test", JournalPath: path,
-		OnCell: func(d CellDone) { dones = append(dones, d) },
-	}
 	for run := 0; run < 2; run++ {
+		j := mustOpenJournal(t, path, "test", JournalHooks{})
+		cfg := Config{
+			Workers: 1, Engine: "test", Journal: j,
+			OnCell: func(d CellDone) { dones = append(dones, d) },
+		}
 		if _, err := RunCells(context.Background(), cfg, []Cell{cell}); err != nil {
 			t.Fatal(err)
 		}
+		j.Close()
 	}
 	if len(dones) != 2 || dones[0].Source != SourceComputed {
 		t.Fatalf("CellDones %+v, want computed then journal", dones)

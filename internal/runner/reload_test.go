@@ -1,8 +1,8 @@
 package runner
 
 import (
+	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -22,7 +22,7 @@ func TestLoadStatsTornTailBytes(t *testing.T) {
 	}
 	f.Close()
 
-	j, _, stats, err := OpenJournal(path, "e1")
+	j, _, stats, err := openJournal(path, "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,9 @@ func TestLoadStatsTornTailBytes(t *testing.T) {
 }
 
 // Dropped aggregates every whole record the reload discarded:
-// last-write-wins duplicates, address-mismatch rejects, and wholesale
-// engine-mismatch discards.
+// last-write-wins duplicates, address-mismatch rejects, and every
+// record of a journal refused for another engine version, which stays
+// byte for byte as it was.
 func TestLoadStatsDroppedRecords(t *testing.T) {
 	t.Run("duplicates", func(t *testing.T) {
 		path := writeJournal(t,
@@ -46,7 +47,7 @@ func TestLoadStatsDroppedRecords(t *testing.T) {
 			recordLine(t, "e1", "fp-a", fakeResult(1)),
 			recordLine(t, "e1", "fp-a", fakeResult(2)),
 			recordLine(t, "e1", "fp-a", fakeResult(3)))
-		j, results, stats, err := OpenJournal(path, "e1")
+		j, results, stats, err := openJournal(path, "e1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestLoadStatsDroppedRecords(t *testing.T) {
 			// engine: recomputed on reload, counted as dropped.
 			recordLine(t, "other-engine", "fp-a", fakeResult(1)),
 			recordLine(t, "e1", "fp-b", fakeResult(2)))
-		j, _, stats, err := OpenJournal(path, "e1")
+		j, _, stats, err := openJournal(path, "e1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,62 +80,16 @@ func TestLoadStatsDroppedRecords(t *testing.T) {
 			headerLine(t, "old-engine"),
 			recordLine(t, "old-engine", "fp-a", fakeResult(1)),
 			recordLine(t, "old-engine", "fp-b", fakeResult(2)))
-		j, results, stats, err := OpenJournal(path, "e2")
-		if err != nil {
-			t.Fatal(err)
+		before, _ := os.ReadFile(path)
+		_, _, stats, err := openJournal(path, "e2")
+		if !errors.Is(err, ErrForeignEngine) {
+			t.Fatalf("err = %v, want ErrForeignEngine", err)
 		}
-		j.Close()
-		if len(results) != 0 || stats.Dropped != 2 {
-			t.Fatalf("stats %+v with %d results, want both stale records dropped", stats, len(results))
+		if !stats.EngineMismatch || stats.Dropped != 2 {
+			t.Fatalf("stats %+v, want both stale records dropped", stats)
+		}
+		if after, _ := os.ReadFile(path); string(before) != string(after) {
+			t.Fatal("foreign-engine journal was modified")
 		}
 	})
-}
-
-// ReadJournal serves the journal's records without mutating the file:
-// no truncation, no header write, byte-identical before and after.
-func TestReadJournalIsPure(t *testing.T) {
-	full := recordLine(t, "e1", "fp-b", fakeResult(2))
-	path := writeJournal(t,
-		headerLine(t, "e1"),
-		recordLine(t, "e1", "fp-a", fakeResult(1)))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(full[:len(full)/2]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	results, stats, err := ReadJournal(path, "e1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || results[Address("e1", "fp-a")] != fakeResult(1) {
-		t.Fatalf("results %v", results)
-	}
-	if !stats.TornTail || stats.TornTailBytes != len(full)/2 {
-		t.Fatalf("stats %+v", stats)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("ReadJournal mutated the journal file")
-	}
-}
-
-func TestReadJournalMissingFile(t *testing.T) {
-	results, stats, err := ReadJournal(filepath.Join(t.TempDir(), "absent.jsonl"), "e1")
-	if err != nil {
-		t.Fatalf("missing journal must read as empty, got %v", err)
-	}
-	if len(results) != 0 || stats.Records != 0 {
-		t.Fatalf("results %v stats %+v", results, stats)
-	}
 }

@@ -27,6 +27,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -64,13 +65,12 @@ type Config struct {
 	// Engine is the engine version mixed into content addresses
 	// (conventionally sim.EngineVersion).
 	Engine string
-	// JournalPath enables crash-resumable persistence ("" = off).
-	JournalPath string
-	// AfterJournal, when set, runs after the n-th record of this run
-	// becomes durable, under the journal's append lock. The chaos
-	// harness kills the process here to get a bit-exactly known
-	// journal state.
-	AfterJournal func(n int)
+	// Journal, when set, makes the sweep crash-resumable: cells already
+	// in it are served with zero recomputation, and every computed
+	// content-addressable cell is durably appended to it. The caller
+	// opens it for Engine (binding its hooks) and closes it; sweeps
+	// may share one open journal, one after another or at once.
+	Journal *Journal
 	// Shared, when set, is a cross-sweep single-flight result store:
 	// content-addressable cells are served from it when already
 	// published, and concurrent sweeps racing on the same address
@@ -85,10 +85,6 @@ type Config struct {
 	// goroutines; the sweep service uses it to stream per-cell results
 	// to clients as they land.
 	OnCell func(done CellDone)
-	// ObserveFsync, when set, receives the duration of each journal
-	// append's fsync — the durability tax every computed cell pays. It
-	// runs under the journal's append lock; keep it cheap.
-	ObserveFsync func(d time.Duration)
 }
 
 // CellSource says where a cell's outcome came from.
@@ -96,7 +92,7 @@ type CellSource string
 
 // The cell outcome sources.
 const (
-	SourceJournal  CellSource = "journal"  // reloaded from this sweep's journal
+	SourceJournal  CellSource = "journal"  // served from this sweep's journal
 	SourceShared   CellSource = "shared"   // served by the cross-sweep shared store
 	SourceDedup    CellSource = "dedup"    // identical cell completed earlier in this run
 	SourceComputed CellSource = "computed" // executed in this run
@@ -134,7 +130,7 @@ func (c Config) normalize() Config {
 // cover exactly the rest.
 type Metrics struct {
 	Cells          int // submitted
-	FromJournal    int // served from the reloaded journal, no recompute
+	FromJournal    int // served from the journal, no recompute
 	FromShared     int // served from the cross-sweep shared store, no recompute
 	Deduped        int // served from an identical cell completed earlier in this run
 	Computed       int // executed to success in this run
@@ -142,7 +138,8 @@ type Metrics struct {
 	OptionalFailed int // failure of an optional cell (zero Result)
 	Skipped        int // never computed (cancellation)
 	Panics         int // recovered cell panics
-	Journal        LoadStats
+	// Journal is what opening the sweep's journal found and discarded.
+	Journal LoadStats
 }
 
 // Report is everything a sweep produced. Results and Errs are indexed
@@ -188,19 +185,12 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 		rep.optional[i] = c.Optional
 	}
 
-	var journal *Journal
-	cache := make(map[string]sim.Result)
-	if cfg.JournalPath != "" {
-		var stats LoadStats
-		var err error
-		journal, cache, stats, err = OpenJournal(cfg.JournalPath, cfg.Engine)
-		if err != nil {
-			return rep, err
+	journal := cfg.Journal
+	if journal != nil {
+		if journal.engine != cfg.Engine {
+			return rep, fmt.Errorf("runner: journal opened for engine %q, sweep runs %q", journal.engine, cfg.Engine)
 		}
-		defer journal.Close()
-		journal.afterAppend = cfg.AfterJournal
-		journal.observeFsync = cfg.ObserveFsync
-		rep.Metrics.Journal = stats
+		rep.Metrics.Journal = journal.stats
 	}
 
 	emit := func(i int, res sim.Result, err error, src CellSource, wait, dur time.Duration) {
@@ -217,7 +207,7 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 	for i, c := range cells {
 		if c.Fingerprint != "" {
 			addrs[i] = Address(cfg.Engine, c.Fingerprint)
-			if res, ok := cache[addrs[i]]; ok {
+			if res, ok := journal.lookup(addrs[i]); ok {
 				rep.Results[i] = res
 				rep.Metrics.FromJournal++
 				emit(i, res, nil, SourceJournal, 0, 0)
@@ -228,7 +218,8 @@ func RunCells(ctx context.Context, cfg Config, cells []Cell) (Report, error) {
 	}
 
 	var (
-		mu        sync.Mutex // guards cache and journErr beyond this point
+		mu        sync.Mutex                    // guards cache and journErr
+		cache     = make(map[string]sim.Result) // cells computed or served in this run
 		counters  struct{ computed, failed, optFailed, skipped, panics, deduped, fromShared atomic.Int64 }
 		journErr  error // first journal append error
 		attempted = make([]atomic.Bool, len(cells))

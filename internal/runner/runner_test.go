@@ -272,18 +272,19 @@ func TestJournalRoundTrip(t *testing.T) {
 		cells[5].Fingerprint = "" // live-hook cell: never journaled
 		return cells
 	}
-	cfg := Config{Workers: 3, Engine: "test", JournalPath: journal}
-
-	rep1, err := RunCells(context.Background(), cfg, mkCells())
+	j1 := mustOpenJournal(t, journal, "test", JournalHooks{})
+	rep1, err := RunCells(context.Background(), Config{Workers: 3, Engine: "test", Journal: j1}, mkCells())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.Metrics.Computed != 6 || rep1.Metrics.FromJournal != 0 {
 		t.Fatalf("first pass metrics %+v", rep1.Metrics)
 	}
+	j1.Close()
 
 	computes.Store(0)
-	rep2, err := RunCells(context.Background(), cfg, mkCells())
+	j2 := mustOpenJournal(t, journal, "test", JournalHooks{})
+	rep2, err := RunCells(context.Background(), Config{Workers: 3, Engine: "test", Journal: j2}, mkCells())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,23 +301,77 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// A different engine version invalidates every journaled record: the
-// addresses cannot match, and the journal restarts for the new engine.
-func TestEngineVersionInvalidatesJournal(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "j.jsonl")
-	cells := []Cell{okCell(0)}
-	if _, err := RunCells(context.Background(), Config{Workers: 1, Engine: "v1", JournalPath: journal}, cells); err != nil {
-		t.Fatal(err)
+// One open journal backs successive sweeps without a reopen: the
+// second sweep serves every cell from the records the first appended
+// and computes none, and both report the same open-time reload.
+func TestJournalReusedWithoutReopen(t *testing.T) {
+	j := mustOpenJournal(t, filepath.Join(t.TempDir(), "j.jsonl"), "test", JournalHooks{})
+	var computes atomic.Int64
+	cells := make([]Cell, 5)
+	for i := range cells {
+		i := i
+		cells[i] = Cell{ID: fmt.Sprintf("cell-%d", i), Fingerprint: fmt.Sprintf("fp-%d", i),
+			Run: func(context.Context) (sim.Result, error) {
+				computes.Add(1)
+				return fakeResult(i), nil
+			}}
 	}
-	rep, err := RunCells(context.Background(), Config{Workers: 1, Engine: "v2", JournalPath: journal}, []Cell{okCell(0)})
+	cfg := Config{Workers: 2, Engine: "test", Journal: j}
+	rep1, err := RunCells(context.Background(), cfg, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Metrics.FromJournal != 0 || rep.Metrics.Computed != 1 {
-		t.Fatalf("stale engine served from journal: %+v", rep.Metrics)
+	if rep1.Metrics.Computed != len(cells) {
+		t.Fatalf("first sweep metrics %+v", rep1.Metrics)
 	}
-	if !rep.Metrics.Journal.EngineMismatch {
-		t.Fatalf("engine mismatch not reported: %+v", rep.Metrics.Journal)
+
+	var sources []CellSource
+	cfg.OnCell = func(d CellDone) { sources = append(sources, d.Source) }
+	rep2, err := RunCells(context.Background(), cfg, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep2.Metrics.Computed != 0 || rep2.Metrics.FromJournal != len(cells) || computes.Load() != int64(len(cells)) {
+		t.Fatalf("second sweep on the open journal: %+v after %d computes", rep2.Metrics, computes.Load())
+	}
+	for i, src := range sources {
+		if src != SourceJournal {
+			t.Fatalf("cell event %d source %q, want journal", i, src)
+		}
+	}
+	for i := range cells {
+		if rep2.Results[i] != fakeResult(i) {
+			t.Fatalf("cell %d served %+v", i, rep2.Results[i])
+		}
+	}
+	if rep1.Metrics.Journal != rep2.Metrics.Journal {
+		t.Fatalf("reload stats moved between sweeps: %+v then %+v", rep1.Metrics.Journal, rep2.Metrics.Journal)
+	}
+}
+
+// A different engine version invalidates every journaled record: the
+// addresses cannot match, so the journal cannot be opened for the new
+// engine, and a sweep of the new engine refuses a handle opened for
+// the old one.
+func TestEngineVersionInvalidatesJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	cells := []Cell{okCell(0)}
+	j1 := mustOpenJournal(t, journal, "v1", JournalHooks{})
+	if _, err := RunCells(context.Background(), Config{Workers: 1, Engine: "v1", Journal: j1}, cells); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunCells(context.Background(), Config{Workers: 1, Engine: "v2", Journal: j1}, []Cell{okCell(0)})
+	if err == nil || rep.Metrics.FromJournal != 0 || rep.Metrics.Computed != 0 {
+		t.Fatalf("v2 sweep ran on the v1 journal: %+v, err %v", rep.Metrics, err)
+	}
+	j1.Close()
+
+	_, stats, err := OpenJournal(journal, "v2", JournalHooks{})
+	if !errors.Is(err, ErrForeignEngine) {
+		t.Fatalf("opening a v1 journal for v2: err = %v, want ErrForeignEngine", err)
+	}
+	if !stats.EngineMismatch || stats.Dropped != 1 {
+		t.Fatalf("engine mismatch not reported: %+v", stats)
 	}
 }
 

@@ -61,6 +61,10 @@ type SweepMetrics struct {
 	Skipped     int `json:"skipped"`
 	Panics      int `json:"panics"`
 
+	// The journal_* fields report the one scan of the sweep's journal
+	// this server made, when it opened it: at startup, or on the first
+	// sweep of a spec that had none (all zero). Every sweep of the spec
+	// on this server reports the same scan.
 	JournalRecords   int `json:"journal_records"`
 	JournalDropped   int `json:"journal_dropped_records"`
 	JournalTornBytes int `json:"journal_torn_tail_bytes"`

@@ -36,6 +36,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -46,8 +47,9 @@ import (
 
 // Config tunes a Server. Zero values mean the documented defaults.
 type Config struct {
-	// DataDir holds the per-sweep wlrun/v1 journals; it is scanned at
-	// startup to rebuild the shared result store. Required.
+	// DataDir holds the per-sweep wlrun/v1 journals; each is scanned
+	// once, at startup, to rebuild the shared result store, and held
+	// open until Shutdown. Required.
 	DataDir string
 	// Engine is the engine version mixed into every content address
 	// (default sim.EngineVersion).
@@ -121,6 +123,12 @@ type Server struct {
 	// histograms — and is the only thing /metrics renders.
 	reg *obs.SyncRegistry
 
+	// journalMu guards journals: every open sweep journal by sweep ID,
+	// opened by the startup scan or by the first sweep of its spec and
+	// closed by Shutdown.
+	journalMu sync.Mutex
+	journals  map[string]*runner.Journal
+
 	// progMu guards the per-sweep progress records behind
 	// GET /v1/sweeps/{id} and its /trace export.
 	progMu   sync.Mutex
@@ -146,9 +154,11 @@ type Server struct {
 
 // New builds a Server and rebuilds the shared result store from every
 // journal in DataDir: after a crash, every durably journaled cell is
-// servable again before the first request lands. A corrupt journal is
-// quarantined (renamed aside) and logged, never fatal — the sweep that
-// owns it recomputes.
+// servable again before the first request lands. Each journal is read
+// once, here, and stays open for every later sweep of its spec. A
+// corrupt journal is quarantined (renamed aside) and logged, never
+// fatal — the sweep that owns it recomputes. A journal of another
+// engine version is left untouched: no sweep of this engine owns it.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.normalize()
 	if cfg.DataDir == "" {
@@ -164,6 +174,7 @@ func New(cfg Config) (*Server, error) {
 		mux:        http.NewServeMux(),
 		slog:       cfg.Logger,
 		reg:        obs.NewSyncRegistry(),
+		journals:   make(map[string]*runner.Journal),
 		prog:       make(map[string]*progress),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		drainCh:    make(chan struct{}),
@@ -191,29 +202,80 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadStore seeds the shared store from every journal in DataDir.
+// loadStore opens every journal in DataDir, repairing a torn tail, and
+// seeds the shared store from it.
 func (s *Server) loadStore() error {
 	paths, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "*.jsonl"))
 	if err != nil {
 		return err
 	}
 	for _, p := range paths {
-		results, stats, err := runner.ReadJournal(p, s.cfg.Engine)
+		j, stats, err := runner.OpenJournal(p, s.cfg.Engine, s.journalHooks())
+		if errors.Is(err, runner.ErrForeignEngine) {
+			s.noteLoadStats(stats)
+			continue
+		}
 		if err != nil {
 			// Interior corruption: quarantine so the owning sweep
 			// restarts clean, and keep serving everything else.
 			s.quarantine(p, err)
 			continue
 		}
-		for addr, res := range results {
+		for addr, res := range j.Results() {
 			s.store.Seed(addr, res)
 		}
 		s.noteLoadStats(stats)
+		s.journals[strings.TrimSuffix(filepath.Base(p), ".jsonl")] = j
 	}
 	loaded := s.store.Len()
 	s.reg.Set(mStoreLoaded, obs.DirNone, float64(loaded))
 	s.slog.Info("store loaded", "results", loaded, "journals", len(paths))
 	return nil
+}
+
+// journalHooks binds the server's append and fsync accounting to a
+// journal as it is opened.
+func (s *Server) journalHooks() runner.JournalHooks {
+	return runner.JournalHooks{
+		AfterAppend: func(int) {
+			n := s.count(mJournalAppends, 1)
+			if s.cfg.AfterJournal != nil {
+				s.cfg.AfterJournal(int(n))
+			}
+		},
+		ObserveFsync: func(d time.Duration) {
+			s.reg.Observe(mJournalFsync, obs.DirLower, float64(d.Microseconds()))
+		},
+	}
+}
+
+// journal returns the open journal of a sweep, creating it on the
+// first sweep of a spec the startup scan did not find. It opens under
+// journalMu, so concurrent first sweeps of one spec share one handle.
+func (s *Server) journal(sweepID string) (*runner.Journal, error) {
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	if j, ok := s.journals[sweepID]; ok {
+		return j, nil
+	}
+	j, _, err := runner.OpenJournal(filepath.Join(s.cfg.DataDir, sweepID+".jsonl"), s.cfg.Engine, s.journalHooks())
+	if err != nil {
+		return nil, err
+	}
+	s.journals[sweepID] = j
+	return j, nil
+}
+
+// closeJournals releases every open journal.
+func (s *Server) closeJournals() {
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	for id, j := range s.journals {
+		if err := j.Close(); err != nil {
+			s.slog.Warn("journal close failed", "sweep", id, "err", err)
+		}
+		delete(s.journals, id)
+	}
 }
 
 // quarantine renames a corrupt journal aside so its sweep restarts
@@ -260,8 +322,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // cancelled: the cells already running complete and journal (a
 // simulation is not preemptible), every unstarted cell becomes a
 // deterministic skip, and the streams still end with a well-formed
-// done event. Returns ctx.Err() when the deadline forced the
-// degradation, nil on a clean drain.
+// done event. Once no sweep runs, every journal is closed. Returns
+// ctx.Err() when the deadline forced the degradation, nil on a clean
+// drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.drained {
@@ -283,6 +346,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.hardCancel(fmt.Errorf("serve: shutdown drain deadline: %w", ctx.Err()))
 		<-done
 	}
+	s.closeJournals()
 	if s.hs != nil {
 		// Handlers are done; this just closes the listener and idles.
 		_ = s.hs.Shutdown(context.Background())
@@ -470,13 +534,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		defer cancelBudget()
 	}
 
-	journalPath := filepath.Join(s.cfg.DataDir, sweepID+".jsonl")
-	if _, _, err := runner.ReadJournal(journalPath, s.cfg.Engine); err != nil {
-		// Pre-flight: a corrupt journal would fail the sweep at open;
-		// quarantine it and start clean instead.
-		s.quarantine(journalPath, err)
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Id", sweepID)
 	w.WriteHeader(http.StatusOK)
@@ -498,21 +555,16 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	var runErr error
 	go func() {
 		defer close(events)
+		var journal *runner.Journal
+		if journal, runErr = s.journal(sweepID); runErr != nil {
+			return
+		}
 		rep, runErr = runner.RunCells(ctx, runner.Config{
-			Workers:     s.cfg.Workers,
-			Engine:      s.cfg.Engine,
-			JournalPath: journalPath,
-			Shared:      s.store,
-			AfterJournal: func(int) {
-				n := s.count(mJournalAppends, 1)
-				if s.cfg.AfterJournal != nil {
-					s.cfg.AfterJournal(int(n))
-				}
-			},
-			ObserveFsync: func(d time.Duration) {
-				s.reg.Observe(mJournalFsync, obs.DirLower, float64(d.Microseconds()))
-			},
-			OnCell: func(d runner.CellDone) { events <- d },
+			Workers: s.cfg.Workers,
+			Engine:  s.cfg.Engine,
+			Journal: journal,
+			Shared:  s.store,
+			OnCell:  func(d runner.CellDone) { events <- d },
 		}, cells)
 	}()
 

@@ -166,6 +166,155 @@ func TestRestartServesFromJournal(t *testing.T) {
 	}
 }
 
+// Warm resubmissions on one server read no journal: the startup scan
+// is the only one. Each done event reports that scan's loss, /metrics
+// counts it once, and the sweeps serve every cell even with the file
+// gone from disk after startup.
+func TestWarmResubmissionsReuseJournalScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a sweep subset")
+	}
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	s1, cl1 := newTestServer(t, Config{DataDir: dir})
+	st, err := cl1.Submit(ctx, tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := st.Drain(); err != nil || done == nil || done.Metrics.Computed != 3 {
+		t.Fatalf("first run: done=%+v err=%v, want 3 computed", done, err)
+	}
+	st.Close()
+	if err := s1.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reload loss for the startup scan to find: a duplicate of the last
+	// record (one dropped record) and a torn tail.
+	journal := filepath.Join(dir, tinySpec().ID(sim.EngineVersion)+".jsonl")
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	const tail = `{"addr":"deadbeef","f`
+	data = append(data, lines[len(lines)-2]+tail...)
+	if err := os.WriteFile(journal, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, cl2 := newTestServer(t, Config{DataDir: dir})
+	defer s2.Shutdown(context.Background())
+	if err := os.Remove(journal); err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		st, err := cl2.Submit(ctx, tinySpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, done, err := st.Drain()
+		st.Close()
+		if err != nil || done == nil || done.Error != "" {
+			t.Fatalf("round %d: done=%+v err=%v", round, done, err)
+		}
+		m := done.Metrics
+		if m.Computed != 0 || m.FromJournal != 3 {
+			t.Fatalf("round %d recomputed: %+v", round, m)
+		}
+		if m.JournalRecords != 3 || m.JournalDropped != 1 || m.JournalTornBytes != len(tail) {
+			t.Fatalf("round %d journal fields %+v, want the startup scan's 3 records, 1 dropped, %d torn bytes", round, m, len(tail))
+		}
+		for _, ev := range cells {
+			if ev.Source != string(runner.SourceJournal) {
+				t.Fatalf("round %d: cell %s served from %q, want journal", round, ev.ID, ev.Source)
+			}
+		}
+		if got := metric(t, s2, mJournalDropped); got != 1 {
+			t.Fatalf("round %d: dropped records = %v, want 1 (counted once, at startup)", round, got)
+		}
+		if got := metric(t, s2, mJournalTornBytes); got != float64(len(tail)) {
+			t.Fatalf("round %d: torn tail bytes = %v, want %d (counted once, at startup)", round, got, len(tail))
+		}
+		if got := metric(t, s2, mJournalsQuarantined); got != 0 {
+			t.Fatalf("round %d: quarantined %v journals", round, got)
+		}
+	}
+}
+
+// Two concurrent submissions of one new spec share its journal: every
+// cell is computed once and journaled exactly once.
+func TestConcurrentSubmissionsShareJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a sweep subset")
+	}
+	dir := t.TempDir()
+	s, cl := newTestServer(t, Config{DataDir: dir, MaxConcurrent: 2})
+	// Hold both sweeps at admission so they run at once.
+	entered := make(chan string, 2)
+	gate := make(chan struct{})
+	s.beforeRun = func(id string) {
+		entered <- id
+		<-gate
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	dones := make(chan *Event, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			st, err := cl.Submit(ctx, tinySpec())
+			if err != nil {
+				t.Error(err)
+				dones <- nil
+				return
+			}
+			defer st.Close()
+			_, done, err := st.Drain()
+			if err != nil {
+				t.Error(err)
+			}
+			dones <- done
+		}()
+	}
+	<-entered
+	<-entered
+	close(gate)
+	computed := 0
+	for i := 0; i < 2; i++ {
+		done := <-dones
+		if done == nil || done.Error != "" {
+			t.Fatalf("sweep failed: %+v", done)
+		}
+		computed += done.Metrics.Computed
+	}
+	if computed != 3 {
+		t.Fatalf("computed %d cells across both sweeps, want each of the 3 once", computed)
+	}
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, tinySpec().ID(sim.EngineVersion)+".jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 1+3 {
+		t.Fatalf("journal holds %d lines, want the header and 3 records", n)
+	}
+	j, stats, err := runner.OpenJournal(path, sim.EngineVersion, runner.JournalHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if stats.Records != 3 || stats.Dropped != 0 {
+		t.Fatalf("journal reload %+v, want 3 records and none dropped", stats)
+	}
+}
+
 // Two overlapping sweeps submitted concurrently compute every
 // duplicate cell exactly once, with the dedup visible in the metrics;
 // resubmitting both on the same server computes nothing more.
@@ -556,6 +705,50 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Fatalf("corrupt journal still in place: %v", err)
+	}
+}
+
+// Startup leaves a journal it does not own as it found it. One of
+// another engine version stays in place byte for byte, its records
+// counted as dropped; one of another schema is quarantined, its bytes
+// kept in the renamed-aside file.
+func TestStartupLeavesForeignJournalsAlone(t *testing.T) {
+	dir := t.TempDir()
+	record := func(engine, fp string) string {
+		return fmt.Sprintf("{\"addr\":%q,\"id\":\"c\",\"fp\":%q,\"result\":{}}\n", runner.Address(engine, fp), fp)
+	}
+	foreignEngine := filepath.Join(dir, strings.Repeat("cd", 32)+".jsonl")
+	engineBytes := fmt.Sprintf("{\"schema\":%q,\"engine\":\"e0\"}\n", runner.Schema) + record("e0", "a") + record("e0", "b")
+	foreignSchema := filepath.Join(dir, strings.Repeat("ef", 32)+".jsonl")
+	schemaBytes := "{\"schema\":\"wlrun/v0\",\"engine\":\"e1\"}\n" + record("e1", "a")
+	for path, content := range map[string]string{foreignEngine: engineBytes, foreignSchema: schemaBytes} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s, err := New(Config{DataDir: dir, Engine: "e1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	for path, want := range map[string]string{foreignEngine: engineBytes, foreignSchema + ".corrupt": schemaBytes} {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("%s changed at startup:\n got %q\nwant %q", filepath.Base(path), got, want)
+		}
+	}
+	if got := metric(t, s, mJournalDropped); got != 2 {
+		t.Fatalf("dropped records = %v, want the foreign engine's 2", got)
+	}
+	if got := metric(t, s, mJournalsQuarantined); got != 1 {
+		t.Fatalf("quarantined = %v, want the foreign schema's 1", got)
+	}
+	if got := metric(t, s, mStoreLoaded); got != 0 {
+		t.Fatalf("store loaded %v foreign results", got)
 	}
 }
 
