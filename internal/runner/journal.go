@@ -221,7 +221,7 @@ func scanJournal(data []byte, engine string, results map[string]sim.Result, stat
 		}
 
 		var r journalRecord
-		if jerr := json.Unmarshal(line, &r); jerr != nil || torn {
+		if jerr := decodeRecord(line, &r); jerr != nil || torn {
 			if end == len(data) {
 				stats.TornTail = true
 				stats.TornTailBytes = len(data) - keep
@@ -244,6 +244,31 @@ func scanJournal(data []byte, engine string, results map[string]sim.Result, stat
 		stats.Records++
 	}
 	return keep, false, nil
+}
+
+// decodeRecord decodes one record line: through readRecord when the
+// line is in the canonical form Append writes, and through
+// encoding/json otherwise — a hand-edited, escaped, torn or corrupt
+// line keeps encoding/json's verdict and error text.
+func decodeRecord(line []byte, rec *journalRecord) error {
+	if readRecord(line, rec) {
+		return nil
+	}
+	*rec = journalRecord{}
+	return json.Unmarshal(line, rec)
+}
+
+// readRecord reads a record line in the exact bytes encoding/json
+// writes for it, in one pass. It reports false, leaving rec partly
+// filled, at the first byte it does not expect.
+func readRecord(line []byte, rec *journalRecord) bool {
+	r := sim.NewJSONReader(line)
+	rec.Addr = r.Str(`{"addr":`)
+	rec.ID = r.Str(`,"id":`)
+	rec.Fingerprint = r.Str(`,"fp":`)
+	r.Result(`,"result":`, &rec.Result)
+	r.Lit(`}`)
+	return r.End()
 }
 
 // countLines counts newline-terminated lines — whole records; a

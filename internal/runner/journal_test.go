@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,5 +275,56 @@ func TestJournalResultBitExact(t *testing.T) {
 	}
 	if got := results[Address("e1", "fp")]; got != want {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// A valid record not in the canonical form Append writes — spaces,
+// reordered keys — is not for the one-pass reader; it loads through
+// encoding/json with the same result.
+func TestNonCanonicalRecordLoads(t *testing.T) {
+	want := fakeResult(4)
+	res, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res = bytes.ReplaceAll(res, []byte(`":`), []byte(`": `))
+	line := fmt.Sprintf(`{ "fp": "fp-a", "result": %s, "id": "id-fp-a", "addr": %q }`, res, Address("e1", "fp-a"))
+	var rec journalRecord
+	if readRecord([]byte(line), &rec) {
+		t.Fatal("non-canonical line took the one-pass path")
+	}
+	path := writeJournal(t, headerLine(t, "e1"), line, recordLine(t, "e1", "fp-b", fakeResult(5)))
+	j, results, stats, err := openJournal(path, "e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if stats.Records != 2 || results[Address("e1", "fp-a")] != want {
+		t.Fatalf("non-canonical record not served: stats %+v", stats)
+	}
+}
+
+// A canonical record followed by garbage on its line is no record: the
+// one-pass reader refuses it at the garbage, and encoding/json then
+// judges the line as before — interior corruption, or a torn tail when
+// it is the last line.
+func TestTrailingGarbageAfterCanonicalRecord(t *testing.T) {
+	bad := recordLine(t, "e1", "fp-a", fakeResult(1)) + `garbage`
+	path := writeJournal(t, headerLine(t, "e1"), bad, recordLine(t, "e1", "fp-b", fakeResult(2)))
+	if _, _, _, err := openJournal(path, "e1"); !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("interior: err = %v, want ErrJournalCorrupt", err)
+	}
+
+	path = writeJournal(t, headerLine(t, "e1"), recordLine(t, "e1", "fp-b", fakeResult(2)), bad)
+	j, results, stats, err := openJournal(path, "e1")
+	if err != nil {
+		t.Fatalf("last line: %v", err)
+	}
+	defer j.Close()
+	if !stats.TornTail || stats.TornTailBytes != len(bad)+1 || stats.Records != 1 {
+		t.Fatalf("last line: stats %+v, want a torn tail of %d bytes and 1 record", stats, len(bad)+1)
+	}
+	if _, ok := results[Address("e1", "fp-a")]; ok {
+		t.Fatal("record with trailing garbage served")
 	}
 }

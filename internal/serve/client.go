@@ -172,7 +172,7 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (*Stream, error) {
 		}
 		return nil, fmt.Errorf("submit: %d %s: %s", resp.StatusCode, http.StatusText(resp.StatusCode), bytes.TrimSpace(msg))
 	}
-	st := &Stream{resp: resp, dec: json.NewDecoder(bufio.NewReader(resp.Body))}
+	st := &Stream{resp: resp, br: bufio.NewReader(resp.Body)}
 	ev, err := st.Next()
 	if err != nil {
 		st.Close()
@@ -186,23 +186,101 @@ func (c *Client) Submit(ctx context.Context, spec Spec) (*Stream, error) {
 	return st, nil
 }
 
-// Stream is a live sweep's NDJSON event sequence.
+// Stream is a live sweep's NDJSON event sequence: one JSON object per
+// line, each ended by a newline, exactly as the server's encoder writes
+// them. The client relies on that framing: it reads a line, then
+// decodes it.
 type Stream struct {
 	// Accepted is the already-consumed first event.
 	Accepted Event
 	resp     *http.Response
-	dec      *json.Decoder
+	br       *bufio.Reader
+	line     []byte // the last line read, reused
 }
 
-// Next returns the next event; io.EOF after the done event (or an
-// unexpected transport error if the server died mid-stream — the crash
-// the journal exists for).
+// Next reads and decodes the next line. It returns io.EOF at a clean
+// end, after the done event, and a non-EOF error if the stream breaks
+// mid-line: io.ErrUnexpectedEOF, or the transport's error, when the
+// server died mid-stream — the crash the journal exists for.
 func (st *Stream) Next() (Event, error) {
+	st.line = st.line[:0]
+	for {
+		frag, err := st.br.ReadSlice('\n')
+		st.line = append(st.line, frag...)
+		if err == bufio.ErrBufferFull {
+			continue
+		}
+		if err == io.EOF && len(st.line) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return Event{}, err
+		}
+		break
+	}
 	var ev Event
-	if err := st.dec.Decode(&ev); err != nil {
+	if err := decodeEvent(st.line[:len(st.line)-1], &ev); err != nil {
 		return Event{}, err
 	}
 	return ev, nil
+}
+
+// decodeEvent decodes one stream line: through readEvent when it is a
+// cell event in the canonical form the server's encoder writes, and
+// through encoding/json otherwise — the accepted and done events, and a
+// cell whose error string needed escapes.
+func decodeEvent(line []byte, ev *Event) error {
+	if readEvent(line, ev) {
+		return nil
+	}
+	*ev = Event{}
+	return json.Unmarshal(line, ev)
+}
+
+// readEvent reads a cell event line in the exact bytes encoding/json
+// writes for it, in one pass: each key optional, in Event field order.
+// It reports false, leaving ev partly filled, at the first byte it does
+// not expect — a Metrics field included, which only done events carry.
+func readEvent(line []byte, ev *Event) bool {
+	r := sim.NewJSONReader(line)
+	r.Lit(`{"type":"cell"`)
+	ev.Type = EventCell
+	if r.Key(`,"sweep":`) {
+		ev.Sweep = r.Str("")
+	}
+	if r.Key(`,"request":`) {
+		ev.Request = r.Str("")
+	}
+	if r.Key(`,"cells":`) {
+		ev.Cells = int(r.Int("", strconv.IntSize))
+	}
+	if r.Key(`,"index":`) {
+		ev.Index = int(r.Int("", strconv.IntSize))
+	}
+	if r.Key(`,"id":`) {
+		ev.ID = r.Str("")
+	}
+	if r.Key(`,"kind":`) {
+		ev.Kind = r.Str("")
+	}
+	if r.Key(`,"workload":`) {
+		ev.Workload = r.Str("")
+	}
+	if r.Key(`,"trace":`) {
+		ev.Trace = r.Str("")
+	}
+	if r.Key(`,"source":`) {
+		ev.Source = r.Str("")
+	}
+	if r.Key(`,"error":`) {
+		ev.Error = r.Str("")
+	}
+	if r.Key(`,"result":`) {
+		ev.Result = new(sim.Result)
+		r.Result("", ev.Result)
+	}
+	r.Lit(`}`)
+	return r.End()
 }
 
 // Drain consumes the rest of the stream, returning every cell event
