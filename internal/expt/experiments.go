@@ -2,9 +2,9 @@ package expt
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
@@ -149,7 +149,7 @@ func RunnerCell(kind Kind, opts Options, wl string, scale int, src power.Source,
 		scale = 1
 	}
 	return runner.Cell{
-		ID:          fmt.Sprintf("%s/%s/%s", kind, wl, src),
+		ID:          string(kind) + "/" + wl + "/" + string(src),
 		Fingerprint: cellFingerprint(kind, opts, wl, scale, src, cfg),
 		Run: func(context.Context) (sim.Result, error) {
 			return Run(kind, opts, wl, scale, src, cfg)
@@ -170,33 +170,80 @@ func cellFingerprint(kind Kind, opts Options, wl string, scale int, src power.So
 		return ""
 	}
 	o := opts.normalize()
-	fp := fmt.Sprintf(
-		"design=%s wl=%s scale=%d trace=%s"+
-			" geom=%d/%d/%d cpol=%d dqpol=%d dqcap=%d maxline=%d adaptive=%d/%t swjit=%t"+
-			" cyc=%d ie=%016x chunk=%d cap=%016x vmin=%016x vmax=%016x von=%016x margin=%016x eff=%016x inv=%t maxout=%d",
-		kind, wl, scale, src,
-		o.Geometry.SizeBytes, o.Geometry.Ways, o.Geometry.LineBytes,
-		o.CachePolicy, o.DQPolicy, o.DQCap, o.Maxline, o.Adaptive, o.adaptiveSet, o.SoftwareJIT,
-		cfg.CyclePS, math.Float64bits(cfg.InstrEnergy), cfg.ComputeChunk,
-		math.Float64bits(cfg.CapacitorF), math.Float64bits(cfg.VMin), math.Float64bits(cfg.VMax),
-		math.Float64bits(cfg.VonDelta), math.Float64bits(cfg.CheckpointMargin),
-		math.Float64bits(cfg.OnHarvestEff), cfg.CheckInvariants, cfg.MaxOutages,
-	)
+	w := fingerprintWriter{b: make([]byte, 0, 400)}
+	w.str("design=", string(kind))
+	w.str(" wl=", wl)
+	w.int(" scale=", int64(scale))
+	w.str(" trace=", string(src))
+	w.int(" geom=", int64(o.Geometry.SizeBytes))
+	w.int("/", int64(o.Geometry.Ways))
+	w.int("/", int64(o.Geometry.LineBytes))
+	w.int(" cpol=", int64(o.CachePolicy))
+	w.int(" dqpol=", int64(o.DQPolicy))
+	w.int(" dqcap=", int64(o.DQCap))
+	w.int(" maxline=", int64(o.Maxline))
+	w.int(" adaptive=", int64(o.Adaptive))
+	w.bool("/", o.adaptiveSet)
+	w.bool(" swjit=", o.SoftwareJIT)
+	w.int(" cyc=", cfg.CyclePS)
+	w.bits(" ie=", cfg.InstrEnergy)
+	w.int(" chunk=", int64(cfg.ComputeChunk))
+	w.bits(" cap=", cfg.CapacitorF)
+	w.bits(" vmin=", cfg.VMin)
+	w.bits(" vmax=", cfg.VMax)
+	w.bits(" von=", cfg.VonDelta)
+	w.bits(" margin=", cfg.CheckpointMargin)
+	w.bits(" eff=", cfg.OnHarvestEff)
+	w.bool(" inv=", cfg.CheckInvariants)
+	w.uint(" maxout=", cfg.MaxOutages)
 	if ic := cfg.ICache; ic != nil {
-		fp += fmt.Sprintf(" icache=%d/%016x/%d/%t/%d/%016x",
-			ic.FetchLatency, math.Float64bits(ic.FetchEnergy), ic.CodeLines,
-			ic.WarmAcrossOutage, ic.LineFillTime, math.Float64bits(ic.LineFillEnergy))
+		w.int(" icache=", ic.FetchLatency)
+		w.bits("/", ic.FetchEnergy)
+		w.int("/", int64(ic.CodeLines))
+		w.bool("/", ic.WarmAcrossOutage)
+		w.int("/", ic.LineFillTime)
+		w.bits("/", ic.LineFillEnergy)
 	} else {
-		fp += " icache=nil"
+		w.str(" icache=", "nil")
 	}
 	// The tier changes the result under its own contract, so it is part
 	// of the identity — but only appended for non-exact tiers, keeping
 	// every pre-tier fingerprint (and thus every existing journal and
 	// golden address) unchanged.
 	if cfg.Tier != sim.TierExact {
-		fp += " tier=" + cfg.Tier.String()
+		w.str(" tier=", cfg.Tier.String())
 	}
-	return fp
+	return string(w.b)
+}
+
+// fingerprintWriter appends a cell fingerprint's key=value fields:
+// integers in decimal, booleans as true/false and floats as their
+// 16-digit lowercase hex IEEE-754 bit pattern — the bytes of the
+// %d, %t and %016x verbs the format has always used, so no content
+// address moves.
+type fingerprintWriter struct{ b []byte }
+
+func (w *fingerprintWriter) str(key, s string) { w.b = append(append(w.b, key...), s...) }
+
+func (w *fingerprintWriter) int(key string, n int64) {
+	w.b = strconv.AppendInt(append(w.b, key...), n, 10)
+}
+
+func (w *fingerprintWriter) uint(key string, n uint64) {
+	w.b = strconv.AppendUint(append(w.b, key...), n, 10)
+}
+
+func (w *fingerprintWriter) bool(key string, v bool) {
+	w.b = strconv.AppendBool(append(w.b, key...), v)
+}
+
+func (w *fingerprintWriter) bits(key string, f float64) {
+	const hex = "0123456789abcdef"
+	w.b = append(w.b, key...)
+	u := math.Float64bits(f)
+	for shift := 60; shift >= 0; shift -= 4 {
+		w.b = append(w.b, hex[u>>shift&0xf])
+	}
 }
 
 // gmeanOrNaN is Gmean that propagates NaN/non-positive samples as NaN

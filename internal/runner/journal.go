@@ -271,6 +271,20 @@ func readRecord(line []byte, rec *journalRecord) bool {
 	return r.End()
 }
 
+// appendRecord appends rec as one journal line in the exact bytes
+// encoding/json writes for it. It reports false when the writer cannot
+// promise those bytes (a string needing escapes, a non-finite float);
+// the caller then marshals rec with encoding/json.
+func appendRecord(dst []byte, rec *journalRecord) ([]byte, bool) {
+	w := sim.NewJSONWriter(dst)
+	w.Str(`{"addr":`, rec.Addr)
+	w.Str(`,"id":`, rec.ID)
+	w.Str(`,"fp":`, rec.Fingerprint)
+	w.Result(`,"result":`, &rec.Result)
+	w.Lit(`}`)
+	return w.Bytes()
+}
+
 // countLines counts newline-terminated lines — whole records; a
 // trailing partial line is torn, not a record.
 func countLines(data []byte) int {
@@ -280,9 +294,13 @@ func countLines(data []byte) int {
 // Append durably records one completed cell: the line is written and
 // fsync'd before Append returns, and the record joins the index.
 func (j *Journal) Append(addr, id, fingerprint string, res sim.Result) error {
-	line, err := json.Marshal(journalRecord{Addr: addr, ID: id, Fingerprint: fingerprint, Result: res})
-	if err != nil {
-		return err
+	rec := journalRecord{Addr: addr, ID: id, Fingerprint: fingerprint, Result: res}
+	line, ok := appendRecord(nil, &rec)
+	if !ok {
+		var err error
+		if line, err = json.Marshal(rec); err != nil {
+			return err
+		}
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -283,6 +283,55 @@ func readEvent(line []byte, ev *Event) bool {
 	return r.End()
 }
 
+// appendEvent appends ev as one stream line, newline included, in the
+// exact bytes json.Encoder writes for it: each field in Event order,
+// omitted when empty. It reports false for a done event (Metrics stays
+// on encoding/json) and wherever the writer cannot promise those bytes
+// — an error string needing escapes, a non-finite float — and the
+// caller then encodes ev with encoding/json.
+func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
+	if ev.Metrics != nil {
+		return dst, false
+	}
+	w := sim.NewJSONWriter(dst)
+	w.Str(`{"type":`, ev.Type)
+	if ev.Sweep != "" {
+		w.Str(`,"sweep":`, ev.Sweep)
+	}
+	if ev.Request != "" {
+		w.Str(`,"request":`, ev.Request)
+	}
+	if ev.Cells != 0 {
+		w.Int(`,"cells":`, int64(ev.Cells))
+	}
+	if ev.Index != 0 {
+		w.Int(`,"index":`, int64(ev.Index))
+	}
+	if ev.ID != "" {
+		w.Str(`,"id":`, ev.ID)
+	}
+	if ev.Kind != "" {
+		w.Str(`,"kind":`, ev.Kind)
+	}
+	if ev.Workload != "" {
+		w.Str(`,"workload":`, ev.Workload)
+	}
+	if ev.Trace != "" {
+		w.Str(`,"trace":`, ev.Trace)
+	}
+	if ev.Source != "" {
+		w.Str(`,"source":`, ev.Source)
+	}
+	if ev.Error != "" {
+		w.Str(`,"error":`, ev.Error)
+	}
+	if ev.Result != nil {
+		w.Result(`,"result":`, ev.Result)
+	}
+	w.Lit("}\n")
+	return w.Bytes()
+}
+
 // Drain consumes the rest of the stream, returning every cell event
 // plus the done event (nil if the stream died before it).
 func (st *Stream) Drain() (cells []Event, done *Event, err error) {

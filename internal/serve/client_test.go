@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -132,15 +133,13 @@ func TestStreamLongAndEscapedLines(t *testing.T) {
 	}
 }
 
-// A field added to the cell Event must be taught to readEvent, or every
-// cell of every stream would silently take the slow path. Every field a
-// cell event can carry gets a distinct non-zero value (sim's own test
-// covers the Result inside); readEvent must accept encoding/json's
-// bytes and give the event back exactly. Metrics rides on done events
-// only, which stay on encoding/json.
-func TestReadEventCoversCellEvent(t *testing.T) {
-	want := Event{Type: EventCell}
-	v := reflect.ValueOf(&want).Elem()
+// distinctCellEvent gives every field a cell event can carry a distinct
+// non-zero value (sim's own tests cover the Result inside), so a field a
+// codec skips or misplaces cannot go unnoticed. Metrics rides on done
+// events only, which stay on encoding/json.
+func distinctCellEvent(tb testing.TB) Event {
+	ev := Event{Type: EventCell}
+	v := reflect.ValueOf(&ev).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := v.Type().Field(i).Name
 		switch f := v.Field(i); f.Interface().(type) {
@@ -154,9 +153,18 @@ func TestReadEventCoversCellEvent(t *testing.T) {
 			f.Set(reflect.ValueOf(&sim.Result{Design: "wl", ExecTime: 5, ReserveWasted: 1e-9, Checksum: 7}))
 		case *SweepMetrics:
 		default:
-			t.Fatalf("Event field %s has type %s: teach readEvent and this test about it", name, f.Type())
+			tb.Fatalf("Event field %s has type %s: teach readEvent, appendEvent and their tests about it", name, f.Type())
 		}
 	}
+	return ev
+}
+
+// A field added to the cell Event must be taught to readEvent, or every
+// cell of every stream would silently take the slow path: readEvent
+// must accept encoding/json's bytes for a cell event and give it back
+// exactly.
+func TestReadEventCoversCellEvent(t *testing.T) {
+	want := distinctCellEvent(t)
 	line, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +175,57 @@ func TestReadEventCoversCellEvent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("readEvent round trip drifted:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// A field added to Event must be taught to appendEvent too, or the
+// server would silently drop it from every stream: appendEvent must
+// write a cell event exactly as the server's json.Encoder would, and
+// leave a done event to encoding/json.
+func TestAppendEventCoversCellEvent(t *testing.T) {
+	ev := distinctCellEvent(t)
+	checkAppendEvent(t, &ev, true)
+	ev.Metrics = &SweepMetrics{Cells: 1}
+	if _, ok := appendEvent(nil, &ev); ok {
+		t.Fatal("appendEvent wrote an event carrying Metrics")
+	}
+}
+
+// checkAppendEvent fails t unless appendEvent writes ev exactly as a
+// json.Encoder does, newline included, or gives up on an event
+// encoding/json would have to escape or refuse; with must set, giving
+// up fails too.
+func checkAppendEvent(t *testing.T, ev *Event, must bool) {
+	t.Helper()
+	got, ok := appendEvent([]byte("prefix"), ev)
+	if !ok {
+		if must {
+			t.Fatalf("appendEvent gave up on %+v", ev)
+		}
+		return
+	}
+	var want bytes.Buffer
+	want.WriteString("prefix")
+	err := json.NewEncoder(&want).Encode(ev)
+	if err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("appendEvent and encoding/json disagree (encoding/json err %v):\nwriter:        %s\nencoding/json: %s", err, got, want.Bytes())
+	}
+}
+
+// Every event of a stream the server sent, real simulation floats
+// included, is rewritten byte for byte, except the done event, which
+// stays on encoding/json.
+func TestAppendEventRewritesRealLines(t *testing.T) {
+	lines := streamLines(t)
+	for i, line := range lines {
+		ev := unmarshalEvent(t, line)
+		if i == len(lines)-1 {
+			if _, ok := appendEvent(nil, &ev); ok || ev.Type != EventDone {
+				t.Fatalf("last line: appendEvent accepted %v a %q event", ok, ev.Type)
+			}
+			continue
+		}
+		checkAppendEvent(t, &ev, true)
 	}
 }
 
@@ -206,5 +265,36 @@ func FuzzReadEvent(f *testing.F) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("readEvent and encoding/json disagree on\n%s\nreader:        %s\nencoding/json: %s", line, a, b)
 		}
+	})
+}
+
+// FuzzAppendEvent checks the writer against encoding/json on every
+// event encoding/json decodes from a fuzzer-chosen line, with the
+// result's reserve replaced by a fuzzer-chosen float (JSON text cannot
+// carry NaN or ±Inf): appendEvent writes encoding/json's bytes or gives
+// up.
+func FuzzAppendEvent(f *testing.F) {
+	floats := []float64{
+		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 1e-7,
+		5e-324, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	lines := streamLines(f)
+	escaped, err := json.Marshal(Event{Type: EventCell, ID: `<>&"\`, Error: "reserve <3.5 V> & \u2028", Result: &sim.Result{}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines = append(lines, escaped)
+	for i, x := range floats {
+		f.Add(lines[i%len(lines)], x)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, x float64) {
+		var ev Event
+		if json.Unmarshal(line, &ev) != nil {
+			return
+		}
+		if ev.Result != nil {
+			ev.Result.ReserveWasted = x
+		}
+		checkAppendEvent(t, &ev, false)
 	})
 }

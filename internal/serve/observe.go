@@ -127,7 +127,7 @@ func (s *Server) registerMetrics() {
 		s.count(name, 0)
 	}
 	for _, src := range cellSources {
-		s.count(mCells+outcomeLabels(src), 0)
+		s.count(seriesBySource[src].count, 0)
 	}
 	s.sampleGauges()
 }
@@ -179,12 +179,27 @@ func outcomeLabels(src runner.CellSource) string {
 	return fmt.Sprintf("{outcome=%q}", outcomeLabel(src))
 }
 
+// cellSeries names one cell outcome's two series: its count in
+// wlserve_cells_total and its latency in wlserve_cell_us.
+type cellSeries struct{ count, latency string }
+
+// seriesBySource names every source's series once, so counting a cell
+// builds no string.
+var seriesBySource = func() map[runner.CellSource]cellSeries {
+	m := make(map[runner.CellSource]cellSeries, len(cellSources))
+	for _, src := range cellSources {
+		lbl := outcomeLabels(src)
+		m[src] = cellSeries{count: mCells + lbl, latency: mCellLatency + lbl}
+	}
+	return m
+}()
+
 // noteCell counts one finished cell by outcome, as it lands, and folds
 // it into the latency histograms.
 func (s *Server) noteCell(d runner.CellDone) {
-	lbl := outcomeLabels(d.Source)
-	s.count(mCells+lbl, 1)
-	s.reg.Observe(mCellLatency+lbl, obs.DirLower, float64(d.Dur.Microseconds()))
+	series := seriesBySource[d.Source]
+	s.count(series.count, 1)
+	s.reg.Observe(series.latency, obs.DirLower, float64(d.Dur.Microseconds()))
 	if d.Source != runner.SourceJournal && d.Source != runner.SourceSkipped {
 		// Only cells that reached the pool have a queue wait.
 		s.reg.Observe(mCellWait, obs.DirLower, float64(d.Wait.Microseconds()))

@@ -537,20 +537,34 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Id", sweepID)
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// Events go out through appendEvent into one reused line buffer; an
+	// event it cannot write goes through encoding/json. A client that
+	// vanished mid-stream surfaces as write errors, which are dropped:
+	// the sweep still runs to completion and journals (the next
+	// resubmission is then free).
 	enc := json.NewEncoder(w)
-	writeEvent := func(ev Event) {
-		// A client that vanished mid-stream surfaces as write errors;
-		// the sweep still runs to completion and journals (the next
-		// resubmission is then free).
-		_ = enc.Encode(ev)
+	var line []byte
+	writeEvent := func(ev *Event) {
+		var ok bool
+		if line, ok = appendEvent(line[:0], ev); ok {
+			_, _ = w.Write(line)
+		} else {
+			_ = enc.Encode(ev)
+		}
+	}
+	flusher, _ := w.(http.Flusher)
+	flush := func() {
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	writeEvent(Event{Type: EventAccepted, Sweep: sweepID, Request: rid, Cells: len(cells)})
+	writeEvent(&Event{Type: EventAccepted, Sweep: sweepID, Request: rid, Cells: len(cells)})
+	flush()
 
-	events := make(chan runner.CellDone, 256)
+	// The handoff is sized to the sweep, up to 256 cells: a burst of
+	// journal-served cells never waits on the client, and a small sweep
+	// does not pay for a 256-cell buffer.
+	events := make(chan runner.CellDone, min(len(cells), 256))
 	var rep runner.Report
 	var runErr error
 	go func() {
@@ -568,14 +582,21 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		}, cells)
 	}()
 
+	debug := s.slog.Enabled(ctx, slog.LevelDebug)
+	// One event and one result, reused: the loop allocates nothing per
+	// cell.
+	var ev Event
+	var res sim.Result
 	for d := range events {
 		s.noteCell(d)
 		s.progressCell(prog, d, time.Since(start))
-		s.slog.Debug("cell done",
-			"request", rid, "sweep", sweepID, "cell", d.ID,
-			"source", string(d.Source), "dur_us", d.Dur.Microseconds(),
-			"wait_us", d.Wait.Microseconds())
-		ev := Event{
+		if debug {
+			s.slog.Debug("cell done",
+				"request", rid, "sweep", sweepID, "cell", d.ID,
+				"source", string(d.Source), "dur_us", d.Dur.Microseconds(),
+				"wait_us", d.Wait.Microseconds())
+		}
+		ev = Event{
 			Type:     EventCell,
 			Request:  rid,
 			Index:    d.Index,
@@ -595,10 +616,15 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 				ev.Error = d.Err.Error()
 			}
 		} else {
-			res := d.Result
+			res = d.Result
 			ev.Result = &res
 		}
-		writeEvent(ev)
+		writeEvent(&ev)
+		// Flush once the runner has nothing more queued: a lone cell
+		// reaches the client at once, a burst in one flush.
+		if len(events) == 0 {
+			flush()
+		}
 	}
 
 	s.count(mCellPanics, uint64(rep.Metrics.Panics))
@@ -618,5 +644,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		doneEv.Error = runErr.Error()
 		s.slog.Warn("sweep failed", "request", rid, "sweep", sweepID, "err", runErr)
 	}
-	writeEvent(doneEv)
+	writeEvent(&doneEv)
+	flush()
 }
