@@ -1,317 +1,19 @@
-// Benchmarks that regenerate every table and figure of the paper
-// (BenchmarkFig4 ... BenchmarkAdaptStats run the corresponding
-// experiment on a reduced benchmark subset; pass -wlbench.full to use
-// all 23 workloads), plus microbenchmarks of the core structures and
-// ablation benches for the design choices DESIGN.md calls out.
+// Ablation benchmarks for the design choices DESIGN.md §7 calls out
+// that no figure covers: the maxline-waterline gap, the checkpoint
+// reserve margin, NVFF versus software JIT checkpointing and the
+// DirtyQueue capacity. Each reports the simulated execution time of
+// the wl design running sha under the home RF trace as exec-ms.
 package wlcache_test
 
 import (
-	"flag"
 	"testing"
 
 	"wlcache"
 	"wlcache/internal/core"
 	"wlcache/internal/expt"
-	"wlcache/internal/isa"
-	"wlcache/internal/mem"
-	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
 )
-
-var fullSuite = flag.Bool("wlbench.full", false, "run figure benches on all 23 workloads")
-
-func benchCtx() expt.Context {
-	if *fullSuite {
-		return expt.Context{}
-	}
-	return expt.Context{Workloads: []string{"adpcmencode", "sha", "qsort", "susanedges"}}
-}
-
-func benchExperiment(b *testing.B, id string) {
-	e, ok := expt.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	ctx := benchCtx()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- one bench per paper table/figure ---
-
-func BenchmarkTable1(b *testing.B)      { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)      { benchExperiment(b, "table2") }
-func BenchmarkHWCost(b *testing.B)      { benchExperiment(b, "hwcost") }
-func BenchmarkFig4(b *testing.B)        { benchExperiment(b, "fig4") }
-func BenchmarkFig5(b *testing.B)        { benchExperiment(b, "fig5") }
-func BenchmarkFig6(b *testing.B)        { benchExperiment(b, "fig6") }
-func BenchmarkFig7(b *testing.B)        { benchExperiment(b, "fig7") }
-func BenchmarkFig8a(b *testing.B)       { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b(b *testing.B)       { benchExperiment(b, "fig8b") }
-func BenchmarkFig9(b *testing.B)        { benchExperiment(b, "fig9") }
-func BenchmarkFig10a(b *testing.B)      { benchExperiment(b, "fig10a") }
-func BenchmarkFig10b(b *testing.B)      { benchExperiment(b, "fig10b") }
-func BenchmarkFig11(b *testing.B)       { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkFig13a(b *testing.B)      { benchExperiment(b, "fig13a") }
-func BenchmarkFig13b(b *testing.B)      { benchExperiment(b, "fig13b") }
-func BenchmarkAdaptStats(b *testing.B)  { benchExperiment(b, "adaptstats") }
-func BenchmarkSec33(b *testing.B)       { benchExperiment(b, "sec33") }
-func BenchmarkNVSRAMVars(b *testing.B)  { benchExperiment(b, "nvsramvariants") }
-func BenchmarkICacheModel(b *testing.B) { benchExperiment(b, "icache") }
-func BenchmarkRelatedWork(b *testing.B) { benchExperiment(b, "related") }
-
-// --- microbenchmarks of the core structures ---
-
-// BenchmarkWLCacheHit measures the store-hit fast path of the design
-// model (simulator overhead excluded).
-func BenchmarkWLCacheHit(b *testing.B) {
-	nvm := wlcache.NewNVM()
-	c := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-	now := int64(0)
-	_, now, _ = c.Access(now, isa.OpStore, 0x1000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, done, _ := c.Access(now, isa.OpStore, 0x1000, uint32(i))
-		now = done
-	}
-}
-
-// BenchmarkWLCacheMissEvict measures the miss+evict slow path.
-func BenchmarkWLCacheMissEvict(b *testing.B) {
-	nvm := wlcache.NewNVM()
-	c := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-	now := int64(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		addr := uint32(0x1000 + (i%4096)*64) // sweep lines, constant conflict
-		_, done, _ := c.Access(now, isa.OpStore, addr, uint32(i))
-		now = done
-	}
-}
-
-// BenchmarkWLCacheCheckpoint measures a full JIT checkpoint with a
-// saturated DirtyQueue.
-func BenchmarkWLCacheCheckpoint(b *testing.B) {
-	nvm := wlcache.NewNVM()
-	cfg := wlcache.DefaultCacheConfig()
-	cfg.Adaptive.Mode = core.AdaptOff
-	c := wlcache.NewWLCache(cfg, nvm)
-	b.ReportAllocs()
-	now := int64(0)
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 6; j++ {
-			_, done, _ := c.Access(now, isa.OpStore, uint32(0x1000+j*64), uint32(i))
-			now = done
-		}
-		done, _ := c.Checkpoint(now)
-		now, _ = c.Restore(done)
-	}
-}
-
-// BenchmarkSimulatorThroughput measures end-to-end simulated
-// instructions per second of the full stack under power failures.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		nvm := wlcache.NewNVM()
-		c := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-		cfg := wlcache.DefaultSimConfig()
-		cfg.Trace = wlcache.Trace(wlcache.Trace1)
-		s, err := wlcache.NewSimulator(cfg, c, nvm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := s.Run("bench", func(m wlcache.Machine) uint32 {
-			h := uint32(0)
-			for j := 0; j < 50000; j++ {
-				a := uint32(0x1000 + (j%2000)*4)
-				m.Store32(a, uint32(j))
-				h ^= m.Load32(a)
-				m.Compute(8)
-			}
-			return h
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Instructions), "sim-instrs/op")
-	}
-}
-
-// BenchmarkTraceIntegrate measures power-trace integration.
-func BenchmarkTraceIntegrate(b *testing.B) {
-	tr := power.Get(power.Trace1)
-	b.ReportAllocs()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		acc += tr.Integrate(int64(i)*1000, int64(i)*1000+100_000)
-	}
-	_ = acc
-}
-
-// BenchmarkNVMLineWrite measures the memory model.
-func BenchmarkNVMLineWrite(b *testing.B) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	line := make([]uint32, 16)
-	b.ReportAllocs()
-	now := int64(0)
-	for i := 0; i < b.N; i++ {
-		done, _ := nvm.WriteLine(now, uint32((i%65536)*64), line)
-		now = done
-	}
-}
-
-// --- hot-path benches (the PR-5 optimization targets) ---
-
-// BenchmarkTracedRun measures one full sweep cell — the wl design
-// running sha under the home RF trace — exactly as expt.runCells
-// executes it. This is the unit every figure sweep repeats hundreds of
-// times, so it is the headline number for hot-path work.
-func BenchmarkTracedRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := expt.Run(expt.KindWL, expt.Options{}, "sha", 1, power.Trace1, sim.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Instructions)*float64(b.N)/b.Elapsed().Seconds(), "sim-instrs/sec")
-	}
-}
-
-// BenchmarkTracedRunFast is BenchmarkTracedRun at sim.TierFast: the
-// same cell under the ε-bounded batched engine (DESIGN.md §16). The
-// ratio to BenchmarkTracedRun is the fast tier's headline speedup.
-func BenchmarkTracedRunFast(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.Tier = sim.TierFast
-		res, err := expt.Run(expt.KindWL, expt.Options{}, "sha", 1, power.Trace1, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Instructions)*float64(b.N)/b.Elapsed().Seconds(), "sim-instrs/sec")
-	}
-}
-
-// BenchmarkTracedRunObs is BenchmarkTracedRun with the observability
-// recorder attached: the gap to BenchmarkTracedRun is the obs tax.
-func BenchmarkTracedRunObs(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.Obs = obs.NewRecorder(obs.RunMeta{Design: "wl", Workload: "sha", Trace: "tr1"}, 1<<16)
-		res, err := expt.Run(expt.KindWL, expt.Options{}, "sha", 1, power.Trace1, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Instructions)*float64(b.N)/b.Elapsed().Seconds(), "sim-instrs/sec")
-	}
-}
-
-// BenchmarkTracedRunObsSampled is BenchmarkTracedRunObs with op-context
-// capture sampled down to every 64th memory op: the dominant obs cost
-// (the runtime.Callers walk behind each op's PC) is gated by
-// WantsOpContext, so this bounds the overhead of keeping the recorder
-// attached while sampling hotspots approximately.
-func BenchmarkTracedRunObsSampled(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.DefaultConfig()
-		cfg.Obs = obs.NewRecorder(obs.RunMeta{Design: "wl", Workload: "sha", Trace: "tr1"}, 1<<16)
-		cfg.Obs.SetOpContextSampling(64)
-		res, err := expt.Run(expt.KindWL, expt.Options{}, "sha", 1, power.Trace1, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Instructions)*float64(b.N)/b.Elapsed().Seconds(), "sim-instrs/sec")
-	}
-}
-
-// BenchmarkIntegrateShort measures the simulator's own Integrate
-// pattern: monotone sub-segment windows (~1 ns each) sweeping the
-// trace, which is what advance() issues on every instruction.
-func BenchmarkIntegrateShort(b *testing.B) {
-	tr := power.Get(power.Trace1)
-	period := tr.Step * int64(len(tr.Samples))
-	b.ReportAllocs()
-	var acc float64
-	now := int64(0)
-	for i := 0; i < b.N; i++ {
-		acc += tr.Integrate(now, now+1000)
-		now += 1000
-		if now > 4*period {
-			now = 0
-		}
-	}
-	_ = acc
-}
-
-// BenchmarkIntegrateLong measures windows spanning many full trace
-// periods — O(n) per call before the prefix-sum table, O(1) after.
-func BenchmarkIntegrateLong(b *testing.B) {
-	tr := power.Get(power.Trace1)
-	period := tr.Step * int64(len(tr.Samples))
-	b.ReportAllocs()
-	var acc float64
-	for i := 0; i < b.N; i++ {
-		from := int64(i%1000) * 777
-		acc += tr.Integrate(from, from+3*period+12345)
-	}
-	_ = acc
-}
-
-// BenchmarkTimeToHarvest measures outage-recharge solving: find when
-// the capacitor has harvested a JIT reserve's worth of energy.
-func BenchmarkTimeToHarvest(b *testing.B) {
-	tr := power.Get(power.Trace1)
-	period := tr.Step * int64(len(tr.Samples))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		from := int64(i%4096) * 1_000_000
-		if _, ok := tr.TimeToHarvest(from, 3e-6); !ok {
-			b.Fatal("no harvest")
-		}
-		_ = period
-	}
-}
-
-// BenchmarkStoreWords measures word-granularity Store access with the
-// locality the simulator actually has (runs within a page).
-func BenchmarkStoreWords(b *testing.B) {
-	st := mem.NewStore()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		addr := uint32(0x1000 + (i%1024)*4)
-		st.Write(addr, uint32(i))
-		if st.Read(addr) != uint32(i) {
-			b.Fatal("readback")
-		}
-	}
-}
-
-// BenchmarkStoreLine measures line-granularity Store access (the NVM
-// image path under every cache fill and write-back).
-func BenchmarkStoreLine(b *testing.B) {
-	st := mem.NewStore()
-	line := make([]uint32, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		addr := uint32((i % 4096) * 64)
-		st.WriteLine(addr, line)
-		st.ReadLine(addr, line)
-	}
-}
-
-// --- ablation benches (design-choice sensitivity) ---
 
 // runOnce executes one (design, workload, trace) cell for ablations.
 func runOnce(b *testing.B, kind expt.Kind, opts expt.Options, cfgMut func(*sim.Config)) int64 {
@@ -355,19 +57,6 @@ func BenchmarkAblationWaterlineGap(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(res.Seconds()*1e3, "exec-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDQPolicy compares FIFO and LRU DirtyQueue cleaning.
-func BenchmarkAblationDQPolicy(b *testing.B) {
-	for _, pol := range []core.DQPolicy{core.DQFIFO, core.DQLRU} {
-		pol := pol
-		b.Run(pol.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				t := runOnce(b, expt.KindWL, expt.Options{DQPolicy: pol}, nil)
-				b.ReportMetric(float64(t)/1e9, "exec-ms")
 			}
 		})
 	}

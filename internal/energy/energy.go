@@ -48,22 +48,13 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Leak += o.Leak
 }
 
-// VoltageSampler observes every capacitor voltage change. The
-// observability layer (internal/obs) installs a gauge here; nil (the
-// default) disables sampling, costing one nil check per draw — the
-// same contract as sim.FaultPlan and mem.LineWriteHook.
-type VoltageSampler interface {
-	Sample(v float64)
-}
-
 // Capacitor is the harvested-energy buffer. Voltage is the state
-// variable; energy moves in and out via Harvest and Draw.
+// variable; energy moves in and out only through Step.
 type Capacitor struct {
-	c       float64 // farads
-	v       float64 // volts
-	vMin    float64
-	vMax    float64
-	sampler VoltageSampler
+	c    float64 // farads
+	v    float64 // volts
+	vMin float64
+	vMax float64
 }
 
 // NewCapacitor returns a capacitor of c farads charged to vMax, with
@@ -87,10 +78,6 @@ func (c *Capacitor) VMin() float64 { return c.vMin }
 // VMax returns the voltage ceiling.
 func (c *Capacitor) VMax() float64 { return c.vMax }
 
-// SetSampler installs (or, with nil, removes) the voltage observer
-// consulted after every voltage change.
-func (c *Capacitor) SetSampler(s VoltageSampler) { c.sampler = s }
-
 // SetVoltage forces the voltage (initialization/boot), clamped to
 // [0, vMax].
 func (c *Capacitor) SetVoltage(v float64) {
@@ -101,9 +88,6 @@ func (c *Capacitor) SetVoltage(v float64) {
 		v = c.vMax
 	}
 	c.v = v
-	if c.sampler != nil {
-		c.sampler.Sample(c.v)
-	}
 }
 
 // Energy returns the stored energy above 0 V.
@@ -118,70 +102,27 @@ func (c *Capacitor) EnergyAbove(vFloor float64) float64 {
 	return 0.5 * c.c * (c.v*c.v - vFloor*vFloor)
 }
 
-// Draw removes e joules. The voltage clamps at zero; callers enforce
-// operating thresholds (the voltage monitor, not the capacitor, knows
-// about Vbackup). The body is split so the common case — non-negative
-// draw, no sampler — stays within the inlining budget of the
-// simulator's per-event loop; drawSlow performs the identical
-// arithmetic for the instrumented/error cases.
-func (c *Capacitor) Draw(e float64) {
-	if e < 0 || c.sampler != nil {
-		c.drawSlow(e)
-		return
-	}
-	rem := c.v*c.v - 2*e/c.c
-	if rem <= 0 {
-		c.v = 0
-	} else {
-		c.v = math.Sqrt(rem)
-	}
-}
-
-func (c *Capacitor) drawSlow(e float64) {
-	if e < 0 {
-		panic("energy: negative draw")
-	}
-	rem := c.v*c.v - 2*e/c.c
-	if rem <= 0 {
-		c.v = 0
-	} else {
-		c.v = math.Sqrt(rem)
-	}
-	if c.sampler != nil {
-		c.sampler.Sample(c.v)
-	}
-}
-
-// DrawGuarded removes e joules like Draw, but returns an error
-// wrapping ErrUnderVoltage when the resulting voltage falls below
-// vFloor. The draw is applied either way (the energy is physically
-// gone); the error lets simulation fail loudly instead of running on
-// with a nonsense voltage. Checkpoint-phase draws, which legitimately
-// spend the reserve band down to VMin, should keep using Draw.
-func (c *Capacitor) DrawGuarded(e, vFloor float64) error {
-	c.Draw(e)
-	if c.v < vFloor-1e-9 {
-		return c.UnderVoltageError(e, vFloor)
-	}
-	return nil
-}
-
 // UnderVoltageError formats the ErrUnderVoltage for a draw of e joules
-// that left the capacitor below vFloor (shared by DrawGuarded and the
-// simulator's Step-based fast path so the message stays identical).
+// that left the capacitor below vFloor. The simulator reports it both
+// for a failed guarded Step and for the fast tier's energy-space floor
+// check, so the message is identical on both tiers.
 func (c *Capacitor) UnderVoltageError(e, vFloor float64) error {
 	return fmt.Errorf("%w: %.4f V after drawing %.3g J (floor %.4f V)",
 		ErrUnderVoltage, c.v, e, vFloor)
 }
 
-// Step applies one simulation event: harvest h joules, then draw e
-// joules — arithmetically identical to Harvest(h) followed by Draw(e),
-// fused into a single call for the simulator's per-event loop. It
-// reports false when guard is set and the resulting voltage fell below
-// vFloor (the DrawGuarded predicate); the draw is applied either way.
+// Step applies one simulation event: harvest h joules, clamping at
+// vMax (excess harvest is shed, as in a real regulator), then draw e
+// joules, clamping at zero. The capacitor does not know the operating
+// thresholds; the voltage monitor does. Step reports false when guard
+// is set and the resulting voltage fell below vFloor; the draw is
+// applied either way (the energy is physically gone), and the caller
+// fails loudly with UnderVoltageError instead of running on with a
+// nonsense voltage. Checkpoint-phase steps, which legitimately spend
+// the reserve band down to VMin, pass guard=false.
 func (c *Capacitor) Step(h, e, vFloor float64, guard bool) bool {
-	if h < 0 || e < 0 || c.sampler != nil {
-		return c.stepSlow(h, e, vFloor, guard)
+	if h < 0 || e < 0 {
+		panic("energy: negative harvest or draw")
 	}
 	v := math.Sqrt(c.v*c.v + 2*h/c.c)
 	if v > c.vMax {
@@ -195,53 +136,6 @@ func (c *Capacitor) Step(h, e, vFloor float64, guard bool) bool {
 	}
 	c.v = v
 	return !guard || v >= vFloor-1e-9
-}
-
-func (c *Capacitor) stepSlow(h, e, vFloor float64, guard bool) bool {
-	c.Harvest(h)
-	c.Draw(e)
-	return !guard || c.v >= vFloor-1e-9
-}
-
-// Harvest adds e joules, clamping at vMax (excess harvest is shed, as
-// in a real regulator). Split like Draw so the common case inlines.
-func (c *Capacitor) Harvest(e float64) {
-	if e < 0 || c.sampler != nil {
-		c.harvestSlow(e)
-		return
-	}
-	v := math.Sqrt(c.v*c.v + 2*e/c.c)
-	if v > c.vMax {
-		v = c.vMax
-	}
-	c.v = v
-}
-
-func (c *Capacitor) harvestSlow(e float64) {
-	if e < 0 {
-		panic("energy: negative harvest")
-	}
-	v := math.Sqrt(c.v*c.v + 2*e/c.c)
-	if v > c.vMax {
-		v = c.vMax
-	}
-	c.v = v
-	if c.sampler != nil {
-		c.sampler.Sample(c.v)
-	}
-}
-
-// TimeToReach returns the seconds of harvesting at constant power p
-// (watts) needed to raise the voltage to vTarget, or +Inf when p <= 0.
-func (c *Capacitor) TimeToReach(vTarget, p float64) float64 {
-	if c.v >= vTarget {
-		return 0
-	}
-	if p <= 0 {
-		return math.Inf(1)
-	}
-	need := 0.5 * c.c * (vTarget*vTarget - c.v*c.v)
-	return need / p
 }
 
 // JITCosts are the fixed costs of the JIT checkpoint/restore machinery

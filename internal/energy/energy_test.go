@@ -24,11 +24,11 @@ func TestCapacitorBasics(t *testing.T) {
 func TestCapacitorDrawHarvestRoundTrip(t *testing.T) {
 	c := NewCapacitor(1e-6, 2.8, 3.5)
 	before := c.Energy()
-	c.Draw(1e-6)
+	c.Step(0, 1e-6, 0, false)
 	if math.Abs(before-c.Energy()-1e-6) > 1e-12 {
 		t.Fatalf("draw accounting off: %g", before-c.Energy())
 	}
-	c.Harvest(1e-6)
+	c.Step(1e-6, 0, 0, false)
 	if math.Abs(c.Energy()-before) > 1e-12 {
 		t.Fatal("harvest did not restore energy")
 	}
@@ -36,7 +36,7 @@ func TestCapacitorDrawHarvestRoundTrip(t *testing.T) {
 
 func TestCapacitorClampsAtVMax(t *testing.T) {
 	c := NewCapacitor(1e-6, 2.8, 3.5)
-	c.Harvest(1) // way too much
+	c.Step(1, 0, 0, false) // way too much harvest
 	if c.Voltage() > 3.5 {
 		t.Fatalf("voltage %g exceeds VMax", c.Voltage())
 	}
@@ -44,7 +44,7 @@ func TestCapacitorClampsAtVMax(t *testing.T) {
 
 func TestCapacitorDrawBelowZeroClamps(t *testing.T) {
 	c := NewCapacitor(1e-6, 2.8, 3.5)
-	c.Draw(1) // more than stored
+	c.Step(0, 1, 0, false) // more than stored
 	if c.Voltage() != 0 {
 		t.Fatalf("voltage %g, want 0", c.Voltage())
 	}
@@ -63,25 +63,9 @@ func TestCapacitorEnergyAbove(t *testing.T) {
 	}
 }
 
-func TestCapacitorTimeToReach(t *testing.T) {
-	c := NewCapacitor(1e-6, 2.8, 3.5)
-	c.SetVoltage(2.8)
-	need := 0.5 * 1e-6 * (3.3*3.3 - 2.8*2.8)
-	got := c.TimeToReach(3.3, 1e-3)
-	if math.Abs(got-need/1e-3) > 1e-9 {
-		t.Fatalf("TimeToReach = %g, want %g", got, need/1e-3)
-	}
-	if c.TimeToReach(2.5, 1e-3) != 0 {
-		t.Fatal("already above target must take 0")
-	}
-	if !math.IsInf(c.TimeToReach(3.3, 0), 1) {
-		t.Fatal("zero power must take forever")
-	}
-}
-
 func TestCapacitorPanicsOnNegative(t *testing.T) {
 	c := NewCapacitor(1e-6, 2.8, 3.5)
-	for _, f := range []func(){func() { c.Draw(-1) }, func() { c.Harvest(-1) }} {
+	for _, f := range []func(){func() { c.Step(0, -1, 0, false) }, func() { c.Step(-1, 0, 0, false) }} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -155,8 +139,9 @@ func TestDefaultJITCosts(t *testing.T) {
 	}
 }
 
-// Property: draw then harvest of the same amount is an identity (when
-// not clamped), and voltage never goes negative or above VMax.
+// Property: a draw step then a harvest step of the same amount is an
+// identity (when not clamped), and voltage never goes negative or above
+// VMax.
 func TestCapacitorQuickConservation(t *testing.T) {
 	f := func(steps []float64) bool {
 		c := NewCapacitor(1e-6, 2.8, 3.5)
@@ -167,11 +152,11 @@ func TestCapacitorQuickConservation(t *testing.T) {
 				continue
 			}
 			before := c.Energy()
-			c.Draw(e)
+			c.Step(0, e, 0, false)
 			if c.Voltage() > 0 && before-c.Energy() > e+1e-12 {
 				return false
 			}
-			c.Harvest(e)
+			c.Step(e, 0, 0, false)
 			if c.Voltage() < 0 || c.Voltage() > 3.5+1e-12 {
 				return false
 			}
@@ -183,24 +168,27 @@ func TestCapacitorQuickConservation(t *testing.T) {
 	}
 }
 
-func TestDrawGuardedUnderVoltage(t *testing.T) {
+func TestStepGuardUnderVoltage(t *testing.T) {
 	c := NewCapacitor(1e-6, 2.8, 3.5)
 	// A small draw keeps the voltage above the floor.
-	if err := c.DrawGuarded(1e-7, 2.8); err != nil {
-		t.Fatalf("legitimate draw flagged: %v", err)
+	if !c.Step(0, 1e-7, 2.8, true) {
+		t.Fatalf("legitimate draw flagged at %g V", c.Voltage())
 	}
-	// Draining to the floor and drawing more must trip the guard with
-	// the typed sentinel.
+	// Draining to the floor and drawing more must trip the guard.
 	c.SetVoltage(2.8)
-	err := c.DrawGuarded(1e-7, 2.8)
-	if err == nil {
+	if c.Step(0, 1e-7, 2.8, true) {
 		t.Fatal("under-voltage draw not flagged")
-	}
-	if !errors.Is(err, ErrUnderVoltage) {
-		t.Fatalf("error %v does not wrap ErrUnderVoltage", err)
 	}
 	// The draw still happened: the guard reports, it does not veto.
 	if c.Voltage() >= 2.8 {
 		t.Fatalf("voltage %g not drawn down", c.Voltage())
+	}
+	// An unguarded step (the checkpoint window) never reports.
+	if !c.Step(0, 1e-7, 2.8, false) {
+		t.Fatal("unguarded step reported a floor crossing")
+	}
+	// The caller's error carries the typed sentinel.
+	if err := c.UnderVoltageError(1e-7, 2.8); !errors.Is(err, ErrUnderVoltage) {
+		t.Fatalf("error %v does not wrap ErrUnderVoltage", err)
 	}
 }

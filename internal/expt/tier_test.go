@@ -132,33 +132,70 @@ func FuzzTierEquivalence(f *testing.F) {
 	})
 }
 
-// TestFastTierIneligibleRunsExact pins the eligibility rule of
-// DESIGN.md §16.1: a fast-tier configuration carrying a FaultPlan or an
-// Obs recorder runs the exact policy, bit for bit — even a plan that
-// never crashes, since the hook alone disqualifies the run.
-func TestFastTierIneligibleRunsExact(t *testing.T) {
+// TestFastTierRecorderInertFaultPlanExact pins the eligibility rule of
+// DESIGN.md §16.1. A fast-tier configuration carrying a FaultPlan runs
+// the exact policy, bit for bit — even a plan that never crashes, since
+// the hook alone disqualifies the run. A recorder disqualifies nothing:
+// a recorded fast-tier run is bit-identical to the unrecorded one, its
+// outage counter agrees with the result, and its voltage gauge, sampled
+// at every settle, stays inside the operating range.
+func TestFastTierRecorderInertFaultPlanExact(t *testing.T) {
 	const kind, wl, src = KindWL, "sha", power.Trace3
-	run := func(cfg sim.Config) map[string]string {
+	run := func(cfg sim.Config) (sim.Result, map[string]string) {
 		t.Helper()
 		res, err := Run(kind, Options{}, wl, 1, src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return FlattenResult(res)
+		return res, FlattenResult(res)
 	}
-	exact := run(sim.DefaultConfig())
+	_, exact := run(sim.DefaultConfig())
 	if exact["Outages"] == "0" {
 		t.Fatal("cell has no outages; the rule is only interesting across power failures")
 	}
 	faulted := sim.DefaultConfig()
 	faulted.Tier = sim.TierFast
 	faulted.FaultPlan = nopFaultPlan{}
-	observed := sim.DefaultConfig()
-	observed.Tier = sim.TierFast
-	observed.Obs = obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: wl, Trace: string(src)}, 0)
-	for name, cfg := range map[string]sim.Config{"fault plan": faulted, "recorder": observed} {
-		if got := run(cfg); !maps.Equal(got, exact) {
-			t.Errorf("TierFast with a %s is not bit-identical to TierExact", name)
+	if _, got := run(faulted); !maps.Equal(got, exact) {
+		t.Error("TierFast with a fault plan is not bit-identical to TierExact")
+	}
+
+	fastCfg := sim.DefaultConfig()
+	fastCfg.Tier = sim.TierFast
+	_, fast := run(fastCfg)
+	if maps.Equal(fast, exact) {
+		t.Fatal("the fast tier reproduced the exact tier bit for bit; the cell cannot tell the policies apart")
+	}
+	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: wl, Trace: string(src)}, 0)
+	observed := fastCfg
+	observed.Obs = rec
+	res, got := run(observed)
+	if !maps.Equal(got, fast) {
+		t.Error("a recorder changed the outcome of a TierFast run")
+	}
+
+	m := rec.Manifest()
+	var outages uint64
+	for _, c := range m.Counters {
+		if c.Name == "power.outages" {
+			outages = c.Value
 		}
+	}
+	if outages != res.Outages {
+		t.Errorf("recorded power.outages = %d, result has %d outages", outages, res.Outages)
+	}
+	cfg := sim.DefaultConfig()
+	var volts *obs.GaugeSnap
+	for i := range m.Gauges {
+		if m.Gauges[i].Name == "energy.capacitor_v" {
+			volts = &m.Gauges[i]
+		}
+	}
+	switch {
+	case volts == nil || volts.Samples == 0:
+		t.Error("the voltage gauge has no samples")
+	case volts.Min < cfg.VMin-1e-9 || volts.Max > cfg.VMax:
+		t.Errorf("voltage gauge range [%g, %g] V leaves [VMin-1e-9, VMax] = [%g, %g] V",
+			volts.Min, volts.Max, cfg.VMin-1e-9, cfg.VMax)
 	}
 }

@@ -104,10 +104,6 @@ func (g *Gauge) Set(v float64) {
 	g.sum += v
 }
 
-// Sample is Set under the name the energy package's VoltageSampler
-// hook expects, so a Gauge can be installed directly on a Capacitor.
-func (g *Gauge) Sample(v float64) { g.Set(v) }
-
 // Last returns the most recent sample (0 on nil or empty).
 func (g *Gauge) Last() float64 {
 	if g == nil {

@@ -139,8 +139,9 @@ func (r *Recorder) Trace() *Trace {
 	return r.trace
 }
 
-// VoltageGauge returns the capacitor-voltage gauge for installation
-// as an energy.VoltageSampler.
+// VoltageGauge returns the capacitor-voltage gauge, which the
+// simulator sets at every settle and at every forced voltage (the
+// collapse to VMin and the recharge to Von).
 func (r *Recorder) VoltageGauge() *Gauge {
 	if r == nil {
 		return nil

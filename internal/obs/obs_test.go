@@ -34,7 +34,7 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if g := r.VoltageGauge(); g != nil {
 		t.Fatalf("nil recorder returned non-nil gauge")
 	}
-	r.VoltageGauge().Sample(3.0) // nil gauge must also be inert
+	r.VoltageGauge().Set(3.0) // nil gauge must also be inert
 	if r.Registry() != nil || r.Trace() != nil {
 		t.Fatal("nil recorder exposed live internals")
 	}

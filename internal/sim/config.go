@@ -113,15 +113,16 @@ type Config struct {
 	// Obs optionally records the run's cycle-level event timeline and
 	// metrics (internal/obs). nil disables recording; every
 	// instrumentation site then costs one nil check. New wires the
-	// recorder into the capacitor, the NVM port and the design.
+	// recorder into the NVM port and the design; the simulator samples
+	// the capacitor voltage at every settle. Recording changes no
+	// outcome and runs on either tier.
 	Obs *obs.Recorder
 
 	// Tier selects the settle-window policy New runs the one hot loop
 	// with: exact (default) settles every event alone in voltage space;
 	// fast batches events between settles in energy space. Runs with a
-	// FaultPlan or an Obs recorder always take the exact policy — both
-	// hooks observe per-event state the fast window defers — so the
-	// fast policy only engages on plain measurement runs.
+	// FaultPlan always take the exact policy: a plan may crash the run
+	// at any event boundary, which the fast window defers.
 	Tier Tier
 }
 

@@ -147,7 +147,8 @@ func (s *Simulator) settleAndCheck() {
 // (the window tiles [settleT, now] contiguously with on-period events,
 // so both are a single expression — leak as leakW·dt, on-time exactly),
 // rebuilds the derived instruction count, integrates the harvest
-// actually available, applies the covered draw, and re-arms the budget
+// actually available, applies the covered draw, samples the recorder's
+// voltage gauge (one sqrt, only when recording), and re-arms the budget
 // and deadline. Any in-flight (mid-access) accumulation beyond
 // scratchDraw is carried into the new window as pending draw, not
 // settled. The window construction (see rearm) guarantees the single
@@ -179,6 +180,9 @@ func (s *Simulator) settle() {
 			s.syncCapFromFast()
 			s.abort(fmt.Errorf("at t=%d ps (design %s): %w", s.now, s.design.Name(),
 				s.cap.UnderVoltageError(drawn, s.cfg.VMin)))
+		}
+		if s.cfg.Obs != nil {
+			s.cfg.Obs.VoltageGauge().Set(math.Sqrt(2 * s.fcapE / s.cfg.CapacitorF))
 		}
 	}
 	s.rearm()

@@ -51,8 +51,10 @@ type Simulator struct {
 	// Settle window (fast.go, DESIGN.md §16). perEvent is the window
 	// policy, decided once in New: the exact policy settles every event
 	// alone in voltage space; the fast policy batches events in energy
-	// space, and only engages on plain measurement runs (no fault plan,
-	// no recorder — both observe per-event capacitor state it defers).
+	// space, and engages on every TierFast run without a fault plan (a
+	// plan may crash at any event boundary, which a batched window
+	// hides). A recorder observes only settles and event-ordered sites,
+	// so it runs on either policy.
 	perEvent       bool
 	fcapE          float64 // fast: capacitor energy (J); the capacitor voltage is synced from it on demand
 	eVb            float64 // fast: ½·C·Vbackup² — the monitor threshold in energy space
@@ -108,7 +110,7 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	s.trackGolden = cfg.CheckInvariants
 	s.noFault = cfg.FaultPlan == nil
 	s.untraced = cfg.Trace == nil
-	s.perEvent = cfg.Tier != TierFast || !s.noFault || cfg.Obs != nil
+	s.perEvent = cfg.Tier != TierFast || !s.noFault
 	s.eCapMax = 0.5 * cfg.CapacitorF * cfg.VMax * cfg.VMax
 	floor := cfg.VMin - 1e-9
 	s.eFloor = 0.5 * cfg.CapacitorF * floor * floor
@@ -129,11 +131,11 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	if binder, ok := design.(ReserveNotifyBinder); ok {
 		binder.BindReserveChanged(s.refreshThresholds)
 	}
-	// Observability wiring: one recorder reaches the capacitor (voltage
-	// gauge), the NVM port (contention histogram) and the design (its
-	// own event sites). All sites stay nil-checked when cfg.Obs is nil.
+	// Observability wiring: one recorder reaches the NVM port (contention
+	// histogram) and the design (its own event sites); the simulator
+	// feeds the voltage gauge itself at every settle. All sites stay
+	// nil-checked when cfg.Obs is nil.
 	if cfg.Obs != nil {
-		s.cap.SetSampler(cfg.Obs.VoltageGauge())
 		nvm.SetPortObserver(cfg.Obs)
 		if binder, ok := design.(ObserverBinder); ok {
 			binder.BindObserver(cfg.Obs)
@@ -219,7 +221,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	// first fill the capacitor to Von. This is what makes very large
 	// buffers slow (Figure 10(b)): their charging time dominates.
 	if s.cfg.Trace != nil {
-		s.cap.SetVoltage(s.cfg.VMin)
+		s.forceVoltage(s.cfg.VMin)
 		von := s.cfg.Von(s.cfg.Vbackup(s.design.ReserveEnergy()))
 		need := 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
 		dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
@@ -228,7 +230,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 		}
 		s.res.OffTime += dt
 		s.now += dt
-		s.cap.SetVoltage(von)
+		s.forceVoltage(von)
 		// The charge-up is an off window like any other: without this
 		// event the cycle ledger could not attribute the pre-boot dead
 		// time and sum(categories) would undershoot OffTime.
@@ -417,6 +419,9 @@ func (s *Simulator) step(from, to int64, eb *energy.Breakdown, draw float64) {
 			s.abort(fmt.Errorf("at t=%d ps (design %s): %w", to, s.design.Name(),
 				s.cap.UnderVoltageError(e, s.cfg.VMin)))
 		}
+		if s.cfg.Obs != nil {
+			s.cfg.Obs.VoltageGauge().Set(s.cap.Voltage())
+		}
 	}
 	s.res.Energy.Add(*eb)
 }
@@ -482,7 +487,7 @@ func (s *Simulator) powerFail(forced bool) {
 		// on computation (§1, §2.3.3). Recharge therefore restarts from
 		// VMin, and a design with a larger reserve wastes more per outage.
 		s.res.ReserveWasted += s.cap.EnergyAbove(s.cfg.VMin)
-		s.cap.SetVoltage(s.cfg.VMin)
+		s.forceVoltage(s.cfg.VMin)
 
 		// Power off: recharge to Von. The voltage threshold reflects the
 		// *current* reserve (it may have been adapted at this boot).
@@ -497,7 +502,7 @@ func (s *Simulator) powerFail(forced bool) {
 			s.res.OffTime += dt
 			s.now += dt
 		}
-		s.cap.SetVoltage(von)
+		s.forceVoltage(von)
 		s.cfg.Obs.Outage(offStart, s.now)
 		s.cfg.Obs.VoltageMark(s.now, von)
 	}
@@ -536,6 +541,16 @@ func (s *Simulator) powerFail(forced bool) {
 		s.noProgress = 0
 	}
 	s.instrAtBoot = s.res.Instructions
+}
+
+// forceVoltage sets the capacitor outside the event loop — the collapse
+// to VMin at an outage and the recharge to Von — and samples the
+// recorder's voltage gauge there, as step and settle do at every settle.
+func (s *Simulator) forceVoltage(v float64) {
+	s.cap.SetVoltage(v)
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.VoltageGauge().Set(s.cap.Voltage())
+	}
 }
 
 // checkpointLines reads the design's cumulative flushed-line counter,
