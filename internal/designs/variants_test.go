@@ -231,3 +231,103 @@ func TestWTBufferReserveScalesWithSlots(t *testing.T) {
 		t.Fatal("reserve must grow with buffer depth (§3.3 issue 2)")
 	}
 }
+
+// drainOracle is the drain WTBuffer had before it relied on issue order:
+// keep every entry still in flight, whatever its position.
+func drainOracle(buf []wtBufEntry, now int64) []wtBufEntry {
+	var keep []wtBufEntry
+	for _, e := range buf {
+		if e.done > now {
+			keep = append(keep, e)
+		}
+	}
+	return keep
+}
+
+// TestWTBufferDrainsInIssueOrder pins the invariant the prefix drain and
+// Checkpoint (which reads buf[n-1].done as the last completion) rely on:
+// the single NVM port serializes writes, so buffered entries complete in
+// issue order. A seeded stream of store bursts that fill every slot,
+// buffer-full stalls and load misses that merge buffered stores checks
+// the order after every access, and the prefix drain against the filter
+// it replaced, at the current time and at every entry's completion.
+func TestWTBufferDrainsInIssueOrder(t *testing.T) {
+	nvm := newNVM()
+	p := DefaultWTBufferParams()
+	d := NewWTBuffer(cache.DefaultGeometry(), cache.SRAMTech(), cache.LRU, jit(), p, nvm)
+	golden := mem.NewStore()
+	checkDrain := func(at int64) {
+		t.Helper()
+		want := drainOracle(d.buf, at)
+		tmp := &WTBuffer{buf: append([]wtBufEntry(nil), d.buf...)}
+		tmp.drain(at)
+		if len(tmp.buf) != len(want) {
+			t.Fatalf("drain(%d) kept %d entries, the filter keeps %d", at, len(tmp.buf), len(want))
+		}
+		for i := range want {
+			if tmp.buf[i] != want[i] {
+				t.Fatalf("drain(%d) entry %d = %+v, the filter keeps %+v", at, i, tmp.buf[i], want[i])
+			}
+		}
+	}
+	rng := uint32(2024)
+	next := func() uint32 { rng = rng*1664525 + 1013904223; return rng >> 8 }
+	now := int64(0)
+	merges := 0
+	for i := 0; i < 6000; i++ {
+		checkDrain(now)
+		for _, e := range d.buf {
+			checkDrain(e.done)
+			checkDrain(e.done - 1)
+		}
+		r := next()
+		// A small footprint (16 lines) keeps misses on lines with
+		// buffered stores frequent.
+		addr := (next() % 1024) &^ 3
+		switch {
+		case r%97 == 0:
+			done, _ := d.Checkpoint(now)
+			if err := d.DurableEqual(golden); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			now, _ = d.Restore(done)
+		case r%41 == 0:
+			now += int64(next() % 400_000) // idle gap: part or all of the buffer drains
+		case r%3 == 0:
+			if _, hit := d.arr.Lookup(addr); !hit {
+				for _, e := range drainOracle(d.buf, now) {
+					if d.arr.LineAddr(e.addr) == d.arr.LineAddr(addr) {
+						merges++
+						break
+					}
+				}
+			}
+			v, done, _ := d.Access(now, isa.OpLoad, addr, 0)
+			if v != golden.Read(addr) {
+				t.Fatalf("op %d: load %#x = %#x, want %#x", i, addr, v, golden.Read(addr))
+			}
+			now = done
+		default:
+			// A burst of back-to-back stores outruns the port and fills
+			// every slot.
+			for n := int(next()%12) + 1; n > 0; n-- {
+				val := next()
+				golden.Write(addr, val)
+				_, now, _ = d.Access(now, isa.OpStore, addr, val)
+				addr = (addr + 4) % 1024
+			}
+		}
+		for k := 1; k < len(d.buf); k++ {
+			if d.buf[k].done < d.buf[k-1].done {
+				t.Fatalf("op %d: buf[%d].done %d < buf[%d].done %d", i, k, d.buf[k].done, k-1, d.buf[k-1].done)
+			}
+		}
+		if len(d.buf) > p.Slots {
+			t.Fatalf("op %d: %d buffered stores in %d slots", i, len(d.buf), p.Slots)
+		}
+	}
+	if d.ExtraStats().Stalls == 0 || merges == 0 {
+		t.Fatalf("stream exercised %d buffer-full stalls and %d merging misses; want both", d.ExtraStats().Stalls, merges)
+	}
+	t.Logf("%d stalls, %d merging misses", d.ExtraStats().Stalls, merges)
+}

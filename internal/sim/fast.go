@@ -78,8 +78,9 @@ type blockCost struct {
 // openWindow starts a settle window at s.now: after the initial
 // charge-up and at every boot, when the previous window (if any) has
 // settled empty. The fast policy derives its energy-space state from
-// the capacitor; refreshThresholds then arms both policies against the
-// current reserve.
+// the capacitor. The caller then arms both policies against the current
+// reserve with one refreshThresholds: Run right away, powerFail after
+// OnBoot, which may change the reserve.
 func (s *Simulator) openWindow() {
 	s.settleT = s.now
 	s.settleDeadline = s.now
@@ -87,7 +88,6 @@ func (s *Simulator) openWindow() {
 		v := s.cap.Voltage()
 		s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
 	}
-	s.refreshThresholds()
 }
 
 // syncCap settles the window and hands its state to the voltage-space
