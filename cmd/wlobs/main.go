@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -125,6 +126,14 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 			*check = false
 		}
 	}
+	var kinds []expt.Kind
+	for _, d := range strings.Split(*designs, ",") {
+		kind := expt.Kind(strings.TrimSpace(d))
+		if err := checkKind(kind); err != nil {
+			return 0, err
+		}
+		kinds = append(kinds, kind)
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return 0, err
 	}
@@ -134,8 +143,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	}
 	defer mf.Close()
 
-	for _, d := range strings.Split(*designs, ",") {
-		kind := expt.Kind(strings.TrimSpace(d))
+	for _, kind := range kinds {
 		rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: w.Name, Trace: *trace}, *events)
 
 		cfg := sim.DefaultConfig()
@@ -234,6 +242,14 @@ func warnDropped(rec *obs.Recorder, kind string) {
 	}
 }
 
+// checkKind rejects a design kind expt.NewDesign would panic on.
+func checkKind(kind expt.Kind) error {
+	if !slices.Contains(expt.AllKinds(), kind) {
+		return fmt.Errorf("unknown design kind %q", kind)
+	}
+	return nil
+}
+
 // attrEventCap is the default ring size for the causal subcommands:
 // big enough that smoke-scale runs drop nothing, since dropped events
 // directly reduce attribution coverage (~48 B/event → 1 Mi ≈ 48 MB).
@@ -246,6 +262,9 @@ func runInstrumented(kind expt.Kind, wl string, trace string, scale, events int)
 	w, ok := workload.ByName(wl)
 	if !ok {
 		return nil, sim.Result{}, 0, fmt.Errorf("unknown workload %q", wl)
+	}
+	if err := checkKind(kind); err != nil {
+		return nil, sim.Result{}, 0, err
 	}
 	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: w.Name, Trace: trace}, events)
 	cfg := sim.DefaultConfig()

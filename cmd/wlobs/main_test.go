@@ -126,4 +126,14 @@ func TestBadUsage(t *testing.T) {
 	if _, err := run([]string{"record", "-workload", "nope"}, &out); err == nil {
 		t.Error("unknown workload: want error")
 	}
+	for _, args := range [][]string{
+		{"record", "-designs", "wl,bogus", "-out", t.TempDir()},
+		{"spans", "-design", "bogus"},
+		{"attribute", "-designs", "bogus"},
+		{"flame", "-design", "bogus"},
+	} {
+		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
+			t.Errorf("%v: err = %v, want an unknown design kind error", args, err)
+		}
+	}
 }

@@ -61,8 +61,15 @@ func TestUnknownWorkloadFails(t *testing.T) {
 	}
 }
 
-func TestUnknownDesignPanicsAsError(t *testing.T) {
-	defer func() { recover() }() // NewDesign panics on config bugs
+func TestUnknownDesignErrors(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("unknown design panicked: %v", r)
+		}
+	}()
 	var b strings.Builder
-	_ = run([]string{"-design", "bogus", "-workload", "sha", "-trace", "none"}, &b)
+	err := run([]string{"-design", "bogus", "-workload", "sha", "-trace", "none"}, &b)
+	if err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
+		t.Fatalf("unknown design: err = %v", err)
+	}
 }

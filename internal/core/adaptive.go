@@ -61,7 +61,6 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 type Adaptive struct {
 	cfg     AdaptiveConfig
 	maxline int
-	boots   int
 }
 
 // NewAdaptive returns a controller starting from initialMaxline.
@@ -86,7 +85,6 @@ func NewAdaptive(cfg AdaptiveConfig, initialMaxline int) *Adaptive {
 // completed intervals (lastOn = Tn-1, prevOn = Tn-2) and returns the
 // maxline for the interval now starting.
 func (a *Adaptive) NextMaxline(lastOn, prevOn int64) int {
-	a.boots++
 	if lastOn <= 0 || prevOn <= 0 {
 		return a.maxline // not enough history yet
 	}
@@ -102,6 +100,3 @@ func (a *Adaptive) NextMaxline(lastOn, prevOn int64) int {
 
 // Maxline returns the controller's current threshold.
 func (a *Adaptive) Maxline() int { return a.maxline }
-
-// Boots returns how many boot decisions the controller has made.
-func (a *Adaptive) Boots() int { return a.boots }

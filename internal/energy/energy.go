@@ -165,29 +165,14 @@ func DefaultJITCosts() JITCosts {
 	}
 }
 
-// SoftwareJITCosts returns QuickRecall-style costs (§2.1 alternative):
-// registers are checkpointed by software into main-memory NVM instead
-// of adjacent NVFFs — no flip-flop hardware, but each checkpoint and
-// restore walks the register file over the NVM port, so both the
-// fixed costs and the reserve are substantially larger.
-func SoftwareJITCosts() JITCosts {
-	return JITCosts{
-		RegCheckpointTime:   4_000_000, // 4 us: ~32 words + control, store path
-		RegCheckpointEnergy: 120e-9,
-		RestoreTime:         6_000_000, // 6 us software wake-up
-		RestoreEnergy:       150e-9,
-		BaseReserve:         400e-9,
-	}
-}
-
 // VbackupFor computes the JIT-checkpointing voltage threshold that
-// reserves at least reserve*margin joules above vMin on a capacitor of
-// c farads: Vbackup = sqrt(vMin² + 2·margin·reserve/C), clamped to
+// reserves at least reserve joules above vMin on a capacitor of c
+// farads: Vbackup = sqrt(vMin² + 2·reserve/C), clamped to
 // [vMin, vMax]. This is the sizing rule of §3.2/§5.5: once maxline is
 // (re)configured, Vbackup is adjusted so the bounded set of dirty
 // lines (plus registers and DirtyQueue thresholds) can always be
 // checkpointed failure-atomically.
-func VbackupFor(cFarads, vMin, vMax, reserve, margin float64) float64 {
-	v := math.Sqrt(vMin*vMin + 2*margin*reserve/cFarads)
+func VbackupFor(cFarads, vMin, vMax, reserve float64) float64 {
+	v := math.Sqrt(vMin*vMin + 2*reserve/cFarads)
 	return math.Min(math.Max(v, vMin), vMax)
 }

@@ -92,23 +92,18 @@ func TestNewCapacitorValidates(t *testing.T) {
 
 func TestVbackupFor(t *testing.T) {
 	// A zero reserve keeps Vbackup at VMin.
-	if v := VbackupFor(1e-6, 2.8, 3.5, 0, 1); v != 2.8 {
+	if v := VbackupFor(1e-6, 2.8, 3.5, 0); v != 2.8 {
 		t.Fatalf("zero reserve Vbackup = %g", v)
 	}
 	// The reserved band must actually hold the requested energy.
 	reserve := 600e-9
-	vb := VbackupFor(1e-6, 2.8, 3.5, reserve, 1.0)
+	vb := VbackupFor(1e-6, 2.8, 3.5, reserve)
 	band := 0.5 * 1e-6 * (vb*vb - 2.8*2.8)
 	if band < reserve-1e-12 {
 		t.Fatalf("band %g < reserve %g", band, reserve)
 	}
-	// Margin enlarges it.
-	vb2 := VbackupFor(1e-6, 2.8, 3.5, reserve, 2.0)
-	if vb2 <= vb {
-		t.Fatal("margin did not raise Vbackup")
-	}
 	// Clamped at VMax for absurd reserves.
-	if v := VbackupFor(1e-6, 2.8, 3.5, 1, 1); v != 3.5 {
+	if v := VbackupFor(1e-6, 2.8, 3.5, 1); v != 3.5 {
 		t.Fatalf("clamp failed: %g", v)
 	}
 }

@@ -184,7 +184,9 @@ func cellFingerprint(kind Kind, opts Options, wl string, scale int, src power.So
 	w.int(" maxline=", int64(o.Maxline))
 	w.int(" adaptive=", int64(o.Adaptive))
 	w.bool("/", o.adaptiveSet)
-	w.bool(" swjit=", o.SoftwareJIT)
+	// swjit and margin name deleted knobs; their constant values keep
+	// every journal and serve-store address stable.
+	w.str(" swjit=", "false")
 	w.int(" cyc=", cfg.CyclePS)
 	w.bits(" ie=", cfg.InstrEnergy)
 	w.int(" chunk=", int64(cfg.ComputeChunk))
@@ -192,7 +194,7 @@ func cellFingerprint(kind Kind, opts Options, wl string, scale int, src power.So
 	w.bits(" vmin=", cfg.VMin)
 	w.bits(" vmax=", cfg.VMax)
 	w.bits(" von=", cfg.VonDelta)
-	w.bits(" margin=", cfg.CheckpointMargin)
+	w.str(" margin=", "3ff0000000000000") // 1.0 as bits; see swjit above
 	w.bits(" eff=", cfg.OnHarvestEff)
 	w.bool(" inv=", cfg.CheckInvariants)
 	w.uint(" maxout=", cfg.MaxOutages)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -61,6 +62,26 @@ func TestUnknownKindPanics(t *testing.T) {
 func TestRunUnknownWorkload(t *testing.T) {
 	if _, err := Run(KindWL, Options{}, "bogus", 1, power.None, sim.DefaultConfig()); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+func TestRunUnknownDesign(t *testing.T) {
+	_, err := Run(Kind("bogus"), Options{}, "sha", 1, power.None, sim.DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
+		t.Fatalf("unknown design kind: err = %v", err)
+	}
+}
+
+// TestAllKindsOrder pins AllKinds: its order is the golden matrix
+// order and the serve.Spec default, so a reorder would rename the
+// default sweep and its journal.
+func TestAllKindsOrder(t *testing.T) {
+	want := []Kind{
+		"nocache", "vcache-wt", "wt-buffer", "nvcache-wb", "nvsram", "nvsram-full", "nvsram-practical",
+		"eager-wb", "replaycache", "broken", "wl-fixed", "wl", "wl-dyn",
+	}
+	if got := AllKinds(); !slices.Equal(got, want) {
+		t.Fatalf("AllKinds() = %v\nwant %v", got, want)
 	}
 }
 
@@ -260,13 +281,13 @@ func TestRunCellsFirstErrorByIndex(t *testing.T) {
 	}
 }
 
-// TestRunCellsPanicIsolated: a poisoned cell (unknown design kind
-// panics inside NewDesign) must surface as a typed, cell-attributed
-// error instead of crashing the whole sweep process.
+// TestRunCellsPanicIsolated: a poisoned cell (a maxline beyond the
+// DirtyQueue capacity panics inside core.New) must surface as a typed,
+// cell-attributed error instead of crashing the whole sweep process.
 func TestRunCellsPanicIsolated(t *testing.T) {
 	cells := []cell{
 		{kind: KindWL, wl: "adpcmencode", src: power.None},
-		{kind: Kind("no-such-design"), wl: "adpcmencode", src: power.None},
+		{kind: KindWL, opts: Options{Maxline: 99}, wl: "adpcmencode", src: power.None},
 	}
 	results, err := runCells(Context{Parallelism: 2}, cells)
 	if err == nil {
@@ -328,7 +349,6 @@ func TestCellFingerprintDiscriminates(t *testing.T) {
 		cellFingerprint(KindWL, Options{}, "sha", 1, power.Trace2, sim.DefaultConfig()),
 		cellFingerprint(KindWL, Options{}, "sha", 1, power.Trace1, altCfg),
 		cellFingerprint(KindWL, Options{}, "sha", 1, power.Trace1, altIC),
-		cellFingerprint(KindWL, Options{SoftwareJIT: true}, "sha", 1, power.Trace1, sim.DefaultConfig()),
 	}
 	seen := map[string]bool{base(): true}
 	for i, v := range variants {
@@ -444,29 +464,6 @@ func TestSubsetNamesPreservesOrder(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("order = %v, want %v", names, want)
 		}
-	}
-}
-
-// TestSoftwareJITCostsMore: QuickRecall-style software checkpointing
-// (§2.1) must be slower than NVFF-based checkpointing under outages
-// (larger fixed costs and reserve) and identical without them.
-func TestSoftwareJITCostsMore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep")
-	}
-	hw, err := Run(KindWL, Options{}, "sha", 1, power.Trace1, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := Run(KindWL, Options{SoftwareJIT: true}, "sha", 1, power.Trace1, sim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw.ExecTime <= hw.ExecTime {
-		t.Fatalf("software JIT (%d) should be slower than NVFF (%d)", sw.ExecTime, hw.ExecTime)
-	}
-	if sw.Checksum != hw.Checksum {
-		t.Fatal("checkpoint mechanism changed the computed result")
 	}
 }
 

@@ -215,18 +215,6 @@ func withinTol(got, want, rel, abs float64) bool {
 	return d <= bound
 }
 
-// WithinEnergy reports whether two energies (joules) agree within the
-// tolerance's energy bound.
-func (t Tolerance) WithinEnergy(got, want float64) bool {
-	return withinTol(got, want, t.EnergyRel, t.EnergyAbs)
-}
-
-// WithinTime reports whether two durations (picoseconds) agree within
-// the tolerance's time bound.
-func (t Tolerance) WithinTime(got, want float64) bool {
-	return withinTol(got, want, t.TimeRel, t.TimeAbsPS)
-}
-
 // CompareGoldenCellsTol verifies got against the committed bit-exact
 // matrix under the fast tier's contract: every count field must match
 // exactly; energy and time fields must agree within tol. Cell coverage

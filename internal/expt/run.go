@@ -5,6 +5,7 @@ package expt
 
 import (
 	"fmt"
+	"slices"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/core"
@@ -50,15 +51,17 @@ func FigureKinds() []Kind {
 	return []Kind{KindNVCache, KindVCacheWT, KindReplay, KindWL}
 }
 
-// AllKinds returns every buildable design kind — the full baseline
-// registry (including the broken negative control) followed by the
-// WL-Cache variants. The fault audit runs differentially over this.
+// AllKinds returns every buildable design kind: the Table 1 / §6.1
+// baselines in presentation order, the broken negative control, then
+// the WL-Cache variants. The order is the golden matrix order and the
+// serve.Spec default, so it decides sweep IDs and journal names.
 func AllKinds() []Kind {
-	var ks []Kind
-	for _, n := range designs.Names() {
-		ks = append(ks, Kind(n))
+	return []Kind{
+		KindNoCache, KindVCacheWT, KindWTBuffer, KindNVCache,
+		KindNVSRAM, KindNVSRAMFull, KindNVSRAMPractical,
+		KindEagerWB, KindReplay, KindBroken,
+		KindWLFixed, KindWL, KindWLDyn,
 	}
-	return append(ks, KindWLFixed, KindWL, KindWLDyn)
 }
 
 // Options tune a design build; zero values mean paper defaults.
@@ -69,9 +72,6 @@ type Options struct {
 	DQCap       int                     // default 8
 	Maxline     int                     // default 6
 	Adaptive    core.AdaptiveMode       // overridden per Kind
-	// SoftwareJIT swaps the NVFF-based checkpoint hardware for
-	// QuickRecall-style software checkpointing to NVM (§2.1).
-	SoftwareJIT bool
 	adaptiveSet bool
 }
 
@@ -95,18 +95,36 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// NewDesign builds a design of the given kind over a fresh NVM.
+// NewDesign builds a design of the given kind over a fresh NVM. It
+// panics on a kind AllKinds does not list; Run reports one as an error.
+// Designs with fixed internals (NoCache has no array, NVSRAMPractical
+// fixes its policy) ignore the options they do not take.
 func NewDesign(kind Kind, opts Options) (sim.Design, *mem.NVM) {
 	opts = opts.normalize()
 	nvm := mem.NewNVM(mem.DefaultNVMParams())
 	jit := energy.DefaultJITCosts()
-	if opts.SoftwareJIT {
-		jit = energy.SoftwareJITCosts()
-	}
-	if d, ok := designs.Build(string(kind), opts.Geometry, opts.CachePolicy, jit, nvm); ok {
-		return d, nvm
-	}
+	geo, pol := opts.Geometry, opts.CachePolicy
 	switch kind {
+	case KindNoCache:
+		return designs.NewNoCache(jit, nvm), nvm
+	case KindVCacheWT:
+		return designs.NewVCacheWT(geo, cache.SRAMTech(), pol, jit, nvm), nvm
+	case KindWTBuffer:
+		return designs.NewWTBuffer(geo, cache.SRAMTech(), pol, jit, designs.DefaultWTBufferParams(), nvm), nvm
+	case KindNVCache:
+		return designs.NewNVCacheWB(geo, pol, jit, nvm), nvm
+	case KindNVSRAM:
+		return designs.NewNVSRAM(geo, pol, jit, designs.DefaultNVSRAMParams(), nvm), nvm
+	case KindNVSRAMFull:
+		return designs.NewNVSRAMFull(geo, pol, jit, designs.DefaultNVSRAMParams(), nvm), nvm
+	case KindNVSRAMPractical:
+		return designs.NewNVSRAMPractical(geo, jit, designs.DefaultNVSRAMParams(), nvm), nvm
+	case KindEagerWB:
+		return designs.NewEagerWB(geo, pol, jit, nvm), nvm
+	case KindReplay:
+		return designs.NewReplayCache(geo, pol, jit, designs.DefaultReplayParams(), nvm), nvm
+	case KindBroken:
+		return designs.NewBrokenVolatileWB(geo, pol, jit, nvm), nvm
 	case KindWL, KindWLFixed, KindWLDyn:
 		cfg := core.DefaultConfig()
 		cfg.JIT = jit
@@ -137,6 +155,9 @@ func Run(kind Kind, opts Options, wlName string, scale int, src power.Source, si
 	w, ok := workload.ByName(wlName)
 	if !ok {
 		return sim.Result{}, fmt.Errorf("expt: unknown workload %q", wlName)
+	}
+	if !slices.Contains(AllKinds(), kind) {
+		return sim.Result{}, fmt.Errorf("expt: unknown design kind %q", kind)
 	}
 	if scale <= 0 {
 		scale = DefaultScale

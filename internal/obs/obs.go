@@ -60,13 +60,6 @@ type Recorder struct {
 	// (OpContext); stall and port-wait events copy it as their
 	// correlation key for per-PC hotspot attribution.
 	curPC uint64
-	// opCtxEvery samples op-context capture: 1 records every memory
-	// op's PC (the default, full-fidelity hotspots), k > 1 every k-th
-	// op, <= 0 never. The PC walk behind OpContext is the costliest
-	// per-op instrumentation, so the simulator asks WantsOpContext
-	// before paying for it.
-	opCtxEvery int
-	opCtxSkip  int
 
 	stalls    *Counter
 	wbIssued  *Counter
@@ -88,10 +81,9 @@ type Recorder struct {
 func NewRecorder(meta RunMeta, eventCap int) *Recorder {
 	reg := NewRegistry()
 	r := &Recorder{
-		Meta:       meta,
-		trace:      NewTrace(eventCap),
-		reg:        reg,
-		opCtxEvery: 1,
+		Meta:  meta,
+		trace: NewTrace(eventCap),
+		reg:   reg,
 
 		stallPS:      reg.Histogram("core.stall_ps", DirLower),
 		wbLatPS:      reg.Histogram("wb.latency_ps", DirLower),
@@ -150,45 +142,6 @@ func (r *Recorder) VoltageGauge() *Gauge {
 }
 
 // --- event sites ---
-
-// SetOpContextSampling tunes how often memory-op program counters are
-// captured: every records every op (1, the default), every k-th op for
-// k > 1 (cheaper recordings with approximate hotspots), never for
-// k <= 0. Stall events between samples carry no PC rather than a stale
-// one.
-func (r *Recorder) SetOpContextSampling(every int) {
-	if r == nil {
-		return
-	}
-	r.opCtxEvery = every
-	r.opCtxSkip = 0
-}
-
-// WantsOpContext reports whether the recorder will consume a program
-// counter for the memory op about to execute. The caller only walks
-// the host stack (runtime.Callers) when this returns true; when an op
-// is sampled out, the previous context is cleared so later stall
-// events cannot inherit a stale PC. Nil-safe: a nil recorder never
-// wants context.
-func (r *Recorder) WantsOpContext() bool {
-	if r == nil {
-		return false
-	}
-	if r.opCtxEvery == 1 {
-		return true
-	}
-	if r.opCtxEvery <= 0 {
-		r.curPC = 0
-		return false
-	}
-	r.opCtxSkip++
-	if r.opCtxSkip >= r.opCtxEvery {
-		r.opCtxSkip = 0
-		return true
-	}
-	r.curPC = 0
-	return false
-}
 
 // OpContext records the program counter of the architectural memory
 // operation now executing; subsequent stall and port-wait events carry

@@ -2,91 +2,26 @@ package obs
 
 import "testing"
 
-// TestOpContextSamplingCadence pins SetOpContextSampling semantics:
-// every=1 samples every op, every=k samples each k-th op, every<=0
-// never samples. These are the gates the simulator consults before
-// paying for a runtime.Callers stack walk.
-func TestOpContextSamplingCadence(t *testing.T) {
+// TestOpContextFlowsIntoNextStall: an op's PC is the hotspot key of
+// the stall that follows it, and the next op's PC replaces it.
+func TestOpContextFlowsIntoNextStall(t *testing.T) {
 	r := NewRecorder(RunMeta{}, 64)
-
-	// Default: every op wants context.
-	for i := 0; i < 5; i++ {
-		if !r.WantsOpContext() {
-			t.Fatalf("default sampling skipped op %d", i)
+	for _, pc := range []uint64{0xABCD, 0x1234} {
+		r.OpContext(pc)
+		r.StoreStall(100, 200, 0x40)
+		evs := r.Trace().Events()
+		if len(evs) == 0 {
+			t.Fatal("no stall event recorded")
 		}
-	}
-
-	r.SetOpContextSampling(3)
-	var got []bool
-	for i := 0; i < 9; i++ {
-		got = append(got, r.WantsOpContext())
-	}
-	want := []bool{false, false, true, false, false, true, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("every=3: op %d sampled=%v, want %v (%v)", i, got[i], want[i], got)
+		if got := evs[len(evs)-1].B; got != int64(pc) {
+			t.Fatalf("stall carries PC %#x, want %#x", got, pc)
 		}
-	}
-
-	r.SetOpContextSampling(0)
-	for i := 0; i < 5; i++ {
-		if r.WantsOpContext() {
-			t.Fatalf("every=0 sampled op %d", i)
-		}
-	}
-
-	// Resetting the cadence restarts the skip counter.
-	r.SetOpContextSampling(2)
-	if r.WantsOpContext() {
-		t.Fatal("every=2: first op sampled")
-	}
-	if !r.WantsOpContext() {
-		t.Fatal("every=2: second op not sampled")
 	}
 }
 
-// TestOpContextSampledOutClearsPC: an op that is sampled out must clear
-// the previously captured PC so a later stall event cannot inherit a
-// stale hotspot key from an unrelated operation.
-func TestOpContextSampledOutClearsPC(t *testing.T) {
-	r := NewRecorder(RunMeta{}, 64)
-	if !r.WantsOpContext() {
-		t.Fatal("default sampling refused context")
-	}
-	r.OpContext(0xABCD)
-
-	r.SetOpContextSampling(2)
-	if r.WantsOpContext() { // sampled out: must clear 0xABCD
-		t.Fatal("first op after SetOpContextSampling(2) sampled")
-	}
-	r.StoreStall(100, 200, 0x40)
-	evs := r.Trace().Events()
-	if len(evs) == 0 {
-		t.Fatal("no stall event recorded")
-	}
-	if pc := evs[len(evs)-1].B; pc != 0 {
-		t.Fatalf("stall inherited stale PC %#x", pc)
-	}
-
-	// A sampled op's PC does flow into the next stall.
-	if !r.WantsOpContext() {
-		t.Fatal("second op not sampled")
-	}
-	r.OpContext(0x1234)
-	r.StoreStall(300, 400, 0x80)
-	evs = r.Trace().Events()
-	if pc := evs[len(evs)-1].B; pc != 0x1234 {
-		t.Fatalf("stall carries PC %#x, want 0x1234", pc)
-	}
-}
-
-// TestOpContextNilRecorder: a nil recorder never wants context and all
-// sampling calls are no-ops.
+// TestOpContextNilRecorder: recording op context on a nil recorder is
+// a no-op.
 func TestOpContextNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.SetOpContextSampling(5)
-	if r.WantsOpContext() {
-		t.Fatal("nil recorder wants context")
-	}
 	r.OpContext(1) // must not panic
 }

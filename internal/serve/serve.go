@@ -583,8 +583,9 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	}()
 
 	debug := s.slog.Enabled(ctx, slog.LevelDebug)
-	// One event and one result, reused: the loop allocates nothing per
-	// cell.
+	// One event and one result, reused across cells. progressCell still
+	// allocates a trace span and its args map for each of the sweep's
+	// first maxSpansPerSweep cells.
 	var ev Event
 	var res sim.Result
 	for d := range events {

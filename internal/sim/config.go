@@ -78,9 +78,6 @@ type Config struct {
 	// (clamped to VMax): the system reboots only after recharging past
 	// the backup threshold by this margin.
 	VonDelta float64
-	// CheckpointMargin over-provisions the JIT energy reserve when
-	// deriving Vbackup from a design's ReserveEnergy.
-	CheckpointMargin float64
 
 	// OnHarvestEff derates harvesting while the load runs: the
 	// frontend cannot charge the buffer at full efficiency while the
@@ -129,22 +126,21 @@ type Config struct {
 // DefaultConfig returns the paper's default machine configuration.
 func DefaultConfig() Config {
 	return Config{
-		CyclePS:          1000, // 1 GHz in-order, 1 instr/cycle
-		InstrEnergy:      20e-12,
-		ComputeChunk:     256,
-		CapacitorF:       1e-6, // 1 uF
-		VMin:             2.8,
-		VMax:             3.5,
-		VonDelta:         0.4,
-		CheckpointMargin: 1.0,
-		OnHarvestEff:     0.5,
+		CyclePS:      1000, // 1 GHz in-order, 1 instr/cycle
+		InstrEnergy:  20e-12,
+		ComputeChunk: 256,
+		CapacitorF:   1e-6, // 1 uF
+		VMin:         2.8,
+		VMax:         3.5,
+		VonDelta:     0.4,
+		OnHarvestEff: 0.5,
 	}
 }
 
 // Vbackup derives the JIT-checkpointing threshold for a design
 // reserve under this configuration.
 func (c Config) Vbackup(reserve float64) float64 {
-	return energy.VbackupFor(c.CapacitorF, c.VMin, c.VMax, reserve, c.CheckpointMargin)
+	return energy.VbackupFor(c.CapacitorF, c.VMin, c.VMax, reserve)
 }
 
 // Von derives the reboot threshold for a given Vbackup.
@@ -167,8 +163,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: invalid capacitor configuration")
 	case c.VonDelta <= 0:
 		return fmt.Errorf("sim: VonDelta must be positive")
-	case c.CheckpointMargin < 1:
-		return fmt.Errorf("sim: CheckpointMargin must be >= 1 (reserves are worst-case; margin only adds slack)")
 	case c.Tier != TierExact && c.Tier != TierFast:
 		return fmt.Errorf("sim: unknown tier %d", int(c.Tier))
 	}

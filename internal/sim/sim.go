@@ -273,11 +273,6 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	return s.res, nil
 }
 
-// Golden exposes the architectural reference image. It is maintained
-// only when Config.CheckInvariants is set (the only mode that consults
-// it); plain benchmark runs skip the per-store bookkeeping.
-func (s *Simulator) Golden() *mem.Store { return s.golden }
-
 // Capacitor exposes the energy buffer (tests).
 func (s *Simulator) Capacitor() *energy.Capacitor { return s.cap }
 
@@ -288,7 +283,7 @@ func (s *Simulator) Now() int64 { return s.now }
 
 // Load32 performs an architectural load through the design.
 func (s *Simulator) Load32(addr uint32) uint32 {
-	if s.cfg.Obs.WantsOpContext() {
+	if s.cfg.Obs != nil {
 		s.cfg.Obs.OpContext(memOpPC())
 	}
 	// Counted before the access: every settle derives Instructions from
@@ -308,7 +303,7 @@ func (s *Simulator) Load32(addr uint32) uint32 {
 
 // Store32 performs an architectural store through the design.
 func (s *Simulator) Store32(addr uint32, v uint32) {
-	if s.cfg.Obs.WantsOpContext() {
+	if s.cfg.Obs != nil {
 		s.cfg.Obs.OpContext(memOpPC())
 	}
 	if s.trackGolden {

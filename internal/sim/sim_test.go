@@ -53,7 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CapacitorF = 0 },
 		func(c *Config) { c.VMax = c.VMin },
 		func(c *Config) { c.VonDelta = 0 },
-		func(c *Config) { c.CheckpointMargin = 0.5 },
 	}
 	for i, mut := range muts {
 		c := DefaultConfig()
