@@ -1,11 +1,11 @@
 // Command wlhist maintains the longitudinal run-history store: an
-// append-only wlhist/v1 JSONL log of benchmark, observability and
-// attribution results, keyed by engine version, git commit and host
-// fingerprint so entries are comparable or explicitly not.
+// append-only wlhist/v1 JSONL log of benchmark and observability
+// results, keyed by engine version, git commit and host fingerprint so
+// entries are comparable or explicitly not.
 //
 // `record` ingests report files (wlperf/v1 reports from the bench/
-// benchmark's -json, wlobs/v1 manifests and wlattr/v1 ledgers) into
-// the store, deduplicating by content. `trend` prints a per-metric
+// benchmark's -json, and wlobs/v1 manifests, which carry each run's
+// cycle ledger) into the store, deduplicating by content. `trend` prints a per-metric
 // sparkline table; `html` writes the self-contained trend dashboard.
 // `gate` judges each metric's newest transition against its
 // comparable history and exits 2 on drift — host-speed metrics only
@@ -89,7 +89,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if fs.NArg() == 0 {
-		return 0, fmt.Errorf("record: no input files (wlperf/v1 reports, wlobs/v1 manifests or wlattr/v1 ledgers)")
+		return 0, fmt.Errorf("record: no input files (wlperf/v1 reports or wlobs/v1 manifests)")
 	}
 	s, err := hist.Open(*store)
 	if err != nil {

@@ -58,11 +58,9 @@ func TestFoldResult(t *testing.T) {
 	}
 }
 
-// End-to-end smoke for the causal subcommands on an uninterrupted-power
-// run (fast, deterministic).
-func TestSpansAttributeFlameSubcommands(t *testing.T) {
-	dir := t.TempDir()
-
+// End-to-end smoke for spans and for the ledger record folds into
+// every manifest, on an uninterrupted-power run (fast, deterministic).
+func TestSpansAndRecordLedger(t *testing.T) {
 	var out bytes.Buffer
 	code, err := run([]string{"spans", "-design", "wl", "-workload", "qsort", "-trace", "none", "-limit", "5"}, &out)
 	if err != nil || code != 0 {
@@ -82,60 +80,99 @@ func TestSpansAttributeFlameSubcommands(t *testing.T) {
 		t.Fatalf("spans -kind filter leaked other kinds:\n%.400s", s)
 	}
 
+	dir := t.TempDir()
 	out.Reset()
-	attrJSON := filepath.Join(dir, "attr.jsonl")
-	code, err = run([]string{"attribute", "-designs", "nvcache-wb,wl", "-workload", "qsort", "-trace", "none",
-		"-json", attrJSON, "-require-full-coverage"}, &out)
+	code, err = run([]string{"record", "-designs", "nvcache-wb,wl", "-workload", "qsort", "-trace", "none",
+		"-require-full-coverage", "-out", dir}, &out)
 	if err != nil || code != 0 {
-		t.Fatalf("attribute: code=%d err=%v\n%s", code, err, out.String())
+		t.Fatalf("record: code=%d err=%v\n%s", code, err, out.String())
 	}
-	for _, want := range []string{"compute", "maxline-stall", "hidden port-wait", "coverage"} {
+	for _, want := range []string{"cycle attribution: qsort / none", "compute", "maxline-stall", "hidden port-wait", "coverage"} {
 		if !strings.Contains(out.String(), want) {
-			t.Fatalf("attribute table missing %q:\n%s", want, out.String())
+			t.Fatalf("ledger table missing %q:\n%s", want, out.String())
 		}
 	}
-	f, err := os.Open(attrJSON)
+	f, err := os.Open(filepath.Join(dir, "manifest.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadAttrs(f)
+	ms, err := obs.ReadManifests(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("wrote %d wlattr records, want 2", len(recs))
+	if len(ms) != 2 {
+		t.Fatalf("wrote %d manifests, want 2", len(ms))
 	}
-	for _, r := range recs {
-		var sum int64
-		for _, v := range r.Categories {
-			sum += v
+	for _, m := range ms {
+		var sum uint64
+		cats := 0
+		for _, c := range m.Counters {
+			if strings.HasPrefix(c.Name, "attr.") && strings.HasSuffix(c.Name, "_ps") {
+				sum += c.Value
+				cats++
+			}
 		}
-		if sum+r.UnknownPS != r.TotalPS {
-			t.Fatalf("%s: serialized ledger breaks the invariant: %d + %d != %d",
-				r.Design, sum, r.UnknownPS, r.TotalPS)
+		gauge := map[string]float64{}
+		for _, g := range m.Gauges {
+			gauge[g.Name] = g.Last
 		}
-		if r.Coverage != 1 {
-			t.Fatalf("%s: coverage %g, want 1", r.Design, r.Coverage)
+		if cats != len(obs.Categories())+1 {
+			t.Fatalf("%s: %d attr.*_ps counters, want every category plus unknown", m.Design, cats)
+		}
+		if float64(sum) != gauge["result.exec_ps"] {
+			t.Fatalf("%s: attr.*_ps counters sum to %d, want result.exec_ps %g", m.Design, sum, gauge["result.exec_ps"])
+		}
+		if gauge["attr.coverage"] != 1 {
+			t.Fatalf("%s: attr.coverage %g, want 1", m.Design, gauge["attr.coverage"])
+		}
+
+		raw, err := os.ReadFile(filepath.Join(dir, "flame-"+m.Design+"-qsort-none.folded"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(raw), "compute ") {
+			t.Fatalf("%s: folded output lacks a compute stack:\n%s", m.Design, raw)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			if len(strings.Fields(line)) != 2 {
+				t.Fatalf("%s: malformed folded line %q", m.Design, line)
+			}
 		}
 	}
 
+	// A ring too small to hold the run leaves part of the timeline
+	// unattributed, which -require-full-coverage turns into exit 1.
 	out.Reset()
-	folded := filepath.Join(dir, "wl.folded")
-	code, err = run([]string{"flame", "-design", "wl", "-workload", "qsort", "-trace", "none", "-out", folded}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("flame: code=%d err=%v\n%s", code, err, out.String())
+	code, err = run([]string{"record", "-designs", "wl", "-workload", "qsort", "-trace", "none",
+		"-events", "16", "-require-full-coverage", "-out", t.TempDir()}, &out)
+	if err != nil || code != 1 || !strings.Contains(out.String(), "coverage") {
+		t.Fatalf("record on a 16-event ring: code=%d err=%v, want exit 1\n%s", code, err, out.String())
 	}
-	raw, err := os.ReadFile(folded)
+}
+
+// EXPERIMENTS.md §4.2 quotes the ledger table this record prints; the
+// quoted block must be the verbatim output, so the numbers there are
+// derived rather than pasted.
+func TestExperimentsLedgerTableIsDerived(t *testing.T) {
+	var out bytes.Buffer
+	code, err := run([]string{"record", "-designs", "nvcache-wb,vcache-wt,wl", "-workload", "sha", "-trace", "tr1",
+		"-top", "0", "-out", t.TempDir()}, &out)
+	if err != nil || code != 0 {
+		t.Fatalf("record: code=%d err=%v\n%s", code, err, out.String())
+	}
+	s := out.String()
+	i := strings.Index(s, "cycle attribution:")
+	if i < 0 {
+		t.Fatalf("record printed no ledger table:\n%s", s)
+	}
+	table := s[i:]
+	table = table[:strings.Index(table, "wrote ")]
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(raw), "compute ") {
-		t.Fatalf("folded output lacks a compute stack:\n%s", raw)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		if len(strings.Fields(line)) != 2 {
-			t.Fatalf("malformed folded line %q", line)
-		}
+	if !strings.Contains(string(doc), table) {
+		t.Fatalf("EXPERIMENTS.md §4.2 does not quote the table verbatim; it must read:\n%s", table)
 	}
 }

@@ -2,29 +2,28 @@
 // causally.
 //
 // `record` runs one workload on one or more designs with the
-// observability layer enabled (internal/obs), prints a per-run
-// summary, and writes a JSONL manifest plus one Chrome trace_event
-// JSON file per design (loadable in chrome://tracing or Perfetto).
+// observability layer enabled (internal/obs). For every design it
+// charges each simulated cycle to one category (the cycle ledger,
+// DESIGN.md §10), folds the ledger into the design's manifest line,
+// prints a per-run summary, and writes a Chrome trace_event JSON file
+// (loadable in chrome://tracing or Perfetto) and the ledger as folded
+// stacks for standard flamegraph tooling. It then prints the
+// cross-design ledger table.
 // `summary` re-renders a saved manifest.
 // `spans` reconstructs the causal span graph of a run (store stall →
 // write-back → port wait → DirtyQueue release; checkpoint/off/restore
-// under their outage). `attribute` charges every simulated cycle to
-// one category and compares the ledgers across designs (wlattr/v1
-// JSON with -json). `flame` renders the ledger as folded stacks for
-// standard flamegraph tooling.
+// under their outage).
 //
 // A manifest is judged by the run-history gate: `wlhist record` it into
 // a store holding earlier manifests, then `wlhist gate`. Every metric
-// in it is an exact simulated outcome.
+// in it, the ledger included, is an exact simulated outcome.
 //
 // Usage:
 //
-//	wlobs record -designs wl,wl-dyn -workload sha -trace tr1 -out obs-out
+//	wlobs record -designs nvcache-wb,vcache-wt,wl -workload sha -trace tr1 -out obs-out
 //	wlobs record -fault tornckpt -crashes 3 -workload qsort
 //	wlobs summary obs-out/manifest.jsonl
 //	wlobs spans -design wl -workload sha -trace tr1 -kind stall
-//	wlobs attribute -designs nvcache-wb,vcache-wt,wl -workload sha -trace tr1
-//	wlobs flame -design wl -workload sha -trace tr1 -out wl.folded
 package main
 
 import (
@@ -60,7 +59,7 @@ func main() {
 // the process exit code for a completed command.
 func run(args []string, stdout io.Writer) (int, error) {
 	if len(args) == 0 {
-		return 0, fmt.Errorf("usage: wlobs record|summary|spans|attribute|flame [flags]; see `wlobs <cmd> -h`")
+		return 0, fmt.Errorf("usage: wlobs record|summary|spans [flags]; see `wlobs <cmd> -h`")
 	}
 	switch args[0] {
 	case "-version", "--version", "version":
@@ -72,12 +71,8 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return runSummary(args[1:], stdout)
 	case "spans":
 		return runSpans(args[1:], stdout)
-	case "attribute":
-		return runAttribute(args[1:], stdout)
-	case "flame":
-		return runFlame(args[1:], stdout)
 	}
-	return 0, fmt.Errorf("unknown subcommand %q (want record, summary, spans, attribute or flame)", args[0])
+	return 0, fmt.Errorf("unknown subcommand %q (want record, summary or spans)", args[0])
 }
 
 // crashSpacing is the instruction distance between forced crashes when
@@ -93,12 +88,14 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		wl        = fs.String("workload", "sha", "benchmark name")
 		trace     = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
 		scale     = fs.Int("scale", 1, "input-size multiplier")
-		events    = fs.Int("events", 0, "event ring capacity; ~48 B/event, 0 = default 65536 (~3 MB)")
-		out       = fs.String("out", "wlobs-out", "output directory for manifest.jsonl and trace JSON")
+		events    = fs.Int("events", obs.DefaultEventCap, "event ring capacity (~48 B/event)")
+		out       = fs.String("out", "wlobs-out", "output directory for manifest.jsonl, trace JSON and folded stacks")
 		check     = fs.Bool("check", true, "verify crash-consistency invariants")
 		faultMode = fs.String("fault", "", "also inject faults: crash, tornwb, tornckpt, ackloss")
 		crashes   = fs.Int("crashes", 3, "forced crashes to schedule with -fault")
 		seed      = fs.Uint64("seed", 1, "fault-injection seed")
+		top       = fs.Int("top", 5, "hotspot sites to print per design (0 = none)")
+		needFull  = fs.Bool("require-full-coverage", false, "exit 1 unless every ledger attributes 100% of cycles")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 0, err
@@ -143,39 +140,28 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	}
 	defer mf.Close()
 
+	var ledgers []obs.Ledger
 	for _, kind := range kinds {
-		rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: w.Name, Trace: *trace}, *events)
-
-		cfg := sim.DefaultConfig()
-		cfg.CheckInvariants = *check
-		cfg.Obs = rec
-		cfg.Trace = power.Get(power.Source(*trace))
-		design, nvm := expt.NewDesign(kind, expt.Options{})
+		var inj *fault.Injector
 		if mode != "" {
-			inj := fault.NewInjector(mode, *seed)
-			inj.Obs = rec
+			inj = fault.NewInjector(mode, *seed)
 			for i := 1; i <= *crashes; i++ {
 				inj.CrashAtInstrs(uint64(i) * crashSpacing)
 			}
-			cfg.FaultPlan = inj
-			inj.Arm(nvm, design)
 		}
-		s, err := sim.New(cfg, design, nvm)
+		rec, res, l, err := runCell(kind, w, *trace, *scale, *events, *check, inj)
 		if err != nil {
-			return 0, fmt.Errorf("design %s: %w", kind, err)
-		}
-		res, err := s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, *scale) })
-		if err != nil {
-			return 0, fmt.Errorf("design %s: %w", kind, err)
+			return 0, err
 		}
 		foldResult(rec.Registry(), res)
-		warnDropped(rec, string(kind))
+		foldLedger(rec.Registry(), l)
 
 		m := rec.Manifest()
 		if err := obs.AppendManifest(mf, m); err != nil {
 			return 0, err
 		}
-		tname := filepath.Join(*out, fmt.Sprintf("trace-%s-%s-%s.json", kind, w.Name, *trace))
+		stem := fmt.Sprintf("%s-%s-%s", kind, w.Name, *trace)
+		tname := filepath.Join(*out, "trace-"+stem+".json")
 		tf, err := os.Create(tname)
 		if err != nil {
 			return 0, err
@@ -187,10 +173,25 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		if err := tf.Close(); err != nil {
 			return 0, err
 		}
+		fname := filepath.Join(*out, "flame-"+stem+".folded")
+		if err := os.WriteFile(fname, []byte(l.Folded()), 0o644); err != nil {
+			return 0, err
+		}
 		fmt.Fprint(stdout, obs.Summarize(m))
-		fmt.Fprintf(stdout, "wrote %s\n\n", tname)
+		fmt.Fprintf(stdout, "wrote %s\nwrote %s\n\n", tname, fname)
+		ledgers = append(ledgers, l)
 	}
+	fmt.Fprint(stdout, attrTable(ledgers, *top))
 	fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(*out, "manifest.jsonl"))
+	if *needFull {
+		for i := range ledgers {
+			if ledgers[i].Coverage() < 1 {
+				fmt.Fprintf(stdout, "record: %s coverage %.3f%% < 100%% (ring dropped %d events)\n",
+					ledgers[i].Meta.Key(), 100*ledgers[i].Coverage(), ledgers[i].Dropped)
+				return 1, nil
+			}
+		}
+	}
 	return 0, nil
 }
 
@@ -210,6 +211,23 @@ func foldResult(reg *obs.Registry, res sim.Result) {
 	reg.Gauge("result.nvm_write_bytes", obs.DirLower).Set(float64(res.NVMTraffic.WriteBytes()))
 	reg.Gauge("result.reserve_wasted_pj", obs.DirLower).Set(res.ReserveWasted * 1e12)
 	reg.Gauge("result.checksum", obs.DirNone).Set(float64(res.Checksum))
+}
+
+// foldLedger folds the cycle ledger into the registry: one counter per
+// category plus the unattributed prefix, and the attributed fraction.
+// Its total is result.exec_ps. Compute time is the workload itself,
+// not overhead, so it has no good direction; every other category is
+// lower-is-better.
+func foldLedger(reg *obs.Registry, l obs.Ledger) {
+	for _, c := range obs.Categories() {
+		dir := obs.DirLower
+		if c == obs.CatCompute {
+			dir = obs.DirNone
+		}
+		reg.Counter("attr."+c.String()+"_ps", dir).Add(uint64(l.CatPS[c]))
+	}
+	reg.Counter("attr.unknown_ps", obs.DirLower).Add(uint64(l.UnknownPS))
+	reg.Gauge("attr.coverage", obs.DirHigher).Set(l.Coverage())
 }
 
 func runSummary(args []string, stdout io.Writer) (int, error) {
@@ -250,36 +268,37 @@ func checkKind(kind expt.Kind) error {
 	return nil
 }
 
-// attrEventCap is the default ring size for the causal subcommands:
-// big enough that smoke-scale runs drop nothing, since dropped events
-// directly reduce attribution coverage (~48 B/event → 1 Mi ≈ 48 MB).
-const attrEventCap = 1 << 20
-
-// runInstrumented executes one design × workload × trace cell with
-// recording on and returns the recorder, the result and the core cycle
-// time (for ps → cycle conversion).
-func runInstrumented(kind expt.Kind, wl string, trace string, scale, events int) (*obs.Recorder, sim.Result, int64, error) {
-	w, ok := workload.ByName(wl)
-	if !ok {
-		return nil, sim.Result{}, 0, fmt.Errorf("unknown workload %q", wl)
-	}
-	if err := checkKind(kind); err != nil {
-		return nil, sim.Result{}, 0, err
-	}
+// runCell executes one design × workload × trace cell with recording
+// on, arming inj (nil: no faults) against the design, and returns the
+// recorder, the result and the run's cycle ledger.
+func runCell(kind expt.Kind, w workload.Workload, trace string, scale, events int, check bool, inj *fault.Injector) (*obs.Recorder, sim.Result, obs.Ledger, error) {
 	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: w.Name, Trace: trace}, events)
 	cfg := sim.DefaultConfig()
+	cfg.CheckInvariants = check
 	cfg.Obs = rec
 	cfg.Trace = power.Get(power.Source(trace))
 	design, nvm := expt.NewDesign(kind, expt.Options{})
+	if inj != nil {
+		inj.Obs = rec
+		cfg.FaultPlan = inj
+		inj.Arm(nvm, design)
+	}
 	s, err := sim.New(cfg, design, nvm)
 	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("design %s: %w", kind, err)
+		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: %w", kind, err)
 	}
 	res, err := s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, scale) })
 	if err != nil {
-		return nil, sim.Result{}, 0, fmt.Errorf("design %s: %w", kind, err)
+		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: %w", kind, err)
 	}
-	return rec, res, cfg.CyclePS, nil
+	warnDropped(rec, string(kind))
+	l := rec.Attribute(res.ExecTime, cfg.CyclePS)
+	if l.SumPS() != l.TotalPS {
+		// The ledger's own invariant; if it ever trips the profiler
+		// is lying and must not pretend otherwise.
+		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: ledger sum %d ps != total %d ps", kind, l.SumPS(), l.TotalPS)
+	}
+	return rec, res, l, nil
 }
 
 func runSpans(args []string, stdout io.Writer) (int, error) {
@@ -290,7 +309,7 @@ func runSpans(args []string, stdout io.Writer) (int, error) {
 		wl       = fs.String("workload", "sha", "benchmark name")
 		trace    = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
 		scale    = fs.Int("scale", 1, "input-size multiplier")
-		events   = fs.Int("events", attrEventCap, "event ring capacity (~48 B/event)")
+		events   = fs.Int("events", obs.DefaultEventCap, "event ring capacity (~48 B/event)")
 		kindFlag = fs.String("kind", "", "only show spans of this kind (stall, writeback, port-wait, checkpoint, off, restore, outage)")
 		addrFlag = fs.String("addr", "", "only show spans touching this address (hex ok)")
 		limit    = fs.Int("limit", 50, "max spans to print (0 = all)")
@@ -299,11 +318,18 @@ func runSpans(args []string, stdout io.Writer) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return 0, err
 	}
-	rec, res, _, err := runInstrumented(expt.Kind(*design), *wl, *trace, *scale, *events)
+	w, ok := workload.ByName(*wl)
+	if !ok {
+		return 0, fmt.Errorf("unknown workload %q", *wl)
+	}
+	kind := expt.Kind(*design)
+	if err := checkKind(kind); err != nil {
+		return 0, err
+	}
+	rec, res, _, err := runCell(kind, w, *trace, *scale, *events, false, nil)
 	if err != nil {
 		return 0, err
 	}
-	warnDropped(rec, *design)
 	set := obs.BuildSpans(rec.Trace(), rec.Meta, res.ExecTime)
 
 	var wantKind obs.SpanKind
@@ -355,68 +381,6 @@ func runSpans(args []string, stdout io.Writer) (int, error) {
 		}
 		fmt.Fprintf(stdout, "  %s\n", set.Format(sp))
 		shown++
-	}
-	return 0, nil
-}
-
-func runAttribute(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlobs attribute", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		designs  = fs.String("designs", "nvcache-wb,vcache-wt,wl", "comma-separated design kinds to attribute")
-		wl       = fs.String("workload", "sha", "benchmark name")
-		trace    = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
-		scale    = fs.Int("scale", 1, "input-size multiplier")
-		events   = fs.Int("events", attrEventCap, "event ring capacity (~48 B/event)")
-		top      = fs.Int("top", 5, "hotspot sites to print per design (0 = none)")
-		jsonOut  = fs.String("json", "", "also append wlattr/v1 JSONL records to this file")
-		needFull = fs.Bool("require-full-coverage", false, "exit 1 unless every ledger attributes 100% of cycles")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	var ledgers []obs.Ledger
-	for _, d := range strings.Split(*designs, ",") {
-		kind := expt.Kind(strings.TrimSpace(d))
-		rec, res, cyclePS, err := runInstrumented(kind, *wl, *trace, *scale, *events)
-		if err != nil {
-			return 0, err
-		}
-		warnDropped(rec, string(kind))
-		l := rec.Attribute(res.ExecTime, cyclePS)
-		if l.SumPS() != l.TotalPS {
-			// The ledger's own invariant; if it ever trips the profiler
-			// is lying and must not pretend otherwise.
-			return 0, fmt.Errorf("design %s: ledger sum %d ps != total %d ps", kind, l.SumPS(), l.TotalPS)
-		}
-		ledgers = append(ledgers, l)
-	}
-	fmt.Fprint(stdout, attrTable(ledgers, *top))
-
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return 0, err
-		}
-		for i := range ledgers {
-			if err := obs.WriteAttr(f, &ledgers[i], *top); err != nil {
-				f.Close()
-				return 0, err
-			}
-		}
-		if err := f.Close(); err != nil {
-			return 0, err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
-	}
-	if *needFull {
-		for i := range ledgers {
-			if ledgers[i].Coverage() < 1 {
-				fmt.Fprintf(stdout, "attribute: %s coverage %.3f%% < 100%% (ring dropped %d events)\n",
-					ledgers[i].Meta.Key(), 100*ledgers[i].Coverage(), ledgers[i].Dropped)
-				return 1, nil
-			}
-		}
 	}
 	return 0, nil
 }
@@ -499,39 +463,6 @@ func attrTable(ledgers []obs.Ledger, top int) string {
 		}
 	}
 	return b.String()
-}
-
-func runFlame(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlobs flame", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		design = fs.String("design", "wl", "design kind to profile")
-		wl     = fs.String("workload", "sha", "benchmark name")
-		trace  = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
-		scale  = fs.Int("scale", 1, "input-size multiplier")
-		events = fs.Int("events", attrEventCap, "event ring capacity (~48 B/event)")
-		out    = fs.String("out", "", "write folded stacks to this file (default stdout)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	rec, res, cyclePS, err := runInstrumented(expt.Kind(*design), *wl, *trace, *scale, *events)
-	if err != nil {
-		return 0, err
-	}
-	warnDropped(rec, *design)
-	l := rec.Attribute(res.ExecTime, cyclePS)
-	folded := l.Folded()
-	if *out == "" {
-		fmt.Fprint(stdout, folded)
-		return 0, nil
-	}
-	if err := os.WriteFile(*out, []byte(folded), 0o644); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d stacks; render with e.g. flamegraph.pl or speedscope)\n",
-		*out, strings.Count(folded, "\n"))
-	return 0, nil
 }
 
 func readManifestFile(path string) ([]obs.Manifest, error) {

@@ -123,14 +123,19 @@ func TestBadUsage(t *testing.T) {
 	if _, err := run([]string{"diff", "a.jsonl", "b.jsonl"}, &out); err == nil {
 		t.Error("diff is retired (wlhist gate judges manifests): want error")
 	}
+	// record folds the cycle ledger and its folded stacks into every
+	// recording, so the standalone ledger subcommands are gone.
+	for _, sub := range []string{"attribute", "flame"} {
+		if _, err := run([]string{sub}, &out); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: err = %v, want an unknown subcommand error", sub, err)
+		}
+	}
 	if _, err := run([]string{"record", "-workload", "nope"}, &out); err == nil {
 		t.Error("unknown workload: want error")
 	}
 	for _, args := range [][]string{
 		{"record", "-designs", "wl,bogus", "-out", t.TempDir()},
 		{"spans", "-design", "bogus"},
-		{"attribute", "-designs", "bogus"},
-		{"flame", "-design", "bogus"},
 	} {
 		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
 			t.Errorf("%v: err = %v, want an unknown design kind error", args, err)

@@ -5,8 +5,8 @@
 //     value. For a directed exact metric (outages, failed cells) only
 //     the bad direction is a regression — fewer outages is an
 //     improvement; a metric with direction none (a checksum) must not
-//     move at all. Every wlobs/v1 manifest metric and every wlattr/v1
-//     ledger value is exact.
+//     move at all. Every wlobs/v1 manifest metric, the cycle ledger's
+//     attr.* counters included, is exact.
 //     Exact metrics are host-independent, so they compare across hosts
 //     as long as the engine versions do not conflict: a checksum from
 //     engine 6 never gates against one from engine 5.

@@ -1,6 +1,6 @@
 // Package hist is the longitudinal run-history store: an append-only,
-// content-addressed JSONL log (wlhist/v1) of benchmark, observability
-// and attribution results, keyed so that any two entries are either
+// content-addressed JSONL log (wlhist/v1) of benchmark and
+// observability results, keyed so that any two entries are either
 // comparable or explicitly not. Host-speed metrics carry
 // the full host fingerprint and only ever gate against entries from
 // the same fingerprint; simulated outcomes (checksums, outage counts)

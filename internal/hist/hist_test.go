@@ -347,9 +347,10 @@ func TestSniff(t *testing.T) {
 			t.Errorf("Sniff(%q) must error", bad)
 		}
 	}
-	// Run history takes only the three report formats. A report of the
-	// retired load harness names a schema with no ingestor, and a
-	// Prometheus exposition, with or without comments, is not a report.
+	// Run history takes only the two report formats. A report of the
+	// retired load harness and a retired wlattr/v1 ledger name formats
+	// with no ingestor, and a Prometheus exposition, with or without
+	// comments, is not a report.
 	for file, want := range map[string]string{
 		"testdata/load_report.json": "unsupported format",
 		"testdata/metrics.prom":     "unrecognized document",
@@ -361,6 +362,10 @@ func TestSniff(t *testing.T) {
 		if _, err := Ingest(raw, file, ""); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Ingest(%s) = %v, want an error containing %q", file, err, want)
 		}
+	}
+	if _, err := Ingest([]byte(`{"format":"wlattr/v1","design":"wl","total_ps":1000}`+"\n"), "attr.jsonl", ""); err == nil ||
+		!strings.Contains(err.Error(), "unsupported format") {
+		t.Errorf("a wlattr/v1 ledger must be an unsupported format: %v", err)
 	}
 	if _, err := Ingest([]byte("wlserve_http_requests_total 12\n"), "bare", ""); err == nil ||
 		!strings.Contains(err.Error(), "unrecognized document") {

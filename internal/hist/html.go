@@ -57,23 +57,17 @@ type seriesGroup struct {
 	series []Series
 }
 
-// streamTitles names the per-cell stream namespaces. Every other
-// prefix is a bench/ workload: wlperf/v1 metrics are named
-// <workload>.<metric>.
-var streamTitles = map[string]string{
-	"obs":  "Observability manifests (wlobs)",
-	"attr": "Time attribution (wlattr)",
-}
-
 // groupSeries buckets series by their namespace prefix so the page
-// reads each benchmark workload, the manifests and the ledgers as
-// separate sections, benchmark workloads first.
+// reads each benchmark workload and the manifests as separate
+// sections, benchmark workloads first. Manifest metrics are named
+// obs.<cell>.<metric>; every other prefix is a bench/ workload, whose
+// wlperf/v1 metrics are named <workload>.<metric>.
 func groupSeries(series []Series) []seriesGroup {
 	byPrefix := make(map[string][]Series)
 	var workloads []string
 	for _, sr := range series {
 		p, _, _ := strings.Cut(sr.Name, ".")
-		if _, stream := streamTitles[p]; !stream && byPrefix[p] == nil {
+		if p != "obs" && byPrefix[p] == nil {
 			workloads = append(workloads, p)
 		}
 		byPrefix[p] = append(byPrefix[p], sr)
@@ -83,10 +77,8 @@ func groupSeries(series []Series) []seriesGroup {
 	for _, w := range workloads {
 		out = append(out, seriesGroup{"Benchmark (" + w + ")", byPrefix[w]})
 	}
-	for _, p := range []string{"obs", "attr"} {
-		if len(byPrefix[p]) > 0 {
-			out = append(out, seriesGroup{streamTitles[p], byPrefix[p]})
-		}
+	if ms := byPrefix["obs"]; len(ms) > 0 {
+		out = append(out, seriesGroup{"Observability manifests (wlobs)", ms})
 	}
 	return out
 }

@@ -1,7 +1,7 @@
 // Format sniffing and ingestion: each supported document — a bench/
-// wlperf/v1 report, a wlobs/v1 manifest stream or a wlattr/v1 ledger
-// stream — becomes one history entry (one per cell for the two
-// streams) with a flat, namespaced metric map. The metric kind and
+// wlperf/v1 report or a wlobs/v1 manifest stream — becomes one history
+// entry (one per cell for the stream) with a flat, namespaced metric
+// map. The metric kind and
 // direction tables here are the drift policy: what gates, what is
 // informational, and which way is "better".
 package hist
@@ -29,8 +29,8 @@ func keyFrom(i hostinfo.Info) Key {
 }
 
 // SelfKey is the comparability key of the running process: used when
-// the ingested document carries no host block (a wlobs/v1 manifest or
-// a wlattr/v1 ledger) and the caller asserts it was produced here.
+// the ingested document carries no host block (a wlobs/v1 manifest)
+// and the caller asserts it was produced here.
 func SelfKey() Key { return keyFrom(hostinfo.Collect()) }
 
 // Ingest sniffs the document format and converts it to history
@@ -47,8 +47,6 @@ func Ingest(raw []byte, name, label string) ([]Entry, error) {
 		entries, err = ingestPerf(raw, name)
 	case obs.Schema: // wlobs/v1
 		entries, err = ingestManifest(raw, name)
-	case obs.AttrFormat: // wlattr/v1
-		entries, err = ingestAttr(raw, name)
 	default:
 		return nil, fmt.Errorf("hist: %s: unsupported format %q", name, format)
 	}
@@ -62,7 +60,7 @@ func Ingest(raw []byte, name, label string) ([]Entry, error) {
 }
 
 // Sniff identifies a document by its JSON schema: a whole-document
-// report, or the first line of a wlobs/v1 or wlattr/v1 JSONL stream.
+// report, or the first line of a JSONL stream such as wlobs/v1.
 func Sniff(raw []byte) (string, error) {
 	trimmed := bytes.TrimSpace(raw)
 	if len(trimmed) == 0 {
@@ -163,7 +161,8 @@ func ingestPerf(raw []byte, name string) ([]Entry, error) {
 // ingestManifest records every manifest metric as directed exact: a
 // manifest holds simulated outcomes only, deterministic within one
 // engine version, so any move in the bad direction is drift, and so is
-// any move at all of a metric with direction none (the checksum).
+// any move at all of a metric with direction none (the checksum, the
+// cycle ledger's attr.compute_ps).
 func ingestManifest(raw []byte, name string) ([]Entry, error) {
 	ms, err := obs.ReadManifests(bytes.NewReader(raw))
 	if err != nil {
@@ -190,44 +189,6 @@ func ingestManifest(raw []byte, name string) ([]Entry, error) {
 		}
 		entries = append(entries, Entry{
 			Source:  Source{Format: obs.Schema, Name: name + "#" + m.Design + "/" + m.Workload + "/" + m.Trace},
-			Key:     key,
-			Metrics: metrics,
-		})
-	}
-	return entries, nil
-}
-
-// --- wlattr/v1 ------------------------------------------------------
-
-// ingestAttr records a cycle ledger as directed exact, like a
-// manifest: it charges simulated picoseconds, so it is deterministic
-// within one engine version and gates across hosts.
-func ingestAttr(raw []byte, name string) ([]Entry, error) {
-	recs, err := obs.ReadAttrs(bytes.NewReader(raw))
-	if err != nil {
-		return nil, err
-	}
-	key := SelfKey()
-	var entries []Entry
-	for _, r := range recs {
-		p := fmt.Sprintf("attr.%s.%s.%s.", r.Design, r.Workload, r.Trace)
-		metrics := map[string]Metric{
-			p + "total_ps":       {Value: float64(r.TotalPS), Unit: "ps", Dir: "lower", Kind: KindExact},
-			p + "coverage":       {Value: r.Coverage, Dir: "higher", Kind: KindExact},
-			p + "unknown_ps":     {Value: float64(r.UnknownPS), Unit: "ps", Dir: "lower", Kind: KindExact},
-			p + "events_dropped": {Value: float64(r.EventsDropped), Dir: "lower", Kind: KindExact},
-		}
-		for cat, ps := range r.Categories {
-			dir := "lower"
-			if cat == "compute" {
-				// Compute time is the workload itself, not overhead:
-				// it has no good direction, so any move is drift.
-				dir = "none"
-			}
-			metrics[p+"cat."+cat+"_ps"] = Metric{Value: float64(ps), Unit: "ps", Dir: dir, Kind: KindExact}
-		}
-		entries = append(entries, Entry{
-			Source:  Source{Format: obs.AttrFormat, Name: name + "#" + r.Design + "/" + r.Workload + "/" + r.Trace},
 			Key:     key,
 			Metrics: metrics,
 		})

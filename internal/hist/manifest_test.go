@@ -2,7 +2,6 @@ package hist
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -152,49 +151,30 @@ func TestGateIgnoresOneSidedManifestMetrics(t *testing.T) {
 	}
 }
 
-// A wlattr/v1 ledger charges simulated picoseconds, so the gate judges
-// it like a manifest: directed exact, across hosts. One more stall
+// The cycle ledger rides in the manifest as attr.* counters that charge
+// simulated picoseconds, so the gate judges it like every other
+// manifest metric: directed exact, across hosts. One more stall
 // picosecond recorded on another host is drift, and so is any move of
 // the direction-none compute time.
 func TestGateJudgesLedgerAsExactAcrossHosts(t *testing.T) {
-	ledger := func(stallPS, computePS int64) []byte {
-		rec := obs.AttrRecord{
-			Format: obs.AttrFormat, Design: "wl", Workload: "sha", Trace: "tr1",
-			TotalPS: 10000, Coverage: 1,
-			Categories: map[string]int64{"compute": computePS, "maxline-stall": stallPS},
-		}
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	ledger := func(stallPS, computePS uint64) obs.Manifest {
+		r := obs.NewRecorder(obs.RunMeta{Design: "wl", Workload: "sha", Trace: "tr1"}, 16)
+		r.Registry().Counter("attr.compute_ps", obs.DirNone).Add(computePS)
+		r.Registry().Counter("attr.maxline-stall_ps", obs.DirLower).Add(stallPS)
+		r.Registry().Counter("attr.unknown_ps", obs.DirLower)
+		r.Registry().Gauge("attr.coverage", obs.DirHigher).Set(1)
+		return r.Manifest()
 	}
-	const p = "attr.wl.sha.tr1."
 	for _, tc := range []struct {
 		name   string
-		next   []byte
+		next   obs.Manifest
 		metric string
 	}{
-		{"stall +1 ps", ledger(2001, 8000), "cat.maxline-stall_ps"},
-		{"compute moved", ledger(2000, 7999), "cat.compute_ps"},
+		{"stall +1 ps", ledger(2001, 8000), "attr.maxline-stall_ps"},
+		{"compute moved", ledger(2000, 7999), "attr.compute_ps"},
 	} {
-		s, err := Open(filepath.Join(t.TempDir(), "h.jsonl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, raw := range [][]byte{ledger(2000, 8000), tc.next} {
-			entries, err := Ingest(raw, fmt.Sprintf("run%d/attr.jsonl", i), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := entries[0]
-			e.Key = []Key{hostA, hostB}[i]
-			if _, _, err := s.Append(e); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rep := Gate(s, GateConfig{})
-		if f := findFinding(t, rep, p+tc.metric); !f.Regressed() || rep.Regressions != 1 {
+		_, rep := gateManifests(t, []Key{hostA, hostB}, ledger(2000, 8000), tc.next)
+		if f := findFinding(t, rep, cellPrefix+tc.metric); !f.Regressed() || rep.Regressions != 1 {
 			t.Errorf("%s on another host must regress %s alone: %+v (report %+v)", tc.name, tc.metric, f, rep.Findings)
 		}
 	}

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -41,7 +39,8 @@ const (
 	numCategories
 )
 
-// String names the category (also the wlattr/v1 key).
+// String names the category (also its manifest counter,
+// attr.<name>_ps).
 func (c Category) String() string {
 	switch c {
 	case CatCompute:
@@ -94,11 +93,11 @@ func catPriority(c Category) int {
 // Hotspot is the per-store-PC bucket: stall and synchronous port-wait
 // time charged to one program site.
 type Hotspot struct {
-	PC         uint64 `json:"pc"`
-	Site       string `json:"site"`
-	StallPS    int64  `json:"stall_ps"`
-	PortWaitPS int64  `json:"port_wait_ps"`
-	Events     int    `json:"events"`
+	PC         uint64
+	Site       string
+	StallPS    int64
+	PortWaitPS int64
+	Events     int
 }
 
 // TotalPS is the hotspot's combined attributed time.
@@ -362,79 +361,6 @@ func ResolvePC(pc uint64) string {
 		return fmt.Sprintf("%s:%d", name, line)
 	}
 	return fmt.Sprintf("pc=%#x", pc)
-}
-
-// --- wlattr/v1 machine-readable records ---
-
-// AttrFormat is the wlattr record format marker.
-const AttrFormat = "wlattr/v1"
-
-// AttrRecord is the JSON form of one ledger (one line of a wlattr/v1
-// JSONL stream).
-type AttrRecord struct {
-	Format   string `json:"format"`
-	Design   string `json:"design"`
-	Workload string `json:"workload"`
-	Trace    string `json:"trace"`
-
-	TotalPS int64 `json:"total_ps"`
-	CyclePS int64 `json:"cycle_ps,omitempty"`
-
-	// Categories maps category name → attributed ps, every category
-	// present (zeros included) so differs see a stable schema.
-	Categories       map[string]int64 `json:"categories"`
-	UnknownPS        int64            `json:"unknown_ps"`
-	HiddenPortWaitPS int64            `json:"hidden_port_wait_ps"`
-	Coverage         float64          `json:"coverage"`
-
-	EventsPushed  uint64    `json:"events_pushed"`
-	EventsDropped uint64    `json:"events_dropped"`
-	Hotspots      []Hotspot `json:"hotspots,omitempty"`
-}
-
-// Record converts the ledger to its wlattr/v1 wire form. top bounds
-// the hotspot list (<= 0: all).
-func (l *Ledger) Record(top int) AttrRecord {
-	cats := make(map[string]int64, numCategories)
-	for _, c := range Categories() {
-		cats[c.String()] = l.CatPS[c]
-	}
-	hs := l.Hotspots
-	if top > 0 && len(hs) > top {
-		hs = hs[:top]
-	}
-	return AttrRecord{
-		Format: AttrFormat,
-		Design: l.Meta.Design, Workload: l.Meta.Workload, Trace: l.Meta.Trace,
-		TotalPS: l.TotalPS, CyclePS: l.CyclePS,
-		Categories: cats, UnknownPS: l.UnknownPS,
-		HiddenPortWaitPS: l.HiddenPortWaitPS, Coverage: l.Coverage(),
-		EventsPushed: l.Pushed, EventsDropped: l.Dropped,
-		Hotspots: hs,
-	}
-}
-
-// WriteAttr appends the ledger as one wlattr/v1 JSONL line.
-func WriteAttr(w io.Writer, l *Ledger, top int) error {
-	return json.NewEncoder(w).Encode(l.Record(top))
-}
-
-// ReadAttrs parses a wlattr/v1 JSONL stream.
-func ReadAttrs(r io.Reader) ([]AttrRecord, error) {
-	var out []AttrRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec AttrRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, err
-		}
-		if rec.Format != AttrFormat {
-			return out, fmt.Errorf("obs: not a %s record (format %q)", AttrFormat, rec.Format)
-		}
-		out = append(out, rec)
-	}
 }
 
 // --- folded-stack (flamegraph) rendering ---

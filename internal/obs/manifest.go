@@ -55,6 +55,39 @@ func (h HistSnap) Mean() float64 {
 	return h.Sum / float64(h.Count)
 }
 
+// Quantile estimates the q-quantile (q in [0,1]) from the buckets: it
+// finds the bucket holding the q-th observation and returns that
+// bucket's geometric midpoint (0 for the zero bucket, the max for the
+// open tail), clamped to [Min, Max]. A single-sample histogram returns
+// that sample; an empty one NaN.
+func (h HistSnap) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return math.NaN()
+	}
+	if h.Count == 1 {
+		return h.Min
+	}
+	rank := uint64(math.Ceil(q * float64(h.Count)))
+	if rank < 1 {
+		rank = 1
+	}
+	var seen uint64
+	for _, bk := range h.Buckets {
+		seen += bk.Count
+		if seen < rank {
+			continue
+		}
+		switch {
+		case bk.Upper == 1:
+			return 0
+		case bk.Upper == 0: // open tail
+			return h.Max
+		}
+		return min(max(bk.Upper/math.Sqrt2, h.Min), h.Max)
+	}
+	return h.Max
+}
+
 // Manifest is one run's machine-readable record: metadata plus every
 // metric snapshot, written as one JSONL line.
 type Manifest struct {

@@ -199,46 +199,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.count)
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the buckets: it
-// finds the bucket holding the q-th observation and returns that
-// bucket's geometric midpoint (its lower bound for bucket 0, the max
-// for the open tail). Single-sample histograms return that sample.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count == 0 {
-		return math.NaN()
-	}
-	if h.count == 1 {
-		return h.min
-	}
-	rank := uint64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for i, n := range h.buckets {
-		seen += n
-		if seen < rank {
-			continue
-		}
-		switch {
-		case i == 0:
-			return 0
-		case i == histBuckets-1:
-			return h.max
-		}
-		lo := math.Pow(2, float64(i-1))
-		mid := lo * math.Sqrt2
-		if mid > h.max {
-			mid = h.max
-		}
-		if mid < h.min {
-			mid = h.min
-		}
-		return mid
-	}
-	return h.max
-}
-
 // Registry holds one run's metrics. It is not safe for concurrent
 // use: the simulator is single-goroutine, and so is a Recorder.
 type Registry struct {

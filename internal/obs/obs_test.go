@@ -60,28 +60,46 @@ func TestRingOverwritesOldest(t *testing.T) {
 	}
 }
 
+// histSnap observes vals into a fresh histogram and returns its
+// manifest snapshot.
+func histSnap(t *testing.T, vals ...float64) HistSnap {
+	t.Helper()
+	r := NewRecorder(RunMeta{}, 1)
+	h := r.Registry().Histogram("v", DirLower)
+	for _, v := range vals {
+		h.Observe(v)
+	}
+	for _, s := range r.Manifest().Histograms {
+		if s.Name == "v" {
+			return s
+		}
+	}
+	t.Fatal("manifest lacks histogram v")
+	return HistSnap{}
+}
+
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
-	var h Histogram
-	if !math.IsNaN(h.Mean()) || !math.IsNaN(h.Quantile(0.5)) {
+	if h := histSnap(t); !math.IsNaN(h.Mean()) || !math.IsNaN(h.Quantile(0.5)) {
 		t.Fatal("empty histogram must report NaN")
 	}
-	h.Observe(1500)
-	if h.Count() != 1 || h.Quantile(0.5) != 1500 || h.Mean() != 1500 {
-		t.Fatalf("single-sample histogram: count=%d p50=%g mean=%g", h.Count(), h.Quantile(0.5), h.Mean())
+	if h := histSnap(t, 1500); h.Count != 1 || h.Quantile(0.5) != 1500 || h.Mean() != 1500 {
+		t.Fatalf("single-sample histogram: count=%d p50=%g mean=%g", h.Count, h.Quantile(0.5), h.Mean())
 	}
+	vals := []float64{1500}
 	for i := 0; i < 99; i++ {
-		h.Observe(100)
+		vals = append(vals, 100)
 	}
 	// 99 samples near 100 and one at 1500: p50 lands in the [64,128)
 	// bucket, p99+ reaches the outlier's bucket.
+	h := histSnap(t, vals...)
 	if p := h.Quantile(0.5); p < 64 || p >= 128 {
 		t.Fatalf("p50 %g outside the 100-bucket", p)
 	}
 	if p := h.Quantile(1.0); p < 1024 || p > 1500 {
 		t.Fatalf("p100 %g missed the outlier bucket", p)
 	}
-	if h.Observe(-5); h.min != 0 {
-		t.Fatalf("negative observation must clamp to 0, min=%g", h.min)
+	if h := histSnap(t, 100, -5); h.Min != 0 {
+		t.Fatalf("negative observation must clamp to 0, min=%g", h.Min)
 	}
 }
 

@@ -392,10 +392,11 @@ func TestWriteTraceEvents(t *testing.T) {
 }
 
 func TestHistQuantileMonotonic(t *testing.T) {
-	h := NewRegistry().Histogram("v", DirLower)
+	var vals []float64
 	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
+		vals = append(vals, float64(i))
 	}
+	h := histSnap(t, vals...)
 	last := 0.0
 	for _, q := range []float64{0.5, 0.9, 0.99} {
 		v := h.Quantile(q)

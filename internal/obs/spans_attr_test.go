@@ -186,39 +186,17 @@ func TestAttributePriorityAndHotspots(t *testing.T) {
 	}
 }
 
-func TestAttrRecordRoundTripAndFolded(t *testing.T) {
+func TestLedgerCategoriesAndFolded(t *testing.T) {
 	tr := NewTrace(64)
 	tr.Push(Event{TS: 100, Dur: 200, Kind: KStall, A: 0x80, B: 7})
 	tr.Push(Event{TS: 600, Dur: 200, Kind: KOff})
 	l := AttributeTrace(tr, RunMeta{Design: "wl", Workload: "sha", Trace: "tr1"}, 1000, 1)
 
-	var buf bytes.Buffer
-	if err := WriteAttr(&buf, &l, 3); err != nil {
-		t.Fatal(err)
+	if l.CatPS[CatStall] != 200 || l.CatPS[CatOff] != 200 || l.CatPS[CatCompute] != 600 {
+		t.Fatalf("categories wrong: %v", l.CatPS)
 	}
-	recs, err := ReadAttrs(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("read %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Format != AttrFormat || r.Design != "wl" || r.TotalPS != 1000 {
-		t.Fatalf("record lost metadata: %+v", r)
-	}
-	if len(r.Categories) != int(numCategories) {
-		t.Fatalf("record has %d categories, want all %d (zeros included)", len(r.Categories), numCategories)
-	}
-	if r.Categories["maxline-stall"] != 200 || r.Categories["off"] != 200 || r.Categories["compute"] != 600 {
-		t.Fatalf("categories wrong: %v", r.Categories)
-	}
-	if r.Coverage != 1 {
-		t.Fatalf("coverage %g, want 1", r.Coverage)
-	}
-	// Garbage format must be rejected.
-	if _, err := ReadAttrs(strings.NewReader(`{"format":"nope"}` + "\n")); err == nil {
-		t.Fatal("ReadAttrs accepted a foreign format")
+	if l.Coverage() != 1 {
+		t.Fatalf("coverage %g, want 1", l.Coverage())
 	}
 
 	folded := l.Folded()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"wlcache/internal/stats"
@@ -46,7 +45,7 @@ func Summarize(m Manifest) string {
 			if h.Count == 0 {
 				continue
 			}
-			t.Add(h.Name, float64(h.Count), h.Mean(), snapQuantile(h, 0.50), snapQuantile(h, 0.99), h.Max)
+			t.Add(h.Name, float64(h.Count), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max)
 		}
 		if t.Rows() > 0 {
 			b.WriteString(t.String())
@@ -65,43 +64,6 @@ func Summarize(m Manifest) string {
 		b.WriteString(c.String())
 	}
 	return b.String()
-}
-
-// snapQuantile estimates a quantile from a manifest histogram the
-// same way Histogram.Quantile does from the live buckets.
-func snapQuantile(h HistSnap, q float64) float64 {
-	if h.Count == 0 {
-		return math.NaN()
-	}
-	if h.Count == 1 {
-		return h.Min
-	}
-	rank := uint64(math.Ceil(q * float64(h.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen uint64
-	for _, bk := range h.Buckets {
-		seen += bk.Count
-		if seen < rank {
-			continue
-		}
-		switch {
-		case bk.Upper == 1:
-			return 0
-		case bk.Upper == 0: // open tail
-			return h.Max
-		}
-		mid := bk.Upper / math.Sqrt2
-		if mid > h.Max {
-			mid = h.Max
-		}
-		if mid < h.Min {
-			mid = h.Min
-		}
-		return mid
-	}
-	return h.Max
 }
 
 // bucketLabel renders one bucket's value range.

@@ -124,8 +124,9 @@ type Trace struct {
 }
 
 // DefaultEventCap is the ring capacity NewRecorder uses when none is
-// given: 64 Ki events (~3 MB).
-const DefaultEventCap = 1 << 16
+// given: 1 Mi events (~48 MB), big enough that smoke-scale runs drop
+// nothing, since dropped events directly reduce ledger coverage.
+const DefaultEventCap = 1 << 20
 
 // NewTrace returns a ring of the given capacity (DefaultEventCap when
 // capacity <= 0).
