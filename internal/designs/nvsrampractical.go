@@ -139,7 +139,7 @@ func (d *NVSRAMPractical) Access(now int64, op isa.Op, addr, val uint32) (uint32
 // adds at most one term to each field of *eb. A miss sums its terms
 // from zero and adds the sum to *eb once, so that on the fast tier,
 // where *eb holds the open window's running totals, every field
-// associates as the by-value window.Add(one) that recorded this
+// associates as the window.Add(&one) that recorded this
 // design's results did.
 func (d *NVSRAMPractical) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
 	d.clock++
@@ -155,7 +155,7 @@ func (d *NVSRAMPractical) AccessEB(now int64, op isa.Op, addr, val uint32, eb *e
 	one.CacheRead += d.sram.ProbeEnergy + d.nv.ProbeEnergy
 	w, t := d.fill(t, addr, &one)
 	v, done := d.serve(t, w, op, addr, val, &one)
-	eb.Add(one)
+	eb.Add(&one)
 	return v, done
 }
 

@@ -114,8 +114,8 @@ func TestBreakdownTotalAndAdd(t *testing.T) {
 		t.Fatalf("Total = %g", a.Total())
 	}
 	var b Breakdown
-	b.Add(a)
-	b.Add(a)
+	b.Add(&a)
+	b.Add(&a)
 	if b.Total() != 72 {
 		t.Fatalf("Add total = %g", b.Total())
 	}

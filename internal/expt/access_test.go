@@ -38,9 +38,9 @@ const maxAccessOps = 128
 // openWindow stands in for the fast tier's open settle window: the
 // running totals AccessEB adds into. Its fields are far larger than one
 // access's terms, so a design that associates a sum differently from
-// the by-value window.Add(one) shows in the low bits.
+// window.Add(&one) over a by-value Access shows in the low bits.
 //
-// Only nvsram-practical is held to window.Add(one) bit for bit: its
+// Only nvsram-practical is held to window.Add(&one) bit for bit: its
 // fast-tier results were recorded through the by-value path, and a
 // change in association would move them without an EngineVersion bump.
 // Every other kind's fast tier has always added each term straight into
@@ -121,7 +121,7 @@ func driveAccessContract(t *testing.T, kind Kind, data []byte) {
 		var ebP energy.Breakdown
 		v2, done2 := eba[0].AccessEB(now, op, addr, val, &ebP)
 		checkTwinStep(t, kind, i, "access", v, v2, done, done2, ebV, ebP, 0)
-		want.Add(ebV)
+		want.Add(&ebV)
 		v2, done2 = eba[1].AccessEB(now, op, addr, val, &window)
 		tol := windowTol
 		if kind == KindNVSRAMPractical {

@@ -118,8 +118,8 @@ func (s *Store) Equal(o *Store) bool {
 	return s.firstDiff(o) == nil
 }
 
-// FirstDiff returns a description of the first differing word between
-// the two stores, or "" if they are equal. Useful in test failures.
+// FirstDiff describes the lowest-addressed differing word between the
+// two stores, or returns "" if they are equal. Useful in test failures.
 func (s *Store) FirstDiff(o *Store) string {
 	d := s.firstDiff(o)
 	if d == nil {
@@ -133,30 +133,39 @@ type diff struct {
 	a, b uint32
 }
 
+// zeroPage stands in for a page absent from one of the two stores.
+var zeroPage [pageWords]uint32
+
+// firstDiff returns the lowest-addressed differing word. Map iteration
+// order is random, so it visits every page of both stores, and scans
+// only pages below the lowest difference found so far: within a page
+// the first difference is the lowest.
 func (s *Store) firstDiff(o *Store) *diff {
+	var best *diff
+	scan := func(idx uint32, p, q *[pageWords]uint32) {
+		if best != nil && idx >= best.addr>>pageShift {
+			return
+		}
+		for i, v := range p {
+			if w := q[i]; v != w {
+				best = &diff{idx<<pageShift | uint32(i*4), v, w}
+				return
+			}
+		}
+	}
 	for idx, p := range s.pages {
 		q := o.pages[idx]
-		for i, v := range p {
-			var w uint32
-			if q != nil {
-				w = q[i]
-			}
-			if v != w {
-				return &diff{idx<<pageShift | uint32(i*4), v, w}
-			}
+		if q == nil {
+			q = &zeroPage
 		}
+		scan(idx, p, q)
 	}
 	for idx, q := range o.pages {
-		if s.pages[idx] != nil {
-			continue // already compared above
-		}
-		for i, w := range q {
-			if w != 0 {
-				return &diff{idx<<pageShift | uint32(i*4), 0, w}
-			}
+		if s.pages[idx] == nil { // otherwise compared above
+			scan(idx, &zeroPage, q)
 		}
 	}
-	return nil
+	return best
 }
 
 // Clone returns a deep copy of the store.

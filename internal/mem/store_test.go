@@ -91,6 +91,24 @@ func TestStoreEqualAndDiff(t *testing.T) {
 	}
 }
 
+func TestStoreFirstDiffIsLowestAddress(t *testing.T) {
+	a, b := NewStore(), NewStore()
+	// Differences on three pages, one of them absent from a.
+	a.Write(0x9008, 1)
+	a.Write(0x3010, 2)
+	a.Write(0x3004+2*pageWords*4, 3)
+	b.Write(0x5000, 4)
+	const want = "addr 0x3010: 0x2 != 0x0"
+	for i := 0; i < 50; i++ {
+		if got := a.FirstDiff(b); got != want {
+			t.Fatalf("call %d: FirstDiff = %q, want %q", i, got, want)
+		}
+	}
+	if got := b.FirstDiff(a); got != "addr 0x3010: 0x0 != 0x2" {
+		t.Fatalf("reversed FirstDiff = %q", got)
+	}
+}
+
 func TestStoreClone(t *testing.T) {
 	a := NewStore()
 	a.Write(0x100, 42)

@@ -23,7 +23,7 @@ const (
 	// operation happens in the committed order, and the 78-cell golden
 	// pins each Result field down to the last ULP.
 	TierExact Tier = iota
-	// TierFast widens the engine's settle window under a committed
+	// TierFast batches events into settle windows under a committed
 	// tolerance (see expt.CompareGoldenCellsTol and DESIGN.md §16):
 	// capacitor state is kept in energy space, harvest integration is
 	// batched between power-relevant events behind a conservative draw
@@ -115,11 +115,11 @@ type Config struct {
 	// outcome and runs on either tier.
 	Obs *obs.Recorder
 
-	// Tier selects the settle-window policy New runs the one hot loop
-	// with: exact (default) settles every event alone in voltage space;
-	// fast batches events between settles in energy space. Runs with a
-	// FaultPlan always take the exact policy: a plan may crash the run
-	// at any event boundary, which the fast window defers.
+	// Tier selects the event policy: exact (default) settles every
+	// event alone in voltage space; fast batches events between settles
+	// in energy space. Runs with a FaultPlan always take the exact
+	// policy: a plan may crash the run at any event boundary, which the
+	// fast window defers.
 	Tier Tier
 }
 

@@ -61,10 +61,10 @@ type EnergyProbeBinder interface {
 // design without it: the design accumulates its energy breakdown into
 // *eb (+= only, never a plain store) instead of returning the 64-byte
 // struct by value, sparing one copy per simulated memory operation. *eb
-// is the open settle window's breakdown: zero on the exact policy,
-// earlier events' sums on the fast one. Implementations must perform
-// arithmetic identical to Access (every registered design implements
-// Access as a thin wrapper over AccessEB).
+// is zero on the exact policy, which settles each access alone, and
+// holds the open settle window's sums on the fast one. Implementations
+// must perform arithmetic identical to Access (every registered design
+// implements Access as a thin wrapper over AccessEB).
 type EBAccessor interface {
 	AccessEB(now int64, op isa.Op, addr uint32, val uint32, eb *energy.Breakdown) (v uint32, done int64)
 }

@@ -7,25 +7,24 @@ import (
 	"wlcache/internal/energy"
 )
 
-// This file is the settle window (DESIGN.md §16), the one hot loop both
-// tiers run. Events — access tails and Compute blocks — accumulate in
-// the open window; the window settles before an event could hide a
-// power-relevant change, and the voltage monitor (settleAndCheck) runs
-// at every settle. New picks one of two window policies from
-// Config.Tier:
+// This file is the fast policy's settle window (DESIGN.md §16.2). New
+// picks one of two policies from Config.Tier, and access and Compute
+// branch on it once, where an event enters the simulator:
 //
-//   - Exact (perEvent) is the degenerate window: a zero draw budget and
-//     a deadline at the window's start, so every event reaches past the
-//     deadline and settles alone, in voltage space, through step — the
-//     seed engine's per-event arithmetic, same operations in the same
-//     order, which the golden pins bit for bit.
+//   - Exact (perEvent) has no window. Every event settles alone, in
+//     voltage space, through step (accessExact, computeExact): the seed
+//     engine's per-event arithmetic, same operations in the same order,
+//     which the golden pins bit for bit, and endEventExact runs the
+//     voltage monitor after it.
 //   - Fast keeps capacitor state in energy space (fcapE, joules). Harvest
 //     clamping and the Vbackup/VMin comparisons all have exact
 //     energy-space forms (E ≥ ½CV² ⇔ V' ≥ V), so no sqrt is needed
-//     between outages. Access events accumulate their breakdown in
-//     place, so the per-event work is the category sum and two compares;
-//     the breakdown is flushed into Result.Energy at each settle. A
-//     settle is forced before either bound is violated:
+//     between outages. Events — access tails and Compute blocks —
+//     accumulate in the open window: access events accumulate their
+//     breakdown in place, so the per-event work is the category sum and
+//     two compares; the breakdown is flushed into Result.Energy at each
+//     settle, and the voltage monitor (settleAndCheck) runs at every
+//     settle. A settle is forced before either bound is violated:
 //       budget bound   pending draw < drawBudget, where drawBudget is
 //                      the settled energy above the Vbackup threshold.
 //                      Harvest only adds energy, so no Vbackup crossing
@@ -36,10 +35,10 @@ import (
 //                      cannot engage, so one batched Integrate equals
 //                      the per-event sequence (up to fp reordering).
 //     An event that would cross the deadline settles in its own
-//     single-event window, which matches the exact policy's per-event
-//     clamp semantics by construction. Compute blocks are fused when the
-//     budget covers them and degrade to ComputeChunk monitor granularity
-//     near the threshold; per-block costs are memoized by block length.
+//     single-event window, so the VMax clamp applies per event there,
+//     as on the exact policy. Compute blocks are fused when the budget
+//     covers them and degrade to ComputeChunk monitor granularity near
+//     the threshold; per-block costs are memoized by block length.
 //
 // Everything event-ordered stays event-ordered on both policies: the
 // instruction sequence, every design access and every outage boundary
@@ -75,19 +74,21 @@ type blockCost struct {
 	draw    float64
 }
 
-// openWindow starts a settle window at s.now: after the initial
-// charge-up and at every boot, when the previous window (if any) has
-// settled empty. The fast policy derives its energy-space state from
-// the capacitor. The caller then arms both policies against the current
-// reserve with one refreshThresholds: Run right away, powerFail after
-// OnBoot, which may change the reserve.
+// openWindow starts a settle window at s.now on the fast policy: after
+// the initial charge-up and at every boot, when the previous window (if
+// any) has settled empty. It derives the energy-space state from the
+// capacitor; the window stays closed (deadline at its start) until the
+// caller arms it against the current reserve with one
+// refreshThresholds: Run right away, powerFail after OnBoot, which may
+// change the reserve. The exact policy has no window.
 func (s *Simulator) openWindow() {
+	if s.perEvent {
+		return
+	}
 	s.settleT = s.now
 	s.settleDeadline = s.now
-	if !s.perEvent {
-		v := s.cap.Voltage()
-		s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
-	}
+	v := s.cap.Voltage()
+	s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
 }
 
 // syncCap settles the window and hands its state to the voltage-space
@@ -111,54 +112,40 @@ func (s *Simulator) syncCapFromFast() {
 	s.cap.SetVoltage(math.Sqrt(2 * e / s.cfg.CapacitorF))
 }
 
-// settleAndCheck is the voltage monitor: settle the window, then run the
-// outage sequence if the capacitor reached Vbackup or a fault plan
-// forces a crash here. On the exact policy the window holds one event,
-// which settles in voltage space through step, and the degenerate
-// window reopens at its end. The fast policy's `fcapE >= eVb` is the
-// exact policy's `v >= vb` in energy space.
+// settleAndCheck is the fast policy's voltage monitor: settle the
+// window, then run the outage sequence if the capacitor reached
+// Vbackup. `fcapE >= eVb` is the exact policy's `v >= vb` in energy
+// space. A fault plan always takes the exact policy, so none is
+// consulted here.
 func (s *Simulator) settleAndCheck() {
-	if s.perEvent {
-		s.step(s.settleT, s.now, &s.ebScratch, s.pendingBlock)
-		s.res.OnTime += s.now - s.settleT
-		s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
-		s.ebScratch = energy.Breakdown{}
-		s.pendingBlock = 0
-		s.settleT = s.now
-		s.settleDeadline = s.now
-		if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
-			return
-		}
-	} else {
-		// At an event boundary the whole scratch is covered draw.
-		s.scratchDraw = s.scratchTotal()
-		s.settle()
-		if s.untraced || s.fcapE >= s.eVb {
-			return
-		}
-		s.syncCapFromFast()
+	// At an event boundary the whole scratch is covered draw.
+	s.scratchDraw = s.scratchTotal()
+	s.settle()
+	if s.untraced || s.fcapE >= s.eVb {
+		return
 	}
+	s.syncCapFromFast()
 	s.checkPowerSlow()
 }
 
-// settle is the fast policy's settle: it closes the open window at
-// s.now. It flushes the accumulated breakdown into Result.Energy,
-// accounts the window's leakage and on-time from the window duration
-// (the window tiles [settleT, now] contiguously with on-period events,
-// so both are a single expression — leak as leakW·dt, on-time exactly),
-// rebuilds the derived instruction count, integrates the harvest
-// actually available, applies the covered draw, samples the recorder's
-// voltage gauge (one sqrt, only when recording), and re-arms the budget
-// and deadline. Any in-flight (mid-access) accumulation beyond
-// scratchDraw is carried into the new window as pending draw, not
-// settled. The window construction (see rearm) guarantees the single
-// end-of-window VMax clamp is equivalent to per-event clamping.
+// settle closes the open window at s.now. It flushes the accumulated
+// breakdown into Result.Energy, accounts the window's leakage and
+// on-time from the window duration (the window tiles [settleT, now]
+// contiguously with on-period events, so both are a single expression
+// — leak as leakW·dt, on-time exactly), rebuilds the derived
+// instruction count, integrates the harvest actually available, applies
+// the covered draw, samples the recorder's voltage gauge (one sqrt,
+// only when recording), and re-arms the budget and deadline. Any
+// in-flight (mid-access) accumulation beyond scratchDraw is carried into
+// the new window as pending draw, not settled. The window construction
+// (see rearm) guarantees the single end-of-window VMax clamp is
+// equivalent to per-event clamping.
 func (s *Simulator) settle() {
 	carry := s.scratchTotal() - s.scratchDraw
 	windowDt := s.now - s.settleT
 	leakE := s.leakWPerPS * float64(windowDt)
 	drawn := s.pendingBlock + s.scratchDraw + leakE
-	s.res.Energy.Add(s.ebScratch)
+	s.res.Energy.Add(&s.ebScratch)
 	s.res.Energy.Leak += leakE
 	s.res.OnTime += windowDt
 	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
@@ -234,8 +221,7 @@ func (s *Simulator) rearm() {
 
 // closeWindowBefore settles the open window when the event ending at
 // `to` would reach past the settle deadline, so that event settles
-// alone. No-op for an empty window (the event is already alone), which
-// is every window of the exact policy.
+// alone. No-op for an empty window (the event is already alone).
 func (s *Simulator) closeWindowBefore(to int64) {
 	if to >= s.settleDeadline && (s.now > s.settleT || s.pendingBlock > 0 || s.scratchDraw > 0) {
 		s.settle()
@@ -244,9 +230,10 @@ func (s *Simulator) closeWindowBefore(to int64) {
 
 // scratchTotal sums the accumulated scratch categories with a balanced
 // tree (three fp-add latencies instead of seven). The association
-// differs from Breakdown.Total, which the exact policy keeps; the fast
-// policy's outputs are ε-bounded, and the budget compare this feeds is
-// conservative by half a band, so the reordering is immaterial.
+// differs from Breakdown.Total, which voltage-space steps keep; the
+// fast policy's outputs are ε-bounded, and the budget compare this
+// feeds is conservative by half a band, so the reordering is
+// immaterial.
 func (s *Simulator) scratchTotal() float64 {
 	b := &s.ebScratch
 	return ((b.CacheRead + b.CacheWrite) + (b.MemRead + b.MemWrite)) +
@@ -255,8 +242,8 @@ func (s *Simulator) scratchTotal() float64 {
 
 // windowRoom is how many of the next n ALU instructions the open window
 // can absorb: the worst-case (zero-harvest) draw budget and the
-// deadline each cap the fused run. An exhausted budget — always, on the
-// exact policy — gives zero without the division.
+// deadline each cap the fused run. An exhausted budget gives zero
+// without the division.
 func (s *Simulator) windowRoom(n int) int64 {
 	room := int64(n)
 	if s.perInstrDrawE > 0 {

@@ -48,32 +48,34 @@ type Simulator struct {
 	noFault     bool // cfg.FaultPlan == nil
 	untraced    bool // cfg.Trace == nil
 
-	// Settle window (fast.go, DESIGN.md §16). perEvent is the window
-	// policy, decided once in New: the exact policy settles every event
-	// alone in voltage space; the fast policy batches events in energy
-	// space, and engages on every TierFast run without a fault plan (a
-	// plan may crash at any event boundary, which a batched window
-	// hides). A recorder observes only settles and event-ordered sites,
-	// so it runs on either policy.
+	// Window policy (DESIGN.md §16.2), decided once in New: perEvent
+	// (exact) settles every event alone in voltage space; the fast
+	// policy batches events in a settle window in energy space (fast.go),
+	// and engages on every TierFast run without a fault plan (a plan may
+	// crash at any event boundary, which a batched window hides). A
+	// recorder observes only settles and event-ordered sites, so it runs
+	// on either policy. The fields below perEvent, up to computeRetired,
+	// are the fast policy's window state.
 	perEvent       bool
-	fcapE          float64 // fast: capacitor energy (J); the capacitor voltage is synced from it on demand
-	eVb            float64 // fast: ½·C·Vbackup² — the monitor threshold in energy space
+	fcapE          float64 // capacitor energy (J); the capacitor voltage is synced from it on demand
+	eVb            float64 // ½·C·Vbackup² — the monitor threshold in energy space
 	eCapMax        float64 // ½·C·VMax² — the harvest clamp in energy space
 	eFloor         float64 // ½·C·(VMin−1e-9)² — the guarded-draw floor in energy space
 	settleT        int64   // start of the open settle window
 	settleDeadline int64   // no event may reach past this without settling
 	pendingBlock   float64 // draw of Compute blocks since settleT
-	scratchDraw    float64 // fast: scratch total as of the last access event
-	drawBudget     float64 // fast: zero-harvest-safe draw before a settle is forced
+	scratchDraw    float64 // scratch total as of the last access event
+	drawBudget     float64 // zero-harvest-safe draw before a settle is forced
 	perInstrDrawE  float64 // worst-case (zero-harvest) energy per ALU instruction
-	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div in the fast settle
-	computeRetired uint64  // ALU instructions retired by Compute
+	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div in the settle
 	blockMemo      [blockMemoSize]blockCost
+	computeRetired uint64 // ALU instructions retired by Compute (both policies)
 
-	// ebScratch is the open window's breakdown, handed to AccessEB.
-	// Passing a pointer to a local through the interface call would make
-	// the local escape — one heap allocation per simulated access; the
-	// simulator is single-threaded per run, so one reused buffer is safe.
+	// ebScratch is the breakdown handed to AccessEB: the open window's
+	// on the fast policy, the one event's on the exact policy. Passing a
+	// pointer to a local through the interface call would make the local
+	// escape — one heap allocation per simulated access; the simulator is
+	// single-threaded per run, so one reused buffer is safe.
 	ebScratch energy.Breakdown
 
 	// inCheckpoint marks the JIT checkpoint window, during which draws
@@ -157,13 +159,12 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 }
 
 // refreshThresholds recomputes the cached Vbackup from the design's
-// current reserve. It runs once when Run opens the first window, after
+// current reserve. It runs once at the start of Run, after
 // every OnBoot and — via ReserveNotifyBinder — whenever an adaptive
 // design changes its reserve (boot-time adaptation, dynamic maxline
 // raises mid-access), so the cached threshold is never consulted
 // stale. The fast policy then settles at the current trajectory so its
-// budget re-derives from real state against the new threshold; the
-// exact policy's window has no budget to re-derive.
+// budget re-derives from real state against the new threshold.
 //
 // The block-cost memo is cleared too. Its entries fold only per-run
 // constants, so no entry is ever stale, but the flush decides window
@@ -313,17 +314,20 @@ func (s *Simulator) Store32(addr uint32, v uint32) {
 	s.access(isa.OpStore, addr, v)
 }
 
-// Compute accounts for n ALU instructions. A block the open settle
-// window covers whole is fused into it: one memo lookup, seven adds, no
-// division. Otherwise — a cold memo, a block near a window bound, and
-// every block on the exact policy, whose window is empty — the loop
-// fuses what the window proves safe and degrades to ComputeChunk
-// monitor granularity (a chunk, then a settle-and-check) when it is
-// cramped; the exact policy's window has no room, so it always takes
-// the chunk path.
+// Compute accounts for n ALU instructions. On the exact policy they
+// run as ComputeChunk-sized events (computeExact). On the fast policy a
+// block the open settle window covers whole is fused into it: one memo
+// lookup, seven adds, no division. Otherwise — a cold memo or a block
+// near a window bound — the loop fuses what the window proves safe and
+// degrades to ComputeChunk monitor granularity (a chunk, then a
+// settle-and-check) when it is cramped.
 func (s *Simulator) Compute(n int) {
 	if n < 0 {
 		s.abort(fmt.Errorf("negative Compute(%d)", n))
+	}
+	if s.perEvent {
+		s.computeExact(n)
+		return
 	}
 	if n == 0 {
 		return
@@ -352,25 +356,29 @@ func (s *Simulator) Compute(n int) {
 
 // access runs one memory operation: the design models the hierarchy;
 // the simulator adds the 1-cycle pipeline slot and core energy. The
-// event's breakdown accumulates into the open window's scratch (every
-// design accumulates with +=). end is strictly after s.now (at least
-// one pipeline slot), so time cannot run backwards here.
+// event's breakdown accumulates into ebScratch (every design accumulates
+// with +=): the open window's breakdown on the fast policy, the event's
+// own on the exact policy (accessExact). end is strictly after s.now (at
+// least one pipeline slot), so time cannot run backwards here.
 func (s *Simulator) access(op isa.Op, addr uint32, val uint32) uint32 {
+	if s.perEvent {
+		return s.accessExact(op, addr, val)
+	}
 	eb := &s.ebScratch
 	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)
 	end := max(s.now+s.perInstrPS, done)
 	eb.Compute += s.cfg.InstrEnergy
 	eb.CacheRead += s.instrE
 	if end >= s.settleDeadline {
-		// Past the deadline — every event, on the exact policy: the
-		// event settles in its own single-event window.
+		// Past the deadline: the event settles in its own single-event
+		// window.
 		s.closeWindowBefore(end)
 		s.now = end
 		s.settleAndCheck()
 		return v
 	}
-	// Inside the fast window leakage, on-time and the instruction count
-	// are left to the settle: the category sum, two stores, a compare.
+	// Inside the window leakage, on-time and the instruction count are
+	// left to the settle: the category sum, two stores, a compare.
 	s.scratchDraw = s.scratchTotal()
 	s.now = end
 	if s.pendingBlock+s.scratchDraw < s.drawBudget {
@@ -378,6 +386,62 @@ func (s *Simulator) access(op isa.Op, addr uint32, val uint32) uint32 {
 	}
 	s.settleAndCheck()
 	return v
+}
+
+// accessExact is access on the exact policy: the event settles alone,
+// in voltage space — its leakage, one step over its whole breakdown,
+// the breakdown added to the result through the pointer, then the
+// monitor. ebScratch is zero on entry and cleared on exit.
+func (s *Simulator) accessExact(op isa.Op, addr uint32, val uint32) uint32 {
+	eb := &s.ebScratch
+	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)
+	from := s.now
+	s.now = max(from+s.perInstrPS, done)
+	eb.Compute += s.cfg.InstrEnergy
+	eb.CacheRead += s.instrE
+	eb.Leak += s.leakW * float64(s.now-from) / 1e12
+	s.step(from, s.now, eb.Total())
+	s.res.Energy.Add(eb)
+	*eb = energy.Breakdown{}
+	s.endEventExact(from)
+	return v
+}
+
+// computeExact runs n ALU instructions on the exact policy as events
+// of at most ComputeChunk instructions (the monitor's granularity), each
+// settled alone in voltage space. A chunk's core and fetch energy go
+// straight to the result; it draws leak + (compute + fetch), the seed's
+// (fetch + compute) + leak with each addition's operands swapped, which
+// IEEE addition does exactly.
+func (s *Simulator) computeExact(n int) {
+	for n > 0 {
+		run := min(n, s.cfg.ComputeChunk)
+		compute := float64(run) * s.cfg.InstrEnergy
+		fetch := float64(run) * s.instrE
+		s.res.Energy.Compute += compute
+		s.res.Energy.CacheRead += fetch
+		s.computeRetired += uint64(run)
+		from := s.now
+		s.now += int64(run) * s.perInstrPS
+		leak := s.leakW * float64(s.now-from) / 1e12
+		s.step(from, s.now, leak+(compute+fetch))
+		s.res.Energy.Leak += leak
+		s.endEventExact(from)
+		n -= run
+	}
+}
+
+// endEventExact closes an exact-policy event that began at from: it
+// books the on-time, rederives the instruction count and runs the
+// voltage monitor, which starts the outage sequence once the capacitor
+// has discharged to Vbackup or a fault plan forces a crash here.
+func (s *Simulator) endEventExact(from int64) {
+	s.res.OnTime += s.now - from
+	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
+	if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
+		return
+	}
+	s.checkPowerSlow()
 }
 
 // advance runs one outage-sequence event (checkpoint, restore, icache
@@ -388,38 +452,39 @@ func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 	if dt < 0 {
 		s.abort(fmt.Errorf("time went backwards: %d -> %d", s.now, to))
 	}
-	s.step(s.now, to, eb, 0)
+	eb.Leak += s.leakW * float64(dt) / 1e12
+	s.step(s.now, to, eb.Total())
+	s.res.Energy.Add(eb)
 	*phase += dt
 	s.now = to
 }
 
-// step is the voltage-space arithmetic of one event spanning [from, to]:
-// integrate the harvest, draw eb's energy plus leakage plus draw (tracked
-// energy held outside eb — a Compute block's), and add eb to the
-// result. Every event of the exact policy and every outage-sequence
-// event of both policies settles through here.
-func (s *Simulator) step(from, to int64, eb *energy.Breakdown, draw float64) {
-	eb.Leak += s.leakW * float64(to-from) / 1e12
-	if !s.untraced {
-		h := s.cfg.OnHarvestEff * s.cursor.Integrate(from, to)
-		e := eb.Total() + draw
-		// Checkpoints spend the reserved band unguarded; the
-		// post-checkpoint reserve check in powerFail polices VMin.
-		if !s.cap.Step(h, e, s.cfg.VMin, !s.inCheckpoint) {
-			s.abort(fmt.Errorf("at t=%d ps (design %s): %w", to, s.design.Name(),
-				s.cap.UnderVoltageError(e, s.cfg.VMin)))
-		}
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.VoltageGauge().Set(s.cap.Voltage())
-		}
+// step is the voltage-space capacitor arithmetic of one event spanning
+// [from, to] that drew e joules, its leakage included: integrate the
+// harvest, then draw. Every exact-policy event and every
+// outage-sequence event of both policies settles through here; the
+// fast policy's windows settle in energy space instead (settle).
+func (s *Simulator) step(from, to int64, e float64) {
+	if s.untraced {
+		return
 	}
-	s.res.Energy.Add(*eb)
+	h := s.cfg.OnHarvestEff * s.cursor.Integrate(from, to)
+	// Checkpoints spend the reserved band unguarded; the
+	// post-checkpoint reserve check in powerFail polices VMin.
+	if !s.cap.Step(h, e, s.cfg.VMin, !s.inCheckpoint) {
+		s.abort(fmt.Errorf("at t=%d ps (design %s): %w", to, s.design.Name(),
+			s.cap.UnderVoltageError(e, s.cfg.VMin)))
+	}
+	if s.cfg.Obs != nil {
+		s.cfg.Obs.VoltageGauge().Set(s.cap.Voltage())
+	}
 }
 
 // checkPowerSlow triggers the JIT checkpoint + outage + restore
 // sequence when the capacitor has discharged to the design's Vbackup,
 // or when an installed fault plan forces a crash at this boundary.
-// settleAndCheck filters the common case out before calling it.
+// The monitors (endEventExact, settleAndCheck) filter the common case
+// out before calling it.
 func (s *Simulator) checkPowerSlow() {
 	if s.cfg.FaultPlan != nil {
 		if s.cfg.FaultPlan.ShouldCrash(s.res.Instructions, s.now) {
