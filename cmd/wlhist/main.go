@@ -148,10 +148,8 @@ func runGate(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("wlhist gate", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		store      = storeFlag(fs)
-		threshold  = fs.Float64("threshold", 0.10, "relative change tolerated on perf metrics")
-		percentile = fs.Float64("percentile", 0.95, "history quantile latency metrics are judged against")
-		minHist    = fs.Int("min-history", 3, "comparable runs needed before the percentile rule applies")
+		store     = storeFlag(fs)
+		threshold = fs.Float64("threshold", 0.10, "relative change tolerated on perf metrics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 0, err
@@ -161,11 +159,7 @@ func runGate(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	warnTorn(stdout, s)
-	rep := hist.Gate(s, hist.GateConfig{
-		Threshold:  *threshold,
-		Percentile: *percentile,
-		MinHistory: *minHist,
-	})
+	rep := hist.Gate(s, hist.GateConfig{Threshold: *threshold})
 	fmt.Fprint(stdout, hist.GateTable(rep))
 	if rep.Regressions > 0 {
 		fmt.Fprintf(stdout, "gate: %d metric(s) drifted\n", rep.Regressions)

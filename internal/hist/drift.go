@@ -13,18 +13,14 @@
 //   - perf: the latest value must be within Threshold (relative) of
 //     the most recent comparable value, and comparability demands the
 //     same host fingerprint — a faster CI runner is not a speedup.
-//   - latency: with at least MinHistory comparable prior points, the
-//     latest value must not exceed the nearest-rank Percentile of that
-//     history by more than Threshold; a single noisy run inside the
-//     historical envelope does not fail CI. With a short history the
-//     perf rule applies.
+//     Sampled latency quantiles (request_ms_p50) are perf metrics, and
+//     so is any other kind the gate does not know: a store written
+//     when latency was a kind of its own still says "latency".
 //   - info: never gates.
 package hist
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"wlcache/internal/obs"
 )
@@ -35,24 +31,11 @@ type GateConfig struct {
 	// Threshold is the relative change tolerated on perf metrics
 	// (default 0.10 = 10%).
 	Threshold float64
-	// Percentile is the nearest-rank quantile of history a latency
-	// metric is judged against (default 0.95).
-	Percentile float64
-	// MinHistory is the number of comparable prior points a latency
-	// metric needs before the percentile rule replaces the perf rule
-	// (default 3).
-	MinHistory int
 }
 
 func (c GateConfig) normalized() GateConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.10
-	}
-	if c.Percentile <= 0 || c.Percentile > 1 {
-		c.Percentile = 0.95
-	}
-	if c.MinHistory <= 0 {
-		c.MinHistory = 3
 	}
 	return c
 }
@@ -62,13 +45,13 @@ type Finding struct {
 	Metric   string
 	Kind     string
 	Dir      obs.Dir
-	Baseline float64 // prior comparable value, or percentile bound
+	Baseline float64 // prior comparable value
 	Latest   float64
 	Rel      float64 // (Latest-Baseline)/Baseline; 0 when Baseline is 0
 	// Verdict is "ok", "improved", "regressed" or "skipped".
 	Verdict string
-	// Note explains the comparison ("vs p95 of 6 runs") or the skip
-	// ("no comparable baseline: host differs").
+	// Note explains an exact regression ("exact value changed") or
+	// the skip ("no comparable baseline: host differs").
 	Note string
 }
 
@@ -138,24 +121,9 @@ func judge(sr Series, cfg GateConfig) Finding {
 	f.Baseline = prior[base].Value
 	f.Rel = relChange(f.Baseline, f.Latest)
 
-	switch sr.Kind {
-	case KindExact:
+	if sr.Kind == KindExact {
 		judgeExact(&f)
-	case KindLatency:
-		// Collect the comparable history for the percentile envelope.
-		var hist []float64
-		for _, p := range prior {
-			if comparable(p) {
-				hist = append(hist, p.Value)
-			}
-		}
-		if len(hist) >= cfg.MinHistory {
-			judgeLatency(&f, hist, cfg)
-			return f
-		}
-		f.Note = fmt.Sprintf("history %d < %d, perf rule", len(hist), cfg.MinHistory)
-		judgePerf(&f, cfg)
-	default: // KindPerf
+	} else {
 		judgePerf(&f, cfg)
 	}
 	return f
@@ -190,46 +158,6 @@ func judgePerf(f *Finding, cfg GateConfig) {
 	default:
 		f.Verdict = "ok"
 	}
-}
-
-// judgeLatency compares the latest value against the nearest-rank
-// percentile of the comparable history, padded by Threshold. For a
-// DirHigher latency-kind metric (none exist today) the envelope is
-// the mirrored low percentile.
-func judgeLatency(f *Finding, hist []float64, cfg GateConfig) {
-	sorted := append([]float64(nil), hist...)
-	sort.Float64s(sorted)
-	q := cfg.Percentile
-	if f.Dir == obs.DirHigher {
-		q = 1 - q
-	}
-	bound := nearestRank(sorted, q)
-	f.Baseline = bound
-	f.Rel = relChange(bound, f.Latest)
-	f.Note = fmt.Sprintf("vs p%d of %d runs", int(math.Round(cfg.Percentile*100)), len(hist))
-	switch {
-	case f.Dir == obs.DirHigher && f.Latest < bound*(1-cfg.Threshold):
-		f.Verdict = "regressed"
-	case f.Dir != obs.DirHigher && f.Latest > bound*(1+cfg.Threshold):
-		f.Verdict = "regressed"
-	default:
-		f.Verdict = "ok"
-	}
-}
-
-// nearestRank returns the nearest-rank q-quantile of sorted values.
-func nearestRank(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 func relChange(base, latest float64) float64 {

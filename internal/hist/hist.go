@@ -38,10 +38,6 @@ const (
 	// gated by relative threshold, only against the same host
 	// fingerprint.
 	KindPerf = "perf"
-	// KindLatency is a sampled latency quantile: gated against a
-	// nearest-rank percentile of its own history once enough
-	// comparable points exist, else it degrades to the perf rule.
-	KindLatency = "latency"
 	// KindExact is a deterministic simulated outcome (checksum,
 	// outage count): any unexplained change is drift regardless of
 	// host.

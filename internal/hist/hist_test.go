@@ -286,34 +286,22 @@ func TestGateDirectedExact(t *testing.T) {
 	}
 }
 
-func TestGateLatencyPercentile(t *testing.T) {
-	lat := func(v float64) Metric {
-		return Metric{Value: v, Unit: "ms", Dir: "lower", Kind: KindLatency}
-	}
-	mk := func(label string, v float64) Entry {
-		return testEntry(label, hostA, map[string]Metric{"p99": lat(v)})
-	}
-	// History {10,12,11,50,11}: p95 (nearest rank of 5) = 50. A latest
-	// value of 40 is inside the historical envelope even though it is
-	// 4x the previous point — no flake.
-	rep := gateOver(t, mk("a", 10), mk("b", 12), mk("c", 11), mk("d", 50), mk("e", 11), mk("f", 40))
-	f := findFinding(t, rep, "p99")
-	if f.Verdict != "ok" {
-		t.Fatalf("40 within p95=50 envelope: %+v", f)
-	}
-	if !strings.Contains(f.Note, "vs p95 of 5 runs") {
-		t.Fatalf("note: %q", f.Note)
-	}
-	// 60 exceeds 50*(1+0.10): regression.
-	rep = gateOver(t, mk("a", 10), mk("b", 12), mk("c", 11), mk("d", 50), mk("e", 11), mk("g", 60))
-	if f := findFinding(t, rep, "p99"); !f.Regressed() {
-		t.Fatalf("60 over p95 envelope must regress: %+v", f)
-	}
-	// Short history falls back to the perf rule.
-	rep = gateOver(t, mk("a", 10), mk("b", 30))
-	f = findFinding(t, rep, "p99")
-	if !f.Regressed() || !strings.Contains(f.Note, "perf rule") {
-		t.Fatalf("short history must use perf rule: %+v", f)
+// A latency quantile is judged by the perf rule on its one prior
+// point, also when an older store still files it under the retired
+// "latency" kind.
+func TestGateLatencyUsesPerfRule(t *testing.T) {
+	for _, kind := range []string{KindPerf, "latency"} {
+		mk := func(label string, v float64) Entry {
+			return testEntry(label, hostA, map[string]Metric{
+				"p50": {Value: v, Unit: "ms", Dir: "lower", Kind: kind},
+			})
+		}
+		if f := findFinding(t, gateOver(t, mk("a", 10), mk("b", 30)), "p50"); !f.Regressed() {
+			t.Fatalf("kind %q: 3x slower must regress: %+v", kind, f)
+		}
+		if f := findFinding(t, gateOver(t, mk("a", 10), mk("b", 10.4)), "p50"); f.Verdict != "ok" {
+			t.Fatalf("kind %q: 4%% noise must pass: %+v", kind, f)
+		}
 	}
 }
 
@@ -395,7 +383,7 @@ func TestIngestBenchAndSyntheticRegression(t *testing.T) {
 		"fig-fast.setup_s":        {Value: 0.008, Unit: "s", Dir: "lower", Kind: KindPerf},
 		"fig-fast.sim_mips":       {Value: 203.3, Unit: "Minstr/s", Dir: "higher", Kind: KindPerf},
 		"fig-fast.max_rss_mb":     {Value: 15.7, Unit: "MB", Dir: "lower", Kind: KindPerf},
-		"fig-fast.request_ms_p50": {Value: 5.6, Unit: "ms", Dir: "lower", Kind: KindLatency},
+		"fig-fast.request_ms_p50": {Value: 5.6, Unit: "ms", Dir: "lower", Kind: KindPerf},
 		"fig-fast.failed":         {Value: 0, Dir: "lower", Kind: KindExact},
 		"fig-fast.attempted":      {Value: 840, Kind: KindInfo},
 		"fig-fast.host.slowdown":  {Value: 1.04, Unit: "ratio", Kind: KindInfo},

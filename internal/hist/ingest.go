@@ -118,7 +118,7 @@ var perfGated = map[string]Metric{
 	"setup_s":        {Dir: "lower", Kind: KindPerf},
 	"sim_mips":       {Dir: "higher", Kind: KindPerf},
 	"max_rss_mb":     {Dir: "lower", Kind: KindPerf},
-	"request_ms_p50": {Dir: "lower", Kind: KindLatency},
+	"request_ms_p50": {Dir: "lower", Kind: KindPerf},
 }
 
 func ingestPerf(raw []byte, name string) ([]Entry, error) {

@@ -32,7 +32,7 @@ type Event struct {
 	Sweep string `json:"sweep,omitempty"`
 	// Request is the request ID of the submission that produced this
 	// stream (an inbound X-Request-Id, or server-assigned), so events
-	// correlate with the server's logs and the sweep's trace export.
+	// correlate with the server's logs.
 	Request string `json:"request,omitempty"`
 	Cells   int    `json:"cells,omitempty"`
 
@@ -388,24 +388,6 @@ func (c *Client) WaitReady(ctx context.Context) error {
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-}
-
-// Progress fetches GET /v1/sweeps/{id}.
-func (c *Client) Progress(ctx context.Context, sweepID string) (ProgressSnapshot, error) {
-	var snap ProgressSnapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/sweeps/"+sweepID, nil)
-	if err != nil {
-		return snap, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("progress: %s", resp.Status)
-	}
-	return snap, json.NewDecoder(resp.Body).Decode(&snap)
 }
 
 // Metrics is one /metrics scrape: every sample's value keyed by its

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -20,7 +19,7 @@ import (
 // response header, carried on every NDJSON event of a sweep stream,
 // and propagated via context through the runner workers — so one cell
 // can be followed from HTTP ingress through the single-flight store
-// to the worker that computed it, across logs, events and traces.
+// to the worker that computed it, across logs and events.
 
 type ctxKey int
 
@@ -57,7 +56,7 @@ func newRequestID() string {
 }
 
 // validRequestID accepts IDs that are safe to echo into headers,
-// JSON, logs and trace args verbatim.
+// JSON and logs verbatim.
 func validRequestID(s string) bool {
 	if len(s) == 0 || len(s) > 100 {
 		return false
@@ -242,12 +241,6 @@ func routeLabel(path string) string {
 	case "/v1/sweeps", "/healthz", "/readyz", "/metrics":
 		return path
 	}
-	if strings.HasPrefix(path, "/v1/sweeps/") {
-		if strings.HasSuffix(path, "/trace") {
-			return "/v1/sweeps/{id}/trace"
-		}
-		return "/v1/sweeps/{id}"
-	}
 	if strings.HasPrefix(path, "/debug/pprof") {
 		return "/debug/pprof"
 	}
@@ -308,250 +301,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // service's metrics exactly as a scraper would.
 func (s *Server) Metrics() (Metrics, error) {
 	return metricsOf(obs.ParsePrometheus(bytes.NewReader(s.exposition())))
-}
-
-// progress is the server's record of one sweep's execution, fed by
-// the event loop and read by GET /v1/sweeps/{id} and its /trace
-// export. All fields are guarded by Server.progMu.
-type progress struct {
-	sweep    string
-	request  string
-	cells    int
-	workers  int
-	state    string // "running" or "done"
-	started  time.Time
-	finished time.Time
-	done     int
-	outcomes map[string]int
-	// ran counts the cells behind ewmaUS (computed, shared-store waits,
-	// failures). Journal serves and skips are excluded: until a cell has
-	// actually run, there is no basis for an ETA and the snapshot says
-	// so explicitly instead of reporting a degenerate value.
-	ran int
-	// ewmaUS smooths the per-cell wall time of cells that actually ran
-	// — the basis of the ETA.
-	ewmaUS float64
-	spans  []obs.TraceEvent
-	err    string
-}
-
-// ewmaAlpha weighs the newest cell at 20%: smooth enough to ride out
-// one slow cell, fresh enough to track a phase change within ~10
-// cells.
-const ewmaAlpha = 0.2
-
-// progressRetain bounds how many completed sweeps stay queryable;
-// older ones are evicted oldest-first.
-const progressRetain = 64
-
-// maxSpansPerSweep bounds one sweep's trace export.
-const maxSpansPerSweep = 20000
-
-// The trace lanes: journal serves and skips never reach the worker
-// pool and render as instants on a dedicated lane; executed cells
-// spread over per-worker lanes by index.
-const (
-	tidServed    = 1
-	tidLaneBase  = 2
-	laneServed   = "served"
-	lanePrefix   = "lane-"
-	traceProcess = "wlserve sweep"
-)
-
-// progressStart registers a sweep run. A resubmission of the same
-// sweep ID replaces the previous record: progress reflects the latest
-// run of that sweep.
-func (s *Server) progressStart(sweep, request string, cells, workers int) *progress {
-	p := &progress{
-		sweep: sweep, request: request, cells: cells, workers: workers,
-		state: "running", started: time.Now(), outcomes: make(map[string]int),
-	}
-	s.progMu.Lock()
-	s.prog[sweep] = p
-	s.progMu.Unlock()
-	return p
-}
-
-// progressCell folds one finished cell into the sweep's progress and
-// appends its trace span. elapsed is sweep-relative time at which the
-// outcome landed.
-func (s *Server) progressCell(p *progress, d runner.CellDone, elapsed time.Duration) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	p.done++
-	p.outcomes[outcomeLabel(d.Source)]++
-	ran := d.Source == runner.SourceComputed || d.Source == runner.SourceShared ||
-		d.Source == runner.SourceFailed
-	if ran {
-		us := float64(d.Dur.Microseconds())
-		p.ran++
-		if p.ran == 1 {
-			// First sample seeds the EWMA. The ran counter, not a zero
-			// check, decides this: a first cell faster than 1µs would
-			// otherwise leave ewmaUS at 0 and re-seed on every cell.
-			p.ewmaUS = us
-		} else {
-			p.ewmaUS = ewmaAlpha*us + (1-ewmaAlpha)*p.ewmaUS
-		}
-	}
-	if len(p.spans) >= maxSpansPerSweep {
-		return
-	}
-	durUS := float64(d.Dur.Microseconds())
-	tsUS := float64(elapsed.Microseconds()) - durUS
-	if tsUS < 0 {
-		tsUS = 0
-	}
-	ev := obs.TraceEvent{Name: d.ID, Cat: "sweep", PID: 1, TS: tsUS}
-	args := map[string]any{
-		"source":  string(d.Source),
-		"wait_us": d.Wait.Microseconds(),
-	}
-	if d.Err != nil {
-		args["error"] = d.Err.Error()
-	}
-	ev.Args = args
-	if d.Source == runner.SourceJournal || d.Source == runner.SourceSkipped {
-		ev.Ph = "i"
-		ev.TID = tidServed
-	} else {
-		ev.Ph = "X"
-		ev.Dur = durUS
-		if p.workers > 0 {
-			ev.TID = tidLaneBase + d.Index%p.workers
-		} else {
-			ev.TID = tidLaneBase
-		}
-	}
-	p.spans = append(p.spans, ev)
-}
-
-// progressEnd marks a sweep done and evicts the oldest completed
-// record past the retention bound. Eviction checks identity: a
-// resubmission may have replaced the map entry with a newer run.
-func (s *Server) progressEnd(p *progress, runErr error) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	p.state = "done"
-	p.finished = time.Now()
-	if runErr != nil {
-		p.err = runErr.Error()
-	}
-	s.progDone = append(s.progDone, p)
-	if len(s.progDone) > progressRetain {
-		old := s.progDone[0]
-		s.progDone = s.progDone[1:]
-		if s.prog[old.sweep] == old {
-			delete(s.prog, old.sweep)
-		}
-	}
-}
-
-// ProgressSnapshot is the GET /v1/sweeps/{id} document.
-type ProgressSnapshot struct {
-	Sweep   string `json:"sweep"`
-	Request string `json:"request,omitempty"`
-	// State is "running" or "done".
-	State string `json:"state"`
-	Cells int    `json:"cells"`
-	Done  int    `json:"done"`
-	// Outcomes counts finished cells by source (computed, from_journal,
-	// from_shared, deduped, failed, skipped).
-	Outcomes  map[string]int `json:"outcomes"`
-	ElapsedMS int64          `json:"elapsed_ms"`
-	// CellEWMAUS is the smoothed wall time of cells that actually ran.
-	CellEWMAUS float64 `json:"cell_ewma_us"`
-	// ETAMS estimates the remaining wall time as remaining × EWMA ÷
-	// workers — an upper bound, since journal/store serves are far
-	// cheaper than the EWMA. Zero when done or the ETA is unknown.
-	ETAMS int64 `json:"eta_ms,omitempty"`
-	// ETAUnknown is set while the sweep is running with cells remaining
-	// but no cell has run yet (everything so far was served from the
-	// journal or skipped): there is no per-cell sample to extrapolate
-	// from, and "unknown" is the honest answer — not 0ms, not an ETA
-	// seeded by a journal serve's near-zero duration.
-	ETAUnknown bool   `json:"eta_unknown,omitempty"`
-	Error      string `json:"error,omitempty"`
-}
-
-// progressSnapshot builds the progress document for one sweep ID.
-func (s *Server) progressSnapshot(id string) (ProgressSnapshot, bool) {
-	s.progMu.Lock()
-	defer s.progMu.Unlock()
-	p, ok := s.prog[id]
-	if !ok {
-		return ProgressSnapshot{}, false
-	}
-	snap := ProgressSnapshot{
-		Sweep: p.sweep, Request: p.request, State: p.state,
-		Cells: p.cells, Done: p.done, CellEWMAUS: p.ewmaUS, Error: p.err,
-		Outcomes: make(map[string]int, len(p.outcomes)),
-	}
-	for k, v := range p.outcomes {
-		snap.Outcomes[k] = v
-	}
-	end := p.finished
-	if p.state == "running" {
-		end = time.Now()
-		if remaining := p.cells - p.done; remaining > 0 {
-			if p.ran == 0 {
-				// Zero-cells-run window: nothing has executed yet, so any
-				// ETA would be fabricated.
-				snap.ETAUnknown = true
-			} else {
-				workers := p.workers
-				if workers < 1 {
-					workers = 1
-				}
-				snap.ETAMS = int64(float64(remaining) * p.ewmaUS / float64(workers) / 1000)
-			}
-		}
-	}
-	snap.ElapsedMS = end.Sub(p.started).Milliseconds()
-	return snap, true
-}
-
-// handleSweepGet is GET /v1/sweeps/{id}: live progress for a sweep the
-// server is running or recently finished.
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.progressSnapshot(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown sweep %q", r.PathValue("id"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(snap); err != nil {
-		s.slog.Warn("progress response failed", "sweep", r.PathValue("id"), "err", err)
-	}
-}
-
-// handleSweepTrace is GET /v1/sweeps/{id}/trace: the sweep's per-cell
-// spans as a Chrome trace_event document — the same format the
-// simulator's wlobs export uses, so both load into the same tooling.
-func (s *Server) handleSweepTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.progMu.Lock()
-	p, ok := s.prog[id]
-	var spans []obs.TraceEvent
-	var workers int
-	var request string
-	if ok {
-		spans = append(spans, p.spans...)
-		workers = p.workers
-		request = p.request
-	}
-	s.progMu.Unlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "unknown sweep %q", id)
-		return
-	}
-	lanes := map[int]string{tidServed: laneServed}
-	for i := 0; i < workers; i++ {
-		lanes[tidLaneBase+i] = fmt.Sprintf("%s%d", lanePrefix, i)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	name := fmt.Sprintf("%s %s (request %s)", traceProcess, id, request)
-	if err := obs.WriteTraceEvents(w, name, lanes, spans); err != nil {
-		s.slog.Warn("trace response failed", "sweep", id, "err", err)
-	}
 }

@@ -62,8 +62,8 @@ func rawSubmit(t *testing.T, base string, spec Spec, rid string) *http.Response 
 }
 
 // An inbound X-Request-Id is echoed on the response header, carried on
-// every NDJSON event of the stream, recorded in the structured logs,
-// and attached to the sweep's progress record.
+// every NDJSON event of the stream, and recorded in the structured
+// logs.
 func TestRequestIDEndToEnd(t *testing.T) {
 	const rid = "e2e-req.42:a"
 	logs := &syncBuf{}
@@ -79,7 +79,6 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		t.Fatalf("response X-Request-Id = %q, want %q", got, rid)
 	}
 
-	var sweep string
 	dec := json.NewDecoder(bufio.NewReader(resp.Body))
 	events := 0
 	for {
@@ -94,20 +93,9 @@ func TestRequestIDEndToEnd(t *testing.T) {
 		if ev.Request != rid {
 			t.Fatalf("%s event carries request %q, want %q", ev.Type, ev.Request, rid)
 		}
-		if ev.Type == EventAccepted {
-			sweep = ev.Sweep
-		}
 	}
 	if events < 5 { // accepted + 3 cells + done
 		t.Fatalf("streamed %d events, want >= 5", events)
-	}
-
-	snap, err := cl.Progress(context.Background(), sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Request != rid {
-		t.Fatalf("progress request = %q, want %q", snap.Request, rid)
 	}
 
 	out := logs.String()
@@ -240,8 +228,8 @@ func TestConcurrentScrapesDuringSweeps(t *testing.T) {
 	sweeps := make(chan error, 1)
 	go func() {
 		// Three back-to-back submissions: the first computes, the rest
-		// hit the journal/dedup paths — all of them write metrics and
-		// progress records while the scrapers below read.
+		// hit the journal/dedup paths — all of them write metrics while
+		// the scrapers below read.
 		for i := 0; i < 3; i++ {
 			st, err := cl.Submit(ctx, tinySpec())
 			if err != nil {
@@ -282,160 +270,30 @@ func TestConcurrentScrapesDuringSweeps(t *testing.T) {
 	}
 }
 
-// GET /v1/sweeps/{id} reports live progress: counts by outcome, done
-// state, and 404 for sweeps the server never ran.
-func TestProgressEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, Config{})
-	ctx := context.Background()
-	st, err := cl.Submit(ctx, tinySpec())
+// A sweep has no document of its own: its stream and /metrics carry
+// its progress, and the paths below /v1/sweeps/ are not routes.
+func TestSweepSubpathsNotFound(t *testing.T) {
+	s, cl := newTestServer(t, Config{})
+	st, err := cl.Submit(context.Background(), tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep := st.Accepted.Sweep
-	if _, done, err := st.Drain(); err != nil || done == nil {
-		t.Fatalf("drain: done=%v err=%v", done, err)
-	}
-	st.Close()
-
-	snap, err := cl.Progress(ctx, sweep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Sweep != sweep || snap.State != "done" {
-		t.Fatalf("snapshot %+v, want sweep %s done", snap, sweep)
-	}
-	if snap.Cells != 3 || snap.Done != 3 {
-		t.Fatalf("progress %d/%d, want 3/3", snap.Done, snap.Cells)
-	}
-	total := 0
-	for _, n := range snap.Outcomes {
-		total += n
-	}
-	if total != 3 || snap.Outcomes["computed"] != 3 {
-		t.Fatalf("outcomes %v, want 3 computed", snap.Outcomes)
-	}
-	if snap.ETAMS != 0 {
-		t.Fatalf("done sweep has ETA %dms", snap.ETAMS)
-	}
-	if snap.CellEWMAUS <= 0 {
-		t.Fatalf("cell EWMA %v, want > 0 after computed cells", snap.CellEWMAUS)
-	}
-
-	if _, err := cl.Progress(ctx, "no-such-sweep"); err == nil ||
-		!strings.Contains(err.Error(), "404") {
-		t.Fatalf("unknown sweep: err=%v, want 404", err)
-	}
-}
-
-// The EWMA ETA is guarded against the zero-cells-run window: while a
-// running sweep has only journal serves (or nothing) behind it, the
-// snapshot reports eta_unknown instead of a degenerate ETA, and the
-// first sub-microsecond computed cell still seeds the EWMA exactly
-// once.
-func TestProgressETAUnknownWindow(t *testing.T) {
-	s := &Server{prog: make(map[string]*progress)}
-	p := s.progressStart("sw-eta", "rid", 10, 2)
-
-	snap, ok := s.progressSnapshot("sw-eta")
-	if !ok {
-		t.Fatal("sweep not registered")
-	}
-	if !snap.ETAUnknown || snap.ETAMS != 0 {
-		t.Fatalf("before any cell: eta_unknown=%v eta_ms=%d, want unknown", snap.ETAUnknown, snap.ETAMS)
-	}
-
-	// Journal serves complete cells but run nothing: still unknown.
-	s.progressCell(p, runner.CellDone{ID: "c0", Source: runner.SourceJournal}, time.Millisecond)
-	snap, _ = s.progressSnapshot("sw-eta")
-	if !snap.ETAUnknown || snap.ETAMS != 0 || snap.CellEWMAUS != 0 {
-		t.Fatalf("after journal serve: %+v, want eta still unknown", snap)
-	}
-
-	// A computed cell faster than 1µs: the EWMA seeds (to 0µs) and the
-	// ETA becomes known — a genuine near-zero, not a fabricated one.
-	s.progressCell(p, runner.CellDone{ID: "c1", Source: runner.SourceComputed, Dur: 500 * time.Nanosecond}, 2*time.Millisecond)
-	snap, _ = s.progressSnapshot("sw-eta")
-	if snap.ETAUnknown {
-		t.Fatalf("after a computed cell the ETA must be known: %+v", snap)
-	}
-
-	// The zero first sample must not re-seed: the next cell updates via
-	// the EWMA (0.2 × 100000µs = 20000µs), not first-sample semantics.
-	s.progressCell(p, runner.CellDone{ID: "c2", Source: runner.SourceComputed, Dur: 100 * time.Millisecond}, 103*time.Millisecond)
-	snap, _ = s.progressSnapshot("sw-eta")
-	if snap.CellEWMAUS != 20000 {
-		t.Fatalf("EWMA after 0µs then 100000µs = %vµs, want 20000 (re-seeded instead of smoothed?)", snap.CellEWMAUS)
-	}
-	if snap.ETAMS <= 0 {
-		t.Fatalf("ETA = %dms, want > 0 with 7 cells remaining at 20000µs EWMA", snap.ETAMS)
-	}
-
-	// Done sweeps report neither an ETA nor unknown.
-	s.progressEnd(p, nil)
-	snap, _ = s.progressSnapshot("sw-eta")
-	if snap.ETAUnknown || snap.ETAMS != 0 {
-		t.Fatalf("done sweep: %+v, want no ETA fields", snap)
-	}
-}
-
-// GET /v1/sweeps/{id}/trace exports the sweep's cells as a loadable
-// Chrome trace_event document with named lanes.
-func TestTraceEndpoint(t *testing.T) {
-	_, cl := newTestServer(t, Config{Workers: 2})
-	ctx := context.Background()
-	st, err := cl.Submit(ctx, tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep := st.Accepted.Sweep
-	cells, done, err := st.Drain()
+	_, done, err := st.Drain()
 	st.Close()
 	if err != nil || done == nil {
-		t.Fatalf("drain: done=%v err=%v", done, err)
+		t.Fatalf("sweep: done=%v err=%v", done, err)
 	}
-
-	resp, err := http.Get(cl.Base + "/v1/sweeps/" + sweep + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("trace: %s", resp.Status)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	byName := map[string]bool{}
-	lanes := 0
-	for _, ev := range doc.TraceEvents {
-		byName[ev.Name] = true
-		if ev.Name == "thread_name" {
-			lanes++
+	for _, path := range []string{"/v1/sweeps/" + done.Sweep, "/v1/sweeps/" + done.Sweep + "/trace"} {
+		resp, err := http.Get(cl.Base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %s, want 404", path, resp.Status)
 		}
 	}
-	if !byName["process_name"] || lanes < 2 {
-		t.Fatalf("trace lacks metadata (process=%v lanes=%d):\n%+v", byName["process_name"], lanes, doc.TraceEvents)
-	}
-	for _, ev := range cells {
-		if !byName[ev.ID] {
-			t.Fatalf("trace lacks a span for cell %s", ev.ID)
-		}
-	}
-
-	resp2, err := http.Get(cl.Base + "/v1/sweeps/no-such-sweep/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp2.Body)
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown sweep trace: %s, want 404", resp2.Status)
+	if got := metric(t, s, mHTTPRequests+`{code="404",route="other"}`); got != 2 {
+		t.Errorf("404s counted under route other = %v, want 2", got)
 	}
 }

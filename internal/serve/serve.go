@@ -129,12 +129,6 @@ type Server struct {
 	journalMu sync.Mutex
 	journals  map[string]*runner.Journal
 
-	// progMu guards the per-sweep progress records behind
-	// GET /v1/sweeps/{id} and its /trace export.
-	progMu   sync.Mutex
-	prog     map[string]*progress
-	progDone []*progress // completed, oldest first, for eviction
-
 	sem     chan struct{} // run slots
 	drainCh chan struct{}
 	mu      sync.Mutex // guards waiting, draining
@@ -175,7 +169,6 @@ func New(cfg Config) (*Server, error) {
 		slog:       cfg.Logger,
 		reg:        obs.NewSyncRegistry(),
 		journals:   make(map[string]*runner.Journal),
-		prog:       make(map[string]*progress),
 		sem:        make(chan struct{}, cfg.MaxConcurrent),
 		drainCh:    make(chan struct{}),
 		hardCtx:    hardCtx,
@@ -186,8 +179,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.mux.HandleFunc("/v1/sweeps", s.handleSweeps)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/trace", s.handleSweepTrace)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -513,7 +504,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	}
 	rid := RequestIDFrom(r.Context())
 	start := time.Now()
-	prog := s.progressStart(sweepID, rid, len(cells), s.cfg.Workers)
 
 	// The sweep context: client disconnect, the per-request budget, and
 	// the shutdown drain deadline all cancel it; the runner degrades
@@ -583,14 +573,11 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	}()
 
 	debug := s.slog.Enabled(ctx, slog.LevelDebug)
-	// One event and one result, reused across cells. progressCell still
-	// allocates a trace span and its args map for each of the sweep's
-	// first maxSpansPerSweep cells.
+	// One event and one result, reused across cells.
 	var ev Event
 	var res sim.Result
 	for d := range events {
 		s.noteCell(d)
-		s.progressCell(prog, d, time.Since(start))
 		if debug {
 			s.slog.Debug("cell done",
 				"request", rid, "sweep", sweepID, "cell", d.ID,
@@ -630,7 +617,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 
 	s.count(mCellPanics, uint64(rep.Metrics.Panics))
 
-	s.progressEnd(prog, runErr)
 	s.slog.Info("sweep done",
 		"request", rid, "sweep", sweepID, "cells", len(cells),
 		"computed", rep.Metrics.Computed, "from_journal", rep.Metrics.FromJournal,

@@ -1,13 +1,17 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"wlcache/internal/cache"
+	"wlcache/internal/designs"
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
 	"wlcache/internal/mem"
 	"wlcache/internal/power"
+	"wlcache/internal/workload"
 )
 
 // fixedDesign charges each memory operation a cost derived only from
@@ -99,19 +103,31 @@ func exactOracleProgram(chunk int) []exactOp {
 // leakage (leakW*dt/1e12) through one Capacitor.Step after
 // Cursor.Integrate's harvest, and accumulates field by field in event
 // order. A Compute chunk is an event whose breakdown holds its fetch
-// energy (CacheRead) and core energy (Compute).
+// energy (CacheRead) and core energy (Compute). The design's costs come
+// from the caller: the access cost with each access, the checkpoint and
+// restore costs from the two functions.
 type exactReplay struct {
-	t          *testing.T
-	cfg        Config
-	cap        *energy.Capacitor
-	cur        *power.Cursor
-	perInstrPS int64
-	instrE     float64
-	leakW      float64
-	vb         float64
-	now        int64
-	res        Result
-	after      []exactState // the state after each program op
+	t                   *testing.T
+	cfg                 Config
+	cap                 *energy.Capacitor
+	cur                 *power.Cursor
+	perInstrPS          int64
+	instrE              float64
+	leakW               float64
+	reserve             float64
+	vb                  float64
+	checkpoint, restore func(now int64) (int64, energy.Breakdown)
+	now                 int64
+	res                 Result
+}
+
+// start charges the capacitor from VMin to Von, as a run begins.
+func (r *exactReplay) start() {
+	r.cap = energy.NewCapacitor(r.cfg.CapacitorF, r.cfg.VMin, r.cfg.VMax)
+	r.cur = power.NewCursor(r.cfg.Trace)
+	r.vb = r.cfg.Vbackup(r.reserve)
+	r.cap.SetVoltage(r.cfg.VMin)
+	r.recharge()
 }
 
 // exactState is what the test compares after a program: the result
@@ -144,6 +160,25 @@ type exactObservable struct {
 	bits uint64
 }
 
+// diff names the first observable on which got differs from want, or
+// returns "" when they agree bit for bit.
+func (got exactState) diff(want exactState) string {
+	g, w := got.observables(), want.observables()
+	for i := range g {
+		if g[i] != w[i] {
+			return fmt.Sprintf("%s = %#x, replay %#x", g[i].name, g[i].bits, w[i].bits)
+		}
+	}
+	return ""
+}
+
+// state is the replay's state after the last op.
+func (r *exactReplay) state() exactState {
+	res := r.res
+	res.ExecTime = r.now
+	return exactState{res, r.cap.Voltage()}
+}
+
 func (r *exactReplay) event(to int64, eb energy.Breakdown, guard bool) {
 	eb.Leak += r.leakW * float64(to-r.now) / 1e12
 	h := r.cfg.OnHarvestEff * r.cur.Integrate(r.now, to)
@@ -165,7 +200,7 @@ func (r *exactReplay) event(to int64, eb energy.Breakdown, guard bool) {
 // recharge collapses the capacitor to VMin and waits for the harvest
 // to refill it to Von.
 func (r *exactReplay) recharge() {
-	von := r.cfg.Von(r.cfg.Vbackup(fixedReserve))
+	von := r.cfg.Von(r.cfg.Vbackup(r.reserve))
 	need := 0.5 * r.cfg.CapacitorF * (von*von - r.cfg.VMin*r.cfg.VMin)
 	dt, ok := r.cfg.Trace.TimeToHarvest(r.now, need)
 	if !ok {
@@ -184,13 +219,13 @@ func (r *exactReplay) onEvent(from int64) {
 		return
 	}
 	r.res.Outages++
-	done, eb := fixedCheckpoint(r.now)
+	done, eb := r.checkpoint(r.now)
 	r.res.CheckpointTime += done - r.now
 	r.event(done, eb, false)
 	r.res.ReserveWasted += r.cap.EnergyAbove(r.cfg.VMin)
 	r.cap.SetVoltage(r.cfg.VMin)
 	r.recharge()
-	done, eb = fixedRestore(r.now)
+	done, eb = r.restore(r.now)
 	r.res.RestoreTime += done - r.now
 	r.event(done, eb, true)
 	if dt, ieb := r.cfg.ICache.coldRefill(); dt > 0 {
@@ -199,31 +234,28 @@ func (r *exactReplay) onEvent(from int64) {
 	}
 }
 
-func (r *exactReplay) run(ops []exactOp) {
-	r.cap.SetVoltage(r.cfg.VMin)
-	r.recharge()
-	for _, o := range ops {
-		if !o.compute {
-			from := r.now
-			done, eb := fixedAccessCost(r.now, o.op, o.addr)
-			eb.Compute += r.cfg.InstrEnergy
-			eb.CacheRead += r.instrE
-			r.event(max(r.now+r.perInstrPS, done), eb, true)
-			r.res.Instructions++
-			r.onEvent(from)
-		}
-		for n := o.n; n > 0; n -= r.cfg.ComputeChunk {
-			run := min(n, r.cfg.ComputeChunk)
-			from := r.now
-			r.event(r.now+int64(run)*r.perInstrPS, energy.Breakdown{
-				CacheRead: float64(run) * r.instrE,
-				Compute:   float64(run) * r.cfg.InstrEnergy,
-			}, true)
-			r.res.Instructions += uint64(run)
-			r.onEvent(from)
-		}
-		r.res.ExecTime = r.now
-		r.after = append(r.after, exactState{r.res, r.cap.Voltage()})
+// access replays one memory operation whose design cost was (done, eb).
+func (r *exactReplay) access(done int64, eb energy.Breakdown) {
+	from := r.now
+	eb.Compute += r.cfg.InstrEnergy
+	eb.CacheRead += r.instrE
+	r.event(max(r.now+r.perInstrPS, done), eb, true)
+	r.res.Instructions++
+	r.onEvent(from)
+}
+
+// compute replays Compute(n) as events of at most ComputeChunk
+// instructions.
+func (r *exactReplay) compute(n int) {
+	for ; n > 0; n -= r.cfg.ComputeChunk {
+		run := min(n, r.cfg.ComputeChunk)
+		from := r.now
+		r.event(r.now+int64(run)*r.perInstrPS, energy.Breakdown{
+			CacheRead: float64(run) * r.instrE,
+			Compute:   float64(run) * r.cfg.InstrEnergy,
+		}, true)
+		r.res.Instructions += uint64(run)
+		r.onEvent(from)
 	}
 }
 
@@ -250,14 +282,22 @@ func TestExactPolicyMatchesSeedReplay(t *testing.T) {
 	// differ by an ulp under the orders the seed did not use.
 	for _, leakW := range []float64{37.3e-6, 57.97e-6, 29.96e-6} {
 		r := &exactReplay{t: t, cfg: cfg,
-			cap:        energy.NewCapacitor(cfg.CapacitorF, cfg.VMin, cfg.VMax),
-			cur:        power.NewCursor(cfg.Trace),
 			perInstrPS: cfg.ICache.FetchLatency, // the fetch outlasts the pipeline slot
 			instrE:     cfg.ICache.FetchEnergy,
 			leakW:      leakW,
-			vb:         cfg.Vbackup(fixedReserve),
+			reserve:    fixedReserve,
+			checkpoint: fixedCheckpoint,
+			restore:    fixedRestore,
 		}
-		r.run(ops)
+		r.start()
+		var after []exactState // the replay's state after each op
+		for _, o := range ops {
+			if !o.compute {
+				r.access(fixedAccessCost(r.now, o.op, o.addr))
+			}
+			r.compute(o.n)
+			after = append(after, r.state())
+		}
 		if r.res.Outages == 0 {
 			t.Fatal("the oracle program must cross at least one outage")
 		}
@@ -285,14 +325,177 @@ func TestExactPolicyMatchesSeedReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("leak %g W, prefix of %d ops: %v", leakW, k, err)
 			}
-			got := exactState{res, s.Capacitor().Voltage()}.observables()
-			want := r.after[k-1].observables()
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("leak %g W, after op %d %+v: %s = %#x, replay %#x",
-						leakW, k-1, ops[k-1], got[i].name, got[i].bits, want[i].bits)
-				}
+			if d := (exactState{res, s.Capacitor().Voltage()}).diff(after[k-1]); d != "" {
+				t.Fatalf("leak %g W, after op %d %+v: %s", leakW, k-1, ops[k-1], d)
 			}
+		}
+	}
+}
+
+// designCall is one logged design call: what an access, checkpoint or
+// restore beginning at now returned.
+type designCall struct {
+	kind string // "access", "checkpoint" or "restore"
+	now  int64
+	done int64
+	eb   energy.Breakdown
+}
+
+// loggedDesign wraps a non-adaptive design and logs every access,
+// checkpoint and restore it answers, in call order.
+type loggedDesign struct {
+	Design
+	t   *testing.T
+	eba EBAccessor
+	log []designCall
+}
+
+func (d *loggedDesign) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
+	if *eb != (energy.Breakdown{}) {
+		d.t.Fatalf("the exact policy handed AccessEB a non-zero breakdown at t=%d: %+v", now, *eb)
+	}
+	v, done := d.eba.AccessEB(now, op, addr, val, eb)
+	d.log = append(d.log, designCall{"access", now, done, *eb})
+	return v, done
+}
+
+func (d *loggedDesign) Checkpoint(now int64) (int64, energy.Breakdown) {
+	done, eb := d.Design.Checkpoint(now)
+	d.log = append(d.log, designCall{"checkpoint", now, done, eb})
+	return done, eb
+}
+
+func (d *loggedDesign) Restore(now int64) (int64, energy.Breakdown) {
+	done, eb := d.Design.Restore(now)
+	d.log = append(d.log, designCall{"restore", now, done, eb})
+	return done, eb
+}
+
+// next pops the oldest logged call, which must be of the given kind
+// and begin at now: the replay asks for the calls the simulator made,
+// in the same order and at the same times.
+func (d *loggedDesign) next(kind string, now int64) (int64, energy.Breakdown) {
+	if len(d.log) == 0 {
+		d.t.Fatalf("replay expects a %s at t=%d; the simulator made no such call", kind, now)
+	}
+	c := d.log[0]
+	d.log = d.log[1:]
+	if c.kind != kind || c.now != now {
+		d.t.Fatalf("replay expects a %s at t=%d; the simulator made a %s at t=%d", kind, now, c.kind, c.now)
+	}
+	return c.done, c.eb
+}
+
+// lockstepMachine runs a kernel on the simulator and, after each of
+// its operations, advances the replay by the same operation, charging
+// the design costs the simulator was charged, and compares the two.
+type lockstepMachine struct {
+	t   *testing.T
+	sim *Simulator
+	d   *loggedDesign
+	r   *exactReplay
+	ops int
+}
+
+func (m *lockstepMachine) Load32(addr uint32) uint32 {
+	v := m.sim.Load32(addr)
+	m.r.access(m.d.next("access", m.r.now))
+	m.check("Load32")
+	return v
+}
+
+func (m *lockstepMachine) Store32(addr, v uint32) {
+	m.sim.Store32(addr, v)
+	m.r.access(m.d.next("access", m.r.now))
+	m.check("Store32")
+}
+
+func (m *lockstepMachine) Compute(n int) {
+	m.sim.Compute(n)
+	m.r.compute(n)
+	m.check(fmt.Sprintf("Compute(%d)", n))
+}
+
+func (m *lockstepMachine) check(op string) {
+	if len(m.d.log) != 0 {
+		m.t.Fatalf("op %d %s: the replay did not expect the simulator's %s at t=%d",
+			m.ops, op, m.d.log[0].kind, m.d.log[0].now)
+	}
+	got := exactState{m.sim.res, m.sim.cap.Voltage()}
+	got.res.ExecTime = m.sim.now
+	if d := got.diff(m.r.state()); d != "" {
+		m.t.Fatalf("op %d %s: %s", m.ops, op, d)
+	}
+	m.ops++
+}
+
+// replayInLockstep runs the kernel on design (built over nvm) under
+// cfg, with the replay advanced after each of its operations, and
+// returns the run's result.
+func replayInLockstep(t *testing.T, cfg Config, design Design, nvm *mem.NVM, kernel string) Result {
+	t.Helper()
+	d := &loggedDesign{Design: design, t: t, eba: design.(EBAccessor)}
+	s, err := New(cfg, d, nvm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &exactReplay{t: t, cfg: cfg,
+		perInstrPS: max(cfg.CyclePS, cfg.ICache.FetchLatency),
+		instrE:     cfg.ICache.FetchEnergy,
+		leakW:      design.LeakPower(),
+		reserve:    design.ReserveEnergy(),
+		checkpoint: func(now int64) (int64, energy.Breakdown) { return d.next("checkpoint", now) },
+		restore:    func(now int64) (int64, energy.Breakdown) { return d.next("restore", now) },
+	}
+	r.start()
+	m := &lockstepMachine{t: t, sim: s, d: d, r: r}
+	w, ok := workload.ByName(kernel)
+	if !ok {
+		t.Fatalf("no kernel %q", kernel)
+	}
+	res, err := s.Run(w.Name, func(isa.Machine) uint32 { return w.Run(m, 1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: %d ops, %d outages", kernel, m.ops, res.Outages)
+	return res
+}
+
+// TestExactPolicyMatchesSeedReplayOnRealDesign is the per-event pin on
+// a real design: VCache-WT runs a real kernel under a real trace.
+// Every design call is logged, and after every memory operation and
+// Compute block the replay, charged the logged costs, must agree with
+// the simulator bit for bit. Sums over a whole run absorb a one-ulp
+// slip in one event, and so does the voltage unless the event draws a
+// visible share of the capacitor's energy; hence the 12 nF capacitor,
+// with JIT costs scaled down to fit it.
+//
+// Whether a slip changes a rounded result at all depends on the
+// operands, and a kernel issues Compute blocks of only a few sizes and
+// accesses of a few costs. VCache-WT takes its array technology as a
+// parameter, so the subtests vary the leakage power, which enters
+// every event's draw, and the fetch cost, which enters every chunk's.
+// On these four, each of three one-ulp slips in the exact path fails
+// at least one: a chunk drawing (leak+compute)+fetch, a chunk's leak
+// computed as leakW/1e12*dt, and an access total summed Leak-first.
+func TestExactPolicyMatchesSeedReplayOnRealDesign(t *testing.T) {
+	jit := energy.JITCosts{RegCheckpointTime: 500_000, RegCheckpointEnergy: 1e-9,
+		RestoreTime: 1_000_000, RestoreEnergy: 2e-9, BaseReserve: 4e-9}
+	for _, leakW := range []float64{0.41e-3, 0.53e-3} {
+		for _, ic := range []*ICacheModel{NVSRAMICache(), NVICache()} {
+			t.Run(fmt.Sprintf("leak=%gW,fetch=%dps", leakW, ic.FetchLatency), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Trace = power.Get(power.Trace1)
+				cfg.CapacitorF = 12e-9
+				cfg.ICache = ic
+				tech := cache.SRAMTech()
+				tech.Leakage = leakW
+				nvm := mem.NewNVM(mem.DefaultNVMParams())
+				d := designs.NewVCacheWT(cache.DefaultGeometry(), tech, cache.LRU, jit, nvm)
+				if res := replayInLockstep(t, cfg, d, nvm, "adpcmencode"); res.Outages < 20 {
+					t.Fatalf("%d outages; the run must cross many", res.Outages)
+				}
+			})
 		}
 	}
 }
