@@ -5,21 +5,21 @@
 //
 // `record` ingests report files (wlperf/v1 reports from the bench/
 // benchmark's -json, and wlobs/v1 manifests, which carry each run's
-// cycle ledger) into the store, deduplicating by content. `trend` prints a per-metric
-// sparkline table; `html` writes the self-contained trend dashboard.
-// `gate` judges each metric's newest transition against its
-// comparable history and exits 2 on drift — host-speed metrics only
-// ever gate against runs from the same host fingerprint, so a slower
-// CI runner cannot fail the build, while simulated outcomes (failed
-// benchmark cells, checksums, outage counts, cycle ledgers) gate
-// across hosts.
+// cycle ledger) into the store, deduplicating by content. `trend`
+// prints a per-metric sparkline table, the one rendering of the store;
+// `list` prints one line per entry. `gate` judges each metric's newest
+// transition against its comparable history and exits 2 on drift —
+// host-speed metrics only ever gate against runs from the same host
+// fingerprint, so a slower CI runner cannot fail the build, while
+// simulated outcomes (failed benchmark cells, checksums, outage
+// counts, cycle ledgers) gate across hosts.
 //
 // Usage:
 //
 //	wlhist record -store HISTORY.jsonl -now 0 -label baseline perf/*.json
 //	wlhist trend -store HISTORY.jsonl -filter sim_mips
 //	wlhist gate -store HISTORY.jsonl -threshold 0.10
-//	wlhist html -store HISTORY.jsonl -out dashboard.html
+//	wlhist list -store HISTORY.jsonl
 //
 // Exit codes (CI branches on these):
 //
@@ -52,7 +52,7 @@ func main() {
 // the process exit code for a completed command.
 func run(args []string, stdout io.Writer) (int, error) {
 	if len(args) == 0 {
-		return 0, fmt.Errorf("usage: wlhist record|trend|gate|html|list [flags]; see `wlhist <cmd> -h`")
+		return 0, fmt.Errorf("usage: wlhist record|trend|gate|list [flags]; see `wlhist <cmd> -h`")
 	}
 	switch args[0] {
 	case "-version", "--version", "version":
@@ -64,12 +64,10 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return runTrend(args[1:], stdout)
 	case "gate":
 		return runGate(args[1:], stdout)
-	case "html":
-		return runHTML(args[1:], stdout)
 	case "list":
 		return runList(args[1:], stdout)
 	}
-	return 0, fmt.Errorf("unknown subcommand %q (want record, trend, gate, html or list)", args[0])
+	return 0, fmt.Errorf("unknown subcommand %q (want record, trend, gate or list)", args[0])
 }
 
 // storeFlag registers the shared -store flag.
@@ -166,28 +164,6 @@ func runGate(args []string, stdout io.Writer) (int, error) {
 		return 2, nil
 	}
 	fmt.Fprintln(stdout, "gate: no drift")
-	return 0, nil
-}
-
-func runHTML(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlhist html", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		store = storeFlag(fs)
-		out   = fs.String("out", "dashboard.html", "output HTML file")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	s, err := hist.Open(*store)
-	if err != nil {
-		return 0, err
-	}
-	rep := hist.Gate(s, hist.GateConfig{})
-	if err := os.WriteFile(*out, []byte(hist.Dashboard(s, rep)), 0o644); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d entries, %d series)\n", *out, s.Len(), len(s.SeriesAll()))
 	return 0, nil
 }
 

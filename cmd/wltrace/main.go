@@ -1,11 +1,9 @@
-// Command wltrace inspects the built-in power traces and exports them
-// as CSV so recorded traces can be compared or substituted.
+// Command wltrace prints the statistics of a built-in power trace or
+// of a custom synthetic RF trace.
 //
 // Usage:
 //
 //	wltrace -trace tr1                          # statistics
-//	wltrace -trace tr2 -csv tr2.csv             # export
-//	wltrace -load mytrace.csv                   # statistics of an external CSV
 //	wltrace -gen "mean=8e-3,vol=0.9,dead=0.2"   # synthesize a custom RF trace
 package main
 
@@ -13,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -33,11 +32,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("wltrace", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		src  = fs.String("trace", "tr1", "built-in source: tr1, tr2, tr3, solar, thermal")
-		csv  = fs.String("csv", "", "write the trace to this CSV file")
-		load = fs.String("load", "", "analyze an external CSV trace instead")
-		gen  = fs.String("gen", "", `synthesize a custom RF trace: "mean=10e-3,vol=0.5,dead=0.1,seed=7"`)
-		ver  = fs.Bool("version", false, "print engine version and build info, then exit")
+		src = fs.String("trace", "tr1", "built-in source: tr1, tr2, tr3, solar, thermal")
+		gen = fs.String("gen", "", `synthesize a custom RF trace: "mean=10e-3,vol=0.5,dead=0.1,seed=7"`)
+		ver = fs.Bool("version", false, "print engine version and build info, then exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,25 +45,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var tr *power.Trace
-	switch {
-	case *gen != "":
+	if *gen != "" {
 		t, err := genTrace(*gen)
 		if err != nil {
 			return err
 		}
 		tr = t
-	case *load != "":
-		f, err := os.Open(*load)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		t, err := power.ReadCSV(f)
-		if err != nil {
-			return err
-		}
-		tr = t
-	default:
+	} else {
 		known := false
 		for _, s := range power.Sources() {
 			if s == power.Source(*src) {
@@ -93,25 +78,12 @@ func run(args []string, stdout io.Writer) error {
 		tr.Name, len(tr.Samples), float64(tr.Step)/1e6, float64(tr.Duration())/1e12)
 	fmt.Fprintf(stdout, "  mean power %.2f mW, peak %.2f mW, dead (<10%% of mean) %.1f%%\n",
 		mean*1e3, peak*1e3, 100*float64(dead)/float64(len(tr.Samples)))
-
-	if *csv != "" {
-		f, err := os.Create(*csv)
-		if err != nil {
-			return err
-		}
-		if err := tr.WriteCSV(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  wrote %s\n", *csv)
-	}
 	return nil
 }
 
-// genTrace parses "key=value,..." synthesis parameters.
+// genTrace parses "key=value,..." synthesis parameters. mean and vol
+// must be finite and non-negative, dead a probability in [0, 1], and
+// seed an integer.
 func genTrace(spec string) (*power.Trace, error) {
 	mean, vol, dead := 10e-3, 0.5, 0.1
 	seed := int64(7)
@@ -120,22 +92,30 @@ func genTrace(spec string) (*power.Trace, error) {
 		if !ok {
 			return nil, fmt.Errorf("bad -gen field %q", kv)
 		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -gen value %q: %w", kv, err)
-		}
+		var err error
 		switch k {
 		case "mean":
-			mean = f
+			mean, err = strconv.ParseFloat(v, 64)
 		case "vol":
-			vol = f
+			vol, err = strconv.ParseFloat(v, 64)
 		case "dead":
-			dead = f
+			dead, err = strconv.ParseFloat(v, 64)
 		case "seed":
-			seed = int64(f)
+			seed, err = strconv.ParseInt(v, 10, 64)
 		default:
 			return nil, fmt.Errorf("unknown -gen key %q", k)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("bad -gen value %q: %w", kv, err)
+		}
+	}
+	switch {
+	case !(mean >= 0) || math.IsInf(mean, 1):
+		return nil, fmt.Errorf("-gen mean=%g: want a finite power >= 0", mean)
+	case !(vol >= 0) || math.IsInf(vol, 1):
+		return nil, fmt.Errorf("-gen vol=%g: want a finite volatility >= 0", vol)
+	case !(dead >= 0 && dead <= 1):
+		return nil, fmt.Errorf("-gen dead=%g: want a probability in [0, 1]", dead)
 	}
 	return power.SynthesizeRF("custom", seed, mean, vol, dead), nil
 }

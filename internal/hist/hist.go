@@ -7,7 +7,7 @@
 // are host-independent and gate across hosts as long as the engine
 // versions do not conflict. On top of the store sit trend extraction
 // (per-metric time series with the good/bad direction each document
-// declares), the one drift gate for CI, and terminal/HTML renderers.
+// declares), the one drift gate for CI, and their terminal renderings.
 package hist
 
 import (
@@ -227,21 +227,18 @@ func (s *Store) Append(e Entry) (Entry, bool, error) {
 	return e, true, nil
 }
 
-// Point is one observation of a metric: the value plus the entry it
-// came from (for comparability checks and labeling).
+// Point is one observation of a metric: the value plus the key of the
+// entry it came from, for comparability checks.
 type Point struct {
-	Seq   int
 	Value float64
 	Key   Key
-	Label string
 }
 
 // Series is the history of one metric across the store, in append
-// order. Unit, Dir and Kind come from the newest point so a schema
+// order. Dir and Kind come from the newest point so a schema
 // evolution (a metric reclassified) takes effect immediately.
 type Series struct {
 	Name   string
-	Unit   string
 	Dir    obs.Dir
 	Kind   string
 	Points []Point
@@ -257,10 +254,8 @@ func (s *Store) SeriesAll() []Series {
 				sr = &Series{Name: name}
 				byName[name] = sr
 			}
-			sr.Unit, sr.Dir, sr.Kind = m.Unit, obs.DirFrom(m.Dir), m.Kind
-			sr.Points = append(sr.Points, Point{
-				Seq: e.Seq, Value: m.Value, Key: e.Key, Label: e.Label,
-			})
+			sr.Dir, sr.Kind = obs.DirFrom(m.Dir), m.Kind
+			sr.Points = append(sr.Points, Point{Value: m.Value, Key: e.Key})
 		}
 	}
 	names := make([]string, 0, len(byName))

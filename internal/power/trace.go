@@ -2,27 +2,18 @@
 // traces: piecewise-constant harvested power (watts) over time. The
 // paper evaluates with two recorded RF traces (tr.1 home, tr.2
 // office), a third RF trace from Mementos (tr.3), and solar/thermal
-// traces; this package provides deterministic synthetic generators
-// with the same stability ordering, plus CSV import/export so real
-// recordings can be substituted.
+// traces; those recordings are not available, so this package provides
+// deterministic synthetic generators with the same stability ordering.
 package power
-
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"strconv"
-	"strings"
-)
 
 // Trace is a looping piecewise-constant power signal. Sample i covers
 // simulated time [i*Step, (i+1)*Step) picoseconds; after the last
 // sample the trace wraps around.
 //
-// Traces built by this package (Synthesize*, ReadCSV, Get) carry a
-// prefix-sum index that makes Integrate O(1) for windows spanning many
-// segments and lets TimeToHarvest binary-search whole outages instead
-// of stepping segment by segment. Hand-assembled Trace literals work
+// Traces built by this package (Synthesize*, Get) carry a prefix-sum
+// index that makes Integrate O(1) for windows spanning many segments
+// and lets TimeToHarvest binary-search whole outages instead of
+// stepping segment by segment. Hand-assembled Trace literals work
 // without the index (the sequential reference paths run instead); call
 // Reindex after populating or mutating Samples to build it. An indexed
 // trace must not have Samples mutated afterwards — the built-in traces
@@ -234,59 +225,4 @@ func (t *Trace) timeToHarvestSeq(from int64, joules float64) (dt int64, ok bool)
 		acc += segE
 		cur = segEnd
 	}
-}
-
-// WriteCSV writes the trace as "seconds,watts" rows preceded by a
-// header comment carrying the name and step.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# name=%s step_ps=%d\n", t.Name, t.Step)
-	for i, p := range t.Samples {
-		fmt.Fprintf(bw, "%g,%g\n", float64(int64(i)*t.Step)/1e12, p)
-	}
-	return bw.Flush()
-}
-
-// ReadCSV parses a trace written by WriteCSV.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	t := &Trace{Name: "csv", Step: 100_000_000} // default 100 us
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			for _, f := range strings.Fields(strings.TrimPrefix(line, "#")) {
-				if v, ok := strings.CutPrefix(f, "name="); ok {
-					t.Name = v
-				}
-				if v, ok := strings.CutPrefix(f, "step_ps="); ok {
-					s, err := strconv.ParseInt(v, 10, 64)
-					if err != nil {
-						return nil, fmt.Errorf("power: bad step_ps %q: %w", v, err)
-					}
-					t.Step = s
-				}
-			}
-			continue
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("power: bad CSV row %q", line)
-		}
-		p, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("power: bad power %q: %w", parts[1], err)
-		}
-		t.Samples = append(t.Samples, p)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(t.Samples) == 0 {
-		return nil, fmt.Errorf("power: empty trace")
-	}
-	t.Reindex()
-	return t, nil
 }

@@ -2,7 +2,6 @@ package power
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -133,40 +132,6 @@ func TestGetUnknownPanics(t *testing.T) {
 		}
 	}()
 	Get(Source("bogus"))
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "unit", Step: 5000, Samples: []float64{0.001, 0.002, 0}}
-	var b strings.Builder
-	if err := tr.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "unit" || got.Step != 5000 || len(got.Samples) != 3 {
-		t.Fatalf("round trip header mismatch: %+v", got)
-	}
-	for i := range tr.Samples {
-		if got.Samples[i] != tr.Samples[i] {
-			t.Fatalf("sample %d = %g", i, got.Samples[i])
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	for _, in := range []string{
-		"",                       // empty
-		"1,2,3\n",                // too many fields
-		"abc\n",                  // not a row
-		"0.0,notanumber\n",       // bad power
-		"# step_ps=notanum\n1,1", // bad header
-	} {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("ReadCSV(%q) accepted", in)
-		}
-	}
 }
 
 // TestSynthesizeRFParameters: the exported generator responds to its

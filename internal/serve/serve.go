@@ -12,15 +12,13 @@
 // is computed once per server lifetime no matter how many sweeps
 // request it. Overload and crash are first-class states: admission
 // control sheds load with 429 + Retry-After when the queue is full,
-// the per-request deadline budget degrades unstarted cells to
-// deterministic skips, each cell runs once (a deterministic simulator
-// error is streamed, never retried), worker panics are isolated to
-// their cell, and graceful shutdown drains or journals every in-flight
-// cell within a configured deadline. /healthz and
-// /readyz expose liveness and drain state; /metrics is the one metrics
-// surface — every counter the chaos gate audits (zero recompute,
-// exactly-once compute) plus the latency histograms, in Prometheus
-// text.
+// each cell runs once (a deterministic simulator error is streamed,
+// never retried), worker panics are isolated to their cell, and
+// graceful shutdown drains or journals every in-flight cell within a
+// configured deadline. /healthz and /readyz expose liveness and drain
+// state; /metrics is the one metrics surface — every counter the chaos
+// gate audits (zero recompute, exactly-once compute) plus the latency
+// histograms, in Prometheus text.
 package serve
 
 import (
@@ -65,9 +63,6 @@ type Config struct {
 	MaxCells int
 	// RetryAfter is the hint returned with shed load (0 = 5s).
 	RetryAfter time.Duration
-	// RequestBudget bounds one sweep's wall time; cells not started
-	// when it expires become deterministic skips (0 = none).
-	RequestBudget time.Duration
 	// AfterJournal, when set, runs after the n-th journal append
 	// server-wide becomes durable, under that journal's append lock —
 	// the chaos harness SIGKILLs the process here.
@@ -505,9 +500,9 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	rid := RequestIDFrom(r.Context())
 	start := time.Now()
 
-	// The sweep context: client disconnect, the per-request budget, and
-	// the shutdown drain deadline all cancel it; the runner degrades
-	// every unstarted cell to a deterministic skip.
+	// The sweep context: client disconnect and the shutdown drain
+	// deadline both cancel it; the runner turns every cell not yet
+	// started into a skip.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stopWatch := context.AfterFunc(s.hardCtx, cancel)
@@ -518,20 +513,15 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		// the cancellation for its first few.
 		cancel()
 	}
-	if s.cfg.RequestBudget > 0 {
-		var cancelBudget context.CancelFunc
-		ctx, cancelBudget = context.WithTimeout(ctx, s.cfg.RequestBudget)
-		defer cancelBudget()
-	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Sweep-Id", sweepID)
 	w.WriteHeader(http.StatusOK)
 	// Events go out through appendEvent into one reused line buffer; an
 	// event it cannot write goes through encoding/json. A client that
-	// vanished mid-stream surfaces as write errors, which are dropped:
-	// the sweep still runs to completion and journals (the next
-	// resubmission is then free).
+	// vanished mid-stream surfaces as write errors, which are dropped;
+	// its disconnect also cancels ctx, so cells already running finish
+	// and journal and the rest skip.
 	enc := json.NewEncoder(w)
 	var line []byte
 	writeEvent := func(ev *Event) {

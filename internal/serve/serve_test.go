@@ -557,6 +557,45 @@ func TestShutdownDeadlineDegradesToSkips(t *testing.T) {
 	}
 }
 
+// A client that disconnects cancels its sweep: cells that already ran
+// are journaled, the rest skip, and a resubmission serves the journaled
+// ones without computing them again.
+func TestClientDisconnectCancelsSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a sweep subset")
+	}
+	s, cl := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	spec := Spec{Workloads: []string{"adpcmencode"}}
+	st, err := cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	waitFor(t, func() bool { return metric(t, s, mSweepsCompleted) == 1 })
+	computed := metric(t, s, mCells+`{outcome="computed"}`)
+	failed := metric(t, s, mCells+`{outcome="failed"}`)
+	skipped := metric(t, s, mCells+`{outcome="skipped"}`)
+	if skipped == 0 || computed+failed+skipped != float64(spec.NumCells()) {
+		t.Fatalf("after disconnect: %v computed, %v failed, %v skipped of %d cells; want some skipped, none lost",
+			computed, failed, skipped, spec.NumCells())
+	}
+
+	st, err = cl.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, done, err := st.Drain()
+	if err != nil || done == nil {
+		t.Fatalf("resubmission: done=%v err=%v", done, err)
+	}
+	if got := float64(done.Metrics.FromJournal); got != computed {
+		t.Fatalf("resubmission served %v cells from the journal, want the %v computed before the disconnect", got, computed)
+	}
+}
+
 // Malformed and oversized specs are rejected with 400 before any
 // simulation or journal I/O; wrong methods with 405.
 func TestSpecRejection(t *testing.T) {

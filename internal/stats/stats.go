@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -279,15 +278,4 @@ func (t *TextTable) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedKeys returns the sorted keys of a string-keyed map (stable
-// rendering of map-backed results).
-func SortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

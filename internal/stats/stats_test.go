@@ -126,14 +126,6 @@ func TestTableRendersNaNAsDash(t *testing.T) {
 	}
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	ks := SortedKeys(m)
-	if len(ks) != 3 || ks[0] != "a" || ks[2] != "c" {
-		t.Fatalf("SortedKeys = %v", ks)
-	}
-}
-
 func TestDesignExtraZeroValue(t *testing.T) {
 	var e DesignExtra
 	if e.Writebacks != 0 || e.Reconfigs != 0 || e.StallTime != 0 {
