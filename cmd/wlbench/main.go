@@ -176,14 +176,10 @@ func parseTraces(s string) ([]string, error) {
 	if s == "" {
 		return nil, nil
 	}
-	valid := map[power.Source]bool{power.None: true}
-	for _, src := range power.Sources() {
-		valid[src] = true
-	}
 	var out []string
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
-		if !valid[power.Source(name)] {
+		if !power.Source(name).Valid() {
 			return nil, fmt.Errorf("unknown power trace %q", name)
 		}
 		out = append(out, name)

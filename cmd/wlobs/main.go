@@ -1,18 +1,14 @@
-// Command wlobs records instrumented simulation runs and explains them
-// causally.
+// Command wlobs records instrumented simulation runs and explains each
+// with its cycle ledger.
 //
 // `record` runs one workload on one or more designs with the
 // observability layer enabled (internal/obs). For every design it
 // charges each simulated cycle to one category (the cycle ledger,
 // DESIGN.md §10), folds the ledger into the design's manifest line,
 // prints a per-run summary, and writes a Chrome trace_event JSON file
-// (loadable in chrome://tracing or Perfetto) and the ledger as folded
-// stacks for standard flamegraph tooling. It then prints the
+// (loadable in chrome://tracing or Perfetto). It then prints the
 // cross-design ledger table.
 // `summary` re-renders a saved manifest.
-// `spans` reconstructs the causal span graph of a run (store stall →
-// write-back → port wait → DirtyQueue release; checkpoint/off/restore
-// under their outage).
 //
 // A manifest is judged by the run-history gate: `wlhist record` it into
 // a store holding earlier manifests, then `wlhist gate`. Every metric
@@ -23,7 +19,6 @@
 //	wlobs record -designs nvcache-wb,vcache-wt,wl -workload sha -trace tr1 -out obs-out
 //	wlobs record -fault tornckpt -crashes 3 -workload qsort
 //	wlobs summary obs-out/manifest.jsonl
-//	wlobs spans -design wl -workload sha -trace tr1 -kind stall
 package main
 
 import (
@@ -33,7 +28,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 
 	"wlcache/internal/expt"
@@ -59,7 +53,7 @@ func main() {
 // the process exit code for a completed command.
 func run(args []string, stdout io.Writer) (int, error) {
 	if len(args) == 0 {
-		return 0, fmt.Errorf("usage: wlobs record|summary|spans [flags]; see `wlobs <cmd> -h`")
+		return 0, fmt.Errorf("usage: wlobs record|summary [flags]; see `wlobs <cmd> -h`")
 	}
 	switch args[0] {
 	case "-version", "--version", "version":
@@ -69,10 +63,8 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return runRecord(args[1:], stdout)
 	case "summary":
 		return runSummary(args[1:], stdout)
-	case "spans":
-		return runSpans(args[1:], stdout)
 	}
-	return 0, fmt.Errorf("unknown subcommand %q (want record, summary or spans)", args[0])
+	return 0, fmt.Errorf("unknown subcommand %q (want record or summary)", args[0])
 }
 
 // crashSpacing is the instruction distance between forced crashes when
@@ -89,12 +81,11 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		trace     = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
 		scale     = fs.Int("scale", 1, "input-size multiplier")
 		events    = fs.Int("events", obs.DefaultEventCap, "event ring capacity (~48 B/event)")
-		out       = fs.String("out", "wlobs-out", "output directory for manifest.jsonl, trace JSON and folded stacks")
+		out       = fs.String("out", "wlobs-out", "output directory for manifest.jsonl and the trace JSON files")
 		check     = fs.Bool("check", true, "verify crash-consistency invariants")
 		faultMode = fs.String("fault", "", "also inject faults: crash, tornwb, tornckpt, ackloss")
 		crashes   = fs.Int("crashes", 3, "forced crashes to schedule with -fault")
 		seed      = fs.Uint64("seed", 1, "fault-injection seed")
-		top       = fs.Int("top", 5, "hotspot sites to print per design (0 = none)")
 		needFull  = fs.Bool("require-full-coverage", false, "exit 1 unless every ledger attributes 100% of cycles")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -103,6 +94,12 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	w, ok := workload.ByName(*wl)
 	if !ok {
 		return 0, fmt.Errorf("unknown workload %q", *wl)
+	}
+	if !power.Source(*trace).Valid() {
+		return 0, fmt.Errorf("unknown power trace %q", *trace)
+	}
+	if *scale < 1 {
+		return 0, fmt.Errorf("-scale %d: want at least 1", *scale)
 	}
 	var mode fault.Mode
 	if *faultMode != "" {
@@ -126,8 +123,9 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	var kinds []expt.Kind
 	for _, d := range strings.Split(*designs, ",") {
 		kind := expt.Kind(strings.TrimSpace(d))
-		if err := checkKind(kind); err != nil {
-			return 0, err
+		if !slices.Contains(expt.AllKinds(), kind) {
+			// expt.NewDesign panics on an unknown kind.
+			return 0, fmt.Errorf("unknown design kind %q", kind)
 		}
 		kinds = append(kinds, kind)
 	}
@@ -173,15 +171,11 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 		if err := tf.Close(); err != nil {
 			return 0, err
 		}
-		fname := filepath.Join(*out, "flame-"+stem+".folded")
-		if err := os.WriteFile(fname, []byte(l.Folded()), 0o644); err != nil {
-			return 0, err
-		}
 		fmt.Fprint(stdout, obs.Summarize(m))
-		fmt.Fprintf(stdout, "wrote %s\nwrote %s\n\n", tname, fname)
+		fmt.Fprintf(stdout, "wrote %s\n\n", tname)
 		ledgers = append(ledgers, l)
 	}
-	fmt.Fprint(stdout, attrTable(ledgers, *top))
+	fmt.Fprint(stdout, attrTable(ledgers))
 	fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(*out, "manifest.jsonl"))
 	if *needFull {
 		for i := range ledgers {
@@ -251,21 +245,13 @@ func runSummary(args []string, stdout io.Writer) (int, error) {
 }
 
 // warnDropped surfaces ring overwrites on stderr: a truncated trace
-// silently degrades spans/attribution coverage, so the operator should
+// silently degrades the ledger's coverage, so the operator should
 // know to re-run with a larger -events.
 func warnDropped(rec *obs.Recorder, kind string) {
 	if d := rec.Trace().Dropped(); d > 0 {
 		fmt.Fprintf(os.Stderr, "wlobs: warning: design %s dropped %d of %d events (ring full); rerun with a larger -events for full coverage\n",
 			kind, d, rec.Trace().Pushed())
 	}
-}
-
-// checkKind rejects a design kind expt.NewDesign would panic on.
-func checkKind(kind expt.Kind) error {
-	if !slices.Contains(expt.AllKinds(), kind) {
-		return fmt.Errorf("unknown design kind %q", kind)
-	}
-	return nil
 }
 
 // runCell executes one design × workload × trace cell with recording
@@ -301,93 +287,9 @@ func runCell(kind expt.Kind, w workload.Workload, trace string, scale, events in
 	return rec, res, l, nil
 }
 
-func runSpans(args []string, stdout io.Writer) (int, error) {
-	fs := flag.NewFlagSet("wlobs spans", flag.ContinueOnError)
-	fs.SetOutput(stdout)
-	var (
-		design   = fs.String("design", "wl", "design kind to reconstruct")
-		wl       = fs.String("workload", "sha", "benchmark name")
-		trace    = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
-		scale    = fs.Int("scale", 1, "input-size multiplier")
-		events   = fs.Int("events", obs.DefaultEventCap, "event ring capacity (~48 B/event)")
-		kindFlag = fs.String("kind", "", "only show spans of this kind (stall, writeback, port-wait, checkpoint, off, restore, outage)")
-		addrFlag = fs.String("addr", "", "only show spans touching this address (hex ok)")
-		limit    = fs.Int("limit", 50, "max spans to print (0 = all)")
-		asJSON   = fs.Bool("json", false, "emit spans as JSONL instead of the report")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 0, err
-	}
-	w, ok := workload.ByName(*wl)
-	if !ok {
-		return 0, fmt.Errorf("unknown workload %q", *wl)
-	}
-	kind := expt.Kind(*design)
-	if err := checkKind(kind); err != nil {
-		return 0, err
-	}
-	rec, res, _, err := runCell(kind, w, *trace, *scale, *events, false, nil)
-	if err != nil {
-		return 0, err
-	}
-	set := obs.BuildSpans(rec.Trace(), rec.Meta, res.ExecTime)
-
-	var wantKind obs.SpanKind
-	if *kindFlag != "" {
-		k, ok := obs.SpanKindByName(*kindFlag)
-		if !ok {
-			return 0, fmt.Errorf("unknown span kind %q", *kindFlag)
-		}
-		wantKind = k
-	}
-	var wantAddr uint32
-	haveAddr := false
-	if *addrFlag != "" {
-		a, err := strconv.ParseUint(*addrFlag, 0, 32)
-		if err != nil {
-			return 0, fmt.Errorf("bad -addr %q: %w", *addrFlag, err)
-		}
-		wantAddr, haveAddr = uint32(a), true
-	}
-	match := func(sp obs.Span) bool {
-		if wantKind != 0 && sp.Kind != wantKind {
-			return false
-		}
-		if haveAddr && sp.Addr != wantAddr {
-			return false
-		}
-		return true
-	}
-
-	if *asJSON {
-		filtered := set
-		filtered.Spans = nil
-		for _, sp := range set.Spans {
-			if match(sp) {
-				filtered.Spans = append(filtered.Spans, sp)
-			}
-		}
-		return 0, filtered.WriteJSONL(stdout)
-	}
-	fmt.Fprint(stdout, set.Summary())
-	shown := 0
-	for _, sp := range set.Spans {
-		if !match(sp) {
-			continue
-		}
-		if *limit > 0 && shown >= *limit {
-			fmt.Fprintf(stdout, "   ... (use -limit 0 for all)\n")
-			break
-		}
-		fmt.Fprintf(stdout, "  %s\n", set.Format(sp))
-		shown++
-	}
-	return 0, nil
-}
-
 // attrTable renders the cross-design cycle ledger: one column per
 // design, one row per category, cycles with percent-of-total.
-func attrTable(ledgers []obs.Ledger, top int) string {
+func attrTable(ledgers []obs.Ledger) string {
 	var b strings.Builder
 	if len(ledgers) == 0 {
 		return ""
@@ -446,22 +348,6 @@ func attrTable(ledgers []obs.Ledger, top int) string {
 		fmt.Fprintf(&b, "  %*s", colW[i], fmt.Sprintf("%.1f%%", 100*ledgers[i].Coverage()))
 	}
 	b.WriteByte('\n')
-	if top > 0 {
-		for i := range ledgers {
-			l := &ledgers[i]
-			if len(l.Hotspots) == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "\n%s hotspots (stall + sync port-wait cycles by site):\n", l.Meta.Design)
-			for j, h := range l.Hotspots {
-				if j >= top {
-					break
-				}
-				fmt.Fprintf(&b, "  %-40s stall %-12d port-wait %-12d (%d events)\n",
-					h.Site, l.Cycles(h.StallPS), l.Cycles(h.PortWaitPS), h.Events)
-			}
-		}
-	}
 	return b.String()
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,22 +124,44 @@ func TestBadUsage(t *testing.T) {
 	if _, err := run([]string{"diff", "a.jsonl", "b.jsonl"}, &out); err == nil {
 		t.Error("diff is retired (wlhist gate judges manifests): want error")
 	}
-	// record folds the cycle ledger and its folded stacks into every
-	// recording, so the standalone ledger subcommands are gone.
-	for _, sub := range []string{"attribute", "flame"} {
+	// record folds the cycle ledger into every recording's manifest,
+	// so the standalone ledger subcommands and the span graph are gone.
+	for _, sub := range []string{"attribute", "flame", "spans"} {
 		if _, err := run([]string{sub}, &out); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("%s: err = %v, want an unknown subcommand error", sub, err)
 		}
 	}
-	if _, err := run([]string{"record", "-workload", "nope"}, &out); err == nil {
-		t.Error("unknown workload: want error")
-	}
-	for _, args := range [][]string{
-		{"record", "-designs", "wl,bogus", "-out", t.TempDir()},
-		{"spans", "-design", "bogus"},
+	// Bad input is a usage error, never a panic, and is rejected before
+	// the output directory is made.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"record", "-workload", "nope"}, `unknown workload "nope"`},
+		{[]string{"record", "-designs", "wl,bogus"}, `unknown design kind "bogus"`},
+		{[]string{"record", "-trace", "bogus"}, `unknown power trace "bogus"`},
+		{[]string{"record", "-scale", "0"}, "-scale 0: want at least 1"},
+		{[]string{"record", "-scale", "-2"}, "-scale -2: want at least 1"},
+		{[]string{"record", "-top", "0"}, "flag provided but not defined: -top"},
 	} {
-		if _, err := run(args, &out); err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
-			t.Errorf("%v: err = %v, want an unknown design kind error", args, err)
+		dir := filepath.Join(t.TempDir(), "out")
+		args := append(tc.args, "-out", dir)
+		if _, err := runNoPanic(t, args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("%v: made the output directory (stat err %v)", tc.args, err)
 		}
 	}
+}
+
+// runNoPanic runs the CLI and fails the test if it panics.
+func runNoPanic(t *testing.T, args []string, stdout io.Writer) (code int, err error) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("%v panicked: %v", args, r)
+		}
+	}()
+	return run(args, stdout)
 }

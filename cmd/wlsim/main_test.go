@@ -61,6 +61,19 @@ func TestUnknownWorkloadFails(t *testing.T) {
 	}
 }
 
+func TestUnknownTraceFails(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("unknown trace panicked: %v", r)
+		}
+	}()
+	var b strings.Builder
+	err := run([]string{"-workload", "sha", "-trace", "bogus"}, &b)
+	if err == nil || !strings.Contains(err.Error(), `unknown power source "bogus"`) {
+		t.Fatalf("unknown trace: err = %v", err)
+	}
+}
+
 func TestUnknownDesignErrors(t *testing.T) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -52,13 +52,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		tr = t
 	} else {
-		known := false
-		for _, s := range power.Sources() {
-			if s == power.Source(*src) {
-				known = true
-			}
-		}
-		if !known {
+		if s := power.Source(*src); s == power.None || !s.Valid() {
 			return fmt.Errorf("source %q has no trace", *src)
 		}
 		tr = power.Get(power.Source(*src))

@@ -125,9 +125,6 @@ func NewArray(g Geometry, p ReplacementPolicy) *Array {
 // Geometry returns the array's geometry.
 func (a *Array) Geometry() Geometry { return a.geo }
 
-// Policy returns the replacement policy.
-func (a *Array) Policy() ReplacementPolicy { return a.policy }
-
 // LineAddr returns the base byte address of the line containing addr.
 func (a *Array) LineAddr(addr uint32) uint32 { return addr &^ a.offMask }
 

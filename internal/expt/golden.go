@@ -220,6 +220,23 @@ func withinTol(got, want, rel, abs float64) bool {
 // exactly; energy and time fields must agree within tol. Cell coverage
 // and error strings follow CompareGoldenCells semantics.
 func CompareGoldenCellsTol(got, committed []GoldenCell, subset bool, tol Tolerance) error {
+	return compareGoldenCells(got, committed, subset, &tol)
+}
+
+// CompareGoldenCells verifies got against the committed matrix,
+// bit-exactly. With subset true, got may cover fewer cells than the
+// commitment (a restricted sweep), but every produced cell must still
+// match its committed counterpart by ID — an extra cell the
+// commitment does not pin is an error, so a stitched run can never
+// silently over-report.
+func CompareGoldenCells(got, committed []GoldenCell, subset bool) error {
+	return compareGoldenCells(got, committed, subset, nil)
+}
+
+// compareGoldenCells is both comparators: tol nil compares every field
+// by its rendered bits (so -0 and +0 differ), otherwise energy and time
+// fields may move within tol.
+func compareGoldenCells(got, committed []GoldenCell, subset bool, tol *Tolerance) error {
 	want := make(map[string]GoldenCell, len(committed))
 	for _, c := range committed {
 		want[c.ID()] = c
@@ -243,6 +260,10 @@ func CompareGoldenCellsTol(got, committed []GoldenCell, subset bool, tol Toleran
 				continue
 			}
 			if gv == wv {
+				continue
+			}
+			if tol == nil {
+				diffs = append(diffs, fmt.Sprintf("%s: %s drifted: committed %s, got %s", g.ID(), field, wv, gv))
 				continue
 			}
 			switch fieldClass(field) {
@@ -277,61 +298,15 @@ func CompareGoldenCellsTol(got, committed []GoldenCell, subset bool, tol Toleran
 			diffs = append(diffs, fmt.Sprintf("%s: pinned by the golden but not produced", id))
 		}
 	}
-	if len(diffs) > 0 {
-		if len(diffs) > 20 {
-			diffs = append(diffs[:20], fmt.Sprintf("... and %d more", len(diffs)-20))
-		}
-		return fmt.Errorf("golden divergence (fast-tier tolerance):\n  %s", strings.Join(diffs, "\n  "))
+	if len(diffs) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// CompareGoldenCells verifies got against the committed matrix,
-// bit-exactly. With subset true, got may cover fewer cells than the
-// commitment (a restricted sweep), but every produced cell must still
-// match its committed counterpart by ID — an extra cell the
-// commitment does not pin is an error, so a stitched run can never
-// silently over-report.
-func CompareGoldenCells(got, committed []GoldenCell, subset bool) error {
-	want := make(map[string]GoldenCell, len(committed))
-	for _, c := range committed {
-		want[c.ID()] = c
+	if len(diffs) > 20 {
+		diffs = append(diffs[:20], fmt.Sprintf("... and %d more", len(diffs)-20))
 	}
-	var diffs []string
-	for _, g := range got {
-		w, ok := want[g.ID()]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: produced but not pinned by the golden (extra cell)", g.ID()))
-			continue
-		}
-		delete(want, g.ID())
-		if w.Err != g.Err {
-			diffs = append(diffs, fmt.Sprintf("%s: error drift: committed %q, got %q", g.ID(), w.Err, g.Err))
-			continue
-		}
-		for field, wv := range w.Fields {
-			if gv, ok := g.Fields[field]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: field %s missing from current result", g.ID(), field))
-			} else if gv != wv {
-				diffs = append(diffs, fmt.Sprintf("%s: %s drifted: committed %s, got %s", g.ID(), field, wv, gv))
-			}
-		}
-		for field := range g.Fields {
-			if _, ok := w.Fields[field]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: new field %s not in committed golden", g.ID(), field))
-			}
-		}
+	header := "golden divergence"
+	if tol != nil {
+		header += " (fast-tier tolerance)"
 	}
-	if !subset {
-		for id := range want {
-			diffs = append(diffs, fmt.Sprintf("%s: pinned by the golden but not produced", id))
-		}
-	}
-	if len(diffs) > 0 {
-		if len(diffs) > 20 {
-			diffs = append(diffs[:20], fmt.Sprintf("... and %d more", len(diffs)-20))
-		}
-		return fmt.Errorf("golden divergence:\n  %s", strings.Join(diffs, "\n  "))
-	}
-	return nil
+	return fmt.Errorf("%s:\n  %s", header, strings.Join(diffs, "\n  "))
 }

@@ -159,6 +159,9 @@ func Run(kind Kind, opts Options, wlName string, scale int, src power.Source, si
 	if !slices.Contains(AllKinds(), kind) {
 		return sim.Result{}, fmt.Errorf("expt: unknown design kind %q", kind)
 	}
+	if !src.Valid() {
+		return sim.Result{}, fmt.Errorf("expt: unknown power source %q", src)
+	}
 	if scale <= 0 {
 		scale = DefaultScale
 	}

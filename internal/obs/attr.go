@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 )
 
 // Cycle attribution (DESIGN.md §10): a ledger that charges every
@@ -19,10 +17,10 @@ import (
 //
 // holding exactly (test-enforced per feasible design). Overlapping
 // windows (a port wait inside a stall, a checkpoint inside an outage)
-// resolve by priority: Off > Restore > Checkpoint > Adapt > Stall >
-// PortWait, and whatever no window covers is Compute. Asynchronous
-// port waits are *not* a category — the core kept executing — and are
-// reported separately as hidden (overlapped) port-wait time.
+// resolve by priority: Off > Restore > Checkpoint > Stall > PortWait,
+// and whatever no window covers is Compute. Asynchronous port waits
+// are *not* a category — the core kept executing — and are reported
+// separately as hidden (overlapped) port-wait time.
 
 // Category is one cycle-ledger bucket.
 type Category uint8
@@ -35,7 +33,6 @@ const (
 	CatCheckpoint
 	CatRestore
 	CatOff
-	CatAdapt
 	numCategories
 )
 
@@ -55,8 +52,6 @@ func (c Category) String() string {
 		return "restore"
 	case CatOff:
 		return "off"
-	case CatAdapt:
-		return "adapt"
 	}
 	return fmt.Sprintf("category(%d)", c)
 }
@@ -69,39 +64,6 @@ func Categories() []Category {
 	}
 	return out
 }
-
-// catPriority orders overlapping windows: lower wins. Compute has no
-// windows (it is the residual), so it never competes.
-func catPriority(c Category) int {
-	switch c {
-	case CatOff:
-		return 0
-	case CatRestore:
-		return 1
-	case CatCheckpoint:
-		return 2
-	case CatAdapt:
-		return 3
-	case CatStall:
-		return 4
-	case CatPortWait:
-		return 5
-	}
-	return 6
-}
-
-// Hotspot is the per-store-PC bucket: stall and synchronous port-wait
-// time charged to one program site.
-type Hotspot struct {
-	PC         uint64
-	Site       string
-	StallPS    int64
-	PortWaitPS int64
-	Events     int
-}
-
-// TotalPS is the hotspot's combined attributed time.
-func (h Hotspot) TotalPS() int64 { return h.StallPS + h.PortWaitPS }
 
 // Ledger is the cycle attribution of one run.
 type Ledger struct {
@@ -120,9 +82,8 @@ type Ledger struct {
 	// of how much NVM latency the async write-back path hid.
 	HiddenPortWaitPS int64
 
-	Pushed   uint64
-	Dropped  uint64
-	Hotspots []Hotspot
+	Pushed  uint64
+	Dropped uint64
 }
 
 // Coverage is the attributed fraction of the timeline: 1 when the ring
@@ -163,11 +124,11 @@ func (r *Recorder) Attribute(totalPS, cyclePS int64) Ledger {
 	return AttributeTrace(r.trace, r.Meta, totalPS, cyclePS)
 }
 
-// attrWindow is one candidate interval in the sweep.
-type attrWindow struct {
-	start, end int64
-	cat        Category
-	pc         uint64
+// boundary opens or closes one category window in the sweep.
+type boundary struct {
+	pos  int64
+	open bool
+	cat  Category
 }
 
 // AttributeTrace attributes every picosecond of [0, totalPS) to one
@@ -194,27 +155,17 @@ func AttributeTrace(tr *Trace, meta RunMeta, totalPS, cyclePS int64) Ledger {
 	}
 	l.UnknownPS = lo
 
-	// Collect category windows, clamped to [lo, totalPS).
-	windows := make([]attrWindow, 0, len(evs))
-	addWin := func(w attrWindow) {
-		if w.start < lo {
-			w.start = lo
+	// Collect category windows, clamped to [lo, totalPS), as their
+	// boundaries.
+	var bs []boundary
+	addWin := func(start, end int64, c Category) {
+		start = max(start, lo)
+		if totalPS > 0 {
+			end = min(end, totalPS)
 		}
-		if totalPS > 0 && w.end > totalPS {
-			w.end = totalPS
+		if end > start {
+			bs = append(bs, boundary{start, true, c}, boundary{end, false, c})
 		}
-		if w.end > w.start {
-			windows = append(windows, w)
-		}
-	}
-	hot := map[uint64]*Hotspot{}
-	touch := func(pc uint64) {
-		h := hot[pc]
-		if h == nil {
-			h = &Hotspot{PC: pc}
-			hot[pc] = h
-		}
-		h.Events++
 	}
 	for _, e := range evs {
 		if totalPS > 0 && e.TS >= totalPS {
@@ -224,61 +175,32 @@ func AttributeTrace(tr *Trace, meta RunMeta, totalPS, cyclePS int64) Ledger {
 		}
 		switch e.Kind {
 		case KStall:
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatStall, uint64(e.B)})
-			touch(uint64(e.B))
+			addWin(e.TS, e.TS+e.Dur, CatStall)
 		case KPortWait:
 			if int64(e.F)&portFlagAsync != 0 {
 				l.HiddenPortWaitPS += e.Dur
 				continue
 			}
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatPortWait, uint64(e.B)})
-			touch(uint64(e.B))
+			addWin(e.TS, e.TS+e.Dur, CatPortWait)
 		case KCkpt:
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatCheckpoint, 0})
+			addWin(e.TS, e.TS+e.Dur, CatCheckpoint)
 		case KRestore:
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatRestore, 0})
+			addWin(e.TS, e.TS+e.Dur, CatRestore)
 		case KOff:
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatOff, 0})
-		case KAdapt:
-			// Adaptation is instantaneous in this model (Dur == 0), so
-			// CatAdapt is structurally zero today; the category exists
-			// so a future timed reconfiguration lands in the ledger.
-			addWin(attrWindow{e.TS, e.TS + e.Dur, CatAdapt, 0})
+			addWin(e.TS, e.TS+e.Dur, CatOff)
 		}
 	}
 
-	l.sweep(windows, lo, totalPS, hot)
-
-	l.Hotspots = make([]Hotspot, 0, len(hot))
-	for _, h := range hot {
-		h.Site = ResolvePC(h.PC)
-		l.Hotspots = append(l.Hotspots, *h)
-	}
-	sort.Slice(l.Hotspots, func(i, j int) bool {
-		a, b := l.Hotspots[i], l.Hotspots[j]
-		if a.TotalPS() != b.TotalPS() {
-			return a.TotalPS() > b.TotalPS()
-		}
-		return a.PC < b.PC
-	})
+	l.sweep(bs, lo, totalPS)
 	return l
 }
 
 // sweep runs the boundary sweep: for every elementary interval of
-// [lo, totalPS) the highest-priority active window wins; gaps are
-// Compute. Hotspot time follows the winning stall/port-wait window.
-func (l *Ledger) sweep(windows []attrWindow, lo, totalPS int64, hot map[uint64]*Hotspot) {
+// [lo, totalPS) the highest-priority open window wins; gaps are
+// Compute.
+func (l *Ledger) sweep(bs []boundary, lo, totalPS int64) {
 	if totalPS <= lo {
 		return
-	}
-	type boundary struct {
-		pos  int64
-		open bool
-		win  int
-	}
-	bs := make([]boundary, 0, 2*len(windows))
-	for i, w := range windows {
-		bs = append(bs, boundary{w.start, true, i}, boundary{w.end, false, i})
 	}
 	sort.Slice(bs, func(i, j int) bool {
 		if bs[i].pos != bs[j].pos {
@@ -289,33 +211,18 @@ func (l *Ledger) sweep(windows []attrWindow, lo, totalPS int64, hot map[uint64]*
 		return !bs[i].open && bs[j].open
 	})
 
-	// active holds, per category, the indices of currently-open
-	// windows; concurrency within a category is tiny (a handful of
-	// nested waits at most), so linear removal is fine.
-	var active [numCategories][]int
+	// open counts, per category, the windows open at the cursor.
+	var open [numCategories]int
 	charge := func(from, to int64) {
 		if to <= from {
 			return
 		}
 		dur := to - from
-		for _, c := range []Category{CatOff, CatRestore, CatCheckpoint, CatAdapt, CatStall, CatPortWait} {
-			ws := active[c]
-			if len(ws) == 0 {
-				continue
+		for _, c := range []Category{CatOff, CatRestore, CatCheckpoint, CatStall, CatPortWait} {
+			if open[c] > 0 {
+				l.CatPS[c] += dur
+				return
 			}
-			l.CatPS[c] += dur
-			if c == CatStall || c == CatPortWait {
-				// Charge the most recently opened window's site.
-				w := windows[ws[len(ws)-1]]
-				if h := hot[w.pc]; h != nil {
-					if c == CatStall {
-						h.StallPS += dur
-					} else {
-						h.PortWaitPS += dur
-					}
-				}
-			}
-			return
 		}
 		l.CatPS[CatCompute] += dur
 	}
@@ -328,79 +235,12 @@ func (l *Ledger) sweep(windows []attrWindow, lo, totalPS int64, hot map[uint64]*
 			cursor = min(pos, totalPS)
 		}
 		for ; i < len(bs) && bs[i].pos == pos; i++ {
-			b := bs[i]
-			c := windows[b.win].cat
-			if b.open {
-				active[c] = append(active[c], b.win)
+			if bs[i].open {
+				open[bs[i].cat]++
 			} else {
-				for k, wi := range active[c] {
-					if wi == b.win {
-						active[c] = append(active[c][:k], active[c][k+1:]...)
-						break
-					}
-				}
+				open[bs[i].cat]--
 			}
 		}
 	}
 	charge(cursor, totalPS)
-}
-
-// ResolvePC renders a program counter captured by runtime.Callers as
-// "function:line"; unresolvable values (synthetic traces, stripped
-// frames) render as "pc=0x…" so reports stay stable.
-func ResolvePC(pc uint64) string {
-	if pc == 0 {
-		return "unknown"
-	}
-	if fn := runtime.FuncForPC(uintptr(pc)); fn != nil {
-		_, line := fn.FileLine(uintptr(pc))
-		name := fn.Name()
-		if i := strings.LastIndex(name, "/"); i >= 0 {
-			name = name[i+1:]
-		}
-		return fmt.Sprintf("%s:%d", name, line)
-	}
-	return fmt.Sprintf("pc=%#x", pc)
-}
-
-// --- folded-stack (flamegraph) rendering ---
-
-// Folded renders the ledger in folded-stack format — one
-// "frame;frame weight" line per stack, weights in cycles (ps when
-// CyclePS is unset) — loadable by standard flamegraph tooling.
-// Stall and port-wait time split per program site under their
-// category frame; everything else is a single-frame stack. Lines are
-// sorted for deterministic output.
-func (l *Ledger) Folded() string {
-	var lines []string
-	emit := func(stack string, ps int64) {
-		if w := l.Cycles(ps); w > 0 {
-			lines = append(lines, fmt.Sprintf("%s %d", stack, w))
-		}
-	}
-	for _, c := range Categories() {
-		switch c {
-		case CatStall, CatPortWait:
-			rem := l.CatPS[c]
-			for _, h := range l.Hotspots {
-				ps := h.StallPS
-				if c == CatPortWait {
-					ps = h.PortWaitPS
-				}
-				if ps > 0 {
-					emit(c.String()+";"+h.Site, ps)
-					rem -= ps
-				}
-			}
-			emit(c.String(), rem)
-		default:
-			emit(c.String(), l.CatPS[c])
-		}
-	}
-	emit("unknown", l.UnknownPS)
-	sort.Strings(lines)
-	if len(lines) == 0 {
-		return ""
-	}
-	return strings.Join(lines, "\n") + "\n"
 }

@@ -110,7 +110,4 @@ func TestAttributionSplitsDifferAcrossDesigns(t *testing.T) {
 				base.name, base.l.CatPS[obs.CatStall], base.l.CatPS[obs.CatPortWait], base.l.HiddenPortWaitPS)
 		}
 	}
-	if wl.Hotspots[0].TotalPS() == 0 {
-		t.Fatal("wl design produced no hotspot attribution")
-	}
 }

@@ -56,11 +56,6 @@ type Recorder struct {
 	portWaitPS   *Histogram
 	portHiddenPS *Histogram
 
-	// curPC is the program counter of the memory operation in flight
-	// (OpContext); stall and port-wait events copy it as their
-	// correlation key for per-PC hotspot attribution.
-	curPC uint64
-
 	stalls    *Counter
 	wbIssued  *Counter
 	wbAcked   *Counter
@@ -143,16 +138,6 @@ func (r *Recorder) VoltageGauge() *Gauge {
 
 // --- event sites ---
 
-// OpContext records the program counter of the architectural memory
-// operation now executing; subsequent stall and port-wait events carry
-// it as their hotspot correlation key until the next operation.
-func (r *Recorder) OpContext(pc uint64) {
-	if r == nil {
-		return
-	}
-	r.curPC = pc
-}
-
 // StoreStall records one store stalled at the maxline bound (or a
 // baseline's write-buffer/region bound) on line addr from start until
 // end (core.ensureSlot).
@@ -162,7 +147,7 @@ func (r *Recorder) StoreStall(start, end int64, addr uint32) {
 	}
 	r.stalls.Inc()
 	r.stallPS.Observe(float64(end - start))
-	r.trace.Push(Event{TS: start, Dur: end - start, Kind: KStall, A: int64(addr), B: int64(r.curPC)})
+	r.trace.Push(Event{TS: start, Dur: end - start, Kind: KStall, A: int64(addr)})
 }
 
 // WritebackIssued records an asynchronous write-back leaving the
@@ -287,8 +272,8 @@ func (r *Recorder) Thresholds(maxline, waterline int) {
 // `wait` ps for the single port. Synchronous waits block the core and
 // feed nvm.port_wait_ps; asynchronous waits (write-backs the core does
 // not wait on) are overlapped by execution and feed the informational
-// nvm.port_wait_async_ps. Nonzero waits are also traced for span
-// reconstruction and cycle attribution.
+// nvm.port_wait_async_ps. Nonzero waits are also traced for the cycle
+// ledger.
 func (r *Recorder) PortWait(now, wait int64, addr uint32, write, async bool) {
 	if r == nil {
 		return
@@ -308,7 +293,7 @@ func (r *Recorder) PortWait(now, wait int64, addr uint32, write, async bool) {
 	if async {
 		flags |= portFlagAsync
 	}
-	r.trace.Push(Event{TS: now, Dur: wait, Kind: KPortWait, A: int64(addr), B: int64(r.curPC), F: float64(flags)})
+	r.trace.Push(Event{TS: now, Dur: wait, Kind: KPortWait, A: int64(addr), F: float64(flags)})
 }
 
 // FaultTornWrite records an injected torn NVM line write: kept of n

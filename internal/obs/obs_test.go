@@ -13,7 +13,6 @@ import (
 // this is the disabled-instrumentation contract every hook relies on.
 func TestNilRecorderIsInert(t *testing.T) {
 	var r *Recorder
-	r.OpContext(0x1234)
 	r.StoreStall(0, 10, 0x40)
 	r.WritebackIssued(0, 0x40)
 	r.WritebackACK(0, 150, 0x40)

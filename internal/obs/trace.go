@@ -16,8 +16,7 @@ type Kind uint8
 const (
 	// KStall: a store stalled at the maxline bound (or the analogous
 	// write-buffer/region bound of a baseline design). TS..TS+Dur is
-	// the stall window, A the line address being stored, B the program
-	// counter of the memory operation (0 when unknown).
+	// the stall window, A the line address being stored.
 	KStall Kind = iota + 1
 	// KWBIssue: an asynchronous write-back was issued. A = line addr.
 	KWBIssue
@@ -50,11 +49,9 @@ const (
 	// B = words persisted out of F total words.
 	KTorn
 	// KPortWait: an NVM access waited TS..TS+Dur for the single port.
-	// A = target address, B = the program counter of the memory
-	// operation in flight (0 when unknown), F = flag bits (bit 0:
-	// write path, bit 1: asynchronous — the wait was overlapped by
-	// execution rather than blocking the core). Zero-length waits are
-	// not recorded.
+	// A = target address, F = flag bits (bit 0: write path, bit 1:
+	// asynchronous — the wait was overlapped by execution rather than
+	// blocking the core). Zero-length waits are not recorded.
 	KPortWait
 )
 
@@ -206,9 +203,9 @@ const psPerUS = 1e6
 
 // WriteTraceEvents writes a Chrome trace_event JSON document:
 // process/thread metadata built from processName and threadNames,
-// followed by the given events. The sweep service reuses this for its
-// request-level cell spans, so service traces and simulator traces
-// load into the same tooling.
+// followed by the given events. Besides the simulator's own export
+// (Trace.WriteChrome), the benchmark's traced runs (bench/trace.go)
+// write through it, so both load into the same tooling.
 func WriteTraceEvents(w io.Writer, processName string, threadNames map[int]string, events []TraceEvent) error {
 	out := make([]TraceEvent, 0, len(events)+1+len(threadNames))
 	out = append(out, TraceEvent{
@@ -262,7 +259,7 @@ func (t *Trace) WriteChrome(w io.Writer, meta RunMeta) error {
 // chromeArgs renders the per-kind payload fields.
 func chromeArgs(e Event) map[string]any {
 	switch e.Kind {
-	case KWBIssue, KWBAck, KWBDrop:
+	case KWBIssue, KWBAck, KWBDrop, KStall:
 		return map[string]any{"addr": fmt.Sprintf("%#x", uint32(e.A))}
 	case KCkpt:
 		return map[string]any{"forced": e.A == 1, "lines": e.B, "energy_pj": e.F}
@@ -278,13 +275,10 @@ func chromeArgs(e Event) map[string]any {
 		return map[string]any{"v": e.F}
 	case KTorn:
 		return map[string]any{"addr": fmt.Sprintf("%#x", uint32(e.A)), "kept": e.B, "of": e.F}
-	case KStall:
-		return map[string]any{"addr": fmt.Sprintf("%#x", uint32(e.A)), "pc": fmt.Sprintf("%#x", uint64(e.B))}
 	case KPortWait:
 		flags := int64(e.F)
 		return map[string]any{
 			"addr":  fmt.Sprintf("%#x", uint32(e.A)),
-			"pc":    fmt.Sprintf("%#x", uint64(e.B)),
 			"write": flags&portFlagWrite != 0,
 			"async": flags&portFlagAsync != 0,
 		}

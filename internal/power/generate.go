@@ -3,6 +3,7 @@ package power
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -28,6 +29,9 @@ const (
 
 // Sources lists every built-in source with power failures.
 func Sources() []Source { return []Source{Trace1, Trace2, Trace3, Solar, Thermal} }
+
+// Valid reports whether Get accepts src: None or a built-in source.
+func (src Source) Valid() bool { return src == None || slices.Contains(Sources(), src) }
 
 // builtins memoizes the synthetic traces: synthesizing 20k samples per
 // sweep cell used to be pure overhead, and the traces are deterministic

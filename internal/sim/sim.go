@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
@@ -284,9 +283,6 @@ func (s *Simulator) Now() int64 { return s.now }
 
 // Load32 performs an architectural load through the design.
 func (s *Simulator) Load32(addr uint32) uint32 {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.OpContext(memOpPC())
-	}
 	// Counted before the access: every settle derives Instructions from
 	// Loads + Stores + retired compute blocks, and a fast-policy settle
 	// can run inside access (a mid-access reserve change), where it must
@@ -304,9 +300,6 @@ func (s *Simulator) Load32(addr uint32) uint32 {
 
 // Store32 performs an architectural store through the design.
 func (s *Simulator) Store32(addr uint32, v uint32) {
-	if s.cfg.Obs != nil {
-		s.cfg.Obs.OpContext(memOpPC())
-	}
 	if s.trackGolden {
 		s.golden.Write(addr, v)
 	}
@@ -628,20 +621,6 @@ func (s *Simulator) linesDelta(before int64) int {
 		return -1
 	}
 	return int(s.checkpointLines() - before)
-}
-
-// memOpPC captures the workload call site of the memory operation in
-// flight — the closest host analogue of the store PC a hardware
-// profiler would latch. Skip 3 hops (Callers, memOpPC, Load32/Store32)
-// to land on the workload; -1 turns the return address into the call
-// instruction so ResolvePC names the right source line. Only called
-// when observability is on.
-func memOpPC() uint64 {
-	var pcs [1]uintptr
-	if runtime.Callers(3, pcs[:]) < 1 {
-		return 0
-	}
-	return uint64(pcs[0] - 1)
 }
 
 func (s *Simulator) abort(err error) {
