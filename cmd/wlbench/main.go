@@ -129,6 +129,9 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if *scale < 1 {
+		return fmt.Errorf("-scale %d: want at least 1", *scale)
+	}
 	ctx := expt.Context{Scale: *scale, Parallelism: *parallel, CheckInvariants: *check, Tier: tier}
 	if *workloads != "" {
 		ctx.Workloads = strings.Split(*workloads, ",")

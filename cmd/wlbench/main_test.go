@@ -86,6 +86,20 @@ func TestRunExperimentOnSubset(t *testing.T) {
 	}
 }
 
+// A non-positive -scale is a usage error, not a silent scale of 1.
+func TestNonPositiveScaleRejected(t *testing.T) {
+	var b strings.Builder
+	for _, scale := range []string{"0", "-2"} {
+		err := run([]string{"-experiment", "fig5", "-workloads", "sha", "-scale", scale}, &b)
+		if want := "-scale " + scale + ": want at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-scale %s: err = %v, want %q", scale, err, want)
+		}
+		if code := exitCodeFor(err); code != 1 {
+			t.Errorf("-scale %s: exit code = %d, want 1", scale, code)
+		}
+	}
+}
+
 // -traces must reject unknown names before any server starts.
 func TestSweepUnknownTraceRejected(t *testing.T) {
 	var b strings.Builder

@@ -140,6 +140,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 		}
 		m.Seeds = append(m.Seeds, v)
 	}
+	if *scale < 1 {
+		return 0, fmt.Errorf("-scale %d: want at least 1", *scale)
+	}
 	m.Points = *points
 	m.Scale = *scale
 

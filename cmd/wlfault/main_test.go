@@ -64,6 +64,12 @@ func TestBadFlagsError(t *testing.T) {
 	if _, err := run([]string{"-workloads", "bogus"}, &b); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
+	for _, scale := range []string{"0", "-2"} {
+		_, err := run([]string{"-scale", scale}, &b)
+		if want := "-scale " + scale + ": want at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-scale %s: err = %v, want %q", scale, err, want)
+		}
+	}
 }
 
 // The documented exit-code contract: typed simulator sentinels map to

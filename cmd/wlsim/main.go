@@ -61,6 +61,9 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if *scale < 1 {
+		return fmt.Errorf("-scale %d: want at least 1", *scale)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.CheckInvariants = *check
 	t, err := sim.ParseTier(*tier)

@@ -74,6 +74,21 @@ func TestUnknownTraceFails(t *testing.T) {
 	}
 }
 
+func TestNonPositiveScaleFails(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("-scale 0 panicked: %v", r)
+		}
+	}()
+	var b strings.Builder
+	for _, scale := range []string{"0", "-2"} {
+		err := run([]string{"-workload", "sha", "-scale", scale}, &b)
+		if want := "-scale " + scale + ": want at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-scale %s: err = %v, want %q", scale, err, want)
+		}
+	}
+}
+
 func TestUnknownDesignErrors(t *testing.T) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -15,31 +15,26 @@ import (
 // that its durability check fails and that workloads running on it
 // under power failures produce wrong results, motivating WL-Cache.
 type BrokenVolatileWB struct {
-	wb  wbCache
+	wbCache
 	jit energy.JITCosts
 }
 
 // NewBrokenVolatileWB builds the unsafe design.
 func NewBrokenVolatileWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, nvm *mem.NVM) *BrokenVolatileWB {
-	return &BrokenVolatileWB{wb: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit}
+	return &BrokenVolatileWB{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit}
 }
 
 // Name identifies the design.
 func (d *BrokenVolatileWB) Name() string { return "VolatileWB(broken)" }
 
 // Array exposes the cache array for tests.
-func (d *BrokenVolatileWB) Array() *cache.Array { return d.wb.arr }
+func (d *BrokenVolatileWB) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at SRAM speed.
 func (d *BrokenVolatileWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	v, done := d.AccessEB(now, op, addr, val, &eb)
 	return v, done, eb
-}
-
-// AccessEB is the pointer-breakdown fast path (sim.EBAccessor).
-func (d *BrokenVolatileWB) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	return d.wb.access(now, op, addr, val, eb)
 }
 
 // Checkpoint saves registers only — dirty cache lines are abandoned.
@@ -52,7 +47,7 @@ func (d *BrokenVolatileWB) Checkpoint(now int64) (int64, energy.Breakdown) {
 // Restore boots with a cold cache; whatever was dirty is gone.
 func (d *BrokenVolatileWB) Restore(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
-	d.wb.arr.InvalidateAll()
+	d.arr.InvalidateAll()
 	eb.Restore += d.jit.RestoreEnergy
 	return now + d.jit.RestoreTime, eb
 }
@@ -61,10 +56,10 @@ func (d *BrokenVolatileWB) Restore(now int64) (int64, energy.Breakdown) {
 func (d *BrokenVolatileWB) ReserveEnergy() float64 { return d.jit.BaseReserve }
 
 // LeakPower is the SRAM leakage.
-func (d *BrokenVolatileWB) LeakPower() float64 { return d.wb.tech.Leakage }
+func (d *BrokenVolatileWB) LeakPower() float64 { return d.tech.Leakage }
 
 // DurableEqual reports the corruption: after an outage the NVM image
 // is missing every dirty line the cache dropped.
 func (d *BrokenVolatileWB) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), nil)
+	return cache.DurableEqual(golden, d.nvm.Image(), nil)
 }

@@ -58,7 +58,7 @@ func (d *EagerWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64,
 func (d *EagerWB) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
 	// Bus idleness is judged before this access touches the port.
 	idle := now-d.wb.nvm.BusyUntil() >= d.idleWindow
-	v, done := d.wb.access(now, op, addr, val, eb)
+	v, done := d.wb.AccessEB(now, op, addr, val, eb)
 	if idle {
 		d.flushOne(done, eb)
 	}

@@ -13,31 +13,26 @@ import (
 // needed. The price is slow, energy-hungry accesses (especially
 // writes) and high leakage at runtime.
 type NVCacheWB struct {
-	wb  wbCache
+	wbCache
 	jit energy.JITCosts
 }
 
 // NewNVCacheWB builds the non-volatile write-back design.
 func NewNVCacheWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, nvm *mem.NVM) *NVCacheWB {
-	return &NVCacheWB{wb: newWBCache(geo, cache.NVRAMTech(), pol, nvm), jit: jit}
+	return &NVCacheWB{wbCache: newWBCache(geo, cache.NVRAMTech(), pol, nvm), jit: jit}
 }
 
 // Name identifies the design.
 func (d *NVCacheWB) Name() string { return "NVCache-WB" }
 
 // Array exposes the cache array for tests.
-func (d *NVCacheWB) Array() *cache.Array { return d.wb.arr }
+func (d *NVCacheWB) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at NVRAM speed.
 func (d *NVCacheWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	v, done := d.AccessEB(now, op, addr, val, &eb)
 	return v, done, eb
-}
-
-// AccessEB is the pointer-breakdown fast path (sim.EBAccessor).
-func (d *NVCacheWB) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	return d.wb.access(now, op, addr, val, eb)
 }
 
 // Checkpoint persists registers only: the cache is non-volatile.
@@ -59,9 +54,9 @@ func (d *NVCacheWB) ReserveEnergy() float64 { return d.jit.BaseReserve }
 
 // LeakPower is the NV array leakage (§6.2 puts WL-Cache's DirtyQueue
 // at 9% of this).
-func (d *NVCacheWB) LeakPower() float64 { return d.wb.tech.Leakage }
+func (d *NVCacheWB) LeakPower() float64 { return d.tech.Leakage }
 
 // DurableEqual overlays the (non-volatile) array onto the NVM image.
 func (d *NVCacheWB) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), d.wb.arr)
+	return cache.DurableEqual(golden, d.nvm.Image(), d.arr)
 }

@@ -46,7 +46,7 @@ func DefaultNVSRAMParams() NVSRAMParams {
 // energy reserve must cover checkpointing the entire cache, which is
 // the design's Achilles heel under frequent outages.
 type NVSRAM struct {
-	wb     wbCache
+	wbCache
 	jit    energy.JITCosts
 	params NVSRAMParams
 	extra  stats.DesignExtra
@@ -54,25 +54,20 @@ type NVSRAM struct {
 
 // NewNVSRAM builds the ideal NVSRAM design.
 func NewNVSRAM(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, params NVSRAMParams, nvm *mem.NVM) *NVSRAM {
-	return &NVSRAM{wb: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit, params: params}
+	return &NVSRAM{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit, params: params}
 }
 
 // Name identifies the design.
 func (d *NVSRAM) Name() string { return "NVSRAM(ideal)" }
 
 // Array exposes the cache array for tests.
-func (d *NVSRAM) Array() *cache.Array { return d.wb.arr }
+func (d *NVSRAM) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at SRAM speed.
 func (d *NVSRAM) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	v, done := d.AccessEB(now, op, addr, val, &eb)
 	return v, done, eb
-}
-
-// AccessEB is the pointer-breakdown fast path (sim.EBAccessor).
-func (d *NVSRAM) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	return d.wb.access(now, op, addr, val, eb)
 }
 
 // Checkpoint copies every dirty line into the NV twin (ideal variant:
@@ -83,7 +78,7 @@ func (d *NVSRAM) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	t := now
 	dirty := 0
-	d.wb.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
+	d.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
 		if ln.Dirty {
 			dirty++
 		}
@@ -101,7 +96,7 @@ func (d *NVSRAM) Checkpoint(now int64) (int64, energy.Breakdown) {
 func (d *NVSRAM) Restore(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	valid := 0
-	d.wb.arr.ForEachLine(func(addr uint32, ln *cache.Line) { valid++ })
+	d.arr.ForEachLine(func(addr uint32, ln *cache.Line) { valid++ })
 	t := now + int64(valid)*d.params.LineRestoreTime
 	eb.Restore += float64(valid) * d.params.LineRestoreEnergy
 	t += d.jit.RestoreTime
@@ -112,12 +107,12 @@ func (d *NVSRAM) Restore(now int64) (int64, energy.Breakdown) {
 // ReserveEnergy must cover the worst case: the entire cache dirty
 // (§2.3.3) — this is what forces the high Vbackup of Table 2.
 func (d *NVSRAM) ReserveEnergy() float64 {
-	lines := float64(d.wb.arr.Geometry().Lines())
+	lines := float64(d.arr.Geometry().Lines())
 	return d.jit.BaseReserve + lines*d.params.LineReserve
 }
 
 // LeakPower is SRAM leakage plus the idle NV twin.
-func (d *NVSRAM) LeakPower() float64 { return d.wb.tech.Leakage + d.params.TwinLeak }
+func (d *NVSRAM) LeakPower() float64 { return d.tech.Leakage + d.params.TwinLeak }
 
 // ExtraStats returns checkpoint counters.
 func (d *NVSRAM) ExtraStats() stats.DesignExtra { return d.extra }
@@ -125,5 +120,5 @@ func (d *NVSRAM) ExtraStats() stats.DesignExtra { return d.extra }
 // DurableEqual overlays the array (whose contents are durable via the
 // twin) onto the NVM image.
 func (d *NVSRAM) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), d.wb.arr)
+	return cache.DurableEqual(golden, d.nvm.Image(), d.arr)
 }

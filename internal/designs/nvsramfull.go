@@ -16,7 +16,7 @@ import (
 // actually pays the whole-cache cost, which is what the ideal variant
 // "magically" avoids.
 type NVSRAMFull struct {
-	wb     wbCache
+	wbCache
 	jit    energy.JITCosts
 	params NVSRAMParams
 	extra  stats.DesignExtra
@@ -24,14 +24,14 @@ type NVSRAMFull struct {
 
 // NewNVSRAMFull builds the full-checkpoint NVSRAM design.
 func NewNVSRAMFull(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, params NVSRAMParams, nvm *mem.NVM) *NVSRAMFull {
-	return &NVSRAMFull{wb: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit, params: params}
+	return &NVSRAMFull{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit, params: params}
 }
 
 // Name identifies the design.
 func (d *NVSRAMFull) Name() string { return "NVSRAM(full)" }
 
 // Array exposes the cache array for tests.
-func (d *NVSRAMFull) Array() *cache.Array { return d.wb.arr }
+func (d *NVSRAMFull) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at SRAM speed.
 func (d *NVSRAMFull) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
@@ -40,16 +40,11 @@ func (d *NVSRAMFull) Access(now int64, op isa.Op, addr, val uint32) (uint32, int
 	return v, done, eb
 }
 
-// AccessEB is the pointer-breakdown fast path (sim.EBAccessor).
-func (d *NVSRAMFull) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	return d.wb.access(now, op, addr, val, eb)
-}
-
 // Checkpoint copies every line of the array — the defining cost of
 // the full variant.
 func (d *NVSRAMFull) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
-	lines := int64(d.wb.arr.Geometry().Lines())
+	lines := int64(d.arr.Geometry().Lines())
 	t := now + lines*d.params.LineCheckpointTime
 	eb.Checkpoint += float64(lines) * d.params.LineCheckpointEnergy
 	d.extra.CheckpointLines += uint64(lines)
@@ -61,7 +56,7 @@ func (d *NVSRAMFull) Checkpoint(now int64) (int64, energy.Breakdown) {
 // Restore reloads the whole array from the twin: warm cache.
 func (d *NVSRAMFull) Restore(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
-	lines := int64(d.wb.arr.Geometry().Lines())
+	lines := int64(d.arr.Geometry().Lines())
 	t := now + lines*d.params.LineRestoreTime + d.jit.RestoreTime
 	eb.Restore += float64(lines)*d.params.LineRestoreEnergy + d.jit.RestoreEnergy
 	return t, eb
@@ -69,17 +64,17 @@ func (d *NVSRAMFull) Restore(now int64) (int64, energy.Breakdown) {
 
 // ReserveEnergy covers the whole cache, as for the ideal variant.
 func (d *NVSRAMFull) ReserveEnergy() float64 {
-	lines := float64(d.wb.arr.Geometry().Lines())
+	lines := float64(d.arr.Geometry().Lines())
 	return d.jit.BaseReserve + lines*d.params.LineReserve
 }
 
 // LeakPower is SRAM plus the idle twin.
-func (d *NVSRAMFull) LeakPower() float64 { return d.wb.tech.Leakage + d.params.TwinLeak }
+func (d *NVSRAMFull) LeakPower() float64 { return d.tech.Leakage + d.params.TwinLeak }
 
 // ExtraStats returns checkpoint counters.
 func (d *NVSRAMFull) ExtraStats() stats.DesignExtra { return d.extra }
 
 // DurableEqual overlays the (twin-backed) array onto the NVM image.
 func (d *NVSRAMFull) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), d.wb.arr)
+	return cache.DurableEqual(golden, d.nvm.Image(), d.arr)
 }

@@ -80,7 +80,7 @@ func (d *ReplayCache) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energ
 	var v uint32
 	var done int64
 	if op == isa.OpLoad {
-		v, done = d.wb.access(now, op, addr, val, eb)
+		v, done = d.wb.AccessEB(now, op, addr, val, eb)
 	} else {
 		// Stores are persisted through to NVM, so there is no point
 		// allocating on a miss, and a cached copy is updated in place

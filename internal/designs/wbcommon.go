@@ -27,8 +27,9 @@ func newWBCache(geo cache.Geometry, tech cache.Tech, pol cache.ReplacementPolicy
 	}
 }
 
-// access performs one conventional write-back access.
-func (c *wbCache) access(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
+// AccessEB performs one conventional write-back access. The designs
+// that embed wbCache promote it as their sim.EBAccessor method.
+func (c *wbCache) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
 	eb.CacheRead += c.replE
 	lineAddr := c.arr.LineAddr(addr)
 	ln, hit := c.arr.Lookup(addr)

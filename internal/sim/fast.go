@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the fast policy's settle window (DESIGN.md §16.2). New
-// picks one of two policies from Config.Tier, and access and Compute
-// branch on it once, where an event enters the simulator:
+// picks one of two policies from Config.Tier, and Load32, Store32 and
+// Compute branch on it once, where an event enters the simulator:
 //
 //   - Exact (perEvent) has no window. Every event settles alone, in
 //     voltage space, through step (accessExact, computeExact): the seed
@@ -217,6 +217,36 @@ func (s *Simulator) rearm() {
 			s.settleDeadline = d
 		}
 	}
+}
+
+// windowStep completes a memory operation on the fast policy, after
+// the design's AccessEB returned done: it adds the 1-cycle pipeline
+// slot and the core energy, and reports whether the event stays inside
+// the open window. Inside it, leakage, on-time and the instruction
+// count are left to the settle: the category sum, two stores, a
+// compare. Otherwise the caller passes end to settleEvent. end is
+// strictly after s.now (at least one pipeline slot), so time cannot
+// run backwards.
+func (s *Simulator) windowStep(done int64) (end int64, ok bool) {
+	end = max(s.now+s.perInstrPS, done)
+	s.ebScratch.Compute += s.cfg.InstrEnergy
+	s.ebScratch.CacheRead += s.instrE
+	if end < s.settleDeadline {
+		s.scratchDraw = s.scratchTotal()
+		s.now = end
+		ok = s.pendingBlock+s.scratchDraw < s.drawBudget
+	}
+	return
+}
+
+// settleEvent settles a memory operation ending at end that windowStep
+// did not keep in the window. One past the deadline settles in its own
+// single-event window; one over the draw budget (s.now is already end,
+// so closeWindowBefore is a no-op) settles the window it completes.
+func (s *Simulator) settleEvent(end int64) {
+	s.closeWindowBefore(end)
+	s.now = end
+	s.settleAndCheck()
 }
 
 // closeWindowBefore settles the open window when the event ending at

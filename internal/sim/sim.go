@@ -35,8 +35,8 @@ type Simulator struct {
 	// is Vbackup(design.ReserveEnergy()) — a sqrt — refreshed by
 	// refreshThresholds at reserve changes; leakW, perInstrPS and instrE
 	// hoist interface calls and products that are loop-invariant out of
-	// access/Compute; trackGolden gates golden-image maintenance to runs
-	// that consult it.
+	// Load32/Store32/Compute; trackGolden gates golden-image maintenance
+	// to runs that consult it.
 	cursor      *power.Cursor
 	accessEB    EBAccessor // the design's access path
 	vb          float64
@@ -281,14 +281,28 @@ func (s *Simulator) Now() int64 { return s.now }
 
 // --- isa.Machine implementation ---
 
-// Load32 performs an architectural load through the design.
+// Load32 performs an architectural load through the design. It and
+// Store32 branch on the policy themselves: the exact policy settles
+// the event alone (accessExact); the fast policy accumulates it into
+// the open window (windowStep) and settles only when the window closes
+// (settleEvent). The event's breakdown accumulates into ebScratch
+// (every design accumulates with +=).
 func (s *Simulator) Load32(addr uint32) uint32 {
 	// Counted before the access: every settle derives Instructions from
 	// Loads + Stores + retired compute blocks, and a fast-policy settle
-	// can run inside access (a mid-access reserve change), where it must
-	// already see the completing event.
+	// can run inside AccessEB (a mid-access reserve change), where it
+	// must already see the completing event.
 	s.res.Loads++
-	v := s.access(isa.OpLoad, addr, 0)
+	var v uint32
+	if s.perEvent {
+		v = s.accessExact(isa.OpLoad, addr, 0)
+	} else {
+		var done int64
+		v, done = s.accessEB.AccessEB(s.now, isa.OpLoad, addr, 0, &s.ebScratch)
+		if end, ok := s.windowStep(done); !ok {
+			s.settleEvent(end)
+		}
+	}
 	if s.cfg.CheckInvariants {
 		if g := s.golden.Read(addr); g != v {
 			s.abort(fmt.Errorf("load %#x returned %#x, architectural value is %#x (design %s): %w",
@@ -304,7 +318,14 @@ func (s *Simulator) Store32(addr uint32, v uint32) {
 		s.golden.Write(addr, v)
 	}
 	s.res.Stores++ // before the access; see Load32
-	s.access(isa.OpStore, addr, v)
+	if s.perEvent {
+		s.accessExact(isa.OpStore, addr, v)
+		return
+	}
+	_, done := s.accessEB.AccessEB(s.now, isa.OpStore, addr, v, &s.ebScratch)
+	if end, ok := s.windowStep(done); !ok {
+		s.settleEvent(end)
+	}
 }
 
 // Compute accounts for n ALU instructions. On the exact policy they
@@ -347,44 +368,12 @@ func (s *Simulator) Compute(n int) {
 	}
 }
 
-// access runs one memory operation: the design models the hierarchy;
-// the simulator adds the 1-cycle pipeline slot and core energy. The
-// event's breakdown accumulates into ebScratch (every design accumulates
-// with +=): the open window's breakdown on the fast policy, the event's
-// own on the exact policy (accessExact). end is strictly after s.now (at
-// least one pipeline slot), so time cannot run backwards here.
-func (s *Simulator) access(op isa.Op, addr uint32, val uint32) uint32 {
-	if s.perEvent {
-		return s.accessExact(op, addr, val)
-	}
-	eb := &s.ebScratch
-	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)
-	end := max(s.now+s.perInstrPS, done)
-	eb.Compute += s.cfg.InstrEnergy
-	eb.CacheRead += s.instrE
-	if end >= s.settleDeadline {
-		// Past the deadline: the event settles in its own single-event
-		// window.
-		s.closeWindowBefore(end)
-		s.now = end
-		s.settleAndCheck()
-		return v
-	}
-	// Inside the window leakage, on-time and the instruction count are
-	// left to the settle: the category sum, two stores, a compare.
-	s.scratchDraw = s.scratchTotal()
-	s.now = end
-	if s.pendingBlock+s.scratchDraw < s.drawBudget {
-		return v
-	}
-	s.settleAndCheck()
-	return v
-}
-
-// accessExact is access on the exact policy: the event settles alone,
-// in voltage space — its leakage, one step over its whole breakdown,
-// the breakdown added to the result through the pointer, then the
-// monitor. ebScratch is zero on entry and cleared on exit.
+// accessExact is a memory operation on the exact policy: the event
+// settles alone, in voltage space — its leakage, one step over its
+// whole breakdown, the breakdown added to the result through the
+// pointer, then the monitor. The design adds the hierarchy's share,
+// the simulator the 1-cycle pipeline slot and core energy. ebScratch
+// is zero on entry and cleared on exit.
 func (s *Simulator) accessExact(op isa.Op, addr uint32, val uint32) uint32 {
 	eb := &s.ebScratch
 	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"wlcache/internal/isa"
 )
@@ -36,7 +37,7 @@ func (e *Env) Alloc(words int) Arr {
 	if words <= 0 {
 		panic(fmt.Sprintf("workload: Alloc(%d)", words))
 	}
-	a := Arr{e: e, base: e.next, n: words}
+	a := Arr{m: e.m, base: e.next, n: words}
 	e.next += uint32(words) * isa.WordBytes
 	return a
 }
@@ -44,12 +45,22 @@ func (e *Env) Alloc(words int) Arr {
 // Compute accounts for n ALU instructions.
 func (e *Env) Compute(n int) { e.m.Compute(n) }
 
-// Arr is a word array in the simulated address space.
+// Arr is a word array in the simulated address space. It holds the
+// machine itself, and Load and Store inline into the kernels. Arr is
+// four words, so the compiler keeps an inlined copy in registers; a
+// larger one is copied to the stack at every inlined call.
 type Arr struct {
-	e    *Env
+	m    isa.Machine
 	base uint32
 	n    int
 }
+
+// elems is the range check of Load, Store and Slice: elems[:a.n] is a
+// slice of a.n zero-size elements, so indexing or slicing it panics
+// with the runtime's message, which names the index and the length. A
+// check that formats its own message is a call, which the inlining
+// budget cannot afford.
+var elems [math.MaxInt32]struct{}
 
 // Len returns the element count.
 func (a Arr) Len() int { return a.n }
@@ -59,35 +70,34 @@ func (a Arr) Base() uint32 { return a.base }
 
 // Load reads element i.
 func (a Arr) Load(i int) uint32 {
-	a.check(i)
-	return a.e.m.Load32(a.base + uint32(i)*isa.WordBytes)
+	_ = elems[:a.n][i]
+	return a.m.Load32(a.base + uint32(i)*isa.WordBytes)
 }
 
 // Store writes element i.
 func (a Arr) Store(i int, v uint32) {
-	a.check(i)
-	a.e.m.Store32(a.base+uint32(i)*isa.WordBytes, v)
+	_ = elems[:a.n][i]
+	a.m.Store32(a.base+uint32(i)*isa.WordBytes, v)
 }
 
-// LoadI and StoreI are signed views of the array.
-func (a Arr) LoadI(i int) int32 { return int32(a.Load(i)) }
+// LoadI and StoreI are signed views of the array. They repeat the
+// bodies of Load and Store, because calling them would cost more than
+// the inlining budget.
+func (a Arr) LoadI(i int) int32 {
+	_ = elems[:a.n][i]
+	return int32(a.m.Load32(a.base + uint32(i)*isa.WordBytes))
+}
 
 // StoreI writes a signed element.
-func (a Arr) StoreI(i int, v int32) { a.Store(i, uint32(v)) }
+func (a Arr) StoreI(i int, v int32) {
+	_ = elems[:a.n][i]
+	a.m.Store32(a.base+uint32(i)*isa.WordBytes, uint32(v))
+}
 
 // Slice returns a sub-array [from, from+n).
 func (a Arr) Slice(from, n int) Arr {
-	a.check(from)
-	if from+n > a.n {
-		panic(fmt.Sprintf("workload: slice [%d,%d) of array of %d", from, from+n, a.n))
-	}
-	return Arr{e: a.e, base: a.base + uint32(from)*isa.WordBytes, n: n}
-}
-
-func (a Arr) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("workload: index %d out of range [0,%d)", i, a.n))
-	}
+	_ = elems[:a.n:a.n][from : from+n]
+	return Arr{m: a.m, base: a.base + uint32(from)*isa.WordBytes, n: n}
 }
 
 // Checksum folds the array contents into a running FNV-1a style
@@ -99,7 +109,7 @@ func (a Arr) Checksum(seed uint32) uint32 {
 	}
 	for i := 0; i < a.n; i++ {
 		h = (h ^ a.Load(i)) * 16777619
-		a.e.Compute(2)
+		a.m.Compute(2)
 	}
 	return h
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"wlcache/internal/isa"
 )
@@ -129,6 +131,44 @@ func TestEnvAllocAndBounds(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// An out-of-range index panics with a message naming the index and
+// the array's length (the runtime's bounds check on Arr's index slice).
+func TestOutOfRangePanicNamesIndexAndLength(t *testing.T) {
+	a := NewEnv(newFlat()).Alloc(5)
+	for _, tc := range []struct {
+		name string
+		f    func()
+		want string
+	}{
+		{"Load(9)", func() { a.Load(9) }, "index out of range [9] with length 5"},
+		{"Load(-1)", func() { a.Load(-1) }, "index out of range [-1]"},
+		{"Store(5)", func() { a.Store(5, 0) }, "index out of range [5] with length 5"},
+		{"Slice(3, 4)", func() { a.Slice(3, 4) }, "slice bounds out of range [:7] with capacity 5"},
+		{"Slice(3, -1)", func() { a.Slice(3, -1) }, "slice bounds out of range [3:2]"},
+		{"Slice(3, 1).Load(1)", func() { a.Slice(3, 1).Load(1) }, "index out of range [1] with length 1"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: panic %v, want %q", tc.name, r, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
+}
+
+// Arr must stay at most four words: the compiler keeps a struct that
+// size in registers, but copies a larger one to the stack at every
+// inlined Load and Store, which costs more than the inlining saves.
+func TestArrFitsInRegisters(t *testing.T) {
+	if size, max := unsafe.Sizeof(Arr{}), 4*unsafe.Sizeof(uintptr(0)); size > max {
+		t.Fatalf("Arr is %d bytes, want at most %d", size, max)
 	}
 }
 
