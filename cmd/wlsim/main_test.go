@@ -89,6 +89,21 @@ func TestNonPositiveScaleFails(t *testing.T) {
 	}
 }
 
+func TestMaxlineOutOfRangeFails(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("-maxline out of range panicked: %v", r)
+		}
+	}()
+	var b strings.Builder
+	for _, ml := range []string{"-1", "9"} {
+		err := run([]string{"-workload", "sha", "-trace", "none", "-maxline", ml}, &b)
+		if want := "maxline " + ml + " out of range (1..8)"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-maxline %s: err = %v, want %q", ml, err, want)
+		}
+	}
+}
+
 func TestUnknownDesignErrors(t *testing.T) {
 	defer func() {
 		if r := recover(); r != nil {

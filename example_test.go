@@ -6,12 +6,10 @@ import (
 	"wlcache"
 )
 
-// ExampleNewWLCache runs a small program on WL-Cache with
+// ExampleNewSimulator runs a small program on WL-Cache with
 // uninterrupted power and prints its deterministic result.
-func ExampleNewWLCache() {
-	nvm := wlcache.NewNVM()
-	design := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-	sim, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), design, nvm)
+func ExampleNewSimulator() {
+	sim, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), wlcache.KindWL)
 	if err != nil {
 		panic(err)
 	}
@@ -43,12 +41,10 @@ func ExampleWorkloadByName() {
 	if !ok {
 		panic("unknown workload")
 	}
-	nvm := wlcache.NewNVM()
-	design := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
 	cfg := wlcache.DefaultSimConfig()
 	cfg.Trace = wlcache.Trace(wlcache.Trace1)
 	cfg.CheckInvariants = true // audit crash consistency as it runs
-	sim, err := wlcache.NewSimulator(cfg, design, nvm)
+	sim, err := wlcache.NewSimulator(cfg, wlcache.KindWL)
 	if err != nil {
 		panic(err)
 	}
@@ -61,14 +57,14 @@ func ExampleWorkloadByName() {
 	// Output: basicmath finished with checksum 0xaec24eb0; crash consistency held across every outage
 }
 
-// ExampleNewNVSRAM compares WL-Cache against the state-of-the-art
-// baseline on the same workload and trace.
-func ExampleNewNVSRAM() {
-	run := func(build func(*wlcache.NVM) wlcache.Design) wlcache.Result {
-		nvm := wlcache.NewNVM()
+// ExampleNewSimulator_compare compares WL-Cache against the
+// state-of-the-art baseline, NVSRAM(ideal), on the same workload and
+// trace.
+func ExampleNewSimulator_compare() {
+	run := func(kind wlcache.Kind) wlcache.Result {
 		cfg := wlcache.DefaultSimConfig()
 		cfg.Trace = wlcache.Trace(wlcache.Trace2)
-		sim, err := wlcache.NewSimulator(cfg, build(nvm), nvm)
+		sim, err := wlcache.NewSimulator(cfg, kind)
 		if err != nil {
 			panic(err)
 		}
@@ -79,12 +75,8 @@ func ExampleNewNVSRAM() {
 		}
 		return res
 	}
-	wl := run(func(n *wlcache.NVM) wlcache.Design {
-		return wlcache.NewWLCache(wlcache.DefaultCacheConfig(), n)
-	})
-	base := run(func(n *wlcache.NVM) wlcache.Design {
-		return wlcache.NewNVSRAM(wlcache.DefaultGeometry(), n)
-	})
+	wl := run(wlcache.KindWL)
+	base := run(wlcache.KindNVSRAM)
 	fmt.Printf("same result: %v; WL-Cache faster: %v\n",
 		wl.Checksum == base.Checksum, wl.ExecTime < base.ExecTime)
 	// Output: same result: true; WL-Cache faster: true

@@ -21,8 +21,8 @@ func main() {
 	for _, src := range []wlcache.Source{wlcache.Trace1, wlcache.Trace2, wlcache.Trace3, wlcache.Solar, wlcache.Thermal} {
 		var times [3]float64
 		var notes [3]string
-		for i, mode := range []core.AdaptiveMode{core.AdaptOff, core.AdaptStatic, core.AdaptDynamic} {
-			res := run(wl, src, mode)
+		for i, kind := range []wlcache.Kind{wlcache.KindWLFixed, wlcache.KindWL, wlcache.KindWLDyn} {
+			res := run(wl, src, kind)
 			times[i] = res.Seconds()
 			notes[i] = fmt.Sprintf("%d cfg", res.Extra.Reconfigs)
 		}
@@ -34,25 +34,18 @@ func main() {
 	fmt.Println("\nVbackup as a function of maxline (1 uF capacitor):")
 	simCfg := wlcache.DefaultSimConfig()
 	for ml := 2; ml <= 8; ml++ {
-		reserve := energy.DefaultJITCosts().BaseReserve + float64(ml)*wlcache.DefaultCacheConfig().LineReserve
+		reserve := energy.DefaultJITCosts().BaseReserve + float64(ml)*core.DefaultConfig().LineReserve
 		vb := simCfg.Vbackup(reserve)
 		fmt.Printf("  maxline %d -> reserve %4.0f nJ -> Vbackup %.3f V (Von %.3f V)\n",
 			ml, reserve*1e9, vb, simCfg.Von(vb))
 	}
 }
 
-func run(wl wlcache.Workload, src wlcache.Source, mode core.AdaptiveMode) wlcache.Result {
-	nvm := wlcache.NewNVM()
-	cacheCfg := wlcache.DefaultCacheConfig()
-	cacheCfg.Adaptive.Mode = mode
-	if mode == core.AdaptDynamic {
-		cacheCfg.Adaptive.MaxMaxline = cacheCfg.DQCap
-	}
-	design := wlcache.NewWLCache(cacheCfg, nvm)
+func run(wl wlcache.Workload, src wlcache.Source, kind wlcache.Kind) wlcache.Result {
 	cfg := wlcache.DefaultSimConfig()
 	cfg.Trace = wlcache.Trace(src)
 	cfg.CheckInvariants = true
-	s, err := wlcache.NewSimulator(cfg, design, nvm)
+	s, err := wlcache.NewSimulator(cfg, kind)
 	if err != nil {
 		log.Fatal(err)
 	}

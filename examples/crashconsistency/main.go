@@ -65,31 +65,23 @@ func ledger(m wlcache.Machine) uint32 {
 
 func main() {
 	fmt.Println("1) volatile write-back cache WITHOUT JIT checkpointing (broken strawman):")
-	runLedger(func(nvm *wlcache.NVM) wlcache.Design {
-		return wlcache.NewBrokenVolatileWB(wlcache.DefaultGeometry(), nvm)
-	})
+	runLedger(wlcache.KindBroken)
 
 	fmt.Println("2) WL-Cache (bounded DirtyQueue + JIT checkpoint):")
-	runLedger(func(nvm *wlcache.NVM) wlcache.Design {
-		return wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-	})
+	runLedger(wlcache.KindWL)
 
 	fmt.Println("3) NVSRAM(ideal) baseline:")
-	runLedger(func(nvm *wlcache.NVM) wlcache.Design {
-		return wlcache.NewNVSRAM(wlcache.DefaultGeometry(), nvm)
-	})
+	runLedger(wlcache.KindNVSRAM)
 }
 
-func runLedger(build func(*wlcache.NVM) wlcache.Design) {
-	nvm := wlcache.NewNVM()
-	design := build(nvm)
+func runLedger(kind wlcache.Kind) {
 	cfg := wlcache.DefaultSimConfig()
 	cfg.Trace = wlcache.Trace(wlcache.Trace2)
 	// Invariant checking would abort the broken design at its first
 	// outage; to *demonstrate* the corruption we run unchecked and let
 	// the audit discover it.
 	cfg.CheckInvariants = false
-	s, err := wlcache.NewSimulator(cfg, design, nvm)
+	s, err := wlcache.NewSimulator(cfg, kind)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,13 +16,11 @@ func main() {
 		log.Fatal("sha workload missing")
 	}
 
-	run := func(build func(nvm *wlcache.NVM) wlcache.Design) wlcache.Result {
-		nvm := wlcache.NewNVM()
-		design := build(nvm)
+	run := func(kind wlcache.Kind) wlcache.Result {
 		cfg := wlcache.DefaultSimConfig()
 		cfg.Trace = wlcache.Trace(wlcache.Trace1)
 		cfg.CheckInvariants = true // verify crash consistency as we go
-		s, err := wlcache.NewSimulator(cfg, design, nvm)
+		s, err := wlcache.NewSimulator(cfg, kind)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -33,12 +31,8 @@ func main() {
 		return res
 	}
 
-	wlRes := run(func(nvm *wlcache.NVM) wlcache.Design {
-		return wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
-	})
-	baseRes := run(func(nvm *wlcache.NVM) wlcache.Design {
-		return wlcache.NewNVSRAM(wlcache.DefaultGeometry(), nvm)
-	})
+	wlRes := run(wlcache.KindWL)
+	baseRes := run(wlcache.KindNVSRAM)
 
 	fmt.Println(wlRes)
 	fmt.Println(baseRes)

@@ -91,12 +91,10 @@ func crcStep(crc, v uint32) uint32 {
 
 func main() {
 	for _, src := range []wlcache.Source{wlcache.NoFailures, wlcache.Trace1, wlcache.Trace3} {
-		nvm := wlcache.NewNVM()
-		design := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
 		cfg := wlcache.DefaultSimConfig()
 		cfg.Trace = wlcache.Trace(src)
 		cfg.CheckInvariants = true
-		s, err := wlcache.NewSimulator(cfg, design, nvm)
+		s, err := wlcache.NewSimulator(cfg, wlcache.KindWL)
 		if err != nil {
 			log.Fatal(err)
 		}

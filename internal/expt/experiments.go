@@ -182,10 +182,10 @@ func cellFingerprint(kind Kind, opts Options, wl string, scale int, src power.So
 	w.int(" dqpol=", int64(o.DQPolicy))
 	w.int(" dqcap=", int64(o.DQCap))
 	w.int(" maxline=", int64(o.Maxline))
-	w.int(" adaptive=", int64(o.Adaptive))
-	w.bool("/", o.adaptiveSet)
-	// swjit and margin name deleted knobs; their constant values keep
+	// adaptive, swjit and margin name deleted knobs (the kind alone
+	// picks WL-Cache's adaptation mode); their constant values keep
 	// every journal and serve-store address stable.
+	w.str(" adaptive=", "0/false")
 	w.str(" swjit=", "false")
 	w.int(" cyc=", cfg.CyclePS)
 	w.bits(" ie=", cfg.InstrEnergy)

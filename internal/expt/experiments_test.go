@@ -7,8 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
+	"wlcache/internal/cache"
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
@@ -69,6 +69,29 @@ func TestRunUnknownDesign(t *testing.T) {
 	_, err := Run(Kind("bogus"), Options{}, "sha", 1, power.None, sim.DefaultConfig())
 	if err == nil || !strings.Contains(err.Error(), `unknown design kind "bogus"`) {
 		t.Fatalf("unknown design kind: err = %v", err)
+	}
+}
+
+// TestRunMaxlineOutOfRange: a WL-Cache maxline outside 1..DQCap (after
+// defaults) is an error, not core.New's panic; other kinds ignore it.
+func TestRunMaxlineOutOfRange(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Maxline: -1}, "maxline -1 out of range (1..8)"},
+		{Options{Maxline: 9}, "maxline 9 out of range (1..8)"},
+		{Options{DQCap: 4}, "maxline 6 out of range (1..4)"},
+	} {
+		for _, kind := range []Kind{KindWL, KindWLFixed, KindWLDyn} {
+			_, err := Run(kind, c.opts, "sha", 1, power.None, sim.DefaultConfig())
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %+v: err = %v, want %q", kind, c.opts, err, c.want)
+			}
+		}
+	}
+	if _, err := Run(KindNVSRAM, Options{Maxline: 9}, "basicmath", 1, power.None, sim.DefaultConfig()); err != nil {
+		t.Fatalf("nvsram takes no maxline, yet: %v", err)
 	}
 }
 
@@ -281,13 +304,15 @@ func TestRunCellsFirstErrorByIndex(t *testing.T) {
 	}
 }
 
-// TestRunCellsPanicIsolated: a poisoned cell (a maxline beyond the
-// DirtyQueue capacity panics inside core.New) must surface as a typed,
-// cell-attributed error instead of crashing the whole sweep process.
+// TestRunCellsPanicIsolated: a poisoned cell (a cache geometry whose
+// set count is not a power of two panics inside cache.NewArray) must
+// surface as a typed, cell-attributed error instead of crashing the
+// whole sweep process.
 func TestRunCellsPanicIsolated(t *testing.T) {
+	bad := cache.Geometry{SizeBytes: 3 * 2 * 64, Ways: 2, LineBytes: 64}
 	cells := []cell{
 		{kind: KindWL, wl: "adpcmencode", src: power.None},
-		{kind: KindWL, opts: Options{Maxline: 99}, wl: "adpcmencode", src: power.None},
+		{kind: KindWL, opts: Options{Geometry: bad}, wl: "adpcmencode", src: power.None},
 	}
 	results, err := runCells(Context{Parallelism: 2}, cells)
 	if err == nil {
@@ -416,10 +441,7 @@ func TestCellFingerprintCoversEveryField(t *testing.T) {
 func perturbFields(t *testing.T, v reflect.Value, path string, check func(name string)) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
-		// Going through the address makes unexported fields
-		// (Options.adaptiveSet) settable too.
 		f := v.Field(i)
-		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 		name := path + "." + v.Type().Field(i).Name
 		old := reflect.New(f.Type()).Elem()
 		old.Set(f)

@@ -2,7 +2,6 @@ package expt
 
 import (
 	"wlcache/internal/cache"
-	"wlcache/internal/core"
 	"wlcache/internal/power"
 )
 
@@ -34,11 +33,7 @@ func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 			for _, ml := range fig9Maxlines {
 				cells = append(cells, cell{kind: KindWLFixed, opts: Options{CachePolicy: pol, Maxline: ml}, wl: wl, src: src})
 			}
-			cells = append(cells, cell{
-				kind: KindWL,
-				opts: Options{CachePolicy: pol}.WithAdaptive(core.AdaptStatic),
-				wl:   wl, src: src,
-			})
+			cells = append(cells, cell{kind: KindWL, opts: Options{CachePolicy: pol}, wl: wl, src: src})
 		}
 	}
 	results, err := runCells(ctx, cells)

@@ -30,11 +30,11 @@ func fmtFingerprint(kind Kind, opts Options, wl string, scale int, src power.Sou
 	o := opts.normalize()
 	fp := fmt.Sprintf(
 		"design=%s wl=%s scale=%d trace=%s"+
-			" geom=%d/%d/%d cpol=%d dqpol=%d dqcap=%d maxline=%d adaptive=%d/%t swjit=false"+
+			" geom=%d/%d/%d cpol=%d dqpol=%d dqcap=%d maxline=%d adaptive=0/false swjit=false"+
 			" cyc=%d ie=%016x chunk=%d cap=%016x vmin=%016x vmax=%016x von=%016x margin=3ff0000000000000 eff=%016x inv=%t maxout=%d",
 		kind, wl, scale, src,
 		o.Geometry.SizeBytes, o.Geometry.Ways, o.Geometry.LineBytes,
-		o.CachePolicy, o.DQPolicy, o.DQCap, o.Maxline, o.Adaptive, o.adaptiveSet,
+		o.CachePolicy, o.DQPolicy, o.DQCap, o.Maxline,
 		cfg.CyclePS, math.Float64bits(cfg.InstrEnergy), cfg.ComputeChunk,
 		math.Float64bits(cfg.CapacitorF), math.Float64bits(cfg.VMin), math.Float64bits(cfg.VMax),
 		math.Float64bits(cfg.VonDelta),
@@ -94,7 +94,6 @@ func TestCellAddressMatchesFmtOracle(t *testing.T) {
 		{Maxline: 2}, {DQCap: 3},
 		{CachePolicy: cache.FIFO, DQPolicy: core.DQLRU},
 		{Geometry: cache.Geometry{SizeBytes: 4096, Ways: 4, LineBytes: 32}},
-		Options{}.WithAdaptive(core.AdaptOff), Options{}.WithAdaptive(core.AdaptDynamic),
 	} {
 		check(KindWL, opts, "sha", 3, power.Trace2, sim.DefaultConfig())
 	}

@@ -71,15 +71,6 @@ type Options struct {
 	DQPolicy    core.DQPolicy           // default FIFO
 	DQCap       int                     // default 8
 	Maxline     int                     // default 6
-	Adaptive    core.AdaptiveMode       // overridden per Kind
-	adaptiveSet bool
-}
-
-// WithAdaptive returns o with an explicit adaptation mode.
-func (o Options) WithAdaptive(m core.AdaptiveMode) Options {
-	o.Adaptive = m
-	o.adaptiveSet = true
-	return o
 }
 
 func (o Options) normalize() Options {
@@ -94,6 +85,10 @@ func (o Options) normalize() Options {
 	}
 	return o
 }
+
+// isWL reports whether kind is a WL-Cache variant, the only designs
+// that take the DirtyQueue options.
+func isWL(kind Kind) bool { return kind == KindWL || kind == KindWLFixed || kind == KindWLDyn }
 
 // NewDesign builds a design of the given kind over a fresh NVM. It
 // panics on a kind AllKinds does not list; Run reports one as an error.
@@ -133,12 +128,10 @@ func NewDesign(kind Kind, opts Options) (sim.Design, *mem.NVM) {
 		cfg.DQPolicy = opts.DQPolicy
 		cfg.DQCap = opts.DQCap
 		cfg.Maxline = opts.Maxline
-		switch {
-		case opts.adaptiveSet:
-			cfg.Adaptive.Mode = opts.Adaptive
-		case kind == KindWLFixed:
+		switch kind {
+		case KindWLFixed:
 			cfg.Adaptive.Mode = core.AdaptOff
-		case kind == KindWLDyn:
+		case KindWLDyn:
 			cfg.Adaptive.Mode = core.AdaptDynamic
 			cfg.Adaptive.MaxMaxline = cfg.DQCap // dynamic raises may use all slots
 		default:
@@ -161,6 +154,9 @@ func Run(kind Kind, opts Options, wlName string, scale int, src power.Source, si
 	}
 	if !src.Valid() {
 		return sim.Result{}, fmt.Errorf("expt: unknown power source %q", src)
+	}
+	if o := opts.normalize(); isWL(kind) && (o.Maxline < 1 || o.Maxline > o.DQCap) {
+		return sim.Result{}, fmt.Errorf("expt: maxline %d out of range (1..%d)", o.Maxline, o.DQCap)
 	}
 	if scale <= 0 {
 		scale = DefaultScale

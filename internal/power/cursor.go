@@ -7,12 +7,11 @@ package power
 // every call lands in the cached segment and costs one multiply —
 // no divisions, no modulo.
 //
-// Results are bit-identical to the sequential reference
-// Trace.integrateSeq for every window — the cursor walks segments with
-// the same per-segment expression in the same order — and therefore to
-// Trace.Integrate for every window of one or two segments, which is
-// all the simulator ever issues. Windows before the cached segment
-// (time jumps after an outage) simply reseek.
+// Results are bit-identical to the segment-stepping sequential
+// reference (integrateSeq in the package tests) for every window: the
+// cursor walks segments with the same per-segment expression in the
+// same order. Windows before the cached segment (time jumps after an
+// outage) simply reseek.
 type Cursor struct {
 	t        *Trace
 	segStart int64
@@ -37,8 +36,7 @@ func (c *Cursor) seek(ps int64) {
 	c.p = c.t.Samples[i%int64(len(c.t.Samples))]
 }
 
-// Integrate returns the energy (joules) harvested over [from, to),
-// exactly as Trace.Integrate would.
+// Integrate returns the energy (joules) harvested over [from, to).
 func (c *Cursor) Integrate(from, to int64) float64 {
 	if to <= from || len(c.t.Samples) == 0 {
 		return 0

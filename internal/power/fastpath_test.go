@@ -21,32 +21,42 @@ func randTrace(r *rand.Rand, n int, step int64, zeroFrac float64) *Trace {
 	return t
 }
 
-// TestIntegrateEquivalence cross-checks the prefix-sum Integrate
-// against the retained sequential reference over random windows,
-// including windows spanning many whole trace periods.
+// integrateSeq is the segment-stepping reference integral over
+// [from, to) ps: the cursor must match it bit for bit, and the
+// TimeToHarvest tests measure the energy of their windows with it.
+func (t *Trace) integrateSeq(from, to int64) float64 {
+	const psPerSec = 1e12
+	e := 0.0
+	for cur := from; cur < to; {
+		i := (cur / t.Step) % int64(len(t.Samples))
+		segEnd := (cur/t.Step + 1) * t.Step
+		if segEnd > to {
+			segEnd = to
+		}
+		e += t.Samples[i] * float64(segEnd-cur) / psPerSec
+		cur = segEnd
+	}
+	return e
+}
+
+// TestIntegrateEquivalence cross-checks Cursor.Integrate against the
+// sequential reference over random windows in random order, including
+// windows spanning many whole trace periods: every window is
+// bit-identical.
 func TestIntegrateEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		tr := randTrace(r, 1+r.Intn(64), 1000+int64(r.Intn(5))*777, 0.3)
+		cur := NewCursor(tr)
 		dur := tr.Duration()
 		for w := 0; w < 200; w++ {
 			from := int64(r.Intn(int(4 * dur)))
 			width := int64(r.Intn(int(6*dur))) + 1
-			got := tr.Integrate(from, from+width)
+			got := cur.Integrate(from, from+width)
 			want := tr.integrateSeq(from, from+width)
-			segs := (from+width-1)/tr.Step - from/tr.Step
-			if segs <= 1 {
-				// Short windows take the sequential path verbatim and
-				// must be bit-identical (the simulator depends on it).
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("short window [%d,%d): got %x want %x", from, from+width,
-						math.Float64bits(got), math.Float64bits(want))
-				}
-				continue
-			}
-			// Wide windows reassociate the sum; allow relative rounding.
-			if diff := math.Abs(got - want); diff > 1e-9*math.Max(math.Abs(want), 1e-30) {
-				t.Fatalf("wide window [%d,%d): got %g want %g (diff %g)", from, from+width, got, want, diff)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("window [%d,%d): got %x want %x", from, from+width,
+					math.Float64bits(got), math.Float64bits(want))
 			}
 		}
 	}
@@ -58,11 +68,12 @@ func TestIntegrateEquivalence(t *testing.T) {
 func TestIntegrateMultiPeriod(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := randTrace(r, 48, 2500, 0.25)
+	cur := NewCursor(tr)
 	dur := tr.Duration()
-	oneLoop := tr.Integrate(0, dur)
+	oneLoop := cur.Integrate(0, dur)
 	for k := int64(1); k <= 9; k++ {
 		for _, from := range []int64{0, 1, tr.Step - 1, tr.Step, dur - 1, dur, 3*dur + 17} {
-			got := tr.Integrate(from, from+k*dur)
+			got := cur.Integrate(from, from+k*dur)
 			want := float64(k) * oneLoop
 			if diff := math.Abs(got - want); diff > 1e-9*want {
 				t.Fatalf("k=%d from=%d: got %g want %g", k, from, got, want)
@@ -72,10 +83,10 @@ func TestIntegrateMultiPeriod(t *testing.T) {
 }
 
 // TestIntegrateUnindexedFallback: hand-assembled literals without the
-// index must still integrate correctly via the sequential path.
+// index must still integrate correctly, and Reindex builds the index.
 func TestIntegrateUnindexedFallback(t *testing.T) {
 	tr := &Trace{Step: 1000, Samples: []float64{1e-3, 0, 2e-3}}
-	got := tr.Integrate(0, 3000)
+	got := NewCursor(tr).Integrate(0, 3000)
 	want := tr.integrateSeq(0, 3000)
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("unindexed Integrate diverged: %g vs %g", got, want)
@@ -86,9 +97,6 @@ func TestIntegrateUnindexedFallback(t *testing.T) {
 	tr.Reindex()
 	if !tr.indexed() {
 		t.Fatal("Reindex did not index the trace")
-	}
-	if got := tr.Integrate(0, 3000); math.Abs(got-want) > 1e-12*want {
-		t.Fatalf("indexed Integrate diverged after Reindex: %g vs %g", got, want)
 	}
 }
 
@@ -105,7 +113,7 @@ func TestTimeToHarvestEquivalence(t *testing.T) {
 			continue
 		}
 		dur := tr.Duration()
-		loopE := tr.Integrate(0, dur)
+		loopE := tr.integrateSeq(0, dur)
 		for w := 0; w < 60; w++ {
 			from := int64(r.Intn(int(3 * dur)))
 			joules := r.Float64() * 4 * loopE
@@ -121,7 +129,7 @@ func TestTimeToHarvestEquivalence(t *testing.T) {
 			if d := dtFast - dtSeq; d < -tol || d > tol {
 				t.Fatalf("from=%d joules=%g: fast dt=%d seq dt=%d", from, joules, dtFast, dtSeq)
 			}
-			if e := tr.Integrate(from, from+dtFast); e < joules*(1-1e-9) {
+			if e := tr.integrateSeq(from, from+dtFast); e < joules*(1-1e-9) {
 				t.Fatalf("from=%d: dt=%d harvests %g < %g", from, dtFast, e, joules)
 			}
 		}
@@ -164,14 +172,14 @@ func TestTimeToHarvestZeroSegments(t *testing.T) {
 			t.Fatalf("from=%d joules=%g: fast dt=%d earlier than seq dt=%d", c.from, c.joules, dtFast, dtSeq)
 		}
 		// Sufficiency: the window must actually supply the energy.
-		if e := tr.Integrate(c.from, c.from+dtFast); e < c.joules*(1-1e-9) {
+		if e := tr.integrateSeq(c.from, c.from+dtFast); e < c.joules*(1-1e-9) {
 			t.Fatalf("from=%d: dt=%d harvests %g < %g", c.from, dtFast, e, c.joules)
 		}
 		// Minimality: a few ps earlier must not (the +1 ps convention and
 		// boundary-exact completions allow a tiny slack, never a whole
 		// zero segment of overshoot).
 		if dtFast > 4 {
-			if e := tr.Integrate(c.from, c.from+dtFast-4); e >= c.joules*(1+1e-9) {
+			if e := tr.integrateSeq(c.from, c.from+dtFast-4); e >= c.joules*(1+1e-9) {
 				t.Fatalf("from=%d: dt=%d overshoots (dt-4 already harvests %g >= %g)",
 					c.from, dtFast, e, c.joules)
 			}
@@ -191,7 +199,7 @@ func TestTimeToHarvestWrapAround(t *testing.T) {
 	tr := &Trace{Name: "wrap", Step: 2000, Samples: []float64{2e-3, 0, 1e-3, 0}}
 	tr.Reindex()
 	dur := tr.Duration()
-	loopE := tr.Integrate(0, dur)
+	loopE := tr.integrateSeq(0, dur)
 	for k := 1; k <= 20; k++ {
 		joules := float64(k) * loopE
 		dt, ok := tr.TimeToHarvest(0, joules)
@@ -206,7 +214,7 @@ func TestTimeToHarvestWrapAround(t *testing.T) {
 		if dt <= lo || dt > hi {
 			t.Fatalf("k=%d: dt=%d outside (%d,%d]", k, dt, lo, hi)
 		}
-		if e := tr.Integrate(0, dt); e < joules*(1-1e-9) {
+		if e := tr.integrateSeq(0, dt); e < joules*(1-1e-9) {
 			t.Fatalf("k=%d: dt=%d harvests %g < %g", k, dt, e, joules)
 		}
 	}
@@ -215,7 +223,7 @@ func TestTimeToHarvestWrapAround(t *testing.T) {
 	if !ok || dt <= 0 {
 		t.Fatalf("wrap start: dt=%d ok=%v", dt, ok)
 	}
-	if e := tr.Integrate(dur-1, dur-1+dt); e < loopE*(1-1e-9) {
+	if e := tr.integrateSeq(dur-1, dur-1+dt); e < loopE*(1-1e-9) {
 		t.Fatalf("wrap start under-harvests: %g < %g", e, loopE)
 	}
 }
@@ -223,7 +231,7 @@ func TestTimeToHarvestWrapAround(t *testing.T) {
 // TestCursorMatchesIntegrate drives a Cursor through the simulator's
 // access pattern — many tiny advancing windows, occasional large jumps
 // (outages), rare backward seeks — and demands bit-identical results to
-// Trace.Integrate at every step.
+// the sequential reference at every step.
 func TestCursorMatchesIntegrate(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
@@ -247,19 +255,9 @@ func TestCursorMatchesIntegrate(t *testing.T) {
 				width = int64(r.Intn(5000)) + 1
 			}
 			got := cur.Integrate(now, now+width)
-			// The cursor walks segments sequentially, so it is bit-equal
-			// to the sequential reference for every window...
 			if want := tr.integrateSeq(now, now+width); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d step %d [%d,%d): cursor %x seq %x",
 					trial, i, now, now+width, math.Float64bits(got), math.Float64bits(want))
-			}
-			// ...and to Trace.Integrate for the one-or-two-segment windows
-			// the simulator issues (wider windows switch to prefix sums).
-			if (now+width-1)/tr.Step-now/tr.Step <= 1 {
-				if want := tr.Integrate(now, now+width); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d step %d [%d,%d): cursor %x trace %x",
-						trial, i, now, now+width, math.Float64bits(got), math.Float64bits(want))
-				}
 			}
 			now += width
 		}

@@ -11,10 +11,9 @@ package power
 // sample the trace wraps around.
 //
 // Traces built by this package (Synthesize*, Get) carry a prefix-sum
-// index that makes Integrate O(1) for windows spanning many segments
-// and lets TimeToHarvest binary-search whole outages instead of
+// index that lets TimeToHarvest binary-search whole outages instead of
 // stepping segment by segment. Hand-assembled Trace literals work
-// without the index (the sequential reference paths run instead); call
+// without the index (the sequential reference path runs instead); call
 // Reindex after populating or mutating Samples to build it. An indexed
 // trace must not have Samples mutated afterwards — the built-in traces
 // are shared read-only across concurrent simulations.
@@ -30,7 +29,7 @@ type Trace struct {
 	mean  float64
 }
 
-// Reindex (re)builds the O(1) integration index from Samples. It must
+// Reindex (re)builds the prefix-sum index from Samples. It must
 // be called again after any mutation of Samples; the constructors in
 // this package call it automatically.
 func (t *Trace) Reindex() {
@@ -83,57 +82,6 @@ func (t *Trace) Mean() float64 {
 		s += p
 	}
 	return s / float64(len(t.Samples))
-}
-
-// Integrate returns the energy (joules) harvested over [from, to) ps.
-//
-// Windows within one or two segments — every window the simulator's
-// per-event loop issues — take the sequential path, whose arithmetic
-// is identical to the pre-index implementation, so simulation results
-// are bit-identical. Wider windows (outage analysis, tooling) use the
-// prefix-sum index: one partial segment on each side plus an O(1)
-// full-segment span.
-func (t *Trace) Integrate(from, to int64) float64 {
-	if to <= from || len(t.Samples) == 0 {
-		return 0
-	}
-	const psPerSec = 1e12
-	i0 := from / t.Step
-	if to <= (i0+1)*t.Step {
-		// Single-segment window — the per-event common case. This is
-		// integrateSeq's only iteration inlined (same expression, so
-		// bit-identical), reached with one division and no dispatch on
-		// the index: the i1 division below, which the indexed dispatch
-		// added for every caller, only runs for multi-segment windows.
-		return t.Samples[i0%int64(len(t.Samples))] * float64(to-from) / psPerSec
-	}
-	i1 := (to - 1) / t.Step
-	if i1-i0 <= 1 || !t.indexed() {
-		return t.integrateSeq(from, to)
-	}
-	n := int64(len(t.Samples))
-	e := t.Samples[i0%n] * float64((i0+1)*t.Step-from) / psPerSec
-	e += t.segSum(i1) - t.segSum(i0+1)
-	e += t.Samples[i1%n] * float64(to-i1*t.Step) / psPerSec
-	return e
-}
-
-// integrateSeq is the segment-stepping reference implementation,
-// retained verbatim: it serves short windows exactly and anchors the
-// equivalence property tests.
-func (t *Trace) integrateSeq(from, to int64) float64 {
-	const psPerSec = 1e12
-	e := 0.0
-	for cur := from; cur < to; {
-		i := (cur / t.Step) % int64(len(t.Samples))
-		segEnd := (cur/t.Step + 1) * t.Step
-		if segEnd > to {
-			segEnd = to
-		}
-		e += t.Samples[i] * float64(segEnd-cur) / psPerSec
-		cur = segEnd
-	}
-	return e
 }
 
 // segSum returns the indexed energy of full segments [0, k).

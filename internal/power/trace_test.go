@@ -35,19 +35,20 @@ func TestTraceMeanAndDuration(t *testing.T) {
 
 func TestTraceIntegrateFlat(t *testing.T) {
 	tr := flatTrace(2.0) // 2 W
+	c := NewCursor(tr)
 	// 1 ns at 2 W = 2e-9 J... our unit: ps -> 1000 ps = 1e-9 s.
-	got := tr.Integrate(0, 1000)
+	got := c.Integrate(0, 1000)
 	want := 2.0 * 1e-9
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("Integrate = %g, want %g", got, want)
 	}
 	// Spanning segments and wrap.
-	got = tr.Integrate(500, 4500)
+	got = c.Integrate(500, 4500)
 	want = 2.0 * 4e-9
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Fatalf("spanning Integrate = %g, want %g", got, want)
 	}
-	if tr.Integrate(100, 100) != 0 || tr.Integrate(200, 100) != 0 {
+	if c.Integrate(100, 100) != 0 || c.Integrate(200, 100) != 0 {
 		t.Fatal("degenerate windows must integrate to zero")
 	}
 }
@@ -71,7 +72,7 @@ func TestTraceTimeToHarvest(t *testing.T) {
 	}
 }
 
-// Property: TimeToHarvest is consistent with Integrate.
+// Property: TimeToHarvest is consistent with Cursor.Integrate.
 func TestTraceQuickHarvestConsistency(t *testing.T) {
 	tr := Get(Trace1)
 	f := func(fromSeed uint32, joulesSeed uint8) bool {
@@ -81,10 +82,11 @@ func TestTraceQuickHarvestConsistency(t *testing.T) {
 		if !ok {
 			return false
 		}
-		got := tr.Integrate(from, from+dt)
+		c := NewCursor(tr)
+		got := c.Integrate(from, from+dt)
 		// The found window must supply the energy, and one step less
 		// must not (within a sample of slack).
-		return got >= joules*(1-1e-6) && tr.Integrate(from, from+dt-tr.Step) < joules
+		return got >= joules*(1-1e-6) && c.Integrate(from, from+dt-tr.Step) < joules
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ type Config struct {
 	// once, at startup, to rebuild the shared result store, and held
 	// open until Shutdown. Required.
 	DataDir string
-	// Engine is the engine version mixed into every content address
-	// (default sim.EngineVersion).
-	Engine string
 	// Workers bounds each sweep's worker pool (0 = NumCPU).
 	Workers int
 	// MaxConcurrent bounds sweeps running at once (0 = 2).
@@ -78,9 +75,6 @@ type Config struct {
 }
 
 func (c Config) normalize() Config {
-	if c.Engine == "" {
-		c.Engine = sim.EngineVersion
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
 	}
@@ -196,7 +190,7 @@ func (s *Server) loadStore() error {
 		return err
 	}
 	for _, p := range paths {
-		j, stats, err := runner.OpenJournal(p, s.cfg.Engine, s.journalHooks())
+		j, stats, err := runner.OpenJournal(p, sim.EngineVersion, s.journalHooks())
 		if errors.Is(err, runner.ErrForeignEngine) {
 			s.noteLoadStats(stats)
 			continue
@@ -244,7 +238,7 @@ func (s *Server) journal(sweepID string) (*runner.Journal, error) {
 	if j, ok := s.journals[sweepID]; ok {
 		return j, nil
 	}
-	j, _, err := runner.OpenJournal(filepath.Join(s.cfg.DataDir, sweepID+".jsonl"), s.cfg.Engine, s.journalHooks())
+	j, _, err := runner.OpenJournal(filepath.Join(s.cfg.DataDir, sweepID+".jsonl"), sim.EngineVersion, s.journalHooks())
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +452,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "sweep has %d cells, limit %d", n, s.cfg.MaxCells)
 		return
 	}
-	sweepID := spec.ID(s.cfg.Engine)
+	sweepID := spec.ID(sim.EngineVersion)
 	rid := RequestIDFrom(r.Context())
 
 	release, verdict := s.admit(r.Context())
@@ -555,7 +549,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		}
 		rep, runErr = runner.RunCells(ctx, runner.Config{
 			Workers: s.cfg.Workers,
-			Engine:  s.cfg.Engine,
+			Engine:  sim.EngineVersion,
 			Journal: journal,
 			Shared:  s.store,
 			OnCell:  func(d runner.CellDone) { events <- d },

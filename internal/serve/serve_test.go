@@ -728,11 +728,11 @@ func TestCorruptJournalQuarantined(t *testing.T) {
 	// Interior corruption: garbage between two valid-shaped lines is
 	// not crash damage an append-only writer can produce.
 	content := fmt.Sprintf("{\"schema\":%q,\"engine\":%q}\nnot json at all\n{\"addr\":\"x\",\"id\":\"y\",\"fp\":\"z\",\"result\":{}}\n",
-		runner.Schema, "e1")
+		runner.Schema, sim.EngineVersion)
 	if err := os.WriteFile(bad, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{DataDir: dir, Engine: "e1"})
+	s, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatalf("corrupt journal killed startup: %v", err)
 	}
@@ -759,14 +759,14 @@ func TestStartupLeavesForeignJournalsAlone(t *testing.T) {
 	foreignEngine := filepath.Join(dir, strings.Repeat("cd", 32)+".jsonl")
 	engineBytes := fmt.Sprintf("{\"schema\":%q,\"engine\":\"e0\"}\n", runner.Schema) + record("e0", "a") + record("e0", "b")
 	foreignSchema := filepath.Join(dir, strings.Repeat("ef", 32)+".jsonl")
-	schemaBytes := "{\"schema\":\"wlrun/v0\",\"engine\":\"e1\"}\n" + record("e1", "a")
+	schemaBytes := "{\"schema\":\"wlrun/v0\",\"engine\":\"" + sim.EngineVersion + "\"}\n" + record(sim.EngineVersion, "a")
 	for path, content := range map[string]string{foreignEngine: engineBytes, foreignSchema: schemaBytes} {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s, err := New(Config{DataDir: dir, Engine: "e1"})
+	s, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

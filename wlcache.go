@@ -6,13 +6,13 @@
 //
 // The three core concepts:
 //
-//   - A Design is a cache organization with its crash-consistency
-//     protocol (WL-Cache, NVSRAM(ideal), NVCache-WB, VCache-WT,
-//     ReplayCache, NoCache). Designs are built over an NVM main
-//     memory model.
+//   - A Kind names a cache design with its crash-consistency protocol
+//     (WL-Cache and its adaptation variants, NVSRAM(ideal), NVCache-WB,
+//     VCache-WT, ReplayCache, NoCache, ...), built with the paper's
+//     default configuration over an NVM main memory model.
 //
 //   - A Simulator executes a program (any func(Machine) uint32)
-//     against a Design while modeling the capacitor energy buffer, a
+//     against a design while modeling the capacitor energy buffer, a
 //     harvested-power trace, JIT checkpointing at Vbackup, off-period
 //     recharging and restore.
 //
@@ -22,22 +22,19 @@
 //
 // Quick start:
 //
-//	nvm := wlcache.NewNVM()
-//	design := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
 //	cfg := wlcache.DefaultSimConfig()
 //	cfg.Trace = wlcache.Trace(wlcache.Trace1)
-//	sim, err := wlcache.NewSimulator(cfg, design, nvm)
+//	sim, err := wlcache.NewSimulator(cfg, wlcache.KindWL)
 //	...
 //	res, err := sim.Run("mywork", func(m wlcache.Machine) uint32 { ... })
 package wlcache
 
 import (
-	"wlcache/internal/cache"
-	"wlcache/internal/core"
-	"wlcache/internal/designs"
-	"wlcache/internal/energy"
+	"fmt"
+	"slices"
+
+	"wlcache/internal/expt"
 	"wlcache/internal/isa"
-	"wlcache/internal/mem"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
 	"wlcache/internal/workload"
@@ -47,23 +44,37 @@ import (
 // stores and ALU batches against the simulated address space.
 type Machine = isa.Machine
 
-// Design is a cache organization plus crash-consistency protocol.
-type Design = sim.Design
+// Kind names a cache design configuration.
+type Kind = expt.Kind
+
+// The buildable design kinds (§6.1, Table 1, §3.3, §7).
+const (
+	KindNoCache         Kind = expt.KindNoCache
+	KindVCacheWT        Kind = expt.KindVCacheWT
+	KindWTBuffer        Kind = expt.KindWTBuffer
+	KindNVCache         Kind = expt.KindNVCache
+	KindNVSRAM          Kind = expt.KindNVSRAM
+	KindNVSRAMFull      Kind = expt.KindNVSRAMFull
+	KindNVSRAMPractical Kind = expt.KindNVSRAMPractical
+	KindEagerWB         Kind = expt.KindEagerWB
+	KindReplay          Kind = expt.KindReplay
+	// KindBroken is the negative control: a volatile write-back cache
+	// with no JIT checkpointing, which silently corrupts memory across
+	// power failures (see examples/crashconsistency).
+	KindBroken Kind = expt.KindBroken
+	// KindWL is WL-Cache with boot-time (static) adaptive thresholds;
+	// KindWLFixed keeps maxline fixed and KindWLDyn also adapts at run
+	// time.
+	KindWL      Kind = expt.KindWL
+	KindWLFixed Kind = expt.KindWLFixed
+	KindWLDyn   Kind = expt.KindWLDyn
+)
 
 // Result collects everything a simulation run produces.
 type Result = sim.Result
 
 // SimConfig is the machine/energy configuration (Table 2).
 type SimConfig = sim.Config
-
-// CacheConfig parameterizes a WL-Cache instance.
-type CacheConfig = core.Config
-
-// Geometry describes a cache organization (size/ways/line).
-type Geometry = cache.Geometry
-
-// NVM is the non-volatile main memory model.
-type NVM = mem.NVM
 
 // Simulator drives a program through a design under a power trace.
 type Simulator = sim.Simulator
@@ -87,70 +98,6 @@ const (
 	Thermal    Source = power.Thermal
 )
 
-// NewNVM returns an NVM main memory with the paper's ReRAM timing.
-func NewNVM() *NVM { return mem.NewNVM(mem.DefaultNVMParams()) }
-
-// DefaultCacheConfig returns the paper's default WL-Cache
-// configuration: 8 KB 2-way, DirtyQueue of 8, maxline 6, waterline 5,
-// FIFO queue cleaning, LRU line replacement, adaptive thresholds.
-func DefaultCacheConfig() CacheConfig { return core.DefaultConfig() }
-
-// NewWLCache builds the paper's contribution over nvm.
-func NewWLCache(cfg CacheConfig, nvm *NVM) *core.WLCache { return core.New(cfg, nvm) }
-
-// NewNVSRAM builds the state-of-the-art baseline, NVSRAMCache(ideal).
-func NewNVSRAM(geo Geometry, nvm *NVM) *designs.NVSRAM {
-	return designs.NewNVSRAM(geo, cache.LRU, energy.DefaultJITCosts(), designs.DefaultNVSRAMParams(), nvm)
-}
-
-// NewVCacheWT builds the volatile write-through baseline.
-func NewVCacheWT(geo Geometry, nvm *NVM) *designs.VCacheWT {
-	return designs.NewVCacheWT(geo, cache.SRAMTech(), cache.LRU, energy.DefaultJITCosts(), nvm)
-}
-
-// NewNVCacheWB builds the fully non-volatile write-back baseline.
-func NewNVCacheWB(geo Geometry, nvm *NVM) *designs.NVCacheWB {
-	return designs.NewNVCacheWB(geo, cache.LRU, energy.DefaultJITCosts(), nvm)
-}
-
-// NewReplayCache builds the ReplayCache baseline model.
-func NewReplayCache(geo Geometry, nvm *NVM) *designs.ReplayCache {
-	return designs.NewReplayCache(geo, cache.LRU, energy.DefaultJITCosts(), designs.DefaultReplayParams(), nvm)
-}
-
-// NewNVSRAMFull builds the original whole-cache-checkpoint NVSRAM
-// variant (§2.3.3 "full").
-func NewNVSRAMFull(geo Geometry, nvm *NVM) *designs.NVSRAMFull {
-	return designs.NewNVSRAMFull(geo, cache.LRU, energy.DefaultJITCosts(), designs.DefaultNVSRAMParams(), nvm)
-}
-
-// NewNVSRAMPractical builds the hybrid SRAM/NV-way NVSRAM variant
-// (§2.3.3 "practical").
-func NewNVSRAMPractical(geo Geometry, nvm *NVM) *designs.NVSRAMPractical {
-	return designs.NewNVSRAMPractical(geo, energy.DefaultJITCosts(), designs.DefaultNVSRAMParams(), nvm)
-}
-
-// NewWTBuffer builds the §3.3 alternative design: a write-through
-// cache with a CAM-searched write buffer.
-func NewWTBuffer(geo Geometry, nvm *NVM) *designs.WTBuffer {
-	return designs.NewWTBuffer(geo, cache.SRAMTech(), cache.LRU, energy.DefaultJITCosts(), designs.DefaultWTBufferParams(), nvm)
-}
-
-// NewNoCache builds the cacheless non-volatile-processor baseline.
-func NewNoCache(nvm *NVM) *designs.NoCache {
-	return designs.NewNoCache(energy.DefaultJITCosts(), nvm)
-}
-
-// NewBrokenVolatileWB builds the negative control: a volatile
-// write-back cache with no JIT checkpointing, which silently corrupts
-// memory across power failures (see examples/crashconsistency).
-func NewBrokenVolatileWB(geo Geometry, nvm *NVM) *designs.BrokenVolatileWB {
-	return designs.NewBrokenVolatileWB(geo, cache.LRU, energy.DefaultJITCosts(), nvm)
-}
-
-// DefaultGeometry is the paper's L1: 8 KB, 2-way, 64 B lines.
-func DefaultGeometry() Geometry { return cache.DefaultGeometry() }
-
 // DefaultSimConfig returns the Table 2 machine configuration with no
 // power trace attached (uninterrupted power).
 func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
@@ -158,9 +105,14 @@ func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 // Trace returns the built-in trace for a source (nil for NoFailures).
 func Trace(src Source) *PowerTrace { return power.Get(src) }
 
-// NewSimulator builds a simulator; design must have been constructed
-// over nvm.
-func NewSimulator(cfg SimConfig, design Design, nvm *NVM) (*Simulator, error) {
+// NewSimulator builds a simulator over a fresh design of the given
+// kind, in the paper's default configuration, and a fresh NVM main
+// memory with the paper's ReRAM timing.
+func NewSimulator(cfg SimConfig, kind Kind) (*Simulator, error) {
+	if !slices.Contains(expt.AllKinds(), kind) {
+		return nil, fmt.Errorf("wlcache: unknown design kind %q", kind)
+	}
+	design, nvm := expt.NewDesign(kind, expt.Options{})
 	return sim.New(cfg, design, nvm)
 }
 

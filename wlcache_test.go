@@ -4,16 +4,15 @@ import (
 	"testing"
 
 	"wlcache"
+	"wlcache/internal/expt"
 )
 
 // TestPublicAPIQuickstart exercises the facade the README documents.
 func TestPublicAPIQuickstart(t *testing.T) {
-	nvm := wlcache.NewNVM()
-	design := wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm)
 	cfg := wlcache.DefaultSimConfig()
 	cfg.Trace = wlcache.Trace(wlcache.Trace1)
 	cfg.CheckInvariants = true
-	s, err := wlcache.NewSimulator(cfg, design, nvm)
+	s, err := wlcache.NewSimulator(cfg, wlcache.KindWL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,30 +34,16 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestPublicAPIDesigns builds every exported design constructor and
-// runs a short program on each.
+// TestPublicAPIDesigns builds every design kind through NewSimulator
+// and runs a short program on each.
 func TestPublicAPIDesigns(t *testing.T) {
-	geo := wlcache.DefaultGeometry()
-	builders := map[string]func(*wlcache.NVM) wlcache.Design{
-		"wl":          func(n *wlcache.NVM) wlcache.Design { return wlcache.NewWLCache(wlcache.DefaultCacheConfig(), n) },
-		"nvsram":      func(n *wlcache.NVM) wlcache.Design { return wlcache.NewNVSRAM(geo, n) },
-		"wt":          func(n *wlcache.NVM) wlcache.Design { return wlcache.NewVCacheWT(geo, n) },
-		"nvcache":     func(n *wlcache.NVM) wlcache.Design { return wlcache.NewNVCacheWB(geo, n) },
-		"replay":      func(n *wlcache.NVM) wlcache.Design { return wlcache.NewReplayCache(geo, n) },
-		"nocache":     func(n *wlcache.NVM) wlcache.Design { return wlcache.NewNoCache(n) },
-		"broken":      func(n *wlcache.NVM) wlcache.Design { return wlcache.NewBrokenVolatileWB(geo, n) },
-		"nvsram-full": func(n *wlcache.NVM) wlcache.Design { return wlcache.NewNVSRAMFull(geo, n) },
-		"nvsram-prac": func(n *wlcache.NVM) wlcache.Design { return wlcache.NewNVSRAMPractical(geo, n) },
-		"wt-buffer":   func(n *wlcache.NVM) wlcache.Design { return wlcache.NewWTBuffer(geo, n) },
-	}
 	var sums []uint32
-	for name, build := range builders {
-		nvm := wlcache.NewNVM()
-		s, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), build(nvm), nvm)
+	for _, kind := range expt.AllKinds() {
+		s, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), kind)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
-		res, err := s.Run(name, func(m wlcache.Machine) uint32 {
+		res, err := s.Run(string(kind), func(m wlcache.Machine) uint32 {
 			h := uint32(0)
 			for i := 0; i < 2000; i++ {
 				a := uint32(0x2000 + (i%128)*4)
@@ -69,7 +54,7 @@ func TestPublicAPIDesigns(t *testing.T) {
 			return h
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
 		sums = append(sums, res.Checksum)
 	}
@@ -77,6 +62,14 @@ func TestPublicAPIDesigns(t *testing.T) {
 		if s != sums[0] {
 			t.Fatal("designs disagree on the program result (without power failures!)")
 		}
+	}
+}
+
+// TestPublicAPIUnknownKind: an unknown kind is an error, not a panic.
+func TestPublicAPIUnknownKind(t *testing.T) {
+	s, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), wlcache.Kind("bogus"))
+	if err == nil || s != nil {
+		t.Fatalf("NewSimulator(bogus) = %v, %v; want nil and an error", s, err)
 	}
 }
 
@@ -89,8 +82,7 @@ func TestPublicAPIWorkloads(t *testing.T) {
 	if !ok {
 		t.Fatal("dijkstra missing")
 	}
-	nvm := wlcache.NewNVM()
-	s, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), wlcache.NewWLCache(wlcache.DefaultCacheConfig(), nvm), nvm)
+	s, err := wlcache.NewSimulator(wlcache.DefaultSimConfig(), wlcache.KindWL)
 	if err != nil {
 		t.Fatal(err)
 	}
