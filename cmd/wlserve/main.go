@@ -65,7 +65,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		retryAfter = fs.Duration("retry-after", 0, "Retry-After hint on shed load (0 = 5s)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
 		killAfter  = fs.Int("kill-after", 0, "SIGKILL this process after N durable journal appends (chaos harness internal)")
-		pprof      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
 		logLevel   = fs.String("log-level", "info", "structured log level: debug, info, warn, error")
 		version    = fs.Bool("version", false, "print engine version and build info, then exit")
 	)
@@ -92,7 +91,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		MaxQueue:      *queue,
 		MaxCells:      *maxCells,
 		RetryAfter:    *retryAfter,
-		EnablePprof:   *pprof,
 		Logger:        slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
 	}
 	if *killAfter > 0 {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"wlcache/internal/expt"
 	"wlcache/internal/hostinfo"
@@ -33,8 +34,12 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("wlsim", flag.ContinueOnError)
 	fs.SetOutput(stdout)
+	kinds := make([]string, 0, len(expt.AllKinds()))
+	for _, k := range expt.AllKinds() {
+		kinds = append(kinds, string(k))
+	}
 	var (
-		design  = fs.String("design", "wl", "design kind: nocache, vcache-wt, wt-buffer, nvcache-wb, nvsram, nvsram-full, nvsram-practical, replaycache, wl, wl-fixed, wl-dyn")
+		design  = fs.String("design", "wl", "design kind: "+strings.Join(kinds, ", "))
 		wl      = fs.String("workload", "sha", "benchmark name (see -list)")
 		trace   = fs.String("trace", "tr1", "power source: none, tr1, tr2, tr3, solar, thermal")
 		scale   = fs.Int("scale", 1, "input-size multiplier")

@@ -2,8 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
+	"slices"
 	"strings"
 	"testing"
+
+	"wlcache/internal/expt"
 )
 
 func TestListBenchmarks(t *testing.T) {
@@ -15,6 +20,27 @@ func TestListBenchmarks(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("list missing %q", want)
 		}
+	}
+}
+
+// TestHelpNamesEveryKind: the -design help lists exactly the kinds
+// the registry builds.
+func TestHelpNamesEveryKind(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-h"}, &b); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	_, list, ok := strings.Cut(b.String(), "design kind: ")
+	if !ok {
+		t.Fatalf("no design kind list in:\n%s", b.String())
+	}
+	list, _, _ = strings.Cut(list, " (default")
+	var want []string
+	for _, k := range expt.AllKinds() {
+		want = append(want, string(k))
+	}
+	if got := strings.Split(list, ", "); !slices.Equal(got, want) {
+		t.Fatalf("-design help lists %q, want %q", got, want)
 	}
 }
 

@@ -224,7 +224,7 @@ func (a *Array) InvalidateAll() {
 }
 
 // DirtyCount returns the number of valid dirty lines (O(lines); used by
-// invariant checks and tests, not on the fast path).
+// invariant checks, tests and checkpoints, not on the access path).
 func (a *Array) DirtyCount() int {
 	n := 0
 	for s := range a.sets {

@@ -16,19 +16,18 @@ import (
 // under power failures produce wrong results, motivating WL-Cache.
 type BrokenVolatileWB struct {
 	wbCache
-	jit energy.JITCosts
+	// The JIT checkpoint saves registers only: dirty cache lines are
+	// abandoned, which is the design's flaw.
+	regJIT
 }
 
 // NewBrokenVolatileWB builds the unsafe design.
 func NewBrokenVolatileWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, nvm *mem.NVM) *BrokenVolatileWB {
-	return &BrokenVolatileWB{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit}
+	return &BrokenVolatileWB{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), regJIT: regJIT{jit}}
 }
 
 // Name identifies the design.
 func (d *BrokenVolatileWB) Name() string { return "VolatileWB(broken)" }
-
-// Array exposes the cache array for tests.
-func (d *BrokenVolatileWB) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at SRAM speed.
 func (d *BrokenVolatileWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
@@ -37,23 +36,11 @@ func (d *BrokenVolatileWB) Access(now int64, op isa.Op, addr, val uint32) (uint3
 	return v, done, eb
 }
 
-// Checkpoint saves registers only — dirty cache lines are abandoned.
-func (d *BrokenVolatileWB) Checkpoint(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
-	eb.Checkpoint += d.jit.RegCheckpointEnergy
-	return now + d.jit.RegCheckpointTime, eb
-}
-
 // Restore boots with a cold cache; whatever was dirty is gone.
 func (d *BrokenVolatileWB) Restore(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
 	d.arr.InvalidateAll()
-	eb.Restore += d.jit.RestoreEnergy
-	return now + d.jit.RestoreTime, eb
+	return d.regJIT.Restore(now)
 }
-
-// ReserveEnergy covers registers only.
-func (d *BrokenVolatileWB) ReserveEnergy() float64 { return d.jit.BaseReserve }
 
 // LeakPower is the SRAM leakage.
 func (d *BrokenVolatileWB) LeakPower() float64 { return d.tech.Leakage }

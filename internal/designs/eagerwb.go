@@ -19,8 +19,10 @@ import (
 // WL-Cache's maxline turns the same eager-cleaning idea into a hard
 // bound, which is what shrinks the reserve.
 type EagerWB struct {
-	wb  wbCache
-	jit energy.JITCosts
+	wbCache
+	// Past the dirty-line flush, the JIT checkpoint saves registers
+	// only, and the cache comes up cold after every outage.
+	regJIT
 	// lineReserve is the worst-case per-line checkpoint energy (full
 	// NVM line write, as for WL-Cache).
 	lineReserve float64
@@ -33,8 +35,8 @@ type EagerWB struct {
 // NewEagerWB builds the eager write-back design.
 func NewEagerWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, nvm *mem.NVM) *EagerWB {
 	return &EagerWB{
-		wb:          newWBCache(geo, cache.SRAMTech(), pol, nvm),
-		jit:         jit,
+		wbCache:     newWBCache(geo, cache.SRAMTech(), pol, nvm),
+		regJIT:      regJIT{jit},
 		lineReserve: 75e-9,
 		idleWindow:  200_000, // 200 ns of bus idleness
 	}
@@ -42,9 +44,6 @@ func NewEagerWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITC
 
 // Name identifies the design.
 func (d *EagerWB) Name() string { return "EagerWB" }
-
-// Array exposes the cache array for tests.
-func (d *EagerWB) Array() *cache.Array { return d.wb.arr }
 
 // Access performs the write-back access and, when the NVM port has
 // been idle for a while, opportunistically flushes one dirty line.
@@ -57,8 +56,8 @@ func (d *EagerWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64,
 // AccessEB is the pointer-breakdown fast path (sim.EBAccessor).
 func (d *EagerWB) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
 	// Bus idleness is judged before this access touches the port.
-	idle := now-d.wb.nvm.BusyUntil() >= d.idleWindow
-	v, done := d.wb.AccessEB(now, op, addr, val, eb)
+	idle := now-d.nvm.BusyUntil() >= d.idleWindow
+	v, done := d.wbCache.AccessEB(now, op, addr, val, eb)
 	if idle {
 		d.flushOne(done, eb)
 	}
@@ -69,7 +68,7 @@ func (d *EagerWB) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Br
 func (d *EagerWB) flushOne(now int64, eb *energy.Breakdown) {
 	var target *cache.Line
 	var targetAddr uint32
-	d.wb.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
+	d.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
 		if target == nil && ln.Dirty {
 			target, targetAddr = ln, addr
 		}
@@ -77,7 +76,7 @@ func (d *EagerWB) flushOne(now int64, eb *energy.Breakdown) {
 	if target == nil {
 		return
 	}
-	_, e := d.wb.nvm.WriteLineAsync(now, targetAddr, target.Data)
+	_, e := d.nvm.WriteLineAsync(now, targetAddr, target.Data)
 	eb.MemWrite += e
 	target.Dirty = false
 	d.extra.Writebacks++
@@ -88,9 +87,9 @@ func (d *EagerWB) flushOne(now int64, eb *energy.Breakdown) {
 func (d *EagerWB) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	t := now
-	d.wb.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
+	d.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
 		if ln.Dirty {
-			done, e := d.wb.nvm.WriteLine(t, addr, ln.Data)
+			done, e := d.nvm.WriteLine(t, addr, ln.Data)
 			eb.Checkpoint += e
 			t = done
 			ln.Dirty = false
@@ -104,25 +103,23 @@ func (d *EagerWB) Checkpoint(now int64) (int64, energy.Breakdown) {
 
 // Restore boots cold.
 func (d *EagerWB) Restore(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
-	d.wb.arr.InvalidateAll()
-	eb.Restore += d.jit.RestoreEnergy
-	return now + d.jit.RestoreTime, eb
+	d.arr.InvalidateAll()
+	return d.regJIT.Restore(now)
 }
 
 // ReserveEnergy must cover every line: eager flushing gives no bound
 // (the design's fatal flaw for energy harvesting, §7).
 func (d *EagerWB) ReserveEnergy() float64 {
-	return d.jit.BaseReserve + float64(d.wb.arr.Geometry().Lines())*d.lineReserve
+	return d.jit.BaseReserve + float64(d.arr.Geometry().Lines())*d.lineReserve
 }
 
 // LeakPower is the SRAM array leakage.
-func (d *EagerWB) LeakPower() float64 { return d.wb.tech.Leakage }
+func (d *EagerWB) LeakPower() float64 { return d.tech.Leakage }
 
 // ExtraStats returns flush counters.
 func (d *EagerWB) ExtraStats() stats.DesignExtra { return d.extra }
 
 // DurableEqual: after a checkpoint the NVM image alone must match.
 func (d *EagerWB) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), nil)
+	return cache.DurableEqual(golden, d.nvm.Image(), nil)
 }

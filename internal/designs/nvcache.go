@@ -14,19 +14,18 @@ import (
 // writes) and high leakage at runtime.
 type NVCacheWB struct {
 	wbCache
-	jit energy.JITCosts
+	// The JIT checkpoint saves registers only, and the cache boots
+	// warm: the non-volatile array kept its contents.
+	regJIT
 }
 
 // NewNVCacheWB builds the non-volatile write-back design.
 func NewNVCacheWB(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, nvm *mem.NVM) *NVCacheWB {
-	return &NVCacheWB{wbCache: newWBCache(geo, cache.NVRAMTech(), pol, nvm), jit: jit}
+	return &NVCacheWB{wbCache: newWBCache(geo, cache.NVRAMTech(), pol, nvm), regJIT: regJIT{jit}}
 }
 
 // Name identifies the design.
 func (d *NVCacheWB) Name() string { return "NVCache-WB" }
-
-// Array exposes the cache array for tests.
-func (d *NVCacheWB) Array() *cache.Array { return d.arr }
 
 // Access is a conventional write-back access at NVRAM speed.
 func (d *NVCacheWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
@@ -34,23 +33,6 @@ func (d *NVCacheWB) Access(now int64, op isa.Op, addr, val uint32) (uint32, int6
 	v, done := d.AccessEB(now, op, addr, val, &eb)
 	return v, done, eb
 }
-
-// Checkpoint persists registers only: the cache is non-volatile.
-func (d *NVCacheWB) Checkpoint(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
-	eb.Checkpoint += d.jit.RegCheckpointEnergy
-	return now + d.jit.RegCheckpointTime, eb
-}
-
-// Restore boots with a warm cache: contents survived.
-func (d *NVCacheWB) Restore(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
-	eb.Restore += d.jit.RestoreEnergy
-	return now + d.jit.RestoreTime, eb
-}
-
-// ReserveEnergy covers registers only.
-func (d *NVCacheWB) ReserveEnergy() float64 { return d.jit.BaseReserve }
 
 // LeakPower is the NV array leakage (§6.2 puts WL-Cache's DirtyQueue
 // at 9% of this).

@@ -60,9 +60,6 @@ func NewNVSRAM(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCo
 // Name identifies the design.
 func (d *NVSRAM) Name() string { return "NVSRAM(ideal)" }
 
-// Array exposes the cache array for tests.
-func (d *NVSRAM) Array() *cache.Array { return d.arr }
-
 // Access is a conventional write-back access at SRAM speed.
 func (d *NVSRAM) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
 	var eb energy.Breakdown
@@ -77,12 +74,7 @@ func (d *NVSRAM) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, 
 func (d *NVSRAM) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	t := now
-	dirty := 0
-	d.arr.ForEachLine(func(addr uint32, ln *cache.Line) {
-		if ln.Dirty {
-			dirty++
-		}
-	})
+	dirty := d.arr.DirtyCount()
 	t += int64(dirty) * d.params.LineCheckpointTime
 	eb.Checkpoint += float64(dirty) * d.params.LineCheckpointEnergy
 	d.extra.CheckpointLines += uint64(dirty)

@@ -2,7 +2,6 @@ package designs
 
 import (
 	"fmt"
-	"math/bits"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/energy"
@@ -25,30 +24,16 @@ import (
 // living in NV ways is slow and expensive to access, and the eager NV
 // write-backs add main-memory traffic, which is why the paper ranks
 // its performance "Medium" (Table 1).
+//
+// The two kinds of way are two LRU banks of the same sets, each with
+// half the ways; a line lives in at most one of them.
 type NVSRAMPractical struct {
-	geo      cache.Geometry
-	sram     cache.Tech
-	nv       cache.Tech
-	jit      energy.JITCosts
-	params   NVSRAMParams
-	nvm      *mem.NVM
-	ways     []hybridWay // set-major: set s is ways[s*geo.Ways:(s+1)*geo.Ways]
-	setShift uint32
-	setMask  uint32
-	tagShift uint32 // setShift + the set-index width, precomputed
-	offMask  uint32
-	clock    uint64
-	extra    stats.DesignExtra
-}
-
-// hybridWay is one way of a hybrid set.
-type hybridWay struct {
-	tag     uint32
-	valid   bool
-	dirty   bool
-	isNV    bool
-	lastUse uint64
-	data    []uint32
+	sram, nv         *cache.Array
+	sramTech, nvTech cache.Tech
+	jit              energy.JITCosts
+	params           NVSRAMParams
+	nvm              *mem.NVM
+	extra            stats.DesignExtra
 }
 
 // NewNVSRAMPractical builds the hybrid design; geo.Ways is split
@@ -60,73 +45,20 @@ func NewNVSRAMPractical(geo cache.Geometry, jit energy.JITCosts, params NVSRAMPa
 	if geo.Ways%2 != 0 {
 		panic(fmt.Sprintf("designs: NVSRAM(practical) needs an even way count, got %d", geo.Ways))
 	}
-	d := &NVSRAMPractical{
-		geo:    geo,
-		sram:   cache.SRAMTech(),
-		nv:     cache.NVRAMTech(),
-		jit:    jit,
-		params: params,
-		nvm:    nvm,
+	bank := cache.Geometry{SizeBytes: geo.SizeBytes / 2, Ways: geo.Ways / 2, LineBytes: geo.LineBytes}
+	return &NVSRAMPractical{
+		sram:     cache.NewArray(bank, cache.LRU),
+		nv:       cache.NewArray(bank, cache.LRU),
+		sramTech: cache.SRAMTech(),
+		nvTech:   cache.NVRAMTech(),
+		jit:      jit,
+		params:   params,
+		nvm:      nvm,
 	}
-	// One slab for the ways and one for their data, as cache.NewArray
-	// lays out its lines.
-	lw := geo.LineWords()
-	d.ways = make([]hybridWay, geo.Lines())
-	slab := make([]uint32, geo.Lines()*lw)
-	for i := range d.ways {
-		d.ways[i].isNV = i%geo.Ways >= geo.Ways/2
-		d.ways[i].data = slab[i*lw : (i+1)*lw : (i+1)*lw]
-	}
-	d.offMask = uint32(geo.LineBytes - 1)
-	shift := uint32(0)
-	for 1<<shift < geo.LineBytes {
-		shift++
-	}
-	d.setShift = shift
-	d.setMask = uint32(geo.Sets() - 1)
-	d.tagShift = shift + uint32(bits.Len32(d.setMask))
-	return d
 }
 
 // Name identifies the design.
 func (d *NVSRAMPractical) Name() string { return "NVSRAM(practical)" }
-
-func (d *NVSRAMPractical) setIndex(addr uint32) uint32 { return (addr >> d.setShift) & d.setMask }
-
-func (d *NVSRAMPractical) tagOf(addr uint32) uint32 { return addr >> d.tagShift }
-
-func (d *NVSRAMPractical) lineAddr(addr uint32) uint32 { return addr &^ d.offMask }
-
-func (d *NVSRAMPractical) wordIndex(addr uint32) int { return int(addr&d.offMask) >> 2 }
-
-func (d *NVSRAMPractical) addrOf(setIdx uint32, w *hybridWay) uint32 {
-	return w.tag<<d.tagShift | setIdx<<d.setShift
-}
-
-// set returns the ways of set setIdx.
-func (d *NVSRAMPractical) set(setIdx uint32) []hybridWay {
-	return d.ways[int(setIdx)*d.geo.Ways : int(setIdx+1)*d.geo.Ways]
-}
-
-// lookup finds the way holding addr, if any.
-func (d *NVSRAMPractical) lookup(addr uint32) *hybridWay {
-	set := d.set(d.setIndex(addr))
-	tag := d.tagOf(addr)
-	for w := range set {
-		if set[w].valid && set[w].tag == tag {
-			return &set[w]
-		}
-	}
-	return nil
-}
-
-// techOf returns the technology parameters for a way.
-func (d *NVSRAMPractical) techOf(w *hybridWay) *cache.Tech {
-	if w.isNV {
-		return &d.nv
-	}
-	return &d.sram
-}
 
 // Access serves one memory operation.
 func (d *NVSRAMPractical) Access(now int64, op isa.Op, addr, val uint32) (uint32, int64, energy.Breakdown) {
@@ -142,172 +74,128 @@ func (d *NVSRAMPractical) Access(now int64, op isa.Op, addr, val uint32) (uint32
 // associates as the window.Add(&one) that recorded this
 // design's results did.
 func (d *NVSRAMPractical) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	d.clock++
-	if w := d.lookup(addr); w != nil {
-		return d.serve(now, w, op, addr, val, eb)
+	if ln, hit := d.sram.Lookup(addr); hit {
+		d.sram.Touch(ln)
+		return d.serve(now, ln, false, op, addr, val, eb)
+	}
+	if ln, hit := d.nv.Lookup(addr); hit {
+		d.nv.Touch(ln)
+		return d.serve(now, ln, true, op, addr, val, eb)
 	}
 	// Miss: probe both banks, fill into an SRAM way.
-	t := now + d.sram.ProbeLatency
-	if d.nv.ProbeLatency > d.sram.ProbeLatency {
-		t = now + d.nv.ProbeLatency
-	}
+	t := now + max(d.sramTech.ProbeLatency, d.nvTech.ProbeLatency)
 	var one energy.Breakdown
-	one.CacheRead += d.sram.ProbeEnergy + d.nv.ProbeEnergy
-	w, t := d.fill(t, addr, &one)
-	v, done := d.serve(t, w, op, addr, val, &one)
+	one.CacheRead += d.sramTech.ProbeEnergy + d.nvTech.ProbeEnergy
+	ln, t := d.fill(t, addr, &one)
+	v, done := d.serve(t, ln, false, op, addr, val, &one)
 	eb.Add(&one)
 	return v, done
 }
 
-// serve performs op on the resident way w from time t.
-func (d *NVSRAMPractical) serve(t int64, w *hybridWay, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
-	w.lastUse = d.clock
-	tech := d.techOf(w)
+// serve performs op on the resident line ln (of the NV bank if nv)
+// from time t.
+func (d *NVSRAMPractical) serve(t int64, ln *cache.Line, nv bool, op isa.Op, addr, val uint32, eb *energy.Breakdown) (uint32, int64) {
+	tech := &d.sramTech
+	if nv {
+		tech = &d.nvTech
+	}
 	if op == isa.OpLoad {
 		eb.CacheRead += tech.ReadEnergy
-		return w.data[d.wordIndex(addr)], t + tech.HitLatency
+		return ln.Data[d.sram.WordIndex(addr)], t + tech.HitLatency
 	}
-	w.data[d.wordIndex(addr)] = val
+	ln.Data[d.sram.WordIndex(addr)] = val
 	eb.CacheWrite += tech.WriteEnergy
 	t += tech.WriteLatency
-	if w.isNV {
+	if nv {
 		// A dirty NV line would block JIT checkpointing; write it back
 		// eagerly (asynchronously on the NVM port) and keep it clean.
-		setIdx := d.setIndex(addr)
-		_, e := d.nvm.WriteLineAsync(t, d.addrOf(setIdx, w), w.data)
+		_, e := d.nvm.WriteLineAsync(t, d.nv.LineAddr(addr), ln.Data)
 		eb.MemWrite += e
-		w.dirty = false
+		ln.Dirty = false
 		d.extra.Writebacks++
 	} else {
-		w.dirty = true
+		ln.Dirty = true
 	}
 	return val, t
 }
 
-// fill installs the line for addr into an SRAM way, migrating the
-// SRAM victim into an NV way if it is dirty.
-func (d *NVSRAMPractical) fill(t int64, addr uint32, eb *energy.Breakdown) (*hybridWay, int64) {
-	setIdx := d.setIndex(addr)
-	victim := d.pickVictim(d.set(setIdx), false)
-	if victim.valid && victim.dirty {
-		t = d.migrate(t, setIdx, victim, eb)
+// fill installs the line for addr into an SRAM way. A dirty SRAM
+// victim first migrates into an NV way of the same set and is
+// persisted at once, keeping the NV way clean.
+func (d *NVSRAMPractical) fill(t int64, addr uint32, eb *energy.Breakdown) (*cache.Line, int64) {
+	lineAddr := d.sram.LineAddr(addr)
+	victim := d.sram.Victim(lineAddr)
+	if victim.Valid && victim.Dirty {
+		vaddr := d.sram.VictimAddr(victim, lineAddr)
+		dst, tc, pushE := d.toNV(t, vaddr, victim)
+		eb.MemWrite += pushE
+		eb.CacheWrite += d.params.LineCheckpointEnergy
+		done, e := d.nvm.WriteLine(tc, vaddr, dst.Data)
+		eb.MemWrite += e
+		t = done
+		d.extra.Writebacks++
 	}
-	lineAddr := d.lineAddr(addr)
-	done, e := d.nvm.ReadLine(t, lineAddr, victim.data)
+	d.sram.Fill(victim, lineAddr)
+	done, e := d.nvm.ReadLine(t, lineAddr, victim.Data)
 	eb.MemRead += e
-	victim.tag = d.tagOf(addr)
-	victim.valid = true
-	victim.dirty = false
-	victim.lastUse = d.clock
 	return victim, done
 }
 
-// pickVictim chooses the LRU way of the requested bank (invalid ways
-// first).
-func (d *NVSRAMPractical) pickVictim(set []hybridWay, nvBank bool) *hybridWay {
-	var best *hybridWay
-	for w := range set {
-		way := &set[w]
-		if way.isNV != nvBank {
-			continue
-		}
-		if !way.valid {
-			return way
-		}
-		if best == nil || way.lastUse < best.lastUse {
-			best = way
-		}
+// toNV moves the SRAM line src, whose address is addr, into the NV
+// bank's victim way by an on-chip copy. A dirty NV victim is pushed
+// out to NVM first; pushE is that write's energy (0 without one). It
+// returns the NV line and when the copy is done.
+func (d *NVSRAMPractical) toNV(t int64, addr uint32, src *cache.Line) (dst *cache.Line, done int64, pushE float64) {
+	dst = d.nv.Victim(addr)
+	if dst.Valid && dst.Dirty {
+		t, pushE = d.nvm.WriteLine(t, d.nv.VictimAddr(dst, addr), dst.Data)
 	}
-	return best
+	d.nv.Fill(dst, addr)
+	copy(dst.Data, src.Data)
+	src.Valid, src.Dirty = false, false
+	return dst, t + d.params.LineCheckpointTime, pushE
 }
 
-// migrate moves a dirty SRAM line into an NV way of the same set and
-// immediately persists it (keeping NV ways clean); the NV victim, if
-// valid and dirty, is written back first.
-func (d *NVSRAMPractical) migrate(t int64, setIdx uint32, src *hybridWay, eb *energy.Breakdown) int64 {
-	dst := d.pickVictim(d.set(setIdx), true)
-	if dst.valid && dst.dirty {
-		done, e := d.nvm.WriteLine(t, d.addrOf(setIdx, dst), dst.data)
-		eb.MemWrite += e
-		t = done
-	}
-	// On-chip SRAM->NV copy.
-	t += d.params.LineCheckpointTime
-	eb.CacheWrite += d.params.LineCheckpointEnergy
-	copy(dst.data, src.data)
-	dst.tag = src.tag
-	dst.valid = true
-	dst.lastUse = d.clock
-	// Persist the migrated line so the NV way stays clean.
-	done, e := d.nvm.WriteLine(t, d.addrOf(setIdx, dst), dst.data)
-	eb.MemWrite += e
-	dst.dirty = false
-	src.valid = false
-	src.dirty = false
-	d.extra.Writebacks++
-	return done
-}
-
-// Checkpoint migrates every remaining dirty SRAM line into an NV way.
+// Checkpoint moves every remaining dirty SRAM line into an NV way
+// under checkpoint power. There is no time for a main-NVM write: the
+// NV copy itself is durable, so it stays dirty with respect to NVM.
+// The runtime policy keeps NV lines clean, so a push-out (covered by
+// the reserve) happens only if a previous checkpoint parked a line in
+// the victim way.
 func (d *NVSRAMPractical) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	t := now
-	for i := range d.ways {
-		if way := &d.ways[i]; way.valid && way.dirty && !way.isNV {
-			t = d.checkpointMigrate(t, uint32(i/d.geo.Ways), way, &eb)
-			d.extra.CheckpointLines++
+	d.sram.ForEachLine(func(addr uint32, ln *cache.Line) {
+		if !ln.Dirty {
+			return
 		}
-	}
+		dst, done, pushE := d.toNV(t, addr, ln)
+		eb.Checkpoint += pushE
+		eb.Checkpoint += d.params.LineCheckpointEnergy
+		dst.Dirty = true
+		t = done
+		d.extra.CheckpointLines++
+	})
 	t += d.jit.RegCheckpointTime
 	eb.Checkpoint += d.jit.RegCheckpointEnergy
 	return t, eb
 }
 
-// checkpointMigrate copies a dirty SRAM line into a clean NV way
-// under checkpoint power (no time for a main-NVM write: the NV copy
-// itself is durable, so the NV line stays dirty with respect to NVM).
-func (d *NVSRAMPractical) checkpointMigrate(t int64, setIdx uint32, src *hybridWay, eb *energy.Breakdown) int64 {
-	dst := d.pickVictim(d.set(setIdx), true)
-	if dst.valid && dst.dirty {
-		// The runtime policy keeps NV lines clean, so this only
-		// happens if a previous checkpoint parked a line here; push it
-		// out to NVM first (covered by the reserve).
-		done, e := d.nvm.WriteLine(t, d.addrOf(setIdx, dst), dst.data)
-		eb.Checkpoint += e
-		t = done
-	}
-	t += d.params.LineCheckpointTime
-	eb.Checkpoint += d.params.LineCheckpointEnergy
-	copy(dst.data, src.data)
-	dst.tag = src.tag
-	dst.valid = true
-	dst.dirty = true // differs from main NVM; durable via the NV cell
-	dst.lastUse = d.clock
-	src.valid = false
-	src.dirty = false
-	return t
-}
-
-// Restore keeps NV ways (non-volatile), drops SRAM ways, and writes
-// back any dirty NV lines parked by the checkpoint to re-establish
-// clean-NV headroom.
+// Restore keeps the NV bank (non-volatile), drops the SRAM bank, and
+// writes back any dirty NV lines parked by the checkpoint to
+// re-establish clean-NV headroom.
 func (d *NVSRAMPractical) Restore(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	t := now
-	for i := range d.ways {
-		way := &d.ways[i]
-		if !way.isNV {
-			way.valid = false
-			way.dirty = false
-			continue
-		}
-		if way.valid && way.dirty {
-			done, e := d.nvm.WriteLine(t, d.addrOf(uint32(i/d.geo.Ways), way), way.data)
+	d.sram.InvalidateAll()
+	d.nv.ForEachLine(func(addr uint32, ln *cache.Line) {
+		if ln.Dirty {
+			done, e := d.nvm.WriteLine(t, addr, ln.Data)
 			eb.Restore += e
-			way.dirty = false
+			ln.Dirty = false
 			t = done
 		}
-	}
+	})
 	t += d.jit.RestoreTime
 	eb.Restore += d.jit.RestoreEnergy
 	return t, eb
@@ -316,29 +204,20 @@ func (d *NVSRAMPractical) Restore(now int64) (int64, energy.Breakdown) {
 // ReserveEnergy covers the SRAM half of the cache (medium, Table 1):
 // on-chip migrations plus the worst-case NV push-outs.
 func (d *NVSRAMPractical) ReserveEnergy() float64 {
-	sramLines := float64(d.geo.Lines() / 2)
+	sramLines := float64(d.sram.Geometry().Lines())
 	return d.jit.BaseReserve + sramLines*d.params.LineReserve
 }
 
 // LeakPower is half SRAM, half NV-array leakage.
 func (d *NVSRAMPractical) LeakPower() float64 {
-	return d.sram.Leakage/2 + d.nv.Leakage/2
+	return d.sramTech.Leakage/2 + d.nvTech.Leakage/2
 }
 
 // ExtraStats returns migration/checkpoint counters.
 func (d *NVSRAMPractical) ExtraStats() stats.DesignExtra { return d.extra }
 
-// DurableEqual overlays the non-volatile ways onto the NVM image (the
-// SRAM ways are volatile and must not be needed).
+// DurableEqual overlays the NV bank onto the NVM image (the SRAM bank
+// is volatile and must not be needed).
 func (d *NVSRAMPractical) DurableEqual(golden *mem.Store) error {
-	view := d.nvm.Image().Clone()
-	for i := range d.ways {
-		if way := &d.ways[i]; way.valid && way.isNV {
-			view.WriteLine(d.addrOf(uint32(i/d.geo.Ways), way), way.data)
-		}
-	}
-	if diff := golden.FirstDiff(view); diff != "" {
-		return fmt.Errorf("durable state diverged from architectural state: %s", diff)
-	}
-	return nil
+	return cache.DurableEqual(golden, d.nvm.Image(), d.nv)
 }

@@ -1,6 +1,8 @@
 package designs
 
 import (
+	"fmt"
+
 	"wlcache/internal/cache"
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
@@ -37,8 +39,11 @@ func DefaultReplayParams() ReplayParams {
 // model charges as a restore-time penalty equal to the work since the
 // last completed region boundary.
 type ReplayCache struct {
-	wb     wbCache
-	jit    energy.JITCosts
+	wbCache
+	// Power failure saves registers only (Table 1: "Small" buffer):
+	// pending region work is abandoned, and Restore charges its
+	// re-execution.
+	regJIT
 	params ReplayParams
 
 	storesInRegion  int
@@ -52,19 +57,17 @@ type ReplayCache struct {
 // the event timeline (sim.ObserverBinder).
 func (d *ReplayCache) BindObserver(r *obs.Recorder) { d.rec = r }
 
-// NewReplayCache builds the ReplayCache model.
+// NewReplayCache builds the ReplayCache model. It panics on a region
+// of no stores (a configuration bug).
 func NewReplayCache(geo cache.Geometry, pol cache.ReplacementPolicy, jit energy.JITCosts, params ReplayParams, nvm *mem.NVM) *ReplayCache {
 	if params.RegionStores <= 0 {
-		params.RegionStores = 16
+		panic(fmt.Sprintf("designs: ReplayCache needs at least one store per region, got %d", params.RegionStores))
 	}
-	return &ReplayCache{wb: newWBCache(geo, cache.SRAMTech(), pol, nvm), jit: jit, params: params}
+	return &ReplayCache{wbCache: newWBCache(geo, cache.SRAMTech(), pol, nvm), regJIT: regJIT{jit}, params: params}
 }
 
 // Name identifies the design.
 func (d *ReplayCache) Name() string { return "ReplayCache" }
-
-// Array exposes the cache array for tests.
-func (d *ReplayCache) Array() *cache.Array { return d.wb.arr }
 
 // Access performs the write-back access; stores additionally enqueue
 // an asynchronous NVM word persist, and every RegionStores-th store
@@ -80,34 +83,34 @@ func (d *ReplayCache) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energ
 	var v uint32
 	var done int64
 	if op == isa.OpLoad {
-		v, done = d.wb.AccessEB(now, op, addr, val, eb)
+		v, done = d.wbCache.AccessEB(now, op, addr, val, eb)
 	} else {
 		// Stores are persisted through to NVM, so there is no point
 		// allocating on a miss, and a cached copy is updated in place
 		// but left clean (no eviction write-back will ever be needed).
 		v, done = val, now
-		eb.CacheWrite += d.wb.replE
-		if ln, ok := d.wb.arr.Lookup(addr); ok {
-			ln.Data[d.wb.arr.WordIndex(addr)] = val
+		eb.CacheWrite += d.replE
+		if ln, ok := d.arr.Lookup(addr); ok {
+			ln.Data[d.arr.WordIndex(addr)] = val
 			ln.Dirty = false
-			d.wb.arr.Touch(ln)
-			eb.CacheWrite += d.wb.tech.WriteEnergy
-			done += d.wb.tech.WriteLatency
+			d.arr.Touch(ln)
+			eb.CacheWrite += d.tech.WriteEnergy
+			done += d.tech.WriteLatency
 		} else {
-			eb.CacheWrite += d.wb.tech.ProbeEnergy
-			done += d.wb.tech.ProbeLatency
+			eb.CacheWrite += d.tech.ProbeEnergy
+			done += d.tech.ProbeLatency
 		}
 		// Asynchronous persist: occupies the NVM port but does not
 		// extend the store's completion time.
-		_, e := d.wb.nvm.WriteWordAsync(done, addr, val)
+		_, e := d.nvm.WriteWordAsync(done, addr, val)
 		eb.MemWrite += e
 		d.storesInRegion++
 		if d.storesInRegion >= d.params.RegionStores {
 			// Region boundary: wait for every outstanding persist.
-			if busy := d.wb.nvm.BusyUntil(); busy > done {
+			if busy := d.nvm.BusyUntil(); busy > done {
 				d.extra.StallTime += busy - done
 				d.extra.Stalls++
-				d.rec.StoreStall(done, busy, d.wb.arr.LineAddr(addr))
+				d.rec.StoreStall(done, busy, d.arr.LineAddr(addr))
 				done = busy
 			}
 			d.storesInRegion = 0
@@ -118,19 +121,11 @@ func (d *ReplayCache) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energ
 	return v, done
 }
 
-// Checkpoint persists registers only; pending region work is simply
-// abandoned (it will be re-executed).
-func (d *ReplayCache) Checkpoint(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
-	eb.Checkpoint += d.jit.RegCheckpointEnergy
-	return now + d.jit.RegCheckpointTime, eb
-}
-
 // Restore boots cold and charges the re-execution of the interrupted
 // region (time plus compute energy).
 func (d *ReplayCache) Restore(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
-	d.wb.arr.InvalidateAll()
+	d.arr.InvalidateAll()
 	penalty := d.lastEventTime - d.lastBarrierTime
 	if penalty < 0 {
 		penalty = 0
@@ -148,12 +143,8 @@ func (d *ReplayCache) Restore(now int64) (int64, energy.Breakdown) {
 	return done, eb
 }
 
-// ReserveEnergy covers registers only: ReplayCache's selling point is
-// that no cache state needs checkpointing (Table 1: "Small" buffer).
-func (d *ReplayCache) ReserveEnergy() float64 { return d.jit.BaseReserve }
-
 // LeakPower is the SRAM array leakage.
-func (d *ReplayCache) LeakPower() float64 { return d.wb.tech.Leakage }
+func (d *ReplayCache) LeakPower() float64 { return d.tech.Leakage }
 
 // ExtraStats returns barrier counters.
 func (d *ReplayCache) ExtraStats() stats.DesignExtra { return d.extra }
@@ -162,5 +153,5 @@ func (d *ReplayCache) ExtraStats() stats.DesignExtra { return d.extra }
 // time (re-execution would regenerate any in-flight tail), so the
 // image alone must match.
 func (d *ReplayCache) DurableEqual(golden *mem.Store) error {
-	return cache.DurableEqual(golden, d.wb.nvm.Image(), nil)
+	return cache.DurableEqual(golden, d.nvm.Image(), nil)
 }

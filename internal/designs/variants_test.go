@@ -9,15 +9,22 @@ import (
 )
 
 // The NVSRAM full/practical variants and the §3.3 write-buffer design
-// join the shared correctness matrix.
+// join the shared correctness matrix. Every run builds nvsram-practical
+// at the default 2 ways, one per bank; the 4-way build on a 4-set array
+// (two ways per bank) makes the matrix's streams choose victims by LRU
+// inside each bank.
 func variantDUTs() []dut {
 	geo := cache.DefaultGeometry()
+	small4 := cache.Geometry{SizeBytes: 1024, Ways: 4, LineBytes: 64}
 	return []dut{
 		{"nvsram-full", func(n *mem.NVM) designIface {
 			return NewNVSRAMFull(geo, cache.LRU, jit(), DefaultNVSRAMParams(), n)
 		}, true},
 		{"nvsram-practical", func(n *mem.NVM) designIface {
 			return NewNVSRAMPractical(geo, jit(), DefaultNVSRAMParams(), n)
+		}, true},
+		{"nvsram-practical-4way", func(n *mem.NVM) designIface {
+			return NewNVSRAMPractical(small4, jit(), DefaultNVSRAMParams(), n)
 		}, true},
 		{"wt-buffer", func(n *mem.NVM) designIface {
 			return NewWTBuffer(geo, cache.SRAMTech(), cache.LRU, jit(), DefaultWTBufferParams(), n)
@@ -148,6 +155,33 @@ func TestNVSRAMPracticalRejectsOddWays(t *testing.T) {
 		}
 	}()
 	NewNVSRAMPractical(cache.Geometry{SizeBytes: 8192, Ways: 1, LineBytes: 64}, jit(), DefaultNVSRAMParams(), newNVM())
+}
+
+// TestConstructorsRejectBadParams: a parameter that would leave a
+// design unable to run is a configuration bug, caught at build time
+// rather than replaced by a hidden default.
+func TestConstructorsRejectBadParams(t *testing.T) {
+	geo := cache.DefaultGeometry()
+	noRegion := DefaultReplayParams()
+	noRegion.RegionStores = 0
+	noSlots := DefaultWTBufferParams()
+	noSlots.Slots = 0
+	for _, tc := range []struct {
+		name  string
+		build func()
+	}{
+		{"replaycache RegionStores 0", func() { NewReplayCache(geo, cache.LRU, jit(), noRegion, newNVM()) }},
+		{"wt-buffer Slots 0", func() { NewWTBuffer(geo, cache.SRAMTech(), cache.LRU, jit(), noSlots, newNVM()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("accepted")
+				}
+			}()
+			tc.build()
+		})
+	}
 }
 
 func TestWTBufferForwardsFromBuffer(t *testing.T) {

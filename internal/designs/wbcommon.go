@@ -8,9 +8,9 @@ import (
 )
 
 // wbCache is the conventional write-back, write-allocate access logic
-// shared by NVCache-WB, NVSRAM and ReplayCache. Dirty victims are
-// written back to NVM on eviction; stores dirty the line and stay in
-// the cache.
+// shared by NVCache-WB, the NVSRAM twins, EagerWB, ReplayCache and the
+// broken volatile control. Dirty victims are written back to NVM on
+// eviction; stores dirty the line and stay in the cache.
 type wbCache struct {
 	arr   *cache.Array
 	tech  cache.Tech
@@ -26,6 +26,9 @@ func newWBCache(geo cache.Geometry, tech cache.Tech, pol cache.ReplacementPolicy
 		replE: tech.ReplacementEnergy[pol],
 	}
 }
+
+// Array exposes the cache array for tests.
+func (c *wbCache) Array() *cache.Array { return c.arr }
 
 // AccessEB performs one conventional write-back access. The designs
 // that embed wbCache promote it as their sim.EBAccessor method.

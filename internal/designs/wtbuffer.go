@@ -1,6 +1,8 @@
 package designs
 
 import (
+	"fmt"
+
 	"wlcache/internal/cache"
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
@@ -54,12 +56,11 @@ type wtBufEntry struct {
 // buffer. Implemented so the §3.3 claim can be measured instead of
 // taken on faith (experiment id "sec33").
 type WTBuffer struct {
-	arr    *cache.Array
-	tech   cache.Tech
-	nvm    *mem.NVM
-	jit    energy.JITCosts
+	wtCache
+	// Past the buffer flush, the JIT checkpoint saves registers only,
+	// and the cache comes up cold after every outage.
+	regJIT
 	params WTBufferParams
-	replE  float64 // tech.ReplacementEnergy[policy], hoisted off the access path
 	buf    []wtBufEntry
 	extra  stats.DesignExtra
 	rec    *obs.Recorder
@@ -69,19 +70,13 @@ type WTBuffer struct {
 // event timeline (sim.ObserverBinder).
 func (d *WTBuffer) BindObserver(r *obs.Recorder) { d.rec = r }
 
-// NewWTBuffer builds the write-through + write-buffer design.
+// NewWTBuffer builds the write-through + write-buffer design. It
+// panics on a buffer with no slots (a configuration bug).
 func NewWTBuffer(geo cache.Geometry, tech cache.Tech, pol cache.ReplacementPolicy, jit energy.JITCosts, params WTBufferParams, nvm *mem.NVM) *WTBuffer {
 	if params.Slots <= 0 {
-		params.Slots = 8
+		panic(fmt.Sprintf("designs: VCache-WT+buf needs at least one buffer slot, got %d", params.Slots))
 	}
-	return &WTBuffer{
-		arr:    cache.NewArray(geo, pol),
-		tech:   tech,
-		nvm:    nvm,
-		jit:    jit,
-		params: params,
-		replE:  tech.ReplacementEnergy[pol],
-	}
+	return &WTBuffer{wtCache: newWTCache(geo, tech, pol, nvm), regJIT: regJIT{jit}, params: params}
 }
 
 // Name identifies the design.
@@ -124,24 +119,15 @@ func (d *WTBuffer) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.B
 				return d.buf[i].val, t + d.tech.HitLatency
 			}
 		}
-		ln, hit := d.arr.Lookup(addr)
-		if hit {
-			d.arr.Touch(ln)
-			eb.CacheRead += d.tech.ReadEnergy
-			return ln.Data[d.arr.WordIndex(addr)], t + d.tech.HitLatency
-		}
-		t += d.tech.ProbeLatency
-		eb.CacheRead += d.tech.ProbeEnergy
-		lineAddr := d.arr.LineAddr(addr)
-		ln = d.arr.Victim(lineAddr)
-		d.arr.Fill(ln, lineAddr)
-		done, e := d.nvm.ReadLine(t, lineAddr, ln.Data)
-		eb.MemRead += e
-		// Merge any buffered (not yet drained) stores into the fill so
-		// the cached copy is coherent with program order.
-		for _, be := range d.buf {
-			if d.arr.LineAddr(be.addr) == lineAddr {
-				ln.Data[d.arr.WordIndex(be.addr)] = be.val
+		ln, done, filled := d.load(t, addr, eb)
+		if filled {
+			// Merge any buffered (not yet drained) stores into the
+			// fill so the cached copy is coherent with program order.
+			lineAddr := d.arr.LineAddr(addr)
+			for _, be := range d.buf {
+				if d.arr.LineAddr(be.addr) == lineAddr {
+					ln.Data[d.arr.WordIndex(be.addr)] = be.val
+				}
 			}
 		}
 		return ln.Data[d.arr.WordIndex(addr)], done
@@ -149,16 +135,7 @@ func (d *WTBuffer) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.B
 
 	// Store: update the cached copy on a hit, then take a buffer slot,
 	// stalling when the buffer is full.
-	t := now
-	if ln, hit := d.arr.Lookup(addr); hit {
-		ln.Data[d.arr.WordIndex(addr)] = val
-		d.arr.Touch(ln)
-		eb.CacheWrite += d.tech.WriteEnergy
-		t += d.tech.WriteLatency
-	} else {
-		eb.CacheWrite += d.tech.ProbeEnergy
-		t += d.tech.ProbeLatency
-	}
+	t := d.update(now, addr, val, eb)
 	if len(d.buf) >= d.params.Slots {
 		// Wait for the oldest in-flight write to finish.
 		oldest := d.buf[0].done
@@ -180,7 +157,6 @@ func (d *WTBuffer) AccessEB(now int64, op isa.Op, addr, val uint32, eb *energy.B
 // Checkpoint flushes the buffer (its writes were already issued to
 // the port; the reserve guarantees they complete) plus registers.
 func (d *WTBuffer) Checkpoint(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
 	t := now
 	if n := len(d.buf); n > 0 {
 		last := d.buf[n-1].done
@@ -189,18 +165,14 @@ func (d *WTBuffer) Checkpoint(now int64) (int64, energy.Breakdown) {
 		}
 		d.buf = d.buf[:0]
 	}
-	t += d.jit.RegCheckpointTime
-	eb.Checkpoint += d.jit.RegCheckpointEnergy
-	return t, eb
+	return d.regJIT.Checkpoint(t)
 }
 
 // Restore boots with a cold cache and an empty buffer.
 func (d *WTBuffer) Restore(now int64) (int64, energy.Breakdown) {
-	var eb energy.Breakdown
 	d.arr.InvalidateAll()
 	d.buf = d.buf[:0]
-	eb.Restore += d.jit.RestoreEnergy
-	return now + d.jit.RestoreTime, eb
+	return d.regJIT.Restore(now)
 }
 
 // ReserveEnergy must cover flushing every buffer slot (§3.3 issue 2).

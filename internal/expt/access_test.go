@@ -10,14 +10,46 @@ import (
 	"wlcache/internal/sim"
 )
 
-// TestEveryKindIsEBAccessor pins the simulator's one access path:
-// sim.New rejects a design without AccessEB, so every buildable design
-// must accumulate into the caller's breakdown.
+// TestEveryKindIsEBAccessor pins the simulator's one access path and
+// each kind's optional interfaces. sim.New rejects a design without
+// AccessEB, so every buildable design must accumulate into the caller's
+// breakdown. sim.New and bench's tracer dispatch on the optional
+// interfaces, and embedding can silently add or drop one of them, so
+// the table records which of them each kind implements.
 func TestEveryKindIsEBAccessor(t *testing.T) {
+	type methods struct{ reboot, extra, probe, notify, observe bool }
+	wl := methods{true, true, true, true, true}
+	want := map[Kind]methods{
+		KindNoCache:         {},
+		KindVCacheWT:        {},
+		KindWTBuffer:        {extra: true, observe: true},
+		KindNVCache:         {},
+		KindNVSRAM:          {extra: true},
+		KindNVSRAMFull:      {extra: true},
+		KindNVSRAMPractical: {extra: true},
+		KindEagerWB:         {extra: true},
+		KindReplay:          {extra: true, observe: true},
+		KindBroken:          {},
+		KindWLFixed:         wl,
+		KindWL:              wl,
+		KindWLDyn:           wl,
+	}
+	if len(want) != len(AllKinds()) {
+		t.Fatalf("table has %d kinds, AllKinds %d", len(want), len(AllKinds()))
+	}
 	for _, kind := range AllKinds() {
 		d, _ := NewDesign(kind, Options{})
 		if _, ok := d.(sim.EBAccessor); !ok {
 			t.Errorf("%s (%s) does not implement sim.EBAccessor", kind, d.Name())
+		}
+		var got methods
+		_, got.reboot = d.(sim.Rebooter)
+		_, got.extra = d.(sim.ExtraStatser)
+		_, got.probe = d.(sim.EnergyProbeBinder)
+		_, got.notify = d.(sim.ReserveNotifyBinder)
+		_, got.observe = d.(sim.ObserverBinder)
+		if got != want[kind] {
+			t.Errorf("%s: optional interfaces %+v, want %+v", kind, got, want[kind])
 		}
 	}
 }

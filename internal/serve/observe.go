@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"wlcache/internal/obs"
@@ -240,9 +239,6 @@ func routeLabel(path string) string {
 	switch path {
 	case "/v1/sweeps", "/healthz", "/readyz", "/metrics":
 		return path
-	}
-	if strings.HasPrefix(path, "/debug/pprof") {
-		return "/debug/pprof"
 	}
 	return "other"
 }

@@ -271,7 +271,8 @@ func TestConcurrentScrapesDuringSweeps(t *testing.T) {
 }
 
 // A sweep has no document of its own: its stream and /metrics carry
-// its progress, and the paths below /v1/sweeps/ are not routes.
+// its progress, and the paths below /v1/sweeps/ are not routes. Nor
+// does the service mount profiling endpoints under /debug/pprof/.
 func TestSweepSubpathsNotFound(t *testing.T) {
 	s, cl := newTestServer(t, Config{})
 	st, err := cl.Submit(context.Background(), tinySpec())
@@ -283,7 +284,7 @@ func TestSweepSubpathsNotFound(t *testing.T) {
 	if err != nil || done == nil {
 		t.Fatalf("sweep: done=%v err=%v", done, err)
 	}
-	for _, path := range []string{"/v1/sweeps/" + done.Sweep, "/v1/sweeps/" + done.Sweep + "/trace"} {
+	for _, path := range []string{"/v1/sweeps/" + done.Sweep, "/v1/sweeps/" + done.Sweep + "/trace", "/debug/pprof/", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(cl.Base + path)
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +294,7 @@ func TestSweepSubpathsNotFound(t *testing.T) {
 			t.Errorf("GET %s = %s, want 404", path, resp.Status)
 		}
 	}
-	if got := metric(t, s, mHTTPRequests+`{code="404",route="other"}`); got != 2 {
-		t.Errorf("404s counted under route other = %v, want 2", got)
+	if got := metric(t, s, mHTTPRequests+`{code="404",route="other"}`); got != 4 {
+		t.Errorf("404s counted under route other = %v, want 4", got)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	netpprof "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -69,9 +68,6 @@ type Config struct {
 	// per-cell and probe traffic at Debug, keyed by request ID where
 	// there is one.
 	Logger *slog.Logger
-	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
-	// default: profiling endpoints are opt-in, never ambient.
-	EnablePprof bool
 }
 
 func (c Config) normalize() Config {
@@ -171,13 +167,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.EnablePprof {
-		s.mux.HandleFunc("/debug/pprof/", netpprof.Index)
-		s.mux.HandleFunc("/debug/pprof/cmdline", netpprof.Cmdline)
-		s.mux.HandleFunc("/debug/pprof/profile", netpprof.Profile)
-		s.mux.HandleFunc("/debug/pprof/symbol", netpprof.Symbol)
-		s.mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
-	}
 	s.h = s.instrument(s.mux)
 	return s, nil
 }
