@@ -16,6 +16,9 @@ func FuzzCrashRecovery(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 6, 0, 0, 1, 4, 5, 6, 0, 0, 0, 2, 3}, uint8(2), uint8(0x80))
 	f.Add([]byte{5, 1, 1, 5, 2, 2, 5, 3, 3, 6, 0, 0, 7, 0, 0, 0, 1, 1}, uint8(1), uint8(0xff))
 	f.Add([]byte{3, 9, 9, 3, 8, 8, 6, 0, 0, 3, 7, 7, 6, 0, 0}, uint8(5), uint8(0x20))
+	// Drops an ACK while its DirtyQueue entry stays queued: the entry's
+	// in-flight count must fall with the drop.
+	f.Add([]byte("1001011001011021001A0"), uint8(0), uint8(0x20))
 	f.Fuzz(func(t *testing.T, data []byte, mlSeed, dropSeed uint8) {
 		maxline := 1 + int(mlSeed)%6
 		nvm := mem.NewNVM(mem.DefaultNVMParams())
@@ -74,6 +77,7 @@ func FuzzCrashRecovery(f *testing.F) {
 			if c.DirtyLines() > maxline {
 				t.Fatalf("dirty lines %d exceed maxline %d", c.DirtyLines(), maxline)
 			}
+			checkInflightCounts(t, c)
 		}
 		crash()
 		// Post-recovery reads must come back architecturally correct
@@ -87,4 +91,22 @@ func FuzzCrashRecovery(f *testing.F) {
 			now = done
 		}
 	})
+}
+
+// checkInflightCounts asserts that every DirtyQueue entry's in-flight
+// count equals the number of issued write-backs still awaiting an ACK
+// for it: the scan of the in-flight list that the count replaces.
+func checkInflightCounts(t *testing.T, c *WLCache) {
+	t.Helper()
+	for _, e := range c.dq.entries {
+		n := int32(0)
+		for _, w := range c.inflight {
+			if w.id == e.id {
+				n++
+			}
+		}
+		if e.inflight != n {
+			t.Fatalf("DirtyQueue entry %d (%#x) counts %d write-backs in flight, %d are", e.id, e.addr, e.inflight, n)
+		}
+	}
 }

@@ -31,9 +31,13 @@ func (p DQPolicy) String() string {
 // dqEntry is one DirtyQueue slot: the memory (line base) address of a
 // line that became dirty, plus a unique id so the asynchronous
 // write-back ACK can remove exactly the entry it was issued for.
+// inflight counts the entry's write-backs still awaiting their ACK:
+// +1 when one is issued, -1 when its ACK is dropped; a delivered ACK
+// removes the entry with its count.
 type dqEntry struct {
-	id   uint64
-	addr uint32
+	id       uint64
+	addr     uint32
+	inflight int32
 }
 
 // DirtyQueue is the small hardware queue tracking dirty-line
@@ -88,6 +92,17 @@ func (q *DirtyQueue) RemoveID(id uint64) bool {
 	return false
 }
 
+// ackDropped records that the write-back issued for entry id lost its
+// ACK: the entry stays, one write-back fewer in flight.
+func (q *DirtyQueue) ackDropped(id uint64) {
+	for i := range q.entries {
+		if q.entries[i].id == id {
+			q.entries[i].inflight--
+			return
+		}
+	}
+}
+
 // removeAt deletes the entry at index i.
 func (q *DirtyQueue) removeAt(i int) {
 	q.entries = append(q.entries[:i], q.entries[i+1:]...)
@@ -95,9 +110,3 @@ func (q *DirtyQueue) removeAt(i int) {
 
 // Clear empties the queue (JIT checkpoint or power-on reset).
 func (q *DirtyQueue) Clear() { q.entries = q.entries[:0] }
-
-// Entries returns a copy of the current entries in queue order
-// (oldest first); used by checkpointing and tests.
-func (q *DirtyQueue) Entries() []dqEntry {
-	return append([]dqEntry(nil), q.entries...)
-}

@@ -18,7 +18,7 @@ func TestDirtyQueueBasics(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	ents := q.Entries()
+	ents := q.entries
 	if ents[0].addr != 0x100 || ents[1].addr != 0x200 {
 		t.Fatal("entries out of insertion order")
 	}
@@ -35,7 +35,7 @@ func TestDirtyQueueRemoveID(t *testing.T) {
 	if q.RemoveID(b) {
 		t.Fatal("RemoveID succeeded twice")
 	}
-	ents := q.Entries()
+	ents := q.entries
 	if len(ents) != 2 || ents[0].id != a || ents[1].id != c {
 		t.Fatal("wrong entries after middle removal")
 	}
@@ -112,7 +112,7 @@ func TestDirtyQueueQuickFIFOOrder(t *testing.T) {
 			}
 		}
 		// Remaining entries must be the live ids in insertion order.
-		ents := q.Entries()
+		ents := q.entries
 		for i, e := range ents {
 			if e.id != live[i] {
 				return false

@@ -368,7 +368,7 @@ func (c *WLCache) issueWriteback(t int64, eb *energy.Breakdown) bool {
 	if idx < 0 {
 		return false
 	}
-	entry := c.dq.entries[idx]
+	entry := &c.dq.entries[idx]
 	ln, ok := c.arr.Lookup(entry.addr)
 	if !ok || !ln.Dirty {
 		panic("core: selected DirtyQueue victim is not dirty")
@@ -377,6 +377,7 @@ func (c *WLCache) issueWriteback(t int64, eb *energy.Breakdown) bool {
 	c.dirty--
 	done, e := c.nvm.WriteLineAsync(t, entry.addr, ln.Data) // step 2
 	eb.MemWrite += e
+	entry.inflight++
 	c.insertInflight(inflightWB{id: entry.id, addr: entry.addr, issued: t, done: done})
 	c.extra.Writebacks++
 	c.rec.WritebackIssued(t, entry.addr)
@@ -396,7 +397,7 @@ func (c *WLCache) selectVictim() int {
 			switch {
 			case ok && ln.Dirty:
 				return i
-			case c.isInflight(e.id):
+			case e.inflight > 0:
 				i++ // clean because a write-back is in flight; keep (§5.3)
 			default:
 				c.dq.removeAt(i) // stale: evicted or already persisted
@@ -416,7 +417,7 @@ func (c *WLCache) selectVictim() int {
 					best, bestUse = i, ln.LastUse()
 				}
 				i++
-			case c.isInflight(e.id):
+			case e.inflight > 0:
 				i++
 			default:
 				c.dq.removeAt(i)
@@ -426,15 +427,6 @@ func (c *WLCache) selectVictim() int {
 		return best
 	}
 	panic("core: unknown DirtyQueue policy")
-}
-
-func (c *WLCache) isInflight(id uint64) bool {
-	for _, w := range c.inflight {
-		if w.id == id {
-			return true
-		}
-	}
-	return false
 }
 
 // hasLiveEntry reports whether a DirtyQueue entry already references
@@ -477,6 +469,7 @@ func (c *WLCache) drainACKsSlow(now int64) {
 		n++
 		if c.ackFilter != nil && !c.ackFilter(w.id, w.addr) {
 			c.extra.DroppedACKs++
+			c.dq.ackDropped(w.id)
 			c.rec.WritebackDropped(w.done, w.addr)
 			continue
 		}
@@ -500,7 +493,7 @@ func (c *WLCache) Checkpoint(now int64) (int64, energy.Breakdown) {
 	var eb energy.Breakdown
 	c.drainACKs(now)
 	t := now
-	for _, e := range c.dq.Entries() {
+	for _, e := range c.dq.entries {
 		ln, ok := c.arr.Lookup(e.addr)
 		switch {
 		case ok && ln.Dirty:
@@ -510,7 +503,7 @@ func (c *WLCache) Checkpoint(now int64) (int64, energy.Breakdown) {
 			ln.Dirty = false
 			c.dirty--
 			c.extra.CheckpointLines++
-		case ok && c.isInflight(e.id):
+		case ok && e.inflight > 0:
 			// Power failed between write-back issue and ACK: the entry
 			// is still in the queue, so the line is flushed again.
 			done, en := c.nvm.WriteLine(t, e.addr, ln.Data)

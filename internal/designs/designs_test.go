@@ -1,6 +1,7 @@
 package designs
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -340,5 +341,75 @@ func TestDesignsQuickDurability(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestWriteBackDesignsEvictDirtyLines drives streams several times the
+// 8 KB cache through the write-back designs, so dirty victims are
+// evicted and written back on fills: a stride that maps every line
+// onto one set, and random addresses over a 64 KB footprint. Every
+// load must return the last value stored (checked against a flat map),
+// and after each checkpoint the durable state must equal it.
+func TestWriteBackDesignsEvictDirtyLines(t *testing.T) {
+	geo := cache.DefaultGeometry()
+	setStride := uint32(geo.Sets() * geo.LineBytes) // consecutive lines of one set
+	designs := []dut{
+		{"nvcache-wb", func(n *mem.NVM) designIface { return NewNVCacheWB(geo, cache.LRU, jit(), n) }, true},
+		{"nvsram", func(n *mem.NVM) designIface { return NewNVSRAM(geo, cache.LRU, jit(), DefaultNVSRAMParams(), n) }, true},
+		{"nvsram-full", func(n *mem.NVM) designIface {
+			return NewNVSRAMFull(geo, cache.LRU, jit(), DefaultNVSRAMParams(), n)
+		}, true},
+		{"eager-wb", func(n *mem.NVM) designIface { return NewEagerWB(geo, cache.LRU, jit(), n) }, true},
+	}
+	streams := []struct {
+		name string
+		addr func(r *rand.Rand) uint32
+	}{
+		// 16 lines contend for one 2-way set; the word offset varies.
+		{"one set", func(r *rand.Rand) uint32 {
+			return uint32(r.Intn(16))*setStride + uint32(r.Intn(geo.LineWords()))*4
+		}},
+		{"random", func(r *rand.Rand) uint32 { return uint32(r.Intn(64<<10)) &^ 3 }},
+	}
+	for _, d := range designs {
+		for _, st := range streams {
+			for seed := int64(1); seed <= 3; seed++ {
+				nvm := newNVM()
+				des := d.build(nvm)
+				r := rand.New(rand.NewSource(seed))
+				model := map[uint32]uint32{}
+				now := int64(0)
+				checkpoint := func(op int) {
+					done, _ := des.Checkpoint(now)
+					golden := mem.NewStore()
+					for a, v := range model {
+						golden.Write(a, v)
+					}
+					if err := des.DurableEqual(golden); err != nil {
+						t.Fatalf("%s/%s/seed %d: after checkpoint at op %d: %v", d.name, st.name, seed, op, err)
+					}
+					now, _ = des.Restore(done)
+				}
+				for i := 0; i < 20_000; i++ {
+					addr := st.addr(r)
+					if r.Intn(2) == 0 {
+						v := r.Uint32()
+						model[addr] = v
+						_, now, _ = des.Access(now, isa.OpStore, addr, v)
+					} else {
+						v, done, _ := des.Access(now, isa.OpLoad, addr, 0)
+						if v != model[addr] {
+							t.Fatalf("%s/%s/seed %d: op %d: load %#x = %#x, want %#x",
+								d.name, st.name, seed, i, addr, v, model[addr])
+						}
+						now = done
+					}
+					if i%5000 == 4999 {
+						checkpoint(i)
+					}
+				}
+				checkpoint(20_000)
+			}
+		}
 	}
 }

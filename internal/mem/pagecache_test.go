@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -22,16 +23,16 @@ func naiveWriteLine(s *Store, addr uint32, src []uint32) {
 
 // TestStorePropertyRandomOps drives a Store with a random mix of word
 // and line operations against a flat map model and a second Store fed
-// exclusively through the naive per-word paths. The one-entry page
-// cache and the run-based line paths must be invisible.
+// exclusively through the naive per-word paths. The page table and the
+// run-based line paths must be invisible.
 func TestStorePropertyRandomOps(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	s := NewStore()
 	naive := NewStore()
 	model := map[uint32]uint32{}
 
-	// Cluster addresses around a few pages (to exercise the cache) plus
-	// a uniform tail (to exercise misses and page switches).
+	// Cluster addresses around a few pages (to reuse pages) plus a
+	// uniform tail (to allocate pages and switch between them).
 	randAddr := func() uint32 {
 		if r.Intn(4) > 0 {
 			base := uint32(r.Intn(4)) << pageShift
@@ -123,34 +124,36 @@ func TestStoreLineSpansPages(t *testing.T) {
 	}
 }
 
-// TestStoreResetInvalidatesPageCache is the regression test for the
-// one-entry cache surviving a Reset: a read after Reset must miss, and
-// a write after Reset must not scribble on the discarded page.
-func TestStoreResetInvalidatesPageCache(t *testing.T) {
+// TestStoreResetDiscardsImage: after Reset every word reads zero, and
+// a write lands in a fresh image — nothing of the discarded one shows
+// through, not even the other words of a page it rewrites.
+func TestStoreResetDiscardsImage(t *testing.T) {
 	s := NewStore()
-	s.Write(0x1000, 42) // caches page 1
-	old := s.lastPage
+	s.Write(0x1000, 42)
+	s.Write(0x1004, 43)
 	s.Reset()
-	if s.lastPage != nil {
-		t.Fatal("Reset left the page cache populated")
-	}
 	if v := s.Read(0x1000); v != 0 {
 		t.Fatalf("Read after Reset = %d, want 0", v)
 	}
 	s.Write(0x1000, 7)
-	if old != nil && old[0x1000>>2&(pageWords-1)] == 7 {
-		t.Fatal("write after Reset landed in the discarded page")
+	if v := s.Read(0x1004); v != 0 {
+		t.Fatalf("write after Reset revived the discarded page: Read(0x1004) = %d", v)
 	}
 	if v := s.Read(0x1000); v != 7 {
 		t.Fatalf("Read = %d, want 7", v)
 	}
+	want := NewStore()
+	want.Write(0x1000, 7)
+	if d := s.FirstDiff(want); d != "" {
+		t.Fatalf("store after Reset and one write: %s", d)
+	}
 }
 
-// TestStoreCloneIndependentOfPageCache: mutating a clone must never
-// show through the original's cached page (and vice versa).
-func TestStoreCloneIndependentOfPageCache(t *testing.T) {
+// TestStoreCloneIndependent: a write to a clone never shows in the
+// original, and a write to the original never shows in the clone.
+func TestStoreCloneIndependent(t *testing.T) {
 	s := NewStore()
-	s.Write(0x2000, 1) // caches page 2 in s
+	s.Write(0x2000, 1)
 	c := s.Clone()
 	c.Write(0x2000, 9)
 	if v := s.Read(0x2000); v != 1 {
@@ -159,5 +162,59 @@ func TestStoreCloneIndependentOfPageCache(t *testing.T) {
 	s.Write(0x2000, 5)
 	if v := c.Read(0x2000); v != 9 {
 		t.Fatalf("clone sees original's write: %d", v)
+	}
+}
+
+// TestStorePageTableBoundaries pins the edges of the page table: page
+// 0, the top page (0xFFFFF000–0xFFFFFFFC) and a line crossing from the
+// last page of one directory leaf into the first page of the next.
+func TestStorePageTableBoundaries(t *testing.T) {
+	const leafBytes = uint32(leafPages) << pageShift
+	cases := []struct {
+		name string
+		addr uint32
+	}{
+		{"page 0", 0},
+		{"leaf boundary", leafBytes - 8*4},
+		{"second leaf boundary", 3*leafBytes - 4},
+		{"top page", 0xFFFFF000},
+		{"top words", 0xFFFFFFC0},
+	}
+	for _, c := range cases {
+		s := NewStore()
+		src := make([]uint32, 16)
+		for i := range src {
+			src[i] = 0xC0000000 + uint32(i)
+		}
+		s.WriteLine(c.addr, src)
+		got := make([]uint32, len(src))
+		s.ReadLine(c.addr, got)
+		for i := range src {
+			a := c.addr + uint32(i*4)
+			if got[i] != src[i] {
+				t.Fatalf("%s: ReadLine[%d] = %#x, want %#x", c.name, i, got[i], src[i])
+			}
+			if v := s.Read(a); v != src[i] {
+				t.Fatalf("%s: Read(%#x) = %#x, want %#x", c.name, a, v, src[i])
+			}
+		}
+		// The words either side of the line stay zero.
+		if v := s.Read(c.addr - 4); c.addr != 0 && v != 0 {
+			t.Fatalf("%s: word below the line = %#x", c.name, v)
+		}
+		if end := c.addr + uint32(len(src)*4); end != 0 && s.Read(end) != 0 {
+			t.Fatalf("%s: word above the line = %#x", c.name, s.Read(end))
+		}
+		if d := s.FirstDiff(NewStore()); d != fmt.Sprintf("addr %#x: %#x != 0x0", c.addr, src[0]) {
+			t.Fatalf("%s: FirstDiff vs empty = %q", c.name, d)
+		}
+	}
+	s := NewStore()
+	s.Write(0xFFFFFFFC, 9)
+	if v := s.Read(0xFFFFFFFC); v != 9 {
+		t.Fatalf("top word = %d, want 9", v)
+	}
+	if v := s.Read(0); v != 0 {
+		t.Fatalf("top write showed at address 0: %d", v)
 	}
 }

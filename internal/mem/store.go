@@ -9,60 +9,66 @@ const (
 	// pageWords is the number of 32-bit words per page (4 KiB pages).
 	pageWords = 1024
 	pageShift = 12 // log2(pageWords * 4)
+	// leafPages is the number of pages one directory leaf maps (4 MiB
+	// of address space per leaf).
+	leafPages = 1024
+	leafShift = 10 // log2(leafPages)
+)
+
+type (
+	page [pageWords]uint32
+	leaf [leafPages]*page
 )
 
 // Store is a sparse word-addressable value image. The zero value is an
 // empty store in which every word reads as zero. Store has no timing;
 // it is the raw data substrate shared by NVM images and cache lines.
 //
-// A one-entry last-page cache short-circuits the page-map lookup:
-// simulated access streams have strong page locality, so most word
-// accesses and virtually all line accesses resolve without touching
-// the map.
+// Pages sit in a two-level page table: a directory of leaves, each
+// mapping leafPages consecutive pages. The directory grows to the
+// highest leaf written, so a workload whose data sits in the low 4 MiB
+// pays for one leaf, and a lookup is two indexed loads — no hashing.
+// Walking the table visits pages in ascending address order.
 type Store struct {
-	pages map[uint32]*[pageWords]uint32
-
-	lastIdx  uint32
-	lastPage *[pageWords]uint32
+	dir []*leaf
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{pages: make(map[uint32]*[pageWords]uint32)}
+func NewStore() *Store { return &Store{} }
+
+// pageAt returns page idx, or nil when it does not exist.
+func (s *Store) pageAt(idx uint32) *page {
+	if d := idx >> leafShift; d < uint32(len(s.dir)) {
+		if l := s.dir[d]; l != nil {
+			return l[idx&(leafPages-1)]
+		}
+	}
+	return nil
 }
 
-// page returns the page holding addr, consulting the last-page cache
-// first; nil when the page does not exist.
-func (s *Store) page(idx uint32) *[pageWords]uint32 {
-	if p := s.lastPage; p != nil && s.lastIdx == idx {
+// ensurePage returns page idx, allocating it on first write.
+func (s *Store) ensurePage(idx uint32) *page {
+	if p := s.pageAt(idx); p != nil {
 		return p
 	}
-	p := s.pages[idx]
-	if p != nil {
-		s.lastIdx, s.lastPage = idx, p
+	d := idx >> leafShift
+	if d >= uint32(len(s.dir)) {
+		s.dir = append(s.dir, make([]*leaf, d+1-uint32(len(s.dir)))...)
 	}
-	return p
-}
-
-// ensurePage returns the page holding addr, allocating it on first
-// write.
-func (s *Store) ensurePage(idx uint32) *[pageWords]uint32 {
-	if p := s.lastPage; p != nil && s.lastIdx == idx {
-		return p
+	l := s.dir[d]
+	if l == nil {
+		l = new(leaf)
+		s.dir[d] = l
 	}
-	p := s.pages[idx]
-	if p == nil {
-		p = new([pageWords]uint32)
-		s.pages[idx] = p
-	}
-	s.lastIdx, s.lastPage = idx, p
+	p := new(page)
+	l[idx&(leafPages-1)] = p
 	return p
 }
 
 // Read returns the word at byte address addr (must be 4-byte aligned).
 func (s *Store) Read(addr uint32) uint32 {
 	checkAlign(addr)
-	p := s.page(addr >> pageShift)
+	p := s.pageAt(addr >> pageShift)
 	if p == nil {
 		return 0
 	}
@@ -86,7 +92,7 @@ func (s *Store) ReadLine(addr uint32, dst []uint32) {
 		if n > uint32(len(dst)) {
 			n = uint32(len(dst))
 		}
-		if p := s.page(addr >> pageShift); p != nil {
+		if p := s.pageAt(addr >> pageShift); p != nil {
 			copy(dst[:n], p[w:w+n])
 		} else {
 			clear(dst[:n])
@@ -134,55 +140,79 @@ type diff struct {
 }
 
 // zeroPage stands in for a page absent from one of the two stores.
-var zeroPage [pageWords]uint32
+var zeroPage page
 
-// firstDiff returns the lowest-addressed differing word. Map iteration
-// order is random, so it visits every page of both stores, and scans
-// only pages below the lowest difference found so far: within a page
-// the first difference is the lowest.
+// firstDiff returns the lowest-addressed differing word: it walks both
+// page tables in ascending page order and stops at the first
+// difference.
 func (s *Store) firstDiff(o *Store) *diff {
-	var best *diff
-	scan := func(idx uint32, p, q *[pageWords]uint32) {
-		if best != nil && idx >= best.addr>>pageShift {
-			return
+	for d := 0; d < max(len(s.dir), len(o.dir)); d++ {
+		ls, lo := s.leafAt(d), o.leafAt(d)
+		if ls == nil && lo == nil {
+			continue
 		}
-		for i, v := range p {
-			if w := q[i]; v != w {
-				best = &diff{idx<<pageShift | uint32(i*4), v, w}
-				return
+		for i := 0; i < leafPages; i++ {
+			p, q := pageIn(ls, i), pageIn(lo, i)
+			if p == q { // both absent (or one store compared with itself)
+				continue
+			}
+			if p == nil {
+				p = &zeroPage
+			}
+			if q == nil {
+				q = &zeroPage
+			}
+			if *p == *q {
+				continue
+			}
+			for w, v := range p {
+				if v != q[w] {
+					idx := uint32(d)<<leafShift | uint32(i)
+					return &diff{idx<<pageShift | uint32(w*4), v, q[w]}
+				}
 			}
 		}
 	}
-	for idx, p := range s.pages {
-		q := o.pages[idx]
-		if q == nil {
-			q = &zeroPage
-		}
-		scan(idx, p, q)
+	return nil
+}
+
+// leafAt returns directory entry d, nil when past the directory's end.
+func (s *Store) leafAt(d int) *leaf {
+	if d < len(s.dir) {
+		return s.dir[d]
 	}
-	for idx, q := range o.pages {
-		if s.pages[idx] == nil { // otherwise compared above
-			scan(idx, &zeroPage, q)
-		}
+	return nil
+}
+
+// pageIn returns page i of leaf l, nil when l is nil.
+func pageIn(l *leaf, i int) *page {
+	if l == nil {
+		return nil
 	}
-	return best
+	return l[i]
 }
 
 // Clone returns a deep copy of the store.
 func (s *Store) Clone() *Store {
-	c := NewStore()
-	for idx, p := range s.pages {
-		cp := *p
-		c.pages[idx] = &cp
+	c := &Store{dir: make([]*leaf, len(s.dir))}
+	for d, l := range s.dir {
+		if l == nil {
+			continue
+		}
+		cl := new(leaf)
+		for i, p := range l {
+			if p != nil {
+				cp := *p
+				cl[i] = &cp
+			}
+		}
+		c.dir[d] = cl
 	}
 	return c
 }
 
 // Reset discards all contents.
-func (s *Store) Reset() {
-	s.pages = make(map[uint32]*[pageWords]uint32)
-	s.lastIdx, s.lastPage = 0, nil
-}
+func (s *Store) Reset() { s.dir = nil }
 
 func checkAlign(addr uint32) {
 	if addr&3 != 0 {

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -106,6 +107,21 @@ func TestStoreFirstDiffIsLowestAddress(t *testing.T) {
 	}
 	if got := b.FirstDiff(a); got != "addr 0x3010: 0x0 != 0x2" {
 		t.Fatalf("reversed FirstDiff = %q", got)
+	}
+
+	// Differences in different directory leaves: the lowest sits in a
+	// leaf only b has, below a leaf where both have pages.
+	const leafBytes = uint32(leafPages) << pageShift
+	a, b = NewStore(), NewStore()
+	a.Write(5*leafBytes+0x40, 1)
+	b.Write(5*leafBytes+0x40, 2)
+	a.Write(9*leafBytes, 3)
+	b.Write(2*leafBytes+0x7fc, 4)
+	if got, want := a.FirstDiff(b), fmt.Sprintf("addr %#x: 0x0 != 0x4", 2*leafBytes+0x7fc); got != want {
+		t.Fatalf("cross-leaf FirstDiff = %q, want %q", got, want)
+	}
+	if got, want := b.FirstDiff(a), fmt.Sprintf("addr %#x: 0x4 != 0x0", 2*leafBytes+0x7fc); got != want {
+		t.Fatalf("reversed cross-leaf FirstDiff = %q, want %q", got, want)
 	}
 }
 

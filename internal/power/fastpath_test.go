@@ -274,3 +274,130 @@ func TestMeanCached(t *testing.T) {
 		t.Fatalf("cached mean %g != recomputed %g", tr.Mean(), plain.Mean())
 	}
 }
+
+// timeToHarvestDiv is the indexed search as first written: every probe
+// divides its absolute segment index by the loop length. The shared
+// search must reproduce it bit for bit.
+func (t *Trace) timeToHarvestDiv(from int64, joules float64) int64 {
+	const psPerSec = 1e12
+	n := int64(len(t.Samples))
+	segSum := func(k int64) float64 { return float64(k/n)*t.loopE + t.cum[k%n] }
+	i0 := from / t.Step
+	p := t.Samples[i0%n]
+	head := p * float64((i0+1)*t.Step-from) / psPerSec
+	if head >= joules {
+		return int64(joules/p*psPerSec) + 1
+	}
+	g := func(j int64) float64 { return head + (segSum(j) - segSum(i0+1)) }
+	span := int64(1)
+	for g(i0+1+span) < joules {
+		span *= 2
+	}
+	lo, hi := i0+span/2, i0+span
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if g(mid+1) >= joules {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	j := hi
+	for t.Samples[j%n] == 0 {
+		j++
+	}
+	frac := (joules - g(j)) / t.Samples[j%n] * psPerSec
+	if frac < 0 {
+		frac = 0
+	}
+	return j*t.Step + int64(frac) + 1 - from
+}
+
+// TestCursorTimeToHarvestMatchesTrace moves one cursor through every
+// kind of state the simulator leaves it in — fresh, mid-segment,
+// exactly at its segment's end, after a backward seek, in the last
+// sample before a loop wrap — and asks it for harvests from there,
+// starting in and crossing zero-power runs. Every answer (dt and ok)
+// must equal Trace.TimeToHarvest's and the per-probe-division search's
+// bit for bit, and Integrate must stay exact after each search.
+func TestCursorTimeToHarvestMatchesTrace(t *testing.T) {
+	bursty := &Trace{Name: "bursty", Step: 1000,
+		Samples: []float64{0, 0, 3e-3, 0, 0, 0, 1e-3, 0}}
+	bursty.Reindex()
+	wrap := &Trace{Name: "wrap", Step: 2000, Samples: []float64{2e-3, 0, 1e-3, 0}}
+	wrap.Reindex()
+	one := &Trace{Name: "one", Step: 500, Samples: []float64{1e-3}}
+	one.Reindex()
+	dead := &Trace{Step: 1000, Samples: []float64{0, 0}}
+	dead.Reindex()
+	traces := []*Trace{bursty, wrap, one, dead}
+	r := rand.New(rand.NewSource(19))
+	for i := 0; i < 40; i++ {
+		traces = append(traces, randTrace(r, 1+r.Intn(40), 1000+int64(r.Intn(7))*997, 0.4))
+	}
+
+	for ti, tr := range traces {
+		check := func(cur *Cursor, state string, from int64, joules float64) {
+			t.Helper()
+			dt, ok := cur.TimeToHarvest(from, joules)
+			wantDT, wantOK := tr.TimeToHarvest(from, joules)
+			if dt != wantDT || ok != wantOK {
+				t.Fatalf("trace %d, %s: from=%d joules=%g: cursor (%d, %v), trace (%d, %v)",
+					ti, state, from, joules, dt, ok, wantDT, wantOK)
+			}
+			if ok && joules > 0 {
+				if div := tr.timeToHarvestDiv(from, joules); dt != div {
+					t.Fatalf("trace %d, %s: from=%d joules=%g: dt %d, dividing search %d",
+						ti, state, from, joules, dt, div)
+				}
+			}
+			// The search may reseek; Integrate must not notice.
+			to := from + 1 + int64(r.Intn(int(3*tr.Step)))
+			if got, want := cur.Integrate(from, to), tr.integrateSeq(from, to); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trace %d, %s: Integrate[%d,%d) after search: %x, want %x", ti, state, from, to,
+					math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		dur := tr.Duration()
+		loopE := tr.integrateSeq(0, dur)
+		energies := []float64{0, 1e-15, loopE / 7, loopE / 2, loopE, 3.5 * loopE, 17 * loopE}
+		for k := 0; k < 6; k++ {
+			energies = append(energies, r.Float64()*5*loopE)
+		}
+		for _, j := range energies {
+			cur := NewCursor(tr)
+			check(cur, "fresh", 0, j)
+			check(NewCursor(tr), "fresh, far start", 5*dur+tr.Step/3, j)
+
+			// Mid-segment: the last window ended inside segment s.
+			s := int64(r.Intn(3 * len(tr.Samples)))
+			cur = NewCursor(tr)
+			cur.Integrate(s*tr.Step, s*tr.Step+tr.Step/2)
+			check(cur, "mid-segment", s*tr.Step+tr.Step/2, j)
+
+			// Exactly at segEnd: from is the first ps of the next segment.
+			cur = NewCursor(tr)
+			cur.Integrate(s*tr.Step+1, (s+1)*tr.Step)
+			check(cur, "at segEnd", (s+1)*tr.Step, j)
+
+			// Backward seek: the cursor sits loops ahead of from.
+			cur = NewCursor(tr)
+			cur.Integrate(4*dur+s*tr.Step, 4*dur+s*tr.Step+1)
+			check(cur, "backward", s*tr.Step+tr.Step-1, j)
+
+			// Loop wrap: cached in the last sample, from in the next loop.
+			last := int64(len(tr.Samples)) - 1
+			cur = NewCursor(tr)
+			cur.Integrate(2*dur+last*tr.Step, 2*dur+last*tr.Step+tr.Step/4)
+			check(cur, "last sample", 2*dur+last*tr.Step+tr.Step/4, j)
+			check(cur, "across wrap", 3*dur, j)
+
+			// Every start offset of the first two loops from one cursor
+			// advancing through them.
+			cur = NewCursor(tr)
+			for from := int64(0); from < 2*dur; from += tr.Step/3 + 1 {
+				check(cur, "sweep", from, j)
+			}
+		}
+	}
+}

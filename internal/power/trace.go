@@ -84,12 +84,6 @@ func (t *Trace) Mean() float64 {
 	return s / float64(len(t.Samples))
 }
 
-// segSum returns the indexed energy of full segments [0, k).
-func (t *Trace) segSum(k int64) float64 {
-	n := int64(len(t.Samples))
-	return float64(k/n)*t.loopE + t.cum[k%n]
-}
-
 // TimeToHarvest returns the smallest dt (ps) such that integrating the
 // trace over [from, from+dt) yields at least joules. It returns ok =
 // false if the trace can never supply it (all-zero trace).
@@ -100,37 +94,56 @@ func (t *Trace) segSum(k int64) float64 {
 // index for the finishing segment instead of stepping through every
 // segment of the dead zone.
 func (t *Trace) TimeToHarvest(from int64, joules float64) (dt int64, ok bool) {
-	if joules <= 0 {
-		return 0, true
-	}
-	if t.Mean() <= 0 {
-		return 0, false
-	}
-	if !t.indexed() {
-		return t.timeToHarvestSeq(from, joules)
-	}
+	c := Cursor{t: t} // caches no segment, so the search seeks from
+	return c.TimeToHarvest(from, joules)
+}
+
+// harvestFrom is the indexed search behind Trace.TimeToHarvest and
+// Cursor.TimeToHarvest. from lies in segment i0 = q0*n + r0 (loop q0,
+// sample r0, 0 <= r0 < n). Every probe locates its segment relative to
+// (q0, r0), so only a probe more than one loop past the start divides;
+// the loop count and sample index it derives equal k/n and k%n, so the
+// result is the same whichever caller located the start.
+func (t *Trace) harvestFrom(from, i0, q0, r0 int64, joules float64) int64 {
 	const psPerSec = 1e12
 	n := int64(len(t.Samples))
-	i0 := from / t.Step
-	p := t.Samples[i0%n]
+	p := t.Samples[r0]
 	head := p * float64((i0+1)*t.Step-from) / psPerSec
 	if head >= joules {
 		// Same expression as the sequential reference's first segment
 		// (acc = 0), so the result is bit-identical.
 		frac := joules / p * psPerSec
-		return int64(frac) + 1, true
+		return int64(frac) + 1
 	}
-	// g(j) = energy over [from, j*Step) for j > i0. Monotone in j, so
-	// the finishing segment is the smallest j with g(j+1) >= joules;
-	// find it by doubling then bisection, each probe O(1).
-	g := func(j int64) float64 {
-		return head + (t.segSum(j) - t.segSum(i0+1))
+	// loc splits segment i0+d (d >= 0) into its loop and sample index.
+	loc := func(d int64) (q, r int64) {
+		r = r0 + d
+		switch {
+		case r < n:
+			return q0, r
+		case r < 2*n:
+			return q0 + 1, r - n
+		}
+		return q0 + r/n, r % n
+	}
+	// segSum(d) is the indexed energy of full segments [0, i0+d).
+	segSum := func(d int64) float64 {
+		q, r := loc(d)
+		return float64(q)*t.loopE + t.cum[r]
+	}
+	// g(d) = energy over [from, (i0+d)*Step) for d > 0. Monotone in d,
+	// so the finishing segment i0+d is the smallest d with
+	// g(d+1) >= joules; find it by doubling then bisection, each probe
+	// O(1).
+	base := segSum(1)
+	g := func(d int64) float64 {
+		return head + (segSum(d) - base)
 	}
 	span := int64(1)
-	for g(i0+1+span) < joules {
+	for g(1+span) < joules {
 		span *= 2
 	}
-	lo, hi := i0+span/2, i0+span // g(lo+1) < joules (or lo == i0), g(hi+1) >= joules
+	lo, hi := span/2, span // g(lo+1) < joules (or lo == 0), g(hi+1) >= joules
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
 		if g(mid+1) >= joules {
@@ -139,19 +152,23 @@ func (t *Trace) TimeToHarvest(from int64, joules float64) (dt int64, ok bool) {
 			lo = mid
 		}
 	}
-	j := hi
+	d := hi
 	// The finishing segment must supply energy; rounding at loop
 	// boundaries can in principle land the bisection on a zero-power
 	// segment, so skip forward to the next powered one.
-	for t.Samples[j%n] == 0 {
-		j++
+	_, r := loc(d)
+	for t.Samples[r] == 0 {
+		d++
+		if r++; r == n {
+			r = 0
+		}
 	}
-	acc := g(j)
-	frac := (joules - acc) / t.Samples[j%n] * psPerSec
+	acc := g(d)
+	frac := (joules - acc) / t.Samples[r] * psPerSec
 	if frac < 0 {
 		frac = 0
 	}
-	return j*t.Step + int64(frac) + 1 - from, true
+	return (i0+d)*t.Step + int64(frac) + 1 - from
 }
 
 // timeToHarvestSeq is the segment-stepping reference implementation,

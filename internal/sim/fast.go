@@ -212,7 +212,7 @@ func (s *Simulator) rearm() {
 		return
 	}
 	headroom := s.eCapMax - s.fcapE
-	if dt, ok := s.cfg.Trace.TimeToHarvest(s.settleT, headroom/s.cfg.OnHarvestEff); ok {
+	if dt, ok := s.cursor.TimeToHarvest(s.settleT, headroom/s.cfg.OnHarvestEff); ok {
 		if d := s.settleT + dt; d < s.settleDeadline {
 			s.settleDeadline = d
 		}

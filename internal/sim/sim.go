@@ -19,7 +19,7 @@ type Simulator struct {
 	design Design
 	nvm    *mem.NVM
 	cap    *energy.Capacitor
-	golden *mem.Store
+	golden *mem.Store // architectural image; nil unless cfg.CheckInvariants
 
 	now      int64
 	bootTime int64
@@ -35,17 +35,15 @@ type Simulator struct {
 	// is Vbackup(design.ReserveEnergy()) — a sqrt — refreshed by
 	// refreshThresholds at reserve changes; leakW, perInstrPS and instrE
 	// hoist interface calls and products that are loop-invariant out of
-	// Load32/Store32/Compute; trackGolden gates golden-image maintenance
-	// to runs that consult it.
-	cursor      *power.Cursor
-	accessEB    EBAccessor // the design's access path
-	vb          float64
-	leakW       float64
-	perInstrPS  int64
-	instrE      float64
-	trackGolden bool
-	noFault     bool // cfg.FaultPlan == nil
-	untraced    bool // cfg.Trace == nil
+	// Load32/Store32/Compute.
+	cursor     *power.Cursor
+	accessEB   EBAccessor // the design's access path
+	vb         float64
+	leakW      float64
+	perInstrPS int64
+	instrE     float64
+	noFault    bool // cfg.FaultPlan == nil
+	untraced   bool // cfg.Trace == nil
 
 	// Window policy (DESIGN.md §16.2), decided once in New: perEvent
 	// (exact) settles every event alone in voltage space; the fast
@@ -108,12 +106,13 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 		accessEB: eba,
 		nvm:      nvm,
 		cap:      energy.NewCapacitor(cfg.CapacitorF, cfg.VMin, cfg.VMax),
-		golden:   mem.NewStore(),
+	}
+	if cfg.CheckInvariants {
+		s.golden = mem.NewStore()
 	}
 	s.perInstrPS = cfg.CyclePS + cfg.ICache.perInstrStall(cfg.CyclePS)
 	s.instrE = cfg.ICache.instrEnergy()
 	s.leakW = design.LeakPower()
-	s.trackGolden = cfg.CheckInvariants
 	s.noFault = cfg.FaultPlan == nil
 	s.untraced = cfg.Trace == nil
 	s.perEvent = cfg.Tier != TierFast || !s.noFault
@@ -226,7 +225,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 		s.forceVoltage(s.cfg.VMin)
 		von := s.cfg.Von(s.cfg.Vbackup(s.design.ReserveEnergy()))
 		need := 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
-		dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
+		dt, ok := s.cursor.TimeToHarvest(s.now, need)
 		if !ok {
 			return s.res, fmt.Errorf("trace %s can never charge the capacitor", s.cfg.Trace.Name)
 		}
@@ -314,7 +313,7 @@ func (s *Simulator) Load32(addr uint32) uint32 {
 
 // Store32 performs an architectural store through the design.
 func (s *Simulator) Store32(addr uint32, v uint32) {
-	if s.trackGolden {
+	if s.golden != nil {
 		s.golden.Write(addr, v)
 	}
 	s.res.Stores++ // before the access; see Load32
@@ -532,7 +531,7 @@ func (s *Simulator) powerFail(forced bool) {
 		need := 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
 		offStart := s.now
 		if need > 0 {
-			dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
+			dt, ok := s.cursor.TimeToHarvest(s.now, need)
 			if !ok {
 				s.abort(fmt.Errorf("trace %s can never recharge %.3g J", s.cfg.Trace.Name, need))
 			}
