@@ -290,7 +290,6 @@ func (c *WLCache) fill(t int64, lineAddr uint32, eb *energy.Breakdown) (*cache.L
 		done, e := c.nvm.WriteLine(t, vaddr, victim.Data)
 		eb.MemWrite += e
 		t = done
-		victim.Dirty = false
 		c.dirty--
 		c.rec.DirtyDepth(t, c.dirty)
 		// The victim's DirtyQueue entry is left in place and lazily

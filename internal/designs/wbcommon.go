@@ -65,7 +65,6 @@ func (c *wbCache) fill(t int64, lineAddr uint32, eb *energy.Breakdown) (*cache.L
 		done, e := c.nvm.WriteLine(t, vaddr, victim.Data)
 		eb.MemWrite += e
 		t = done
-		victim.Dirty = false
 	}
 	c.arr.Fill(victim, lineAddr)
 	done, e := c.nvm.ReadLine(t, lineAddr, victim.Data)

@@ -95,6 +95,28 @@ func TestRunMaxlineOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRunWorkloadPanicIsError: with the invariant checks off, the broken
+// design hands jpegdecode a corrupted load that the kernel uses as an
+// array index. The kernel's out-of-range panic comes back from Run as
+// an error matching sim.ErrPanic, carrying the panic value and stack,
+// instead of crashing the caller.
+func TestRunWorkloadPanicIsError(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Tier = sim.TierFast
+	cfg.CapacitorF = 344e-9
+	_, err := Run(KindBroken, Options{}, "jpegdecode", 1, power.Trace2, cfg)
+	if !errors.Is(err, sim.ErrPanic) {
+		t.Fatalf("err = %v, want one matching sim.ErrPanic", err)
+	}
+	var pe *sim.PanicError
+	if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+		t.Fatalf("panic value or stack lost: %#v", err)
+	}
+	if rerr, ok := pe.Value.(error); !ok || !strings.Contains(rerr.Error(), "index out of range") {
+		t.Fatalf("panic value %v, want the kernel's index out of range", pe.Value)
+	}
+}
+
 // TestAllKindsOrder pins AllKinds: its order is the golden matrix
 // order and the serve.Spec default, so a reorder would rename the
 // default sweep and its journal.

@@ -1,6 +1,9 @@
 package sim
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Typed sentinel errors for the simulator's failure classes. Every
 // fatal path out of Run wraps one of these (or returns a plain
@@ -22,4 +25,21 @@ var (
 	// capacitor below VMin: the design's ReserveEnergy under-provisions
 	// its own checkpoint.
 	ErrReserveExhausted = errors.New("sim: checkpoint reserve exhausted")
+
+	// ErrPanic marks a run whose program or design panicked: a kernel
+	// indexing out of range with a value a broken design corrupted,
+	// say. Run returns it as a *PanicError instead of crashing its
+	// caller.
+	ErrPanic = errors.New("sim: run panicked")
 )
+
+// PanicError carries a panic Run recovered: the panic value and the
+// stack of the panicking goroutine. It matches ErrPanic under
+// errors.Is.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string        { return fmt.Sprintf("%v: %v", ErrPanic, e.Value) }
+func (e *PanicError) Is(target error) bool { return target == ErrPanic }

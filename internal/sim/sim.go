@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
@@ -203,6 +204,8 @@ func (s *Simulator) probeReserve(newReserve float64) bool {
 
 // Run executes the program to completion and returns the collected
 // result. The program's return value is recorded as Result.Checksum.
+// A panic in the program or the design ends the run with a *PanicError
+// (ErrPanic) and the result so far.
 func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Result, err error) {
 	s.res = Result{Design: s.design.Name(), Workload: name, Trace: "none"}
 	if s.cfg.Trace != nil {
@@ -214,7 +217,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 				res, err = s.res, a.err
 				return
 			}
-			panic(r)
+			res, err = s.res, &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 
