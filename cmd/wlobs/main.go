@@ -28,15 +28,16 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 
 	"wlcache/internal/expt"
 	"wlcache/internal/fault"
 	"wlcache/internal/hostinfo"
-	"wlcache/internal/isa"
 	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
+	"wlcache/internal/stats"
 	"wlcache/internal/workload"
 )
 
@@ -124,7 +125,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	for _, d := range strings.Split(*designs, ",") {
 		kind := expt.Kind(strings.TrimSpace(d))
 		if !slices.Contains(expt.AllKinds(), kind) {
-			// expt.NewDesign panics on an unknown kind.
+			// Rejected before the output directory is made.
 			return 0, fmt.Errorf("unknown design kind %q", kind)
 		}
 		kinds = append(kinds, kind)
@@ -147,7 +148,7 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 				inj.CrashAtInstrs(uint64(i) * crashSpacing)
 			}
 		}
-		rec, res, l, err := runCell(kind, w, *trace, *scale, *events, *check, inj)
+		rec, res, l, err := runCell(kind, w.Name, *trace, *scale, *events, *check, inj)
 		if err != nil {
 			return 0, err
 		}
@@ -254,26 +255,19 @@ func warnDropped(rec *obs.Recorder, kind string) {
 	}
 }
 
-// runCell executes one design × workload × trace cell with recording
-// on, arming inj (nil: no faults) against the design, and returns the
-// recorder, the result and the run's cycle ledger.
-func runCell(kind expt.Kind, w workload.Workload, trace string, scale, events int, check bool, inj *fault.Injector) (*obs.Recorder, sim.Result, obs.Ledger, error) {
-	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: w.Name, Trace: trace}, events)
+// runCell executes one design × workload × trace cell through
+// expt.Run with recording on and inj (nil: no faults) as the fault
+// plan, and returns the recorder, the result and the run's cycle
+// ledger.
+func runCell(kind expt.Kind, wl, trace string, scale, events int, check bool, inj *fault.Injector) (*obs.Recorder, sim.Result, obs.Ledger, error) {
+	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: wl, Trace: trace}, events)
 	cfg := sim.DefaultConfig()
 	cfg.CheckInvariants = check
 	cfg.Obs = rec
-	cfg.Trace = power.Get(power.Source(trace))
-	design, nvm := expt.NewDesign(kind, expt.Options{})
 	if inj != nil {
-		inj.Obs = rec
 		cfg.FaultPlan = inj
-		inj.Arm(nvm, design)
 	}
-	s, err := sim.New(cfg, design, nvm)
-	if err != nil {
-		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: %w", kind, err)
-	}
-	res, err := s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, scale) })
+	res, err := expt.Run(kind, expt.Options{}, wl, scale, power.Source(trace), cfg)
 	if err != nil {
 		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: %w", kind, err)
 	}
@@ -290,65 +284,39 @@ func runCell(kind expt.Kind, w workload.Workload, trace string, scale, events in
 // attrTable renders the cross-design cycle ledger: one column per
 // design, one row per category, cycles with percent-of-total.
 func attrTable(ledgers []obs.Ledger) string {
-	var b strings.Builder
 	if len(ledgers) == 0 {
 		return ""
 	}
-	cell := func(l *obs.Ledger, ps int64) string {
+	t := &stats.TextTable{
+		Title: fmt.Sprintf("cycle attribution: %s / %s (cycles, %% of total)",
+			ledgers[0].Meta.Workload, ledgers[0].Meta.Trace),
+		Label: "category",
+	}
+	for i := range ledgers {
+		t.Columns = append(t.Columns, ledgers[i].Meta.Design)
+	}
+	row := func(label string, cell func(l *obs.Ledger) string) {
+		cells := make([]string, len(ledgers))
+		for i := range ledgers {
+			cells[i] = cell(&ledgers[i])
+		}
+		t.Add(label, cells...)
+	}
+	share := func(l *obs.Ledger, ps int64) string {
 		pct := 0.0
 		if l.TotalPS > 0 {
 			pct = 100 * float64(ps) / float64(l.TotalPS)
 		}
 		return fmt.Sprintf("%d (%5.1f%%)", l.Cycles(ps), pct)
 	}
-	const catW = 18
-	colW := make([]int, len(ledgers))
-	for i := range ledgers {
-		colW[i] = len(ledgers[i].Meta.Design)
-		for _, c := range obs.Categories() {
-			if n := len(cell(&ledgers[i], ledgers[i].CatPS[c])); n > colW[i] {
-				colW[i] = n
-			}
-		}
-		if n := len(cell(&ledgers[i], ledgers[i].UnknownPS)); n > colW[i] {
-			colW[i] = n
-		}
-	}
-	fmt.Fprintf(&b, "cycle attribution: %s / %s (cycles, %% of total)\n",
-		ledgers[0].Meta.Workload, ledgers[0].Meta.Trace)
-	fmt.Fprintf(&b, "%-*s", catW, "category")
-	for i := range ledgers {
-		fmt.Fprintf(&b, "  %*s", colW[i], ledgers[i].Meta.Design)
-	}
-	b.WriteByte('\n')
 	for _, c := range obs.Categories() {
-		fmt.Fprintf(&b, "%-*s", catW, c)
-		for i := range ledgers {
-			fmt.Fprintf(&b, "  %*s", colW[i], cell(&ledgers[i], ledgers[i].CatPS[c]))
-		}
-		b.WriteByte('\n')
+		row(c.String(), func(l *obs.Ledger) string { return share(l, l.CatPS[c]) })
 	}
-	fmt.Fprintf(&b, "%-*s", catW, "unknown")
-	for i := range ledgers {
-		fmt.Fprintf(&b, "  %*s", colW[i], cell(&ledgers[i], ledgers[i].UnknownPS))
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-*s", catW, "total cycles")
-	for i := range ledgers {
-		fmt.Fprintf(&b, "  %*d", colW[i], ledgers[i].Cycles(ledgers[i].TotalPS))
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%-*s", catW, "hidden port-wait")
-	for i := range ledgers {
-		fmt.Fprintf(&b, "  %*d", colW[i], ledgers[i].Cycles(ledgers[i].HiddenPortWaitPS))
-	}
-	b.WriteString("  (async WBs, overlapped by execution)\n")
-	fmt.Fprintf(&b, "%-*s", catW, "coverage")
-	for i := range ledgers {
-		fmt.Fprintf(&b, "  %*s", colW[i], fmt.Sprintf("%.1f%%", 100*ledgers[i].Coverage()))
-	}
-	b.WriteByte('\n')
-	return b.String()
+	row("unknown", func(l *obs.Ledger) string { return share(l, l.UnknownPS) })
+	row("total cycles", func(l *obs.Ledger) string { return strconv.FormatInt(l.Cycles(l.TotalPS), 10) })
+	row("hidden port-wait", func(l *obs.Ledger) string { return strconv.FormatInt(l.Cycles(l.HiddenPortWaitPS), 10) })
+	row("coverage", func(l *obs.Ledger) string { return fmt.Sprintf("%.1f%%", 100*l.Coverage()) })
+	return t.String() + "hidden port-wait: async write-backs overlapped by execution, not in the total\n"
 }
 
 func readManifestFile(path string) ([]obs.Manifest, error) {

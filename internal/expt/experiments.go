@@ -28,13 +28,6 @@ type Context struct {
 	// from exact cells, so the two can never alias in journals, the
 	// serve store, or recorded histories.
 	Tier sim.Tier
-
-	// Ctx cancels the sweep (nil = context.Background()). Cells not
-	// yet started when it fires are reported as deterministic skips.
-	Ctx context.Context
-	// Metrics, when non-nil, receives the runner metrics of the sweep
-	// (computed cells, failures, skips).
-	Metrics *runner.Metrics
 }
 
 func (c Context) normalize() Context {
@@ -127,14 +120,10 @@ func runCellsReport(ctx Context, cells []cell) (runner.Report, error) {
 		rc.Optional = c.optional
 		rcells[i] = rc
 	}
-	rep, err := runner.RunCells(ctx.Ctx, runner.Config{
+	return runner.RunCells(context.Background(), runner.Config{
 		Workers: ctx.Parallelism,
 		Engine:  sim.EngineVersion,
 	}, rcells)
-	if ctx.Metrics != nil {
-		*ctx.Metrics = rep.Metrics
-	}
-	return rep, err
 }
 
 // RunnerCell builds the crash-resumable runner cell for one

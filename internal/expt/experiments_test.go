@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"slices"
@@ -9,6 +8,8 @@ import (
 	"testing"
 
 	"wlcache/internal/cache"
+	"wlcache/internal/mem"
+	"wlcache/internal/obs"
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
@@ -352,28 +353,6 @@ func TestRunCellsPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestRunCellsCancellation: a cancelled context degrades the sweep to
-// deterministic skips instead of hanging or aborting.
-func TestRunCellsCancellation(t *testing.T) {
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the sweep starts: everything skips
-	var cells []cell
-	for _, wl := range []string{"adpcmencode", "sha", "basicmath"} {
-		cells = append(cells, cell{kind: KindWL, wl: wl, src: power.None})
-	}
-	var m runner.Metrics
-	_, err := runCells(Context{Ctx: cctx, Metrics: &m}, cells)
-	if err == nil {
-		t.Fatal("cancelled sweep returned nil error")
-	}
-	if !errors.Is(err, runner.ErrSkipped) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("skip not typed: %v", err)
-	}
-	if m.Skipped != len(cells) || m.Computed != 0 {
-		t.Fatalf("metrics %+v", m)
-	}
-}
-
 // TestCellFingerprintDiscriminates: the content address input must
 // change whenever any result-determining parameter changes, and must
 // be empty (uncacheable) for configs carrying live hooks.
@@ -416,9 +395,10 @@ func TestCellFingerprintDiscriminates(t *testing.T) {
 
 type nopFaultPlan struct{}
 
-func (nopFaultPlan) ShouldCrash(uint64, int64) bool { return false }
-func (nopFaultPlan) CheckpointStart(int64, bool)    {}
-func (nopFaultPlan) CheckpointEnd(int64)            {}
+func (nopFaultPlan) Arm(*mem.NVM, sim.Design, *obs.Recorder) {}
+func (nopFaultPlan) ShouldCrash(uint64, int64) bool          { return false }
+func (nopFaultPlan) CheckpointStart(int64, bool)             {}
+func (nopFaultPlan) CheckpointEnd(int64)                     {}
 
 // TestCellFingerprintCoversEveryField perturbs every sim.Config and
 // Options field alone, found by reflection (nested structs and the

@@ -6,11 +6,11 @@ import (
 	"hash/fnv"
 
 	"wlcache/internal/expt"
-	"wlcache/internal/isa"
 	"wlcache/internal/mem"
+	"wlcache/internal/obs"
+	"wlcache/internal/power"
 	"wlcache/internal/sim"
 	"wlcache/internal/stats"
-	"wlcache/internal/workload"
 )
 
 // Outcome classifies one audited run against its golden reference.
@@ -165,24 +165,17 @@ func Audit(m Matrix) (*Report, error) {
 	if m.Points <= 0 {
 		m.Points = 4
 	}
-	if m.Scale <= 0 {
-		m.Scale = 1
-	}
 	rep := &Report{modes: m.Modes}
 	for _, kind := range m.Designs {
 		rep.designs = append(rep.designs, string(kind))
-		for _, wlName := range m.Workloads {
-			w, ok := workload.ByName(wlName)
-			if !ok {
-				return nil, fmt.Errorf("fault: unknown workload %q", wlName)
-			}
-			g, err := goldenRun(kind, w, m.Scale)
+		for _, wl := range m.Workloads {
+			g, err := goldenRun(kind, wl, m.Scale)
 			if err != nil {
-				return nil, fmt.Errorf("fault: golden run %s/%s: %w", kind, wlName, err)
+				return nil, fmt.Errorf("fault: golden run %s/%s: %w", kind, wl, err)
 			}
 			for _, mode := range m.Modes {
 				for _, seed := range m.Seeds {
-					cell := auditCell(kind, w, mode, seed, m.Points, m.Scale, g)
+					cell := auditCell(kind, wl, mode, seed, m.Points, m.Scale, g)
 					rep.Cells = append(rep.Cells, cell)
 				}
 			}
@@ -194,49 +187,51 @@ func Audit(m Matrix) (*Report, error) {
 // AuditOne audits a single (design, workload, mode, seed) cell,
 // computing its own golden reference. Tests use it for targeted
 // checks; Audit shares golden runs across modes and seeds instead.
-func AuditOne(kind expt.Kind, wlName string, mode Mode, seed uint64, points, scale int) (Cell, error) {
-	w, ok := workload.ByName(wlName)
-	if !ok {
-		return Cell{}, fmt.Errorf("fault: unknown workload %q", wlName)
-	}
-	g, err := goldenRun(kind, w, scale)
+func AuditOne(kind expt.Kind, wl string, mode Mode, seed uint64, points, scale int) (Cell, error) {
+	g, err := goldenRun(kind, wl, scale)
 	if err != nil {
-		return Cell{}, fmt.Errorf("fault: golden run %s/%s: %w", kind, wlName, err)
+		return Cell{}, fmt.Errorf("fault: golden run %s/%s: %w", kind, wl, err)
 	}
-	return auditCell(kind, w, mode, seed, points, scale, g), nil
+	return auditCell(kind, wl, mode, seed, points, scale, g), nil
 }
 
+// lineCounter is the golden run's fault plan: it never crashes, and
+// its Arm installs an NVM hook that counts every line write.
+type lineCounter struct{ writes uint64 }
+
+func (c *lineCounter) Arm(nvm *mem.NVM, _ sim.Design, _ *obs.Recorder) {
+	nvm.SetLineWriteHook(func(wr mem.LineWrite) int {
+		c.writes++
+		return len(wr.Data)
+	})
+}
+func (*lineCounter) ShouldCrash(uint64, int64) bool { return false }
+func (*lineCounter) CheckpointStart(int64, bool)    {}
+func (*lineCounter) CheckpointEnd(int64)            {}
+
 // goldenRun executes the uninterrupted reference: no power trace, no
-// fault plan. Invariants stay off — the golden run only defines the
+// crashes. Invariants stay off — the golden run only defines the
 // reference checksum and timeline; even the broken negative control
 // is "correct" when power never fails, and judging durability is the
 // audited runs' job. It also counts line writes so torn-write crash
 // points can target real write-back traffic.
-func goldenRun(kind expt.Kind, w workload.Workload, scale int) (golden, error) {
-	design, nvm := expt.NewDesign(kind, expt.Options{})
-	var lw uint64
-	nvm.SetLineWriteHook(func(wr mem.LineWrite) int {
-		lw++
-		return len(wr.Data)
-	})
+func goldenRun(kind expt.Kind, wl string, scale int) (golden, error) {
+	lc := &lineCounter{}
 	cfg := sim.DefaultConfig()
-	s, err := sim.New(cfg, design, nvm)
+	cfg.FaultPlan = lc
+	res, err := expt.Run(kind, expt.Options{}, wl, scale, power.None, cfg)
 	if err != nil {
 		return golden{}, err
 	}
-	res, err := s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, scale) })
-	if err != nil {
-		return golden{}, err
-	}
-	return golden{execTime: res.ExecTime, checksum: res.Checksum, lineWrites: lw}, nil
+	return golden{execTime: res.ExecTime, checksum: res.Checksum, lineWrites: lc.writes}, nil
 }
 
 // auditCell runs one faulted simulation and classifies it against the
 // golden reference.
-func auditCell(kind expt.Kind, w workload.Workload, mode Mode, seed uint64, points, scale int, g golden) Cell {
-	cell := Cell{Design: string(kind), Workload: w.Name, Mode: mode, Seed: seed}
+func auditCell(kind expt.Kind, wl string, mode Mode, seed uint64, points, scale int, g golden) Cell {
+	cell := Cell{Design: string(kind), Workload: wl, Mode: mode, Seed: seed}
 
-	rng := cellSeed(string(kind), w.Name, string(mode), seed)
+	rng := cellSeed(string(kind), wl, string(mode), seed)
 	inj := NewInjector(mode, mix(&rng))
 	times := make([]int64, 0, points)
 	for i := 0; i < points; i++ {
@@ -255,16 +250,10 @@ func auditCell(kind expt.Kind, w workload.Workload, mode Mode, seed uint64, poin
 		inj.CrashAtLineWrites(1+mix(&rng)%g.lineWrites, 1+mix(&rng)%g.lineWrites)
 	}
 
-	design, nvm := expt.NewDesign(kind, expt.Options{})
 	cfg := sim.DefaultConfig()
 	cfg.CheckInvariants = true
 	cfg.FaultPlan = inj
-	inj.Arm(nvm, design)
-	s, err := sim.New(cfg, design, nvm)
-	var res sim.Result
-	if err == nil {
-		res, err = s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, scale) })
-	}
+	res, err := expt.Run(kind, expt.Options{}, wl, scale, power.None, cfg)
 
 	cell.Crashes = inj.Crashes
 	cell.TornWrites = inj.TornWrites

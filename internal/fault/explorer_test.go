@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"strings"
 	"testing"
 
 	"wlcache/internal/expt"
@@ -100,5 +101,31 @@ func TestDefaultMatrixShape(t *testing.T) {
 	}
 	if len(m.Modes) != len(Modes()) {
 		t.Fatalf("matrix has %d modes, want %d", len(m.Modes), len(Modes()))
+	}
+}
+
+// An unknown design kind or workload is an error, never a panic: every
+// audited run goes through expt.Run, which validates both names.
+func TestAuditRejectsUnknownNames(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("audit panicked: %v", r)
+		}
+	}()
+	for _, tc := range []struct {
+		kind expt.Kind
+		wl   string
+		want string
+	}{
+		{"bogus", "adpcmencode", `unknown design kind "bogus"`},
+		{expt.KindWL, "nope", `unknown workload "nope"`},
+	} {
+		if _, err := AuditOne(tc.kind, tc.wl, ModeCrash, 1, 2, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("AuditOne(%s, %s): err = %v, want %q", tc.kind, tc.wl, err, tc.want)
+		}
+		m := Matrix{Designs: []expt.Kind{tc.kind}, Workloads: []string{tc.wl}, Modes: []Mode{ModeCrash}, Seeds: []uint64{1}}
+		if _, err := Audit(m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Audit(%s, %s): err = %v, want %q", tc.kind, tc.wl, err, tc.want)
+		}
 	}
 }

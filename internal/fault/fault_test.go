@@ -19,7 +19,6 @@ func runWith(t *testing.T, kind expt.Kind, opts expt.Options, inj *Injector,
 	cfg.CheckInvariants = true
 	if inj != nil {
 		cfg.FaultPlan = inj
-		inj.Arm(nvm, design)
 	}
 	s, err := sim.New(cfg, design, nvm)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // Injector implements sim.FaultPlan plus the NVM and cache hooks for
-// one run. It is single-use: build one per simulation, Arm it on the
-// run's NVM and design, and install it as Config.FaultPlan.
+// one run. It is single-use: build one per simulation and install it
+// as Config.FaultPlan; sim.New arms it.
 //
 // All randomness derives from the seed via splitmix64, so identical
 // (mode, seed, schedule) inputs replay identical faults.
@@ -32,13 +32,10 @@ type Injector struct {
 	TornWrites  uint64 // line writes torn (prefix or fully lost)
 	DroppedACKs uint64 // write-back ACKs suppressed
 
-	// Obs, when set, records every torn write in the run's event
-	// timeline (internal/obs). nil disables recording.
-	Obs *obs.Recorder
-
 	mode Mode
 	rng  uint64
 	nvm  *mem.NVM
+	rec  *obs.Recorder // records every torn write; nil when unrecorded
 
 	crashTimes  []int64  // sorted; fire when now >= next
 	crashInstrs []uint64 // sorted; fire when instr count >= next
@@ -102,13 +99,14 @@ func (in *Injector) CrashAtLineWrites(ks ...uint64) {
 	sort.Slice(in.crashWrites, func(i, j int) bool { return in.crashWrites[i] < in.crashWrites[j] })
 }
 
-// Arm installs the mode's hooks on the run's NVM and design. The
-// torn-write modes need the NVM's line-write stream; ACK loss needs
-// the design's write-back ACK filter (designs without an async
-// write-back path have no ACKs to lose, and ModeAckLoss degenerates
-// to ModeCrash for them).
-func (in *Injector) Arm(nvm *mem.NVM, d sim.Design) {
+// Arm installs the mode's hooks on the run's NVM and design, and
+// records torn writes on rec. The torn-write modes need the NVM's
+// line-write stream; ACK loss needs the design's write-back ACK filter
+// (designs without an async write-back path have no ACKs to lose, and
+// ModeAckLoss degenerates to ModeCrash for them).
+func (in *Injector) Arm(nvm *mem.NVM, d sim.Design, rec *obs.Recorder) {
 	in.nvm = nvm
+	in.rec = rec
 	switch in.mode {
 	case ModeTornWB, ModeTornCkpt:
 		nvm.SetLineWriteHook(in.onLineWrite)
@@ -199,11 +197,11 @@ func (in *Injector) onLineWrite(w mem.LineWrite) int {
 		case idx == in.tearAfter:
 			in.TornWrites++
 			kept := min(in.tearWords, n)
-			in.Obs.FaultTornWrite(w.Now, w.Addr, kept, n)
+			in.rec.FaultTornWrite(w.Now, w.Addr, kept, n)
 			return kept
 		default:
 			in.TornWrites++
-			in.Obs.FaultTornWrite(w.Now, w.Addr, 0, n)
+			in.rec.FaultTornWrite(w.Now, w.Addr, 0, n)
 			return 0
 		}
 	}
@@ -250,7 +248,7 @@ func (in *Injector) tearInflight(tcrash int64) {
 		}
 		if k < n {
 			in.TornWrites++
-			in.Obs.FaultTornWrite(tcrash, r.addr, k, n)
+			in.rec.FaultTornWrite(tcrash, r.addr, k, n)
 		}
 		for j := k; j < n; j++ {
 			img.Write(r.addr+uint32(4*j), r.pre[j])

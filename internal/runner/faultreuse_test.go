@@ -8,10 +8,9 @@ import (
 
 	"wlcache/internal/expt"
 	"wlcache/internal/fault"
-	"wlcache/internal/isa"
+	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
-	"wlcache/internal/workload"
 )
 
 // faultedCell builds a runner cell that executes a real simulation
@@ -23,22 +22,12 @@ func faultedCell(kind expt.Kind, wlName string, mode fault.Mode, seed uint64, cr
 	return runner.Cell{
 		ID: fmt.Sprintf("%s/%s/faulted", kind, wlName),
 		Run: func(context.Context) (sim.Result, error) {
-			w, ok := workload.ByName(wlName)
-			if !ok {
-				return sim.Result{}, fmt.Errorf("unknown workload %q", wlName)
-			}
 			inj := fault.NewInjector(mode, seed)
 			inj.CrashAtInstrs(crashInstrs...)
-			design, nvm := expt.NewDesign(kind, expt.Options{})
 			cfg := sim.DefaultConfig()
 			cfg.CheckInvariants = true
 			cfg.FaultPlan = inj
-			inj.Arm(nvm, design)
-			s, err := sim.New(cfg, design, nvm)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			return s.Run(w.Name, func(m isa.Machine) uint32 { return w.Run(m, 1) })
+			return expt.Run(kind, expt.Options{}, wlName, 1, power.None, cfg)
 		},
 	}
 }

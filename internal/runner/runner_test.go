@@ -181,48 +181,62 @@ func TestOptionalFailureTolerated(t *testing.T) {
 
 // Cancellation degrades gracefully: started cells finish, unstarted
 // cells become deterministic typed skips, and the sweep reports rather
-// than hangs or aborts.
+// than hangs or aborts. A context cancelled before the sweep starts
+// skips every cell and computes none.
 func TestCancellationSkipsDeterministically(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	release := make(chan struct{})
-	var started atomic.Int64
-	cells := make([]Cell, 12)
-	for i := range cells {
-		i := i
-		cells[i] = Cell{
-			ID: fmt.Sprintf("cell-%d", i),
-			Run: func(context.Context) (sim.Result, error) {
-				if started.Add(1) == 2 {
-					cancel()
+	for _, tc := range []struct {
+		name   string
+		before bool // cancel before RunCells instead of mid-sweep
+	}{{"mid-sweep", false}, {"before start", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.before {
+				cancel()
+			}
+			release := make(chan struct{})
+			var started atomic.Int64
+			cells := make([]Cell, 12)
+			for i := range cells {
+				i := i
+				cells[i] = Cell{
+					ID: fmt.Sprintf("cell-%d", i),
+					Run: func(context.Context) (sim.Result, error) {
+						if started.Add(1) == 2 {
+							cancel()
+						}
+						<-release
+						return fakeResult(i), nil
+					},
 				}
-				<-release
-				return fakeResult(i), nil
-			},
-		}
-	}
-	go func() {
-		// Free the in-flight cells once cancellation has landed.
-		<-ctx.Done()
-		close(release)
-	}()
-	rep, err := RunCells(ctx, Config{Workers: 2, Engine: "test"}, cells)
-	if err == nil {
-		t.Fatal("cancelled sweep returned nil error")
-	}
-	if rep.Metrics.Skipped == 0 {
-		t.Fatalf("no skips recorded: %+v", rep.Metrics)
-	}
-	if rep.Metrics.Computed+rep.Metrics.Skipped != len(cells) {
-		t.Fatalf("cells unaccounted: %+v", rep.Metrics)
-	}
-	for i, cerr := range rep.Errs {
-		if cerr != nil && !errors.Is(cerr, ErrSkipped) {
-			t.Fatalf("cell %d: unexpected error class: %v", i, cerr)
-		}
-		if cerr != nil && !errors.Is(cerr, context.Canceled) {
-			t.Fatalf("cell %d: skip does not carry the cancellation cause: %v", i, cerr)
-		}
+			}
+			go func() {
+				// Free the in-flight cells once cancellation has landed.
+				<-ctx.Done()
+				close(release)
+			}()
+			rep, err := RunCells(ctx, Config{Workers: 2, Engine: "test"}, cells)
+			if !errors.Is(err, ErrSkipped) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled sweep returned %v, want a typed skip", err)
+			}
+			if rep.Metrics.Skipped == 0 {
+				t.Fatalf("no skips recorded: %+v", rep.Metrics)
+			}
+			if rep.Metrics.Computed+rep.Metrics.Skipped != len(cells) {
+				t.Fatalf("cells unaccounted: %+v", rep.Metrics)
+			}
+			if tc.before && (rep.Metrics.Skipped != len(cells) || started.Load() != 0) {
+				t.Fatalf("pre-cancelled sweep ran %d cells: %+v", started.Load(), rep.Metrics)
+			}
+			for i, cerr := range rep.Errs {
+				if cerr != nil && !errors.Is(cerr, ErrSkipped) {
+					t.Fatalf("cell %d: unexpected error class: %v", i, cerr)
+				}
+				if cerr != nil && !errors.Is(cerr, context.Canceled) {
+					t.Fatalf("cell %d: skip does not carry the cancellation cause: %v", i, cerr)
+				}
+			}
+		})
 	}
 }
 

@@ -103,8 +103,9 @@ type Config struct {
 	MaxOutages uint64
 
 	// FaultPlan optionally injects crashes at instruction boundaries
-	// and observes checkpoint windows (internal/fault). nil disables
-	// injection; forced crashes work with or without a power trace.
+	// and observes checkpoint windows (internal/fault). New arms it on
+	// the run's NVM and design. nil disables injection; forced crashes
+	// work with or without a power trace.
 	FaultPlan FaultPlan
 
 	// Obs optionally records the run's cycle-level event timeline and

@@ -20,6 +20,9 @@ type Design interface {
 	// the loaded value (stores echo val), the completion time, and the
 	// energy drawn by the memory hierarchy.
 	Access(now int64, op isa.Op, addr uint32, val uint32) (v uint32, done int64, eb energy.Breakdown)
+	// EBAccessor is the simulator's access path: Access with the
+	// breakdown accumulated in place.
+	EBAccessor
 	// Checkpoint runs the design's JIT checkpoint at impending power
 	// failure, returning its completion time and energy.
 	Checkpoint(now int64) (done int64, eb energy.Breakdown)
@@ -57,8 +60,8 @@ type EnergyProbeBinder interface {
 	BindEnergyProbe(func(newReserve float64) bool)
 }
 
-// EBAccessor is the simulator's one access path, and New rejects a
-// design without it: the design accumulates its energy breakdown into
+// EBAccessor is the simulator's one access path, and every Design
+// has it: the design accumulates its energy breakdown into
 // *eb (+= only, never a plain store) instead of returning the 64-byte
 // struct by value, sparing one copy per simulated memory operation. *eb
 // is zero on the exact policy, which settles each access alone, and

@@ -346,7 +346,6 @@ type designCall struct {
 type loggedDesign struct {
 	Design
 	t   *testing.T
-	eba EBAccessor
 	log []designCall
 }
 
@@ -354,7 +353,7 @@ func (d *loggedDesign) AccessEB(now int64, op isa.Op, addr, val uint32, eb *ener
 	if *eb != (energy.Breakdown{}) {
 		d.t.Fatalf("the exact policy handed AccessEB a non-zero breakdown at t=%d: %+v", now, *eb)
 	}
-	v, done := d.eba.AccessEB(now, op, addr, val, eb)
+	v, done := d.Design.AccessEB(now, op, addr, val, eb)
 	d.log = append(d.log, designCall{"access", now, done, *eb})
 	return v, done
 }
@@ -434,7 +433,7 @@ func (m *lockstepMachine) check(op string) {
 // returns the run's result.
 func replayInLockstep(t *testing.T, cfg Config, design Design, nvm *mem.NVM, kernel string) Result {
 	t.Helper()
-	d := &loggedDesign{Design: design, t: t, eba: design.(EBAccessor)}
+	d := &loggedDesign{Design: design, t: t}
 	s, err := New(cfg, d, nvm)
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"wlcache/internal/mem"
+	"wlcache/internal/obs"
+)
+
 // FaultPlan is the crash-schedule hook that lets a fault injector
 // (internal/fault) drive the simulator off the happy path. A plan can
 // force a power failure at any instruction boundary — not just when
@@ -10,6 +15,11 @@ package sim
 // All hooks run on the simulator's goroutine; implementations must be
 // deterministic for reproducible audits.
 type FaultPlan interface {
+	// Arm installs the plan's hooks on the run's NVM and design. New
+	// calls it once, after binding Config.Obs, and passes that
+	// recorder (nil when the run is not recorded).
+	Arm(nvm *mem.NVM, d Design, rec *obs.Recorder)
+
 	// ShouldCrash is consulted at every instruction boundary (after
 	// each memory access and after each compute chunk). Returning true
 	// forces an immediate power failure regardless of the capacitor

@@ -38,7 +38,6 @@ type Simulator struct {
 	// hoist interface calls and products that are loop-invariant out of
 	// Load32/Store32/Compute.
 	cursor     *power.Cursor
-	accessEB   EBAccessor // the design's access path
 	vb         float64
 	leakW      float64
 	perInstrPS int64
@@ -94,19 +93,14 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eba, ok := design.(EBAccessor)
-	if !ok {
-		return nil, fmt.Errorf("sim: design %s does not implement EBAccessor", design.Name())
-	}
 	if cfg.MaxOutages == 0 {
 		cfg.MaxOutages = defaultMaxOutages
 	}
 	s := &Simulator{
-		cfg:      cfg,
-		design:   design,
-		accessEB: eba,
-		nvm:      nvm,
-		cap:      energy.NewCapacitor(cfg.CapacitorF, cfg.VMin, cfg.VMax),
+		cfg:    cfg,
+		design: design,
+		nvm:    nvm,
+		cap:    energy.NewCapacitor(cfg.CapacitorF, cfg.VMin, cfg.VMax),
 	}
 	if cfg.CheckInvariants {
 		s.golden = mem.NewStore()
@@ -134,15 +128,19 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	if binder, ok := design.(ReserveNotifyBinder); ok {
 		binder.BindReserveChanged(s.refreshThresholds)
 	}
-	// Observability wiring: one recorder reaches the NVM port (contention
-	// histogram) and the design (its own event sites); the simulator
-	// feeds the voltage gauge itself at every settle. All sites stay
-	// nil-checked when cfg.Obs is nil.
+	// A run's hooks are attached here and nowhere else. One recorder
+	// reaches the NVM port (contention histogram) and the design (its
+	// own event sites); the simulator feeds the voltage gauge itself at
+	// every settle. All sites stay nil-checked when cfg.Obs is nil. The
+	// fault plan is armed after, with the same recorder.
 	if cfg.Obs != nil {
 		nvm.SetPortObserver(cfg.Obs)
 		if binder, ok := design.(ObserverBinder); ok {
 			binder.BindObserver(cfg.Obs)
 		}
+	}
+	if cfg.FaultPlan != nil {
+		cfg.FaultPlan.Arm(nvm, design, cfg.Obs)
 	}
 	// Sanity: the initial reserve must be chargeable on this capacitor.
 	// Only traced runs care — with uninterrupted power Vbackup is never
@@ -300,7 +298,7 @@ func (s *Simulator) Load32(addr uint32) uint32 {
 		v = s.accessExact(isa.OpLoad, addr, 0)
 	} else {
 		var done int64
-		v, done = s.accessEB.AccessEB(s.now, isa.OpLoad, addr, 0, &s.ebScratch)
+		v, done = s.design.AccessEB(s.now, isa.OpLoad, addr, 0, &s.ebScratch)
 		if end, ok := s.windowStep(done); !ok {
 			s.settleEvent(end)
 		}
@@ -324,7 +322,7 @@ func (s *Simulator) Store32(addr uint32, v uint32) {
 		s.accessExact(isa.OpStore, addr, v)
 		return
 	}
-	_, done := s.accessEB.AccessEB(s.now, isa.OpStore, addr, v, &s.ebScratch)
+	_, done := s.design.AccessEB(s.now, isa.OpStore, addr, v, &s.ebScratch)
 	if end, ok := s.windowStep(done); !ok {
 		s.settleEvent(end)
 	}
@@ -378,7 +376,7 @@ func (s *Simulator) Compute(n int) {
 // is zero on entry and cleared on exit.
 func (s *Simulator) accessExact(op isa.Op, addr uint32, val uint32) uint32 {
 	eb := &s.ebScratch
-	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)
+	v, done := s.design.AccessEB(s.now, op, addr, val, eb)
 	from := s.now
 	s.now = max(from+s.perInstrPS, done)
 	eb.Compute += s.cfg.InstrEnergy

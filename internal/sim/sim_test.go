@@ -10,6 +10,7 @@ import (
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
 	"wlcache/internal/mem"
+	"wlcache/internal/obs"
 	"wlcache/internal/power"
 )
 
@@ -240,13 +241,71 @@ func TestReserveTooLargeRejected(t *testing.T) {
 	}
 }
 
-// accessOnly hides every method but sim.Design's.
-type accessOnly struct{ Design }
+// spyPlan is a FaultPlan that never crashes and records how it was
+// armed.
+type spyPlan struct {
+	arms int
+	nvm  *mem.NVM
+	d    Design
+	rec  *obs.Recorder
+}
 
-func TestAccessOnlyDesignRejected(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	if _, err := New(DefaultConfig(), accessOnly{newWLStatic(nvm)}, nvm); err == nil {
-		t.Fatal("design without AccessEB accepted")
+func (p *spyPlan) Arm(nvm *mem.NVM, d Design, rec *obs.Recorder) {
+	p.arms++
+	p.nvm, p.d, p.rec = nvm, d, rec
+}
+func (*spyPlan) ShouldCrash(uint64, int64) bool { return false }
+func (*spyPlan) CheckpointStart(int64, bool)    {}
+func (*spyPlan) CheckpointEnd(int64)            {}
+
+// New is the one place a fault plan is armed: exactly once, on the
+// run's own NVM and design, with cfg.Obs (nil when the run is not
+// recorded). Without a plan nothing is armed and the run still
+// completes.
+func TestNewArmsFaultPlanOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plan   bool
+		record bool
+	}{
+		{"no plan", false, false},
+		{"no plan, recorded", false, true},
+		{"plan", true, false},
+		{"plan, recorded", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			d := newWLStatic(nvm)
+			spy := &spyPlan{}
+			cfg := DefaultConfig()
+			if tc.plan {
+				cfg.FaultPlan = spy
+			}
+			if tc.record {
+				cfg.Obs = obs.NewRecorder(obs.RunMeta{Design: d.Name()}, 64)
+			}
+			s, err := New(cfg, d, nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run("inline", func(m isa.Machine) uint32 {
+				m.Store32(0, 7)
+				return m.Load32(0)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if tc.plan {
+				want = 1
+			}
+			if spy.arms != want {
+				t.Fatalf("Arm called %d times, want %d", spy.arms, want)
+			}
+			if tc.plan && (spy.nvm != nvm || spy.d != d || spy.rec != cfg.Obs) {
+				t.Fatalf("armed with the run's NVM %t, design %t, recorder %t; want all true",
+					spy.nvm == nvm, spy.d == d, spy.rec == cfg.Obs)
+			}
+		})
 	}
 }
 
