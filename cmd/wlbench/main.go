@@ -41,6 +41,7 @@ import (
 	"wlcache/internal/power"
 	"wlcache/internal/serve"
 	"wlcache/internal/sim"
+	"wlcache/internal/workload"
 )
 
 func main() {
@@ -99,12 +100,14 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, hostinfo.Version("wlbench"))
 		return nil
 	}
+	var wls []string
+	if *workloads != "" {
+		if wls, err = parseWorkloads(*workloads); err != nil {
+			return err
+		}
+	}
 
 	if *chaos {
-		var wls []string
-		if *workloads != "" {
-			wls = strings.Split(*workloads, ",")
-		}
 		trNames, err := parseTraces(*traces)
 		if err != nil {
 			return err
@@ -132,10 +135,7 @@ func run(args []string, stdout io.Writer) error {
 	if *scale < 1 {
 		return fmt.Errorf("-scale %d: want at least 1", *scale)
 	}
-	ctx := expt.Context{Scale: *scale, Parallelism: *parallel, CheckInvariants: *check, Tier: tier}
-	if *workloads != "" {
-		ctx.Workloads = strings.Split(*workloads, ",")
-	}
+	ctx := expt.Context{Scale: *scale, Workloads: wls, Parallelism: *parallel, CheckInvariants: *check, Tier: tier}
 
 	var todo []expt.Experiment
 	if *experiment == "all" {
@@ -171,6 +171,27 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// parseWorkloads splits a -workloads value into benchmark names,
+// rejecting an unknown name or a list that names none before anything
+// runs.
+func parseWorkloads(s string) ([]string, error) {
+	var out []string
+	for _, name := range strings.Split(s, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if _, ok := workload.ByName(name); !ok {
+			return nil, fmt.Errorf("unknown workload %q (see wlsim -list)", name)
+		}
+		out = append(out, name)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("-workloads %q names no workload", s)
+	}
+	return out, nil
 }
 
 // parseTraces splits a comma-separated -traces value into power-source

@@ -100,6 +100,31 @@ func TestNonPositiveScaleRejected(t *testing.T) {
 	}
 }
 
+// -workloads must name only known benchmarks, and at least one,
+// before anything runs: an unknown name is not silently dropped, and
+// a list with no name is not a sweep over nothing.
+func TestUnknownWorkloadsRejected(t *testing.T) {
+	for _, c := range []struct {
+		experiment, workloads, want string
+	}{
+		{"fig7", "bogus,sha", `unknown workload "bogus"`},
+		{"fig5", "bogus", `unknown workload "bogus"`},
+		{"fig5", ",,", `-workloads ",," names no workload`},
+	} {
+		var b strings.Builder
+		err := run([]string{"-experiment", c.experiment, "-workloads", c.workloads, "-tier", "fast"}, &b)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-workloads %s: err = %v, want %q", c.workloads, err, c.want)
+		}
+		if code := exitCodeFor(err); code != 1 {
+			t.Errorf("-workloads %s: exit code = %d, want 1", c.workloads, code)
+		}
+		if b.Len() != 0 {
+			t.Errorf("-workloads %s: printed output before failing:\n%s", c.workloads, b.String())
+		}
+	}
+}
+
 // -traces must reject unknown names before any server starts.
 func TestSweepUnknownTraceRejected(t *testing.T) {
 	var b strings.Builder

@@ -143,6 +143,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 	if *scale < 1 {
 		return 0, fmt.Errorf("-scale %d: want at least 1", *scale)
 	}
+	if *points < 1 {
+		return 0, fmt.Errorf("-points %d: want at least 1", *points)
+	}
 	m.Points = *points
 	m.Scale = *scale
 

@@ -72,6 +72,20 @@ func TestBadFlagsError(t *testing.T) {
 	}
 }
 
+// -points below 1 is a usage error (exit 1), not a silent default.
+func TestNonPositivePointsRejected(t *testing.T) {
+	var b strings.Builder
+	for _, points := range []string{"0", "-1"} {
+		_, err := run([]string{"-designs", "wl", "-workloads", "adpcmencode", "-points", points}, &b)
+		if want := "-points " + points + ": want at least 1"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-points %s: err = %v, want %q", points, err, want)
+		}
+		if code := exitCodeFor(err); code != 1 {
+			t.Errorf("-points %s: exit code = %d, want 1", points, code)
+		}
+	}
+}
+
 // The documented exit-code contract: typed simulator sentinels map to
 // distinct codes even when wrapped, everything else is a generic 1.
 func TestExitCodeClassification(t *testing.T) {

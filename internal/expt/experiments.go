@@ -57,12 +57,39 @@ type Experiment struct {
 	Run   func(ctx Context) (string, error)
 }
 
-var experiments []Experiment
+// experiments lists every experiment in the paper's order: DESIGN.md
+// §4's table rows, then the measured discussion sections and the
+// extensions.
+var experiments = []Experiment{
+	{ID: "table1", Title: "Table 1: hardware complexity and performance comparison", Run: table1},
+	{ID: "table2", Title: "Table 2: simulation configuration", Run: table2},
+	{ID: "hwcost", Title: "Section 6.2: WL-Cache hardware cost (mini-CACTI, 90 nm)", Run: hwcostReport},
+	{ID: "fig4", Title: "Figure 4: normalized speedup vs NVSRAM(ideal), no power failure",
+		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") }},
+	{ID: "fig5", Title: "Figure 5: normalized speedup vs NVSRAM(ideal), Power Trace 1",
+		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") }},
+	{ID: "fig6", Title: "Figure 6: normalized speedup vs NVSRAM(ideal), Power Trace 2",
+		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") }},
+	{ID: "fig7", Title: "Figure 7: normalized write traffic increase vs NVSRAM(ideal), Power Trace 1", Run: fig7},
+	{ID: "fig8a", Title: "Figure 8(a): DirtyQueue replacement policy (DQ-FIFO vs DQ-LRU)", Run: fig8a},
+	{ID: "fig8b", Title: "Figure 8(b): cache set associativity (direct-mapped, 2-way, 4-way)", Run: fig8b},
+	{ID: "fig9", Title: "Figure 9: maxline (2..8) x cache replacement (FIFO/LRU) sensitivity, Power Trace 1", Run: fig9},
+	{ID: "fig10a", Title: "Figure 10(a): cache size sweep 128B..4KB, Power Trace 1", Run: fig10a},
+	{ID: "fig10b", Title: "Figure 10(b): capacitor size sweep 100nF..1mF, Power Trace 1", Run: fig10b},
+	{ID: "fig11", Title: "Figure 11: adaptive vs best-static WL-Cache, Power Trace 1",
+		Run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }},
+	{ID: "fig12", Title: "Figure 12: adaptive vs best-static WL-Cache, Power Trace 2",
+		Run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }},
+	{ID: "fig13a", Title: "Figure 13(a): performance across power traces (tr.1/tr.2/tr.3/solar/thermal)", Run: fig13a},
+	{ID: "fig13b", Title: "Figure 13(b): energy consumption breakdown, Power Trace 1", Run: fig13b},
+	{ID: "adaptstats", Title: "Section 6.6: adaptive threshold statistics", Run: adaptStats},
+	{ID: "sec33", Title: "Section 3.3: WL-Cache vs the write-through + write-buffer alternative", Run: sec33},
+	{ID: "nvsramvariants", Title: "Section 2.3.3: NVSRAM full vs ideal vs practical, measured", Run: nvsramVariants},
+	{ID: "related", Title: "Section 7/Table 3: eager write-back without a dirty bound (extension)", Run: relatedExperiment},
+	{ID: "icache", Title: "Instruction-cache model: design gaps with I-fetch charged (extension)", Run: icacheExperiment},
+}
 
-func registerExperiment(e Experiment) { experiments = append(experiments, e) }
-
-// Experiments returns every registered experiment in registration
-// order (the paper's order).
+// Experiments returns every experiment in the paper's order.
 func Experiments() []Experiment { return experiments }
 
 // ByID finds an experiment.
@@ -248,46 +275,97 @@ func gmeanOrNaN(xs []float64) float64 {
 	return stats.Gmean(xs)
 }
 
-// speedupTable builds the paper's standard per-benchmark layout: one
-// row per benchmark plus gmean(Media), gmean(Mi) and gmean(Total),
-// with each column a design's speedup over the NVSRAM baseline.
-func speedupTable(title string, names []string, columns []string,
-	times func(wl string) (base float64, perCol []float64)) *stats.Table {
-	t := stats.NewTable(title, columns...)
-	perColRatios := make([][]float64, len(columns))
-	mediaSet := map[string]bool{}
-	for _, n := range workload.SuiteNames(workload.MediaBench) {
-		mediaSet[n] = true
-	}
-	mediaRatios := make([][]float64, len(columns))
-	miRatios := make([][]float64, len(columns))
+// speedups runs base and every variant on each workload of names.
+// The cells are templates: speedups fills in the workload and submits
+// [base, variants...] per workload, in names order. ratios[v][i] is
+// variant v's speedup over base on names[i]; results[i] holds that
+// workload's results, base first.
+func speedups(ctx Context, names []string, base cell, variants ...cell) (ratios [][]float64, results [][]sim.Result, err error) {
+	per := 1 + len(variants)
+	cells := make([]cell, 0, per*len(names))
 	for _, wl := range names {
-		base, per := times(wl)
-		row := make([]float64, len(columns))
-		for i, tm := range per {
-			r := base / tm
-			row[i] = r
-			perColRatios[i] = append(perColRatios[i], r)
-			if mediaSet[wl] {
-				mediaRatios[i] = append(mediaRatios[i], r)
-			} else {
-				miRatios[i] = append(miRatios[i], r)
+		base.wl = wl
+		cells = append(cells, base)
+		for _, v := range variants {
+			v.wl = wl
+			cells = append(cells, v)
+		}
+	}
+	flat, err := runCells(ctx, cells)
+	if err != nil {
+		return nil, nil, err
+	}
+	ratios = make([][]float64, len(variants))
+	results = make([][]sim.Result, len(names))
+	for i := range names {
+		row := flat[per*i : per*(i+1)]
+		results[i] = row
+		for v := range variants {
+			ratios[v] = append(ratios[v], float64(row[0].ExecTime)/float64(row[1+v].ExecTime))
+		}
+	}
+	return ratios, results, nil
+}
+
+// kindCells is one variant cell template per design kind, all with the
+// same options and power source.
+func kindCells(src power.Source, opts Options, kinds ...Kind) []cell {
+	cells := make([]cell, len(kinds))
+	for i, k := range kinds {
+		cells[i] = cell{kind: k, opts: opts, src: src}
+	}
+	return cells
+}
+
+// gmeans is one table row: the geometric mean of each variant's ratios.
+func gmeans(ratios [][]float64) []float64 {
+	row := make([]float64, len(ratios))
+	for v, rs := range ratios {
+		row[v] = stats.Gmean(rs)
+	}
+	return row
+}
+
+// rowOf is workload i's row: every variant's ratio on it.
+func rowOf(ratios [][]float64, i int) []float64 {
+	row := make([]float64, len(ratios))
+	for v, rs := range ratios {
+		row[v] = rs[i]
+	}
+	return row
+}
+
+// speedupTable builds the paper's standard per-benchmark layout from
+// ratios[column][benchmark]: one row per benchmark, then gmean(Media)
+// and gmean(Mi) for each suite with a benchmark in names, and
+// gmean(Total).
+func speedupTable(title string, names, columns []string, ratios [][]float64) *stats.Table {
+	t := stats.NewTable(title, columns...)
+	var media, mi []int
+	for i, wl := range names {
+		t.Add(wl, rowOf(ratios, i)...)
+		if w, _ := workload.ByName(wl); w.Suite == workload.MediaBench {
+			media = append(media, i)
+		} else {
+			mi = append(mi, i)
+		}
+	}
+	for _, g := range []struct {
+		label string
+		rows  []int
+	}{{"gmean(Media)", media}, {"gmean(Mi)", mi}} {
+		if len(g.rows) == 0 {
+			continue
+		}
+		sub := make([][]float64, len(ratios))
+		for c, rs := range ratios {
+			for _, i := range g.rows {
+				sub[c] = append(sub[c], rs[i])
 			}
 		}
-		t.Add(wl, row...)
+		t.Add(g.label, gmeans(sub)...)
 	}
-	addG := func(label string, rs [][]float64) {
-		row := make([]float64, len(columns))
-		for i := range columns {
-			if len(rs[i]) > 0 {
-				row[i] = stats.Gmean(rs[i])
-			}
-		}
-		t.Add(label, row...)
-	}
-	addG("gmean(Media)", mediaRatios)
-	addG("gmean(Mi)", miRatios)
-	addG("gmean(Total)", perColRatios)
+	t.Add("gmean(Total)", gmeans(ratios)...)
 	return t
 }
 

@@ -13,7 +13,6 @@ import (
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
-	"wlcache/internal/stats"
 )
 
 // quickCtx runs experiments on a representative benchmark subset so
@@ -24,21 +23,20 @@ func quickCtx() Context {
 	}}
 }
 
+// TestExperimentRegistry: every experiment is listed once, in the
+// paper's order (DESIGN.md §4's rows, then the discussion sections and
+// the extensions), which is the order `wlbench -experiment all` prints.
 func TestExperimentRegistry(t *testing.T) {
-	want := []string{"fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9",
-		"fig10a", "fig10b", "fig11", "fig12", "fig13a", "fig13b",
-		"table1", "table2", "hwcost", "adaptstats", "sec33", "nvsramvariants", "icache", "related"}
-	have := map[string]bool{}
+	want := []string{"table1", "table2", "hwcost", "fig4", "fig5", "fig6", "fig7", "fig8a", "fig8b", "fig9",
+		"fig10a", "fig10b", "fig11", "fig12", "fig13a", "fig13b", "adaptstats",
+		"sec33", "nvsramvariants", "related", "icache"}
 	for _, e := range Experiments() {
-		have[e.ID] = true
 		if e.Title == "" || e.Run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("experiment %s missing", id)
-		}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("experiments %v, want %v", got, want)
 	}
 	if _, ok := ByID("fig4"); !ok {
 		t.Fatal("ByID(fig4) failed")
@@ -143,33 +141,20 @@ func TestHeadlineClaims(t *testing.T) {
 		t.Skip("multi-design sweep")
 	}
 	ctx := quickCtx().normalize()
-	kinds := []Kind{KindNVCache, KindVCacheWT, KindReplay, KindNVSRAM, KindWL}
+	kinds := []Kind{KindNVCache, KindVCacheWT, KindReplay, KindWL}
 	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
-		var cells []cell
-		for _, wl := range ctx.Workloads {
-			for _, k := range kinds {
-				cells = append(cells, cell{kind: k, wl: wl, src: src})
-			}
-		}
-		results, err := runCells(ctx, cells)
+		ratios, results, err := speedups(ctx, ctx.Workloads, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		per := len(kinds)
 		gm := map[Kind]float64{}
-		for ki, k := range kinds {
-			var rs []float64
-			for i := range ctx.Workloads {
-				base := float64(results[per*i+3].ExecTime) // NVSRAM
-				rs = append(rs, base/float64(results[per*i+ki].ExecTime))
-			}
-			gm[k] = stats.Gmean(rs)
+		for ki, g := range gmeans(ratios) {
+			gm[kinds[ki]] = g
 		}
 		// Checksums equal across designs per workload.
 		for i, wl := range ctx.Workloads {
-			first := results[per*i].Checksum
-			for ki := range kinds {
-				if results[per*i+ki].Checksum != first {
+			for _, r := range results[i] {
+				if r.Checksum != results[i][0].Checksum {
 					t.Fatalf("src %s, workload %s: checksum mismatch between designs", src, wl)
 				}
 			}
@@ -341,7 +326,7 @@ func TestRunCellsPanicIsolated(t *testing.T) {
 	if err == nil {
 		t.Fatal("panicking cell produced no error")
 	}
-	if !errors.Is(err, runner.ErrCellPanic) {
+	if !errors.Is(err, sim.ErrPanic) {
 		t.Fatalf("panic not typed: %v", err)
 	}
 	var ce *runner.CellError
@@ -588,5 +573,78 @@ func TestICacheFor(t *testing.T) {
 	}
 	if ICacheFor(KindWL).WarmAcrossOutage {
 		t.Fatal("WL-Cache's volatile I-cache must boot cold")
+	}
+}
+
+// TestSpeedups pins the kernel every normalized figure shares: per
+// workload, in names order, the base result first, then the variants,
+// and each variant's ratio base/variant over the same runs.
+func TestSpeedups(t *testing.T) {
+	names := []string{"sha", "adpcmencode"}
+	ratios, results, err := speedups(Context{}, names, cell{kind: KindNVSRAM, src: power.None},
+		cell{kind: KindWL, src: power.None}, cell{kind: KindVCacheWT, src: power.None})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ratios) != 2 || len(results) != len(names) {
+		t.Fatalf("shape: %d ratio columns, %d result rows", len(ratios), len(results))
+	}
+	for i, wl := range names {
+		for v, kind := range []Kind{KindNVSRAM, KindWL, KindVCacheWT} {
+			want, err := Run(kind, Options{}, wl, 1, power.None, sim.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if results[i][v] != want {
+				t.Errorf("%s: results[%d][%d] is not the %s run", wl, i, v, kind)
+			}
+		}
+		for v := range ratios {
+			if want := float64(results[i][0].ExecTime) / float64(results[i][1+v].ExecTime); ratios[v][i] != want {
+				t.Errorf("%s: ratios[%d] = %v, want %v", wl, v, ratios[v][i], want)
+			}
+		}
+	}
+}
+
+// TestSpeedupTablesOmitEmptySuite: a per-benchmark table has a
+// gmean row for a suite only when the subset holds one of its
+// benchmarks, so a single-suite subset prints no all-zero row, and a
+// subset spanning both suites keeps all three gmean rows.
+func TestSpeedupTablesOmitEmptySuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	all := []string{"gmean(Media)", "gmean(Mi)", "gmean(Total)"}
+	for _, c := range []struct {
+		workloads []string
+		rows      []string
+	}{
+		{[]string{"sha"}, []string{"gmean(Media)", "gmean(Total)"}},
+		{[]string{"qsort"}, []string{"gmean(Mi)", "gmean(Total)"}},
+		{[]string{"sha", "qsort"}, all},
+	} {
+		for _, id := range []string{"fig4", "fig7", "fig11"} {
+			e, _ := ByID(id)
+			out, err := e.Run(Context{Workloads: c.workloads, Tier: sim.TierFast})
+			if err != nil {
+				t.Fatalf("%s on %v: %v", id, c.workloads, err)
+			}
+			var got []string
+			table, _, _ := strings.Cut(out, "\n\n")
+			for _, line := range strings.Split(table, "\n") {
+				fields := strings.Fields(line)
+				if len(fields) == 0 || !slices.Contains(all, fields[0]) {
+					continue
+				}
+				got = append(got, fields[0])
+				if slices.Contains(fields[1:], "0.000") {
+					t.Errorf("%s on %v: zero gmean row %q", id, c.workloads, line)
+				}
+			}
+			if !slices.Equal(got, c.rows) {
+				t.Errorf("%s on %v: gmean rows %v, want %v\n%s", id, c.workloads, got, c.rows, out)
+			}
+		}
 	}
 }

@@ -9,59 +9,39 @@ import (
 // maxline per application (§6.6), for FIFO and LRU cache replacement,
 // under Power Traces 1 and 2, normalized to NVSRAM(ideal).
 
-func init() {
-	registerExperiment(Experiment{ID: "fig11",
-		Title: "Figure 11: adaptive vs best-static WL-Cache, Power Trace 1",
-		Run:   func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }})
-	registerExperiment(Experiment{ID: "fig12",
-		Title: "Figure 12: adaptive vs best-static WL-Cache, Power Trace 2",
-		Run:   func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }})
-}
-
 func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
 	pols := []cache.ReplacementPolicy{cache.LRU, cache.FIFO}
 
-	// For each benchmark and cache policy: NVSRAM baseline, the static
-	// runs across the maxline grid (their per-app best is "Best"), and
-	// the adaptive run ("Adap").
-	var cells []cell
-	for _, wl := range names {
-		cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-		for _, pol := range pols {
-			for _, ml := range fig9Maxlines {
-				cells = append(cells, cell{kind: KindWLFixed, opts: Options{CachePolicy: pol, Maxline: ml}, wl: wl, src: src})
-			}
-			cells = append(cells, cell{kind: KindWL, opts: Options{CachePolicy: pol}, wl: wl, src: src})
+	// Per cache policy: the static runs across the maxline grid (their
+	// per-app best is "Best"), then the adaptive run ("Adap").
+	var variants []cell
+	for _, pol := range pols {
+		for _, ml := range fig9Maxlines {
+			variants = append(variants, cell{kind: KindWLFixed, opts: Options{CachePolicy: pol, Maxline: ml}, src: src})
 		}
+		variants = append(variants, cell{kind: KindWL, opts: Options{CachePolicy: pol}, src: src})
 	}
-	results, err := runCells(ctx, cells)
+	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
 		return "", err
 	}
-	perPol := len(fig9Maxlines) + 1
-	per := 1 + len(pols)*perPol
-	cols := []string{"LRU(Best)", "LRU(Adap)", "FIFO(Best)", "FIFO(Adap)"}
-	idx := 0
-	t := speedupTable(title+": WL-Cache adaptive vs best static, speedup over NVSRAM(ideal)", names, cols,
-		func(wl string) (float64, []float64) {
-			row := results[idx*per : (idx+1)*per]
-			idx++
-			base := float64(row[0].ExecTime)
-			out := make([]float64, 0, 4)
-			for pi := range pols {
-				start := 1 + pi*perPol
-				best := row[start].ExecTime
-				for j := 1; j < len(fig9Maxlines); j++ {
-					if tm := row[start+j].ExecTime; tm < best {
-						best = tm
-					}
-				}
-				adap := row[start+len(fig9Maxlines)].ExecTime
-				out = append(out, float64(best), float64(adap))
+	// The largest speedup is the fastest static run: dividing by a
+	// positive time is monotone, so this is base/min(time) bit for bit.
+	var cols [][]float64
+	for len(ratios) > 0 {
+		static, adap := ratios[:len(fig9Maxlines)], ratios[len(fig9Maxlines)]
+		best := append([]float64(nil), static[0]...)
+		for _, rs := range static[1:] {
+			for i, r := range rs {
+				best[i] = max(best[i], r)
 			}
-			return base, out
-		})
+		}
+		cols = append(cols, best, adap)
+		ratios = ratios[len(fig9Maxlines)+1:]
+	}
+	t := speedupTable(title+": WL-Cache adaptive vs best static, speedup over NVSRAM(ideal)", names,
+		[]string{"LRU(Best)", "LRU(Adap)", "FIFO(Best)", "FIFO(Adap)"}, cols)
 	return t.String(), nil
 }

@@ -15,15 +15,6 @@ import (
 // Figure 13(b): energy-consumption breakdown by subsystem under Power
 // Trace 1, normalized to NVSRAM(ideal)'s total.
 
-func init() {
-	registerExperiment(Experiment{ID: "fig13a",
-		Title: "Figure 13(a): performance across power traces (tr.1/tr.2/tr.3/solar/thermal)",
-		Run:   fig13a})
-	registerExperiment(Experiment{ID: "fig13b",
-		Title: "Figure 13(b): energy consumption breakdown, Power Trace 1",
-		Run:   fig13b})
-}
-
 func fig13a(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
@@ -33,33 +24,16 @@ func fig13a(ctx Context) (string, error) {
 	var b strings.Builder
 	outages := map[power.Source]float64{}
 	for _, src := range power.Sources() {
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-			for _, k := range kinds {
-				cells = append(cells, cell{kind: k, wl: wl, src: src})
-			}
-		}
-		results, err := runCells(ctx, cells)
+		ratios, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
 		if err != nil {
 			return "", err
 		}
-		per := 1 + len(kinds)
-		ratios := make([][]float64, len(kinds))
 		var out uint64
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			out += results[per*i].Outages
-			for ki := range kinds {
-				ratios[ki] = append(ratios[ki], base/float64(results[per*i+1+ki].ExecTime))
-			}
+		for _, row := range results {
+			out += row[0].Outages
 		}
 		outages[src] = float64(out) / float64(len(names))
-		row := make([]float64, len(kinds))
-		for ki := range kinds {
-			row[ki] = stats.Gmean(ratios[ki])
-		}
-		t.Add(string(src), row...)
+		t.Add(string(src), gmeans(ratios)...)
 	}
 	b.WriteString(t.String())
 	chart := stats.NewBarChart("\nWL-Cache gmean speedup by power source:")

@@ -11,24 +11,6 @@ import (
 // ReplayCache and WL-Cache normalized to NVSRAM(ideal), without power
 // failures and under Power Traces 1 and 2.
 
-func init() {
-	registerExperiment(Experiment{
-		ID:    "fig4",
-		Title: "Figure 4: normalized speedup vs NVSRAM(ideal), no power failure",
-		Run:   func(ctx Context) (string, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") },
-	})
-	registerExperiment(Experiment{
-		ID:    "fig5",
-		Title: "Figure 5: normalized speedup vs NVSRAM(ideal), Power Trace 1",
-		Run:   func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") },
-	})
-	registerExperiment(Experiment{
-		ID:    "fig6",
-		Title: "Figure 6: normalized speedup vs NVSRAM(ideal), Power Trace 2",
-		Run:   func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") },
-	})
-}
-
 // figDesigns are the plotted designs in the figures' legend order.
 var figDesigns = []struct {
 	col  string
@@ -43,48 +25,32 @@ var figDesigns = []struct {
 func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
-	var cells []cell
-	for _, wl := range names {
-		cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-		for _, d := range figDesigns {
-			cells = append(cells, cell{kind: d.kind, wl: wl, src: src})
-		}
+	cols := make([]string, len(figDesigns))
+	variants := make([]cell, len(figDesigns))
+	for i, d := range figDesigns {
+		cols[i] = d.col
+		variants[i] = cell{kind: d.kind, src: src}
 	}
-	results, err := runCells(ctx, cells)
+	ratios, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
 		return "", err
 	}
-	perRow := 1 + len(figDesigns)
-	cols := make([]string, len(figDesigns))
-	for i, d := range figDesigns {
-		cols[i] = d.col
-	}
-	idx := 0
-	t := speedupTable(title+", speedup over NVSRAM(ideal)", names, cols,
-		func(wl string) (float64, []float64) {
-			row := results[idx*perRow : (idx+1)*perRow]
-			idx++
-			base := float64(row[0].ExecTime)
-			per := make([]float64, len(figDesigns))
-			for i := range figDesigns {
-				per[i] = float64(row[1+i].ExecTime)
-			}
-			return base, per
-		})
-	out := t.String()
+	out := speedupTable(title+", speedup over NVSRAM(ideal)", names, cols, ratios).String()
 	chart := stats.NewBarChart("\ngmean(Total) speedup over NVSRAM(ideal):")
 	chart.RefValue = 1.0
-	for _, d := range figDesigns {
-		chart.Add(d.col, t.GmeanOver(d.col, names))
+	for i, g := range gmeans(ratios) {
+		chart.Add(cols[i], g)
 	}
 	chart.Add("NVSRAM(ideal)", 1.0)
 	out += chart.String()
 	if src != power.None {
 		var totalOut uint64
-		for _, r := range results {
-			totalOut += r.Outages
+		for _, row := range results {
+			for _, r := range row {
+				totalOut += r.Outages
+			}
 		}
-		out += fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(results)))
+		out += fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(names)*(1+len(figDesigns))))
 	}
 	return out, nil
 }

@@ -2,13 +2,11 @@ package expt
 
 import (
 	"fmt"
-	"strings"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/core"
 	"wlcache/internal/power"
 	"wlcache/internal/stats"
-	"wlcache/internal/workload"
 )
 
 // Figure 7: normalized NVM write-traffic increase of WL-Cache over
@@ -20,55 +18,19 @@ import (
 // Figure 8(b): cache set associativity (direct-mapped / 2-way /
 // 4-way), gmean speedup vs NVSRAM.
 
-func init() {
-	registerExperiment(Experiment{ID: "fig7",
-		Title: "Figure 7: normalized write traffic increase vs NVSRAM(ideal), Power Trace 1",
-		Run:   fig7})
-	registerExperiment(Experiment{ID: "fig8a",
-		Title: "Figure 8(a): DirtyQueue replacement policy (DQ-FIFO vs DQ-LRU)",
-		Run:   fig8a})
-	registerExperiment(Experiment{ID: "fig8b",
-		Title: "Figure 8(b): cache set associativity (direct-mapped, 2-way, 4-way)",
-		Run:   fig8b})
-}
-
 func fig7(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
-	var cells []cell
-	for _, wl := range names {
-		cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: power.Trace1})
-		cells = append(cells, cell{kind: KindWL, wl: wl, src: power.Trace1})
-	}
-	results, err := runCells(ctx, cells)
+	_, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, cell{kind: KindWL, src: power.Trace1})
 	if err != nil {
 		return "", err
 	}
-	t := stats.NewTable("Figure 7: WL-Cache NVM write traffic, normalized to NVSRAM(ideal), Power Trace 1", "traffic")
-	var ratios, media, mi []float64
-	mediaSet := map[string]bool{}
-	for _, n := range workload.SuiteNames(workload.MediaBench) {
-		mediaSet[n] = true
+	traffic := make([]float64, len(names))
+	for i, row := range results {
+		traffic[i] = float64(row[1].NVMTraffic.WriteWords) / float64(row[0].NVMTraffic.WriteWords)
 	}
-	for i, wl := range names {
-		base := float64(results[2*i].NVMTraffic.WriteWords)
-		wlw := float64(results[2*i+1].NVMTraffic.WriteWords)
-		r := wlw / base
-		t.Add(wl, r)
-		ratios = append(ratios, r)
-		if mediaSet[wl] {
-			media = append(media, r)
-		} else {
-			mi = append(mi, r)
-		}
-	}
-	if len(media) > 0 {
-		t.Add("gmean(Media)", stats.Gmean(media))
-	}
-	if len(mi) > 0 {
-		t.Add("gmean(Mi)", stats.Gmean(mi))
-	}
-	t.Add("gmean(Total)", stats.Gmean(ratios))
+	t := speedupTable("Figure 7: WL-Cache NVM write traffic, normalized to NVSRAM(ideal), Power Trace 1",
+		names, []string{"traffic"}, [][]float64{traffic})
 	return t.String(), nil
 }
 
@@ -77,65 +39,37 @@ func fig8a(ctx Context) (string, error) {
 	names := subsetNames(ctx)
 	srcs := []power.Source{power.None, power.Trace1, power.Trace2}
 	labels := []string{"no failure", "trace 1", "trace 2"}
-	var b strings.Builder
 	t := stats.NewTable("Figure 8(a): WL-Cache DirtyQueue replacement, gmean speedup vs NVSRAM(ideal)",
 		"DQ-FIFO", "DQ-LRU")
 	for si, src := range srcs {
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-			cells = append(cells, cell{kind: KindWL, opts: Options{DQPolicy: core.DQFIFO}, wl: wl, src: src})
-			cells = append(cells, cell{kind: KindWL, opts: Options{DQPolicy: core.DQLRU}, wl: wl, src: src})
-		}
-		results, err := runCells(ctx, cells)
+		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src},
+			cell{kind: KindWL, opts: Options{DQPolicy: core.DQFIFO}, src: src},
+			cell{kind: KindWL, opts: Options{DQPolicy: core.DQLRU}, src: src})
 		if err != nil {
 			return "", err
 		}
-		var fifo, lru []float64
-		for i := range names {
-			base := float64(results[3*i].ExecTime)
-			fifo = append(fifo, base/float64(results[3*i+1].ExecTime))
-			lru = append(lru, base/float64(results[3*i+2].ExecTime))
-		}
-		t.Add(labels[si], stats.Gmean(fifo), stats.Gmean(lru))
+		t.Add(labels[si], gmeans(ratios)...)
 	}
-	b.WriteString(t.String())
-	return b.String(), nil
+	return t.String(), nil
 }
 
 func fig8b(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
 	ways := []int{1, 2, 4}
-	cols := []string{"D-Map.", "2-Way", "4-Way"}
-	t := stats.NewTable("Figure 8(b): WL-Cache set associativity, gmean speedup vs NVSRAM(ideal)", cols...)
+	t := stats.NewTable("Figure 8(b): WL-Cache set associativity, gmean speedup vs NVSRAM(ideal)", "D-Map.", "2-Way", "4-Way")
 	for _, src := range []power.Source{power.Trace1, power.Trace2} {
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-			for _, w := range ways {
-				geo := cache.DefaultGeometry()
-				geo.Ways = w
-				cells = append(cells, cell{kind: KindWL, opts: Options{Geometry: geo}, wl: wl, src: src})
-			}
+		variants := make([]cell, len(ways))
+		for i, w := range ways {
+			geo := cache.DefaultGeometry()
+			geo.Ways = w
+			variants[i] = cell{kind: KindWL, opts: Options{Geometry: geo}, src: src}
 		}
-		results, err := runCells(ctx, cells)
+		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
 		if err != nil {
 			return "", err
 		}
-		per := 1 + len(ways)
-		ratios := make([][]float64, len(ways))
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			for wi := range ways {
-				ratios[wi] = append(ratios[wi], base/float64(results[per*i+1+wi].ExecTime))
-			}
-		}
-		row := make([]float64, len(ways))
-		for wi := range ways {
-			row[wi] = stats.Gmean(ratios[wi])
-		}
-		t.Add(fmt.Sprintf("trace %s", power.Get(src).Name), row...)
+		t.Add(fmt.Sprintf("trace %s", power.Get(src).Name), gmeans(ratios)...)
 	}
 	return t.String(), nil
 }

@@ -3,7 +3,6 @@ package expt
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/power"
@@ -19,106 +18,51 @@ import (
 // Figure 10(b): capacitor-size sweep (100 nF .. 1 mF), Power Trace 1,
 // absolute execution time.
 
-func init() {
-	registerExperiment(Experiment{ID: "fig9",
-		Title: "Figure 9: maxline (2..8) x cache replacement (FIFO/LRU) sensitivity, Power Trace 1",
-		Run:   fig9})
-	registerExperiment(Experiment{ID: "fig10a",
-		Title: "Figure 10(a): cache size sweep 128B..4KB, Power Trace 1",
-		Run:   fig10a})
-	registerExperiment(Experiment{ID: "fig10b",
-		Title: "Figure 10(b): capacitor size sweep 100nF..1mF, Power Trace 1",
-		Run:   fig10b})
-}
-
 var fig9Maxlines = []int{2, 4, 6, 8}
 
 func fig9(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
-	var cells []cell
-	pols := []cache.ReplacementPolicy{cache.FIFO, cache.LRU}
-	for _, wl := range names {
-		cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: power.Trace1})
-		for _, pol := range pols {
-			for _, ml := range fig9Maxlines {
-				// Static thresholds isolate the maxline effect, as in
-				// the paper's sensitivity study.
-				opt := Options{CachePolicy: pol, Maxline: ml}
-				cells = append(cells, cell{kind: KindWLFixed, opts: opt, wl: wl, src: power.Trace1})
-			}
+	var cols []string
+	var variants []cell
+	for _, pol := range []cache.ReplacementPolicy{cache.FIFO, cache.LRU} {
+		for _, ml := range fig9Maxlines {
+			// Static thresholds isolate the maxline effect, as in the
+			// paper's sensitivity study.
+			cols = append(cols, fmt.Sprintf("%s/m%d", pol, ml))
+			variants = append(variants, cell{kind: KindWLFixed, opts: Options{CachePolicy: pol, Maxline: ml}, src: power.Trace1})
 		}
 	}
-	results, err := runCells(ctx, cells)
+	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, variants...)
 	if err != nil {
 		return "", err
 	}
-	per := 1 + len(pols)*len(fig9Maxlines)
-	var b strings.Builder
-	b.WriteString("Figure 9: WL-Cache speedup vs NVSRAM(ideal), Power Trace 1, by maxline\n")
-	cols := make([]string, 0, 2*len(fig9Maxlines))
-	for _, pol := range pols {
-		for _, ml := range fig9Maxlines {
-			cols = append(cols, fmt.Sprintf("%s/m%d", pol, ml))
-		}
-	}
 	t := stats.NewTable("", cols...)
-	agg := make([][]float64, len(cols))
 	for i, wl := range names {
-		base := float64(results[per*i].ExecTime)
-		row := make([]float64, len(cols))
-		for j := 0; j < len(cols); j++ {
-			r := base / float64(results[per*i+1+j].ExecTime)
-			row[j] = r
-			agg[j] = append(agg[j], r)
-		}
-		t.Add(wl, row...)
+		t.Add(wl, rowOf(ratios, i)...)
 	}
-	gr := make([]float64, len(cols))
-	for j := range cols {
-		gr[j] = stats.Gmean(agg[j])
-	}
-	t.Add("avg(gmean)", gr...)
-	b.WriteString(t.String())
-	return b.String(), nil
+	t.Add("avg(gmean)", gmeans(ratios)...)
+	return "Figure 9: WL-Cache speedup vs NVSRAM(ideal), Power Trace 1, by maxline\n" + t.String(), nil
 }
 
 func fig10a(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)
-	sizes := []int{128, 256, 512, 1024, 2048, 4096}
 	kinds := []Kind{KindVCacheWT, KindReplay, KindWL}
-	colNames := []string{"VCache-WT", "ReplayCache", "WL-Cache"}
-	t := stats.NewTable("Figure 10(a): gmean speedup vs NVSRAM(ideal) at same size, Power Trace 1", colNames...)
-	for _, size := range sizes {
+	t := stats.NewTable("Figure 10(a): gmean speedup vs NVSRAM(ideal) at same size, Power Trace 1",
+		"VCache-WT", "ReplayCache", "WL-Cache")
+	for _, size := range []int{128, 256, 512, 1024, 2048, 4096} {
 		geo := cache.Geometry{SizeBytes: size, Ways: 2, LineBytes: 64}
 		if size/geo.Ways < geo.LineBytes {
 			geo.Ways = 1 // 128 B direct-mapped: 2 lines
 		}
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, opts: Options{Geometry: geo}, wl: wl, src: power.Trace1})
-			for _, k := range kinds {
-				cells = append(cells, cell{kind: k, opts: Options{Geometry: geo}, wl: wl, src: power.Trace1})
-			}
-		}
-		results, err := runCells(ctx, cells)
+		opts := Options{Geometry: geo}
+		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, opts: opts, src: power.Trace1},
+			kindCells(power.Trace1, opts, kinds...)...)
 		if err != nil {
 			return "", err
 		}
-		per := 1 + len(kinds)
-		ratios := make([][]float64, len(kinds))
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			for ki := range kinds {
-				ratios[ki] = append(ratios[ki], base/float64(results[per*i+1+ki].ExecTime))
-			}
-		}
-		row := make([]float64, len(kinds))
-		for ki := range kinds {
-			row[ki] = stats.Gmean(ratios[ki])
-		}
-		t.Add(fmt.Sprintf("%dB", size), row...)
+		t.Add(fmt.Sprintf("%dB", size), gmeans(ratios)...)
 	}
 	return t.String(), nil
 }

@@ -17,12 +17,6 @@ import (
 // NVSRAM variants restore warm, the volatile designs refill after
 // every outage — and shows how the design gaps widen.
 
-func init() {
-	registerExperiment(Experiment{ID: "icache",
-		Title: "Instruction-cache model: design gaps with I-fetch charged (extension)",
-		Run:   icacheExperiment})
-}
-
 // ICacheFor returns the instruction-path model matching a design kind.
 func ICacheFor(kind Kind) *sim.ICacheModel {
 	switch kind {
@@ -47,42 +41,26 @@ func icacheExperiment(ctx Context) (string, error) {
 	b.WriteString("NVSRAM(ideal) under the same I-cache assumption):\n\n")
 	t := stats.NewTable("", cols...)
 	for _, modeled := range []bool{false, true} {
-		var cells []cell
-		for _, wl := range names {
-			mk := func(k Kind) cell {
-				c := cell{kind: k, wl: wl, src: power.Trace1}
-				if modeled {
-					kk := k
-					c.simFn = func(s *sim.Config) { s.ICache = ICacheFor(kk) }
-				}
-				return c
+		mk := func(k Kind) cell {
+			c := cell{kind: k, src: power.Trace1}
+			if modeled {
+				c.simFn = func(s *sim.Config) { s.ICache = ICacheFor(k) }
 			}
-			cells = append(cells, mk(KindNVSRAM))
-			for _, k := range kinds {
-				cells = append(cells, mk(k))
-			}
+			return c
 		}
-		results, err := runCells(ctx, cells)
+		variants := make([]cell, len(kinds))
+		for i, k := range kinds {
+			variants[i] = mk(k)
+		}
+		ratios, _, err := speedups(ctx, names, mk(KindNVSRAM), variants...)
 		if err != nil {
 			return "", err
-		}
-		per := 1 + len(kinds)
-		ratios := make([][]float64, len(kinds))
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			for ki := range kinds {
-				ratios[ki] = append(ratios[ki], base/float64(results[per*i+1+ki].ExecTime))
-			}
-		}
-		row := make([]float64, len(kinds))
-		for ki := range kinds {
-			row[ki] = stats.Gmean(ratios[ki])
 		}
 		label := "I-fetch folded (default)"
 		if modeled {
 			label = "I-fetch modeled"
 		}
-		t.Add(label, row...)
+		t.Add(label, gmeans(ratios)...)
 	}
 	b.WriteString(t.String())
 	b.WriteString("\n(The cacheless NVP and the NV cache pay their slow instruction path;\n")

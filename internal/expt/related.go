@@ -15,12 +15,6 @@ import (
 // charge its reserve on the paper's default 1 uF capacitor, and on a
 // capacitor big enough to hold it, WL-Cache still wins.
 
-func init() {
-	registerExperiment(Experiment{ID: "related",
-		Title: "Section 7/Table 3: eager write-back without a dirty bound (extension)",
-		Run:   relatedExperiment})
-}
-
 func relatedExperiment(ctx Context) (string, error) {
 	ctx = ctx.normalize()
 	names := subsetNames(ctx)

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"fmt"
 	"strings"
 
 	"wlcache/internal/power"
@@ -12,99 +11,47 @@ import (
 // can also behave like WL-Cache ... the alternative design would be
 // inferior") and the NVSRAM-variant rows of Table 1, measured.
 
-func init() {
-	registerExperiment(Experiment{ID: "sec33",
-		Title: "Section 3.3: WL-Cache vs the write-through + write-buffer alternative",
-		Run:   sec33})
-	registerExperiment(Experiment{ID: "nvsramvariants",
-		Title: "Section 2.3.3: NVSRAM full vs ideal vs practical, measured",
-		Run:   nvsramVariants})
-}
-
 func sec33(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
-	kinds := []Kind{KindVCacheWT, KindWTBuffer, KindWL}
-	cols := []string{"VCache-WT", "WT+buffer(8)", "WL-Cache"}
 	var b strings.Builder
 	b.WriteString("Section 3.3: the write-buffer alternative, speedup vs NVSRAM(ideal)\n")
 	b.WriteString("(the paper argues WT+buffer loses on CAM cost, reserve size and load\n")
 	b.WriteString("critical path; WL-Cache's DirtyQueue is off the load path and coalesces\n")
 	b.WriteString("whole lines)\n\n")
-	t := stats.NewTable("", cols...)
-	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-			for _, k := range kinds {
-				cells = append(cells, cell{kind: k, wl: wl, src: src})
-			}
-		}
-		results, err := runCells(ctx, cells)
-		if err != nil {
-			return "", err
-		}
-		per := 1 + len(kinds)
-		ratios := make([][]float64, len(kinds))
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			for ki := range kinds {
-				ratios[ki] = append(ratios[ki], base/float64(results[per*i+1+ki].ExecTime))
-			}
-		}
-		row := make([]float64, len(kinds))
-		for ki := range kinds {
-			row[ki] = stats.Gmean(ratios[ki])
-		}
-		label := "no failure"
-		if src != power.None {
-			label = "trace " + string(src)
-		}
-		t.Add(label, row...)
+	t := stats.NewTable("", "VCache-WT", "WT+buffer(8)", "WL-Cache")
+	if err := bySource(ctx, t, KindVCacheWT, KindWTBuffer, KindWL); err != nil {
+		return "", err
 	}
 	b.WriteString(t.String())
 	return b.String(), nil
 }
 
 func nvsramVariants(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
-	kinds := []Kind{KindNVSRAMFull, KindNVSRAMPractical, KindWL}
-	cols := []string{"NVSRAM(full)", "NVSRAM(pract)", "WL-Cache"}
-	t := stats.NewTable("NVSRAM variants, gmean speedup vs NVSRAM(ideal)", cols...)
-	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
-		var cells []cell
-		for _, wl := range names {
-			cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: src})
-			for _, k := range kinds {
-				cells = append(cells, cell{kind: k, wl: wl, src: src})
-			}
-		}
-		results, err := runCells(ctx, cells)
-		if err != nil {
-			return "", err
-		}
-		per := 1 + len(kinds)
-		ratios := make([][]float64, len(kinds))
-		for i := range names {
-			base := float64(results[per*i].ExecTime)
-			for ki := range kinds {
-				ratios[ki] = append(ratios[ki], base/float64(results[per*i+1+ki].ExecTime))
-			}
-		}
-		row := make([]float64, len(kinds))
-		for ki := range kinds {
-			row[ki] = stats.Gmean(ratios[ki])
-		}
-		label := "no failure"
-		if src != power.None {
-			label = fmt.Sprintf("trace %s", src)
-		}
-		t.Add(label, row...)
+	t := stats.NewTable("NVSRAM variants, gmean speedup vs NVSRAM(ideal)", "NVSRAM(full)", "NVSRAM(pract)", "WL-Cache")
+	if err := bySource(ctx, t, KindNVSRAMFull, KindNVSRAMPractical, KindWL); err != nil {
+		return "", err
 	}
 	out := t.String()
 	out += "\n(Table 1 expects: full <= ideal under failures — it checkpoints the whole\n"
 	out += "cache every outage; practical in the middle — NV-way hits are slow and the\n"
 	out += "eager NV write-backs add traffic, but its reserve is only medium.)\n"
 	return out, nil
+}
+
+// bySource adds one row to t per power source (no failure, tr1, tr2):
+// each kind's gmean speedup over NVSRAM(ideal).
+func bySource(ctx Context, t *stats.Table, kinds ...Kind) error {
+	ctx = ctx.normalize()
+	names := subsetNames(ctx)
+	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
+		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
+		if err != nil {
+			return err
+		}
+		label := "no failure"
+		if src != power.None {
+			label = "trace " + string(src)
+		}
+		t.Add(label, gmeans(ratios)...)
+	}
+	return nil
 }

@@ -7,26 +7,10 @@ import (
 	"wlcache/internal/hwcost"
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
-	"wlcache/internal/stats"
 )
 
 // Table 1, Table 2, the §6.2 hardware-cost analysis and the §6.6
 // adaptive-statistics paragraph.
-
-func init() {
-	registerExperiment(Experiment{ID: "table1",
-		Title: "Table 1: hardware complexity and performance comparison",
-		Run:   table1})
-	registerExperiment(Experiment{ID: "table2",
-		Title: "Table 2: simulation configuration",
-		Run:   table2})
-	registerExperiment(Experiment{ID: "hwcost",
-		Title: "Section 6.2: WL-Cache hardware cost (mini-CACTI, 90 nm)",
-		Run:   hwcostReport})
-	registerExperiment(Experiment{ID: "adaptstats",
-		Title: "Section 6.6: adaptive threshold statistics",
-		Run:   adaptStats})
-}
 
 func table1(ctx Context) (string, error) {
 	var b strings.Builder
@@ -50,25 +34,13 @@ func table1(ctx Context) (string, error) {
 	names := subsetNames(ctx)
 	kinds := []Kind{KindVCacheWT, KindNVCache, KindNVSRAMFull, KindNVSRAMPractical, KindReplay, KindWL}
 	labels := []string{"WTCache", "NVCache", "NVSRAM(full)", "NVSRAM(practical)", "ReplayCache", "WL-Cache"}
-	var cells []cell
-	for _, wl := range names {
-		cells = append(cells, cell{kind: KindNVSRAM, wl: wl, src: power.Trace1})
-		for _, k := range kinds {
-			cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1})
-		}
-	}
-	results, err := runCells(ctx, cells)
+	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, kindCells(power.Trace1, Options{}, kinds...)...)
 	if err != nil {
 		return "", err
 	}
-	per := 1 + len(kinds)
 	b.WriteString("\nMeasured (this reproduction, Power Trace 1, gmean speedup vs NVSRAM(ideal)):\n")
-	for ki, lbl := range labels {
-		var rs []float64
-		for i := range names {
-			rs = append(rs, float64(results[per*i].ExecTime)/float64(results[per*i+1+ki].ExecTime))
-		}
-		fmt.Fprintf(&b, "  %-18s %.3f\n", lbl, stats.Gmean(rs))
+	for ki, g := range gmeans(ratios) {
+		fmt.Fprintf(&b, "  %-18s %.3f\n", labels[ki], g)
 	}
 	b.WriteString("  NVSRAM(ideal)      1.000 (baseline)\n")
 	return b.String(), nil
@@ -109,7 +81,7 @@ func hwcostReport(ctx Context) (string, error) {
 	nvLeak := hwcost.NVCacheLeakMW(8192)
 	fmt.Fprintf(&b, "\n  total: area %.4f mm^2, dynamic %.4f nJ/access, leakage %.3f mW\n", area, dyn, leak)
 	fmt.Fprintf(&b, "  leakage vs 8 kB NV cache (%.2f mW): %.0f%%\n", nvLeak, 100*leak/nvLeak)
-	b.WriteString("\n  paper reports: <= 0.005 mm^2, 0.0008 nJ dynamic, 0.1 mW leak (9%% of NV cache leak)\n")
+	b.WriteString("\n  paper reports: <= 0.005 mm^2, 0.0008 nJ dynamic, 0.1 mW leak (9% of NV cache leak)\n")
 	return b.String(), nil
 }
 

@@ -66,7 +66,8 @@ type Matrix struct {
 	Modes     []Mode
 	Seeds     []uint64
 	// Points is how many crash points are sampled per run, stratified
-	// across the golden run's execution time.
+	// across the golden run's execution time (defaultPoints when not
+	// positive).
 	Points int
 	Scale  int // workload input-size multiplier
 }
@@ -80,10 +81,14 @@ func DefaultMatrix() Matrix {
 		Workloads: []string{"adpcmencode", "basicmath"},
 		Modes:     Modes(),
 		Seeds:     []uint64{1, 2, 3},
-		Points:    4,
+		Points:    defaultPoints,
 		Scale:     1,
 	}
 }
+
+// defaultPoints is the number of crash points a run samples when the
+// caller asks for none.
+const defaultPoints = 4
 
 // Report is the outcome of one audit sweep.
 type Report struct {
@@ -162,9 +167,6 @@ type golden struct {
 // then one faulted run per (design, workload, mode, seed), each with
 // Points crashes sampled across the golden execution time.
 func Audit(m Matrix) (*Report, error) {
-	if m.Points <= 0 {
-		m.Points = 4
-	}
 	rep := &Report{modes: m.Modes}
 	for _, kind := range m.Designs {
 		rep.designs = append(rep.designs, string(kind))
@@ -185,8 +187,9 @@ func Audit(m Matrix) (*Report, error) {
 }
 
 // AuditOne audits a single (design, workload, mode, seed) cell,
-// computing its own golden reference. Tests use it for targeted
-// checks; Audit shares golden runs across modes and seeds instead.
+// computing its own golden reference; points <= 0 samples the default
+// count, as Audit does. Tests use it for targeted checks; Audit shares
+// golden runs across modes and seeds instead.
 func AuditOne(kind expt.Kind, wl string, mode Mode, seed uint64, points, scale int) (Cell, error) {
 	g, err := goldenRun(kind, wl, scale)
 	if err != nil {
@@ -227,8 +230,12 @@ func goldenRun(kind expt.Kind, wl string, scale int) (golden, error) {
 }
 
 // auditCell runs one faulted simulation and classifies it against the
-// golden reference.
+// golden reference, at points crash points (defaultPoints when not
+// positive).
 func auditCell(kind expt.Kind, wl string, mode Mode, seed uint64, points, scale int, g golden) Cell {
+	if points <= 0 {
+		points = defaultPoints
+	}
 	cell := Cell{Design: string(kind), Workload: wl, Mode: mode, Seed: seed}
 
 	rng := cellSeed(string(kind), wl, string(mode), seed)

@@ -129,3 +129,31 @@ func TestAuditRejectsUnknownNames(t *testing.T) {
 		}
 	}
 }
+
+// AuditOne applies Audit's crash-point default: points 0 is not a
+// vacuous pass with no crash, and a negative count does not panic.
+func TestAuditOneDefaultsPoints(t *testing.T) {
+	want, err := AuditOne(expt.KindWL, "adpcmencode", ModeCrash, 1, defaultPoints, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, points := range []int{0, -1} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("points %d: AuditOne panicked: %v", points, r)
+				}
+			}()
+			got, err := AuditOne(expt.KindWL, "adpcmencode", ModeCrash, 1, points, 1)
+			if err != nil {
+				t.Fatalf("points %d: %v", points, err)
+			}
+			if got.Crashes == 0 {
+				t.Errorf("points %d: no crash injected (%+v)", points, got)
+			}
+			if got != want {
+				t.Errorf("points %d: %+v, want the %d-point cell %+v", points, got, defaultPoints, want)
+			}
+		}()
+	}
+}

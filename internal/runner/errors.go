@@ -9,11 +9,6 @@ import (
 // classify with errors.Is instead of matching message strings,
 // mirroring the discipline internal/sim establishes for the simulator.
 var (
-	// ErrCellPanic marks a cell whose Run panicked. The panic is
-	// recovered on the worker goroutine and isolated to the cell, so
-	// one poisoned cell cannot take down a whole sweep.
-	ErrCellPanic = errors.New("runner: cell panicked")
-
 	// ErrSkipped marks a cell that never computed because the sweep
 	// context was cancelled before a worker reached it, or while it
 	// waited on another sweep's compute of the same cell.
@@ -42,14 +37,3 @@ type CellError struct {
 
 func (e *CellError) Error() string { return fmt.Sprintf("cell %s: %v", e.ID, e.Err) }
 func (e *CellError) Unwrap() error { return e.Err }
-
-// PanicError carries a recovered cell panic: the panic value and the
-// stack of the worker goroutine at recovery time. It matches
-// ErrCellPanic under errors.Is.
-type PanicError struct {
-	Value any
-	Stack []byte
-}
-
-func (e *PanicError) Error() string        { return fmt.Sprintf("%v: %v", ErrCellPanic, e.Value) }
-func (e *PanicError) Is(target error) bool { return target == ErrCellPanic }

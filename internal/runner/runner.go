@@ -362,14 +362,14 @@ feed:
 	return rep, nil
 }
 
-// safeRun isolates a cell panic to a typed error instead of
-// collapsing the sweep.
+// safeRun isolates a cell panic to a *sim.PanicError (sim.ErrPanic)
+// instead of collapsing the sweep; panics counts the ones it recovers.
 func safeRun(ctx context.Context, c Cell, panics *atomic.Int64) (res sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics.Add(1)
 			res = sim.Result{}
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+			err = &sim.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	return c.Run(ctx)

@@ -127,14 +127,14 @@ func TestPanicIsolation(t *testing.T) {
 	if err == nil {
 		t.Fatal("panicking sweep returned nil error")
 	}
-	if !errors.Is(err, ErrCellPanic) {
+	if !errors.Is(err, sim.ErrPanic) {
 		t.Fatalf("panic not typed: %v", err)
 	}
 	var ce *CellError
 	if !errors.As(err, &ce) || ce.ID != "poisoned" {
 		t.Fatalf("panic not attributed to the offending cell: %v", err)
 	}
-	var pe *PanicError
+	var pe *sim.PanicError
 	if !errors.As(err, &pe) || pe.Value != "kaboom" || len(pe.Stack) == 0 {
 		t.Fatalf("panic payload lost: %v", err)
 	}

@@ -29,12 +29,13 @@ var (
 	// ErrPanic marks a run whose program or design panicked: a kernel
 	// indexing out of range with a value a broken design corrupted,
 	// say. Run returns it as a *PanicError instead of crashing its
-	// caller.
+	// caller, and so does the sweep runner for a cell that panicked
+	// outside Run.
 	ErrPanic = errors.New("sim: run panicked")
 )
 
-// PanicError carries a panic Run recovered: the panic value and the
-// stack of the panicking goroutine. It matches ErrPanic under
+// PanicError carries a recovered panic: the panic value and the stack
+// of the panicking goroutine. It matches ErrPanic under
 // errors.Is.
 type PanicError struct {
 	Value any
