@@ -38,10 +38,8 @@ import (
 
 	"wlcache/internal/expt"
 	"wlcache/internal/hostinfo"
-	"wlcache/internal/power"
 	"wlcache/internal/serve"
 	"wlcache/internal/sim"
-	"wlcache/internal/workload"
 )
 
 func main() {
@@ -100,17 +98,18 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, hostinfo.Version("wlbench"))
 		return nil
 	}
-	var wls []string
+	var wls, trNames []string
 	if *workloads != "" {
-		if wls, err = parseWorkloads(*workloads); err != nil {
+		if wls, err = expt.Workloads.Resolve("-workloads", strings.Split(*workloads, ",")); err != nil {
 			return err
 		}
 	}
 
 	if *chaos {
-		trNames, err := parseTraces(*traces)
-		if err != nil {
-			return err
+		if *traces != "" {
+			if trNames, err = expt.Traces.Resolve("-traces", strings.Split(*traces, ",")); err != nil {
+				return err
+			}
 		}
 		// The gate proves bit-identical crash stitching; a
 		// tolerance-bounded tier has no bit-identity to prove.
@@ -171,44 +170,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// parseWorkloads splits a -workloads value into benchmark names,
-// rejecting an unknown name or a list that names none before anything
-// runs.
-func parseWorkloads(s string) ([]string, error) {
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, ok := workload.ByName(name); !ok {
-			return nil, fmt.Errorf("unknown workload %q (see wlsim -list)", name)
-		}
-		out = append(out, name)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-workloads %q names no workload", s)
-	}
-	return out, nil
-}
-
-// parseTraces splits a comma-separated -traces value into power-source
-// names, rejecting unknown ones before any server starts.
-func parseTraces(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if !power.Source(name).Valid() {
-			return nil, fmt.Errorf("unknown power trace %q", name)
-		}
-		out = append(out, name)
-	}
-	return out, nil
 }
 
 // sweepOutcome is one client's view of a completed (or crashed) sweep.

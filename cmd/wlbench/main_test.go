@@ -137,6 +137,20 @@ func TestSweepUnknownTraceRejected(t *testing.T) {
 	}
 }
 
+// -traces skips empty entries, as -workloads does, and rejects a list
+// that names no trace.
+func TestSweepTraceListResolved(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-chaos", "-traces", ",tr1"}, &b)
+	if err == nil || !strings.HasPrefix(err.Error(), "-chaos needs -golden") {
+		t.Errorf("-traces ,tr1: err = %v, want the missing -golden error", err)
+	}
+	err = run([]string{"-chaos", "-traces", ","}, &b)
+	if want := `-traces "," names no power trace`; err == nil || err.Error() != want {
+		t.Errorf("-traces ,: err = %v, want %q", err, want)
+	}
+}
+
 // The documented exit codes: 1 usage/infra, 3 chaos failure — scripts
 // branch on whether the gate itself failed.
 func TestExitCodes(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,38 +92,20 @@ func run(args []string, stdout io.Writer) (int, error) {
 
 	m := def
 	if *designs != "" {
-		known := make(map[expt.Kind]bool)
-		for _, k := range expt.AllKinds() {
-			known[k] = true
-		}
-		want := make(map[expt.Kind]bool)
-		for _, d := range strings.Split(*designs, ",") {
-			kind := expt.Kind(strings.TrimSpace(d))
-			if !known[kind] {
-				return 0, fmt.Errorf("unknown design kind %q (have %s)", kind, joinKinds(expt.AllKinds()))
-			}
-			want[kind] = true
+		names, err := expt.Kinds.Resolve("-designs", strings.Split(*designs, ","))
+		if err != nil {
+			return 0, err
 		}
 		// Canonical registry order, deduplicated: the audit table is
 		// identical no matter how -designs was spelled.
-		m.Designs = nil
-		for _, k := range expt.AllKinds() {
-			if want[k] {
-				m.Designs = append(m.Designs, k)
-			}
-		}
+		m.Designs = slices.DeleteFunc(expt.AllKinds(), func(k expt.Kind) bool { return !slices.Contains(names, string(k)) })
 	}
-	m.Workloads = nil
-	seen := make(map[string]bool)
-	for _, w := range strings.Split(*workloads, ",") {
-		w = strings.TrimSpace(w)
-		if w == "" || seen[w] {
-			continue
-		}
-		seen[w] = true
-		m.Workloads = append(m.Workloads, w)
+	names, err := expt.Workloads.Resolve("-workloads", strings.Split(*workloads, ","))
+	if err != nil {
+		return 0, err
 	}
-	sort.Strings(m.Workloads)
+	slices.Sort(names)
+	m.Workloads = slices.Compact(names)
 	m.Modes = nil
 	for _, s := range strings.Split(*modes, ",") {
 		mode := fault.Mode(strings.TrimSpace(s))
@@ -193,14 +175,6 @@ func verdictOf(pass bool) string {
 		return "PASS"
 	}
 	return "FAIL"
-}
-
-func joinKinds(ks []expt.Kind) string {
-	parts := make([]string, len(ks))
-	for i, k := range ks {
-		parts[i] = string(k)
-	}
-	return strings.Join(parts, ",")
 }
 
 func joinModes(ms []fault.Mode) string {

@@ -158,3 +158,25 @@ func TestUnknownDesignErrors(t *testing.T) {
 		t.Fatal("unknown design accepted")
 	}
 }
+
+// A -designs or -workloads list that names nothing is a usage error
+// (exit 1) before any cell runs, never an all-PASS audit of no cells.
+func TestEmptyListRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-workloads", ",", `-workloads "," names no workload`},
+		{"-workloads", "", `-workloads "" names no workload`},
+		{"-designs", " , ", `-designs " , " names no design kind`},
+	} {
+		var b strings.Builder
+		_, err := run([]string{c.flag, c.value}, &b)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s %q: err = %v, want %q", c.flag, c.value, err, c.want)
+		}
+		if code := exitCodeFor(err); code != 1 {
+			t.Errorf("%s %q: exit code = %d, want 1", c.flag, c.value, code)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%s %q: printed output before failing:\n%s", c.flag, c.value, b.String())
+		}
+	}
+}

@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -96,8 +95,8 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("unknown workload %q", *wl)
 	}
-	if !power.Source(*trace).Valid() {
-		return 0, fmt.Errorf("unknown power trace %q", *trace)
+	if err := expt.Traces.Check(*trace); err != nil {
+		return 0, err
 	}
 	if *scale < 1 {
 		return 0, fmt.Errorf("-scale %d: want at least 1", *scale)
@@ -121,14 +120,10 @@ func runRecord(args []string, stdout io.Writer) (int, error) {
 			*check = false
 		}
 	}
-	var kinds []expt.Kind
-	for _, d := range strings.Split(*designs, ",") {
-		kind := expt.Kind(strings.TrimSpace(d))
-		if !slices.Contains(expt.AllKinds(), kind) {
-			// Rejected before the output directory is made.
-			return 0, fmt.Errorf("unknown design kind %q", kind)
-		}
-		kinds = append(kinds, kind)
+	// Rejected before the output directory is made.
+	kinds, err := expt.Kinds.Resolve("-designs", strings.Split(*designs, ","))
+	if err != nil {
+		return 0, err
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return 0, err
@@ -259,19 +254,19 @@ func warnDropped(rec *obs.Recorder, kind string) {
 // expt.Run with recording on and inj (nil: no faults) as the fault
 // plan, and returns the recorder, the result and the run's cycle
 // ledger.
-func runCell(kind expt.Kind, wl, trace string, scale, events int, check bool, inj *fault.Injector) (*obs.Recorder, sim.Result, obs.Ledger, error) {
-	rec := obs.NewRecorder(obs.RunMeta{Design: string(kind), Workload: wl, Trace: trace}, events)
+func runCell(kind, wl, trace string, scale, events int, check bool, inj *fault.Injector) (*obs.Recorder, sim.Result, obs.Ledger, error) {
+	rec := obs.NewRecorder(obs.RunMeta{Design: kind, Workload: wl, Trace: trace}, events)
 	cfg := sim.DefaultConfig()
 	cfg.CheckInvariants = check
 	cfg.Obs = rec
 	if inj != nil {
 		cfg.FaultPlan = inj
 	}
-	res, err := expt.Run(kind, expt.Options{}, wl, scale, power.Source(trace), cfg)
+	res, err := expt.Run(expt.Kind(kind), expt.Options{}, wl, scale, power.Source(trace), cfg)
 	if err != nil {
 		return nil, sim.Result{}, obs.Ledger{}, fmt.Errorf("design %s: %w", kind, err)
 	}
-	warnDropped(rec, string(kind))
+	warnDropped(rec, kind)
 	l := rec.Attribute(res.ExecTime, cfg.CyclePS)
 	if l.SumPS() != l.TotalPS {
 		// The ledger's own invariant; if it ever trips the profiler

@@ -139,6 +139,7 @@ func TestBadUsage(t *testing.T) {
 	}{
 		{[]string{"record", "-workload", "nope"}, `unknown workload "nope"`},
 		{[]string{"record", "-designs", "wl,bogus"}, `unknown design kind "bogus"`},
+		{[]string{"record", "-designs", ","}, `-designs "," names no design kind`},
 		{[]string{"record", "-trace", "bogus"}, `unknown power trace "bogus"`},
 		{[]string{"record", "-scale", "0"}, "-scale 0: want at least 1"},
 		{[]string{"record", "-scale", "-2"}, "-scale -2: want at least 1"},

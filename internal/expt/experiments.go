@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 
 	"wlcache/internal/power"
@@ -34,9 +35,6 @@ func (c Context) normalize() Context {
 	if c.Scale <= 0 {
 		c.Scale = 1
 	}
-	if len(c.Workloads) == 0 {
-		c.Workloads = workload.Names()
-	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.NumCPU()
 	}
@@ -54,39 +52,63 @@ func (c Context) simConfig() sim.Config {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(ctx Context) (string, error)
+	run   func(ctx Context) (string, error)
+}
+
+// Run runs the experiment on ctx.Workloads, resolved once here, so no
+// experiment runs on a list that names nothing.
+func (e Experiment) Run(ctx Context) (string, error) {
+	names, err := resolveWorkloads(ctx.Workloads)
+	if err != nil {
+		return "", err
+	}
+	ctx.Workloads = names
+	return e.run(ctx)
+}
+
+// resolveWorkloads is an experiment's benchmark list: all 23 for nil,
+// otherwise the checked list in registry order, each name once.
+func resolveWorkloads(list []string) ([]string, error) {
+	if list == nil {
+		return workload.Names(), nil
+	}
+	want, err := Workloads.Resolve("Context.Workloads", list)
+	if err != nil {
+		return nil, err
+	}
+	return slices.DeleteFunc(workload.Names(), func(n string) bool { return !slices.Contains(want, n) }), nil
 }
 
 // experiments lists every experiment in the paper's order: DESIGN.md
 // §4's table rows, then the measured discussion sections and the
 // extensions.
 var experiments = []Experiment{
-	{ID: "table1", Title: "Table 1: hardware complexity and performance comparison", Run: table1},
-	{ID: "table2", Title: "Table 2: simulation configuration", Run: table2},
-	{ID: "hwcost", Title: "Section 6.2: WL-Cache hardware cost (mini-CACTI, 90 nm)", Run: hwcostReport},
+	{ID: "table1", Title: "Table 1: hardware complexity and performance comparison", run: table1},
+	{ID: "table2", Title: "Table 2: simulation configuration", run: table2},
+	{ID: "hwcost", Title: "Section 6.2: WL-Cache hardware cost (mini-CACTI, 90 nm)", run: hwcostReport},
 	{ID: "fig4", Title: "Figure 4: normalized speedup vs NVSRAM(ideal), no power failure",
-		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") }},
+		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") }},
 	{ID: "fig5", Title: "Figure 5: normalized speedup vs NVSRAM(ideal), Power Trace 1",
-		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") }},
+		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") }},
 	{ID: "fig6", Title: "Figure 6: normalized speedup vs NVSRAM(ideal), Power Trace 2",
-		Run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") }},
-	{ID: "fig7", Title: "Figure 7: normalized write traffic increase vs NVSRAM(ideal), Power Trace 1", Run: fig7},
-	{ID: "fig8a", Title: "Figure 8(a): DirtyQueue replacement policy (DQ-FIFO vs DQ-LRU)", Run: fig8a},
-	{ID: "fig8b", Title: "Figure 8(b): cache set associativity (direct-mapped, 2-way, 4-way)", Run: fig8b},
-	{ID: "fig9", Title: "Figure 9: maxline (2..8) x cache replacement (FIFO/LRU) sensitivity, Power Trace 1", Run: fig9},
-	{ID: "fig10a", Title: "Figure 10(a): cache size sweep 128B..4KB, Power Trace 1", Run: fig10a},
-	{ID: "fig10b", Title: "Figure 10(b): capacitor size sweep 100nF..1mF, Power Trace 1", Run: fig10b},
+		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") }},
+	{ID: "fig7", Title: "Figure 7: normalized write traffic increase vs NVSRAM(ideal), Power Trace 1", run: fig7},
+	{ID: "fig8a", Title: "Figure 8(a): DirtyQueue replacement policy (DQ-FIFO vs DQ-LRU)", run: fig8a},
+	{ID: "fig8b", Title: "Figure 8(b): cache set associativity (direct-mapped, 2-way, 4-way)", run: fig8b},
+	{ID: "fig9", Title: "Figure 9: maxline (2..8) x cache replacement (FIFO/LRU) sensitivity, Power Trace 1", run: fig9},
+	{ID: "fig10a", Title: "Figure 10(a): cache size sweep 128B..4KB, Power Trace 1", run: fig10a},
+	{ID: "fig10b", Title: "Figure 10(b): capacitor size sweep 100nF..1mF, Power Trace 1", run: fig10b},
 	{ID: "fig11", Title: "Figure 11: adaptive vs best-static WL-Cache, Power Trace 1",
-		Run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }},
+		run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }},
 	{ID: "fig12", Title: "Figure 12: adaptive vs best-static WL-Cache, Power Trace 2",
-		Run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }},
-	{ID: "fig13a", Title: "Figure 13(a): performance across power traces (tr.1/tr.2/tr.3/solar/thermal)", Run: fig13a},
-	{ID: "fig13b", Title: "Figure 13(b): energy consumption breakdown, Power Trace 1", Run: fig13b},
-	{ID: "adaptstats", Title: "Section 6.6: adaptive threshold statistics", Run: adaptStats},
-	{ID: "sec33", Title: "Section 3.3: WL-Cache vs the write-through + write-buffer alternative", Run: sec33},
-	{ID: "nvsramvariants", Title: "Section 2.3.3: NVSRAM full vs ideal vs practical, measured", Run: nvsramVariants},
-	{ID: "related", Title: "Section 7/Table 3: eager write-back without a dirty bound (extension)", Run: relatedExperiment},
-	{ID: "icache", Title: "Instruction-cache model: design gaps with I-fetch charged (extension)", Run: icacheExperiment},
+		run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }},
+	{ID: "fig13a", Title: "Figure 13(a): performance across power traces (tr.1/tr.2/tr.3/solar/thermal)", run: fig13a},
+	{ID: "fig13b", Title: "Figure 13(b): energy consumption breakdown, Power Trace 1", run: fig13b},
+	{ID: "adaptstats", Title: "Section 6.6: adaptive threshold statistics", run: adaptStats},
+	{ID: "sec33", Title: "Section 3.3: WL-Cache vs the write-through + write-buffer alternative", run: sec33},
+	{ID: "nvsramvariants", Title: "Section 2.3.3: NVSRAM full vs ideal vs practical, measured", run: nvsramVariants},
+	{ID: "related", Title: "Section 7/Table 3: eager write-back without a dirty bound (extension)", run: relatedExperiment},
+	{ID: "icache", Title: "Instruction-cache model: design gaps with I-fetch charged (extension)", run: icacheExperiment},
 }
 
 // Experiments returns every experiment in the paper's order.
@@ -275,12 +297,13 @@ func gmeanOrNaN(xs []float64) float64 {
 	return stats.Gmean(xs)
 }
 
-// speedups runs base and every variant on each workload of names.
-// The cells are templates: speedups fills in the workload and submits
-// [base, variants...] per workload, in names order. ratios[v][i] is
-// variant v's speedup over base on names[i]; results[i] holds that
-// workload's results, base first.
-func speedups(ctx Context, names []string, base cell, variants ...cell) (ratios [][]float64, results [][]sim.Result, err error) {
+// speedups runs base and every variant on each workload of
+// ctx.Workloads. The cells are templates: speedups fills in the
+// workload and submits [base, variants...] per workload, in that
+// order. ratios[v][i] is variant v's speedup over base on workload i;
+// results[i] holds that workload's results, base first.
+func speedups(ctx Context, base cell, variants ...cell) (ratios [][]float64, results [][]sim.Result, err error) {
+	names := ctx.Workloads
 	per := 1 + len(variants)
 	cells := make([]cell, 0, per*len(names))
 	for _, wl := range names {
@@ -367,20 +390,4 @@ func speedupTable(title string, names, columns []string, ratios [][]float64) *st
 	}
 	t.Add("gmean(Total)", gmeans(ratios)...)
 	return t
-}
-
-// subsetNames intersects the context's workload list with the full
-// registry, preserving figure order.
-func subsetNames(ctx Context) []string {
-	want := map[string]bool{}
-	for _, n := range ctx.Workloads {
-		want[n] = true
-	}
-	var out []string
-	for _, n := range workload.Names() {
-		if want[n] {
-			out = append(out, n)
-		}
-	}
-	return out
 }

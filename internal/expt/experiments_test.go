@@ -13,6 +13,7 @@ import (
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
+	"wlcache/internal/workload"
 )
 
 // quickCtx runs experiments on a representative benchmark subset so
@@ -31,7 +32,7 @@ func TestExperimentRegistry(t *testing.T) {
 		"fig10a", "fig10b", "fig11", "fig12", "fig13a", "fig13b", "adaptstats",
 		"sec33", "nvsramvariants", "related", "icache"}
 	for _, e := range Experiments() {
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -143,7 +144,7 @@ func TestHeadlineClaims(t *testing.T) {
 	ctx := quickCtx().normalize()
 	kinds := []Kind{KindNVCache, KindVCacheWT, KindReplay, KindWL}
 	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
-		ratios, results, err := speedups(ctx, ctx.Workloads, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
+		ratios, results, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,18 +462,30 @@ func perturbFields(t *testing.T, v reflect.Value, path string, check func(name s
 	}
 }
 
-// TestSubsetNamesPreservesOrder ensures figure ordering is stable.
-func TestSubsetNamesPreservesOrder(t *testing.T) {
-	ctx := Context{Workloads: []string{"qsort", "sha", "adpcmdecode"}}.normalize()
-	names := subsetNames(ctx)
+// TestResolveWorkloadsPreservesOrder ensures figure ordering is
+// stable: an experiment's list is in registry order, each name once,
+// however it was spelled, and nil means all 23.
+func TestResolveWorkloadsPreservesOrder(t *testing.T) {
 	want := []string{"adpcmdecode", "sha", "qsort"} // registry order
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("order = %v, want %v", names, want)
+	for _, list := range [][]string{
+		{"qsort", "sha", "adpcmdecode"},
+		{" qsort", "", "sha", "qsort", "adpcmdecode "},
+	} {
+		names, err := resolveWorkloads(list)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(names) != 3 {
+			t.Fatalf("names = %v", names)
+		}
+		for i := range want {
+			if names[i] != want[i] {
+				t.Fatalf("order = %v, want %v", names, want)
+			}
+		}
+	}
+	if all, err := resolveWorkloads(nil); err != nil || !slices.Equal(all, workload.Names()) {
+		t.Fatalf("nil list = %v, %v; want all %d workloads", all, err, len(workload.Names()))
 	}
 }
 
@@ -581,7 +594,7 @@ func TestICacheFor(t *testing.T) {
 // and each variant's ratio base/variant over the same runs.
 func TestSpeedups(t *testing.T) {
 	names := []string{"sha", "adpcmencode"}
-	ratios, results, err := speedups(Context{}, names, cell{kind: KindNVSRAM, src: power.None},
+	ratios, results, err := speedups(Context{Workloads: names}, cell{kind: KindNVSRAM, src: power.None},
 		cell{kind: KindWL, src: power.None}, cell{kind: KindVCacheWT, src: power.None})
 	if err != nil {
 		t.Fatal(err)
@@ -644,6 +657,44 @@ func TestSpeedupTablesOmitEmptySuite(t *testing.T) {
 			}
 			if !slices.Equal(got, c.rows) {
 				t.Errorf("%s on %v: gmean rows %v, want %v\n%s", id, c.workloads, got, c.rows, out)
+			}
+		}
+	}
+}
+
+// TestNoExperimentRunsOnNothing: every registered experiment rejects a
+// workload list with an unknown name or with no name at all, naming
+// the bad entry, and on one- and two-benchmark subsets prints no NaN,
+// no infinity and no empty-range sentinel.
+func TestNoExperimentRunsOnNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	for _, c := range []struct {
+		workloads []string
+		err       string
+	}{
+		{[]string{"bogus"}, `unknown workload "bogus"`},
+		{[]string{""}, `Context.Workloads "" names no workload`},
+		{[]string{"sha"}, ""},
+		{[]string{"qsort"}, ""},
+		{[]string{"sha", "qsort"}, ""},
+	} {
+		for _, e := range Experiments() {
+			out, err := e.Run(Context{Workloads: c.workloads, Tier: sim.TierFast})
+			if c.err != "" {
+				if err == nil || err.Error() != c.err {
+					t.Errorf("%s on %q: err = %v, want %q", e.ID, c.workloads, err, c.err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s on %q: %v", e.ID, c.workloads, err)
+			}
+			for _, bad := range []string{"NaN", "Inf", "[99,0]"} {
+				if strings.Contains(out, bad) {
+					t.Errorf("%s on %q prints %s:\n%s", e.ID, c.workloads, bad, out)
+				}
 			}
 		}
 	}

@@ -10,8 +10,6 @@ import (
 // under Power Traces 1 and 2, normalized to NVSRAM(ideal).
 
 func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	pols := []cache.ReplacementPolicy{cache.LRU, cache.FIFO}
 
 	// Per cache policy: the static runs across the maxline grid (their
@@ -23,7 +21,7 @@ func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 		}
 		variants = append(variants, cell{kind: KindWL, opts: Options{CachePolicy: pol}, src: src})
 	}
-	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
+	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
 		return "", err
 	}
@@ -41,7 +39,7 @@ func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 		cols = append(cols, best, adap)
 		ratios = ratios[len(fig9Maxlines)+1:]
 	}
-	t := speedupTable(title+": WL-Cache adaptive vs best static, speedup over NVSRAM(ideal)", names,
+	t := speedupTable(title+": WL-Cache adaptive vs best static, speedup over NVSRAM(ideal)", ctx.Workloads,
 		[]string{"LRU(Best)", "LRU(Adap)", "FIFO(Best)", "FIFO(Adap)"}, cols)
 	return t.String(), nil
 }

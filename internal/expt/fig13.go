@@ -16,15 +16,13 @@ import (
 // Trace 1, normalized to NVSRAM(ideal)'s total.
 
 func fig13a(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	kinds := []Kind{KindVCacheWT, KindReplay, KindWL, KindWLDyn}
 	cols := []string{"VCache-WT", "ReplayCache", "WL-Cache", "WL-Cache(dyn)"}
 	t := stats.NewTable("Figure 13(a): gmean speedup vs NVSRAM(ideal) by power source", cols...)
 	var b strings.Builder
 	outages := map[power.Source]float64{}
 	for _, src := range power.Sources() {
-		ratios, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
+		ratios, results, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
 		if err != nil {
 			return "", err
 		}
@@ -32,7 +30,7 @@ func fig13a(ctx Context) (string, error) {
 		for _, row := range results {
 			out += row[0].Outages
 		}
-		outages[src] = float64(out) / float64(len(names))
+		outages[src] = float64(out) / float64(len(ctx.Workloads))
 		t.Add(string(src), gmeans(ratios)...)
 	}
 	b.WriteString(t.String())
@@ -52,13 +50,11 @@ func fig13a(ctx Context) (string, error) {
 }
 
 func fig13b(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	kinds := []Kind{KindNVCache, KindVCacheWT, KindNVSRAM, KindWL}
 	cols := []string{"Cache(read)", "Cache(write)", "Mem(read)", "Mem(write)", "Compute", "JIT(ckpt+rs)", "Leak", "Total"}
 	t := stats.NewTable("Figure 13(b): energy breakdown under Power Trace 1, % of NVSRAM(ideal) total", cols...)
 	var cells []cell
-	for _, wl := range names {
+	for _, wl := range ctx.Workloads {
 		for _, k := range kinds {
 			cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1})
 		}
@@ -72,7 +68,7 @@ func fig13b(ctx Context) (string, error) {
 	// NVSRAM total (index 2 in kinds).
 	type agg struct{ cr, cw, mr, mw, cp, jit, lk float64 }
 	sums := make([]agg, len(kinds))
-	for i := range names {
+	for i := range ctx.Workloads {
 		for ki := range kinds {
 			e := results[per*i+ki].Energy
 			s := &sums[ki]

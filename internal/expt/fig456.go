@@ -23,19 +23,17 @@ var figDesigns = []struct {
 }
 
 func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	cols := make([]string, len(figDesigns))
 	variants := make([]cell, len(figDesigns))
 	for i, d := range figDesigns {
 		cols[i] = d.col
 		variants[i] = cell{kind: d.kind, src: src}
 	}
-	ratios, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
+	ratios, results, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
 		return "", err
 	}
-	out := speedupTable(title+", speedup over NVSRAM(ideal)", names, cols, ratios).String()
+	out := speedupTable(title+", speedup over NVSRAM(ideal)", ctx.Workloads, cols, ratios).String()
 	chart := stats.NewBarChart("\ngmean(Total) speedup over NVSRAM(ideal):")
 	chart.RefValue = 1.0
 	for i, g := range gmeans(ratios) {
@@ -50,7 +48,7 @@ func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
 				totalOut += r.Outages
 			}
 		}
-		out += fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(names)*(1+len(figDesigns))))
+		out += fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(ctx.Workloads)*(1+len(figDesigns))))
 	}
 	return out, nil
 }

@@ -19,30 +19,26 @@ import (
 // 4-way), gmean speedup vs NVSRAM.
 
 func fig7(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
-	_, results, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, cell{kind: KindWL, src: power.Trace1})
+	_, results, err := speedups(ctx, cell{kind: KindNVSRAM, src: power.Trace1}, cell{kind: KindWL, src: power.Trace1})
 	if err != nil {
 		return "", err
 	}
-	traffic := make([]float64, len(names))
+	traffic := make([]float64, len(ctx.Workloads))
 	for i, row := range results {
 		traffic[i] = float64(row[1].NVMTraffic.WriteWords) / float64(row[0].NVMTraffic.WriteWords)
 	}
 	t := speedupTable("Figure 7: WL-Cache NVM write traffic, normalized to NVSRAM(ideal), Power Trace 1",
-		names, []string{"traffic"}, [][]float64{traffic})
+		ctx.Workloads, []string{"traffic"}, [][]float64{traffic})
 	return t.String(), nil
 }
 
 func fig8a(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	srcs := []power.Source{power.None, power.Trace1, power.Trace2}
 	labels := []string{"no failure", "trace 1", "trace 2"}
 	t := stats.NewTable("Figure 8(a): WL-Cache DirtyQueue replacement, gmean speedup vs NVSRAM(ideal)",
 		"DQ-FIFO", "DQ-LRU")
 	for si, src := range srcs {
-		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src},
+		ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: src},
 			cell{kind: KindWL, opts: Options{DQPolicy: core.DQFIFO}, src: src},
 			cell{kind: KindWL, opts: Options{DQPolicy: core.DQLRU}, src: src})
 		if err != nil {
@@ -54,8 +50,6 @@ func fig8a(ctx Context) (string, error) {
 }
 
 func fig8b(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	ways := []int{1, 2, 4}
 	t := stats.NewTable("Figure 8(b): WL-Cache set associativity, gmean speedup vs NVSRAM(ideal)", "D-Map.", "2-Way", "4-Way")
 	for _, src := range []power.Source{power.Trace1, power.Trace2} {
@@ -65,7 +59,7 @@ func fig8b(ctx Context) (string, error) {
 			geo.Ways = w
 			variants[i] = cell{kind: KindWL, opts: Options{Geometry: geo}, src: src}
 		}
-		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, variants...)
+		ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, variants...)
 		if err != nil {
 			return "", err
 		}

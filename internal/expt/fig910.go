@@ -21,8 +21,6 @@ import (
 var fig9Maxlines = []int{2, 4, 6, 8}
 
 func fig9(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	var cols []string
 	var variants []cell
 	for _, pol := range []cache.ReplacementPolicy{cache.FIFO, cache.LRU} {
@@ -33,12 +31,12 @@ func fig9(ctx Context) (string, error) {
 			variants = append(variants, cell{kind: KindWLFixed, opts: Options{CachePolicy: pol, Maxline: ml}, src: power.Trace1})
 		}
 	}
-	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, variants...)
+	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: power.Trace1}, variants...)
 	if err != nil {
 		return "", err
 	}
 	t := stats.NewTable("", cols...)
-	for i, wl := range names {
+	for i, wl := range ctx.Workloads {
 		t.Add(wl, rowOf(ratios, i)...)
 	}
 	t.Add("avg(gmean)", gmeans(ratios)...)
@@ -46,8 +44,6 @@ func fig9(ctx Context) (string, error) {
 }
 
 func fig10a(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	kinds := []Kind{KindVCacheWT, KindReplay, KindWL}
 	t := stats.NewTable("Figure 10(a): gmean speedup vs NVSRAM(ideal) at same size, Power Trace 1",
 		"VCache-WT", "ReplayCache", "WL-Cache")
@@ -57,7 +53,7 @@ func fig10a(ctx Context) (string, error) {
 			geo.Ways = 1 // 128 B direct-mapped: 2 lines
 		}
 		opts := Options{Geometry: geo}
-		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, opts: opts, src: power.Trace1},
+		ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, opts: opts, src: power.Trace1},
 			kindCells(power.Trace1, opts, kinds...)...)
 		if err != nil {
 			return "", err
@@ -68,8 +64,6 @@ func fig10a(ctx Context) (string, error) {
 }
 
 func fig10b(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	caps := []struct {
 		label string
 		f     float64
@@ -82,7 +76,7 @@ func fig10b(ctx Context) (string, error) {
 	t := stats.NewTable("Figure 10(b): geometric-mean execution time (s) by capacitor size, Power Trace 1", colNames...)
 	for _, c := range caps {
 		var cells []cell
-		for _, wl := range names {
+		for _, wl := range ctx.Workloads {
 			for _, k := range kinds {
 				cf := c.f
 				cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1,
@@ -95,7 +89,7 @@ func fig10b(ctx Context) (string, error) {
 		}
 		per := len(kinds)
 		times := make([][]float64, len(kinds))
-		for i := range names {
+		for i := range ctx.Workloads {
 			for ki := range kinds {
 				r := results[per*i+ki]
 				if r.ExecTime <= 0 {

@@ -32,8 +32,6 @@ func ICacheFor(kind Kind) *sim.ICacheModel {
 }
 
 func icacheExperiment(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	kinds := []Kind{KindNoCache, KindNVCache, KindVCacheWT, KindReplay, KindWL}
 	cols := []string{"NoCache", "NVCache-WB", "VCache-WT", "ReplayCache", "WL-Cache"}
 	var b strings.Builder
@@ -52,7 +50,7 @@ func icacheExperiment(ctx Context) (string, error) {
 		for i, k := range kinds {
 			variants[i] = mk(k)
 		}
-		ratios, _, err := speedups(ctx, names, mk(KindNVSRAM), variants...)
+		ratios, _, err := speedups(ctx, mk(KindNVSRAM), variants...)
 		if err != nil {
 			return "", err
 		}

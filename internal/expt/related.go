@@ -16,8 +16,6 @@ import (
 // capacitor big enough to hold it, WL-Cache still wins.
 
 func relatedExperiment(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	var b strings.Builder
 	b.WriteString("Eager write-back (Lee et al. [32]) vs WL-Cache:\n\n")
 	for _, cap := range []struct {
@@ -25,7 +23,7 @@ func relatedExperiment(ctx Context) (string, error) {
 		f     float64
 	}{{"1uF (paper default)", 1e-6}, {"22uF", 22e-6}} {
 		var cells []cell
-		for _, wl := range names {
+		for _, wl := range ctx.Workloads {
 			for _, k := range []Kind{KindWL, KindEagerWB} {
 				cf := cap.f
 				cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1,
@@ -38,7 +36,7 @@ func relatedExperiment(ctx Context) (string, error) {
 		}
 		var wlT, egT []float64
 		egInfeasible := false
-		for i := range names {
+		for i := range ctx.Workloads {
 			if r := results[2*i]; r.ExecTime > 0 {
 				wlT = append(wlT, r.Seconds())
 			}

@@ -6,6 +6,7 @@ package expt
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"wlcache/internal/cache"
 	"wlcache/internal/core"
@@ -62,6 +63,51 @@ func AllKinds() []Kind {
 		KindEagerWB, KindReplay, KindBroken,
 		KindWLFixed, KindWL, KindWLDyn,
 	}
+}
+
+// Valid reports whether NewDesign builds kind: AllKinds lists it.
+func (k Kind) Valid() bool { return slices.Contains(AllKinds(), k) }
+
+// A Dimension is one name dimension of a sweep, with its one check.
+type Dimension struct {
+	noun  string
+	valid func(string) bool
+}
+
+// The three name dimensions: benchmarks, design kinds and power traces.
+var (
+	Workloads = Dimension{"workload", func(n string) bool { _, ok := workload.ByName(n); return ok }}
+	Kinds     = Dimension{"design kind", func(n string) bool { return Kind(n).Valid() }}
+	Traces    = Dimension{"power trace", func(n string) bool { return power.Source(n).Valid() }}
+)
+
+// Check returns an error naming name unless the dimension knows it.
+func (d Dimension) Check(name string) error {
+	if !d.valid(name) {
+		return fmt.Errorf("unknown %s %q", d.noun, name)
+	}
+	return nil
+}
+
+// Resolve is the one check of a user-given name list (a flag's value
+// split at commas, or a Context's list): it trims every entry, skips
+// empty ones, and rejects an unknown name or a list that names
+// nothing. label names the list in the last error.
+func (d Dimension) Resolve(label string, list []string) ([]string, error) {
+	var out []string
+	for _, n := range list {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		if err := d.Check(n); err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("%s %q names no %s", label, strings.Join(list, ","), d.noun)
+	}
+	return out, nil
 }
 
 // Options tune a design build; zero values mean paper defaults.
@@ -149,7 +195,7 @@ func Run(kind Kind, opts Options, wlName string, scale int, src power.Source, si
 	if !ok {
 		return sim.Result{}, fmt.Errorf("expt: unknown workload %q", wlName)
 	}
-	if !slices.Contains(AllKinds(), kind) {
+	if !kind.Valid() {
 		return sim.Result{}, fmt.Errorf("expt: unknown design kind %q", kind)
 	}
 	if !src.Valid() {

@@ -40,10 +40,8 @@ func nvsramVariants(ctx Context) (string, error) {
 // bySource adds one row to t per power source (no failure, tr1, tr2):
 // each kind's gmean speedup over NVSRAM(ideal).
 func bySource(ctx Context, t *stats.Table, kinds ...Kind) error {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	for _, src := range []power.Source{power.None, power.Trace1, power.Trace2} {
-		ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
+		ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, kindCells(src, Options{}, kinds...)...)
 		if err != nil {
 			return err
 		}

@@ -30,11 +30,9 @@ func table1(ctx Context) (string, error) {
 		fmt.Fprintf(&b, "%-19s %-8s %-12s %-14s %s\n", r.name, r.hw, r.buf, r.nvreq, r.perf)
 	}
 	// Measured column for the designs this repo implements.
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	kinds := []Kind{KindVCacheWT, KindNVCache, KindNVSRAMFull, KindNVSRAMPractical, KindReplay, KindWL}
 	labels := []string{"WTCache", "NVCache", "NVSRAM(full)", "NVSRAM(practical)", "ReplayCache", "WL-Cache"}
-	ratios, _, err := speedups(ctx, names, cell{kind: KindNVSRAM, src: power.Trace1}, kindCells(power.Trace1, Options{}, kinds...)...)
+	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: power.Trace1}, kindCells(power.Trace1, Options{}, kinds...)...)
 	if err != nil {
 		return "", err
 	}
@@ -86,13 +84,11 @@ func hwcostReport(ctx Context) (string, error) {
 }
 
 func adaptStats(ctx Context) (string, error) {
-	ctx = ctx.normalize()
-	names := subsetNames(ctx)
 	var b strings.Builder
 	b.WriteString("Section 6.6: adaptive WL-Cache statistics (averages over benchmarks)\n\n")
 	for _, src := range []power.Source{power.Trace1, power.Trace2} {
 		var cells []cell
-		for _, wl := range names {
+		for _, wl := range ctx.Workloads {
 			cells = append(cells, cell{kind: KindWL, wl: wl, src: src})
 		}
 		results, err := runCells(ctx, cells)
@@ -100,7 +96,7 @@ func adaptStats(ctx Context) (string, error) {
 			return "", err
 		}
 		var reconfigs, dirty, wbs, stallFrac, outs float64
-		minML, maxML := 99, 0
+		minML, maxML := results[0].Extra.MaxlineNow, results[0].Extra.MaxlineNow
 		for _, r := range results {
 			reconfigs += float64(r.Extra.Reconfigs)
 			outs += float64(r.Outages)
@@ -111,12 +107,7 @@ func adaptStats(ctx Context) (string, error) {
 			if r.ExecTime > 0 {
 				stallFrac += float64(r.Extra.StallTime) / float64(r.ExecTime)
 			}
-			if r.Extra.MaxlineNow < minML {
-				minML = r.Extra.MaxlineNow
-			}
-			if r.Extra.MaxlineNow > maxML {
-				maxML = r.Extra.MaxlineNow
-			}
+			minML, maxML = min(minML, r.Extra.MaxlineNow), max(maxML, r.Extra.MaxlineNow)
 		}
 		n := float64(len(results))
 		fmt.Fprintf(&b, "%s: reconfigurations/run %.1f, outages/run %.1f,\n", src, reconfigs/n, outs/n)

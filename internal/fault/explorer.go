@@ -165,8 +165,17 @@ type golden struct {
 
 // Audit runs the full matrix: one golden run per (design, workload),
 // then one faulted run per (design, workload, mode, seed), each with
-// Points crashes sampled across the golden execution time.
+// Points crashes sampled across the golden execution time. A matrix
+// with an empty dimension is an error: no verdict holds over no cells.
 func Audit(m Matrix) (*Report, error) {
+	for _, dim := range []struct {
+		name string
+		n    int
+	}{{"designs", len(m.Designs)}, {"workloads", len(m.Workloads)}, {"modes", len(m.Modes)}, {"seeds", len(m.Seeds)}} {
+		if dim.n == 0 {
+			return nil, fmt.Errorf("fault: audit matrix has no %s", dim.name)
+		}
+	}
 	rep := &Report{modes: m.Modes}
 	for _, kind := range m.Designs {
 		rep.designs = append(rep.designs, string(kind))

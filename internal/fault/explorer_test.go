@@ -157,3 +157,28 @@ func TestAuditOneDefaultsPoints(t *testing.T) {
 		}()
 	}
 }
+
+// A matrix with an empty dimension is an error that names it, never a
+// report whose every design passes over zero cells.
+func TestAuditRejectsEmptyDimension(t *testing.T) {
+	full := Matrix{Designs: []expt.Kind{expt.KindWL}, Workloads: []string{"adpcmencode"}, Modes: []Mode{ModeCrash}, Seeds: []uint64{1}}
+	for _, tc := range []struct {
+		name  string
+		empty func(*Matrix)
+	}{
+		{"designs", func(m *Matrix) { m.Designs = nil }},
+		{"workloads", func(m *Matrix) { m.Workloads = []string{} }},
+		{"modes", func(m *Matrix) { m.Modes = nil }},
+		{"seeds", func(m *Matrix) { m.Seeds = nil }},
+	} {
+		m := full
+		tc.empty(&m)
+		rep, err := Audit(m)
+		if want := "fault: audit matrix has no " + tc.name; err == nil || err.Error() != want {
+			t.Errorf("empty %s: err = %v, want %q", tc.name, err, want)
+		}
+		if rep != nil {
+			t.Errorf("empty %s: got a report of %d cells", tc.name, len(rep.Cells))
+		}
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
 	"wlcache/internal/sim"
-	"wlcache/internal/workload"
 )
 
 // Spec is a client's sweep request: the cross product of designs ×
@@ -84,27 +83,21 @@ func (s Spec) normalize() Spec {
 // validate rejects anything the engine cannot run, before any
 // simulation or journal I/O happens.
 func (s Spec) validate() error {
-	kinds := make(map[string]bool)
-	for _, k := range expt.AllKinds() {
-		kinds[string(k)] = true
-	}
+	// Each entry is checked as given, untrimmed: the spec's order and
+	// spelling name the sweep and its journal.
 	for _, d := range s.Designs {
-		if !kinds[d] {
-			return fmt.Errorf("unknown design kind %q", d)
+		if err := expt.Kinds.Check(d); err != nil {
+			return err
 		}
 	}
 	for _, wl := range s.Workloads {
-		if _, ok := workload.ByName(wl); !ok {
-			return fmt.Errorf("unknown workload %q", wl)
+		if err := expt.Workloads.Check(wl); err != nil {
+			return err
 		}
 	}
-	traces := map[string]bool{string(power.None): true}
-	for _, src := range power.Sources() {
-		traces[string(src)] = true
-	}
 	for _, tr := range s.Traces {
-		if !traces[tr] {
-			return fmt.Errorf("unknown power trace %q", tr)
+		if err := expt.Traces.Check(tr); err != nil {
+			return err
 		}
 	}
 	if s.Scale > 64 {

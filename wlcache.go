@@ -31,7 +31,6 @@ package wlcache
 
 import (
 	"fmt"
-	"slices"
 
 	"wlcache/internal/expt"
 	"wlcache/internal/isa"
@@ -109,7 +108,7 @@ func Trace(src Source) *PowerTrace { return power.Get(src) }
 // kind, in the paper's default configuration, and a fresh NVM main
 // memory with the paper's ReRAM timing.
 func NewSimulator(cfg SimConfig, kind Kind) (*Simulator, error) {
-	if !slices.Contains(expt.AllKinds(), kind) {
+	if !kind.Valid() {
 		return nil, fmt.Errorf("wlcache: unknown design kind %q", kind)
 	}
 	design, nvm := expt.NewDesign(kind, expt.Options{})
