@@ -155,10 +155,11 @@ func run(args []string, stdout io.Writer) error {
 
 	for _, e := range todo {
 		start := time.Now()
-		out, err := e.Run(ctx)
+		rep, err := e.Run(ctx)
 		if err != nil {
 			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
+		out := rep.String()
 		fmt.Fprintf(stdout, "==== %s: %s ====\n\n%s\n\n", e.ID, e.Title, out)
 		// Host time goes to stderr: stdout is the evaluation itself,
 		// which must be identical on every host.

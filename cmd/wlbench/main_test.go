@@ -53,6 +53,8 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestRunSingleExperimentWithOutDir: -out saves exactly the report
+// that stdout prints under the experiment's heading.
 func TestRunSingleExperimentWithOutDir(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
@@ -60,15 +62,16 @@ func TestRunSingleExperimentWithOutDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "Table 2") {
-		t.Fatalf("missing experiment output:\n%s", b.String())
-	}
 	data, err := os.ReadFile(filepath.Join(dir, "table2.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), "Vbackup") {
 		t.Fatal("saved file incomplete")
+	}
+	e, _ := expt.ByID("table2")
+	if want := fmt.Sprintf("==== table2: %s ====\n\n%s\n\n", e.Title, data); b.String() != want {
+		t.Fatalf("stdout is not the saved report under its heading:\nstdout:\n%q\nwant:\n%q", b.String(), want)
 	}
 }
 

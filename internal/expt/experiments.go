@@ -2,10 +2,12 @@ package expt
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 
 	"wlcache/internal/power"
 	"wlcache/internal/runner"
@@ -52,18 +54,47 @@ func (c Context) simConfig() sim.Config {
 type Experiment struct {
 	ID    string
 	Title string
-	run   func(ctx Context) (string, error)
+	run   func(ctx Context) (Report, error)
 }
 
 // Run runs the experiment on ctx.Workloads, resolved once here, so no
 // experiment runs on a list that names nothing.
-func (e Experiment) Run(ctx Context) (string, error) {
+func (e Experiment) Run(ctx Context) (Report, error) {
 	names, err := resolveWorkloads(ctx.Workloads)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	ctx.Workloads = names
 	return e.run(ctx)
+}
+
+// A Report is an experiment's result, its parts in print order: each
+// a *stats.Table, a *stats.BarChart or a block of prose.
+type Report []fmt.Stringer
+
+// text is a block of prose in a Report.
+type text string
+
+func (t text) String() string { return string(t) }
+
+// String renders the report: its parts, concatenated.
+func (r Report) String() string {
+	var b strings.Builder
+	for _, p := range r {
+		b.WriteString(p.String())
+	}
+	return b.String()
+}
+
+// Tables returns the report's tables in print order.
+func (r Report) Tables() []*stats.Table {
+	var ts []*stats.Table
+	for _, p := range r {
+		if t, ok := p.(*stats.Table); ok {
+			ts = append(ts, t)
+		}
+	}
+	return ts
 }
 
 // resolveWorkloads is an experiment's benchmark list: all 23 for nil,
@@ -87,11 +118,11 @@ var experiments = []Experiment{
 	{ID: "table2", Title: "Table 2: simulation configuration", run: table2},
 	{ID: "hwcost", Title: "Section 6.2: WL-Cache hardware cost (mini-CACTI, 90 nm)", run: hwcostReport},
 	{ID: "fig4", Title: "Figure 4: normalized speedup vs NVSRAM(ideal), no power failure",
-		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") }},
+		run: func(ctx Context) (Report, error) { return figSpeedups(ctx, power.None, "Figure 4 (no power failure)") }},
 	{ID: "fig5", Title: "Figure 5: normalized speedup vs NVSRAM(ideal), Power Trace 1",
-		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") }},
+		run: func(ctx Context) (Report, error) { return figSpeedups(ctx, power.Trace1, "Figure 5 (Power Trace 1)") }},
 	{ID: "fig6", Title: "Figure 6: normalized speedup vs NVSRAM(ideal), Power Trace 2",
-		run: func(ctx Context) (string, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") }},
+		run: func(ctx Context) (Report, error) { return figSpeedups(ctx, power.Trace2, "Figure 6 (Power Trace 2)") }},
 	{ID: "fig7", Title: "Figure 7: normalized write traffic increase vs NVSRAM(ideal), Power Trace 1", run: fig7},
 	{ID: "fig8a", Title: "Figure 8(a): DirtyQueue replacement policy (DQ-FIFO vs DQ-LRU)", run: fig8a},
 	{ID: "fig8b", Title: "Figure 8(b): cache set associativity (direct-mapped, 2-way, 4-way)", run: fig8b},
@@ -99,9 +130,9 @@ var experiments = []Experiment{
 	{ID: "fig10a", Title: "Figure 10(a): cache size sweep 128B..4KB, Power Trace 1", run: fig10a},
 	{ID: "fig10b", Title: "Figure 10(b): capacitor size sweep 100nF..1mF, Power Trace 1", run: fig10b},
 	{ID: "fig11", Title: "Figure 11: adaptive vs best-static WL-Cache, Power Trace 1",
-		run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }},
+		run: func(ctx Context) (Report, error) { return figAdaptive(ctx, power.Trace1, "Figure 11 (Power Trace 1)") }},
 	{ID: "fig12", Title: "Figure 12: adaptive vs best-static WL-Cache, Power Trace 2",
-		run: func(ctx Context) (string, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }},
+		run: func(ctx Context) (Report, error) { return figAdaptive(ctx, power.Trace2, "Figure 12 (Power Trace 2)") }},
 	{ID: "fig13a", Title: "Figure 13(a): performance across power traces (tr.1/tr.2/tr.3/solar/thermal)", run: fig13a},
 	{ID: "fig13b", Title: "Figure 13(b): energy consumption breakdown, Power Trace 1", run: fig13b},
 	{ID: "adaptstats", Title: "Section 6.6: adaptive threshold statistics", run: adaptStats},
@@ -297,32 +328,39 @@ func gmeanOrNaN(xs []float64) float64 {
 	return stats.Gmean(xs)
 }
 
-// speedups runs base and every variant on each workload of
-// ctx.Workloads. The cells are templates: speedups fills in the
-// workload and submits [base, variants...] per workload, in that
-// order. ratios[v][i] is variant v's speedup over base on workload i;
-// results[i] holds that workload's results, base first.
-func speedups(ctx Context, base cell, variants ...cell) (ratios [][]float64, results [][]sim.Result, err error) {
-	names := ctx.Workloads
-	per := 1 + len(variants)
-	cells := make([]cell, 0, per*len(names))
-	for _, wl := range names {
-		base.wl = wl
-		cells = append(cells, base)
-		for _, v := range variants {
-			v.wl = wl
-			cells = append(cells, v)
+// sweep runs every template on each workload of ctx.Workloads: it
+// fills in the workload and submits the templates per workload, in
+// order. rows[i] holds workload i's results, in template order.
+func sweep(ctx Context, templates ...cell) (rows [][]sim.Result, err error) {
+	per := len(templates)
+	cells := make([]cell, 0, per*len(ctx.Workloads))
+	for _, wl := range ctx.Workloads {
+		for _, c := range templates {
+			c.wl = wl
+			cells = append(cells, c)
 		}
 	}
 	flat, err := runCells(ctx, cells)
 	if err != nil {
+		return nil, err
+	}
+	rows = make([][]sim.Result, len(ctx.Workloads))
+	for i := range rows {
+		rows[i] = flat[per*i : per*(i+1)]
+	}
+	return rows, nil
+}
+
+// speedups sweeps base and every variant. ratios[v][i] is variant v's
+// speedup over base on workload i; results[i] holds that workload's
+// results, base first.
+func speedups(ctx Context, base cell, variants ...cell) (ratios [][]float64, results [][]sim.Result, err error) {
+	results, err = sweep(ctx, append([]cell{base}, variants...)...)
+	if err != nil {
 		return nil, nil, err
 	}
 	ratios = make([][]float64, len(variants))
-	results = make([][]sim.Result, len(names))
-	for i := range names {
-		row := flat[per*i : per*(i+1)]
-		results[i] = row
+	for _, row := range results {
 		for v := range variants {
 			ratios[v] = append(ratios[v], float64(row[0].ExecTime)/float64(row[1+v].ExecTime))
 		}
@@ -336,6 +374,18 @@ func kindCells(src power.Source, opts Options, kinds ...Kind) []cell {
 	cells := make([]cell, len(kinds))
 	for i, k := range kinds {
 		cells[i] = cell{kind: k, opts: opts, src: src}
+	}
+	return cells
+}
+
+// onCapacitor is one optional Power Trace 1 template per kind on a
+// capacitor of f farads: a kind whose JIT reserve that capacitor cannot
+// hold below VMax fails, and its Result is left zero.
+func onCapacitor(f float64, kinds ...Kind) []cell {
+	cells := kindCells(power.Trace1, Options{}, kinds...)
+	for i := range cells {
+		cells[i].simFn = func(s *sim.Config) { s.CapacitorF = f }
+		cells[i].optional = true
 	}
 	return cells
 }

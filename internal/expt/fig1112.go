@@ -9,7 +9,7 @@ import (
 // maxline per application (§6.6), for FIFO and LRU cache replacement,
 // under Power Traces 1 and 2, normalized to NVSRAM(ideal).
 
-func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
+func figAdaptive(ctx Context, src power.Source, title string) (Report, error) {
 	pols := []cache.ReplacementPolicy{cache.LRU, cache.FIFO}
 
 	// Per cache policy: the static runs across the maxline grid (their
@@ -23,7 +23,7 @@ func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 	}
 	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	// The largest speedup is the fastest static run: dividing by a
 	// positive time is monotone, so this is base/min(time) bit for bit.
@@ -41,5 +41,5 @@ func figAdaptive(ctx Context, src power.Source, title string) (string, error) {
 	}
 	t := speedupTable(title+": WL-Cache adaptive vs best static, speedup over NVSRAM(ideal)", ctx.Workloads,
 		[]string{"LRU(Best)", "LRU(Adap)", "FIFO(Best)", "FIFO(Adap)"}, cols)
-	return t.String(), nil
+	return Report{t}, nil
 }

@@ -22,7 +22,7 @@ var figDesigns = []struct {
 	{"WL-Cache", KindWL},
 }
 
-func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
+func figSpeedups(ctx Context, src power.Source, title string) (Report, error) {
 	cols := make([]string, len(figDesigns))
 	variants := make([]cell, len(figDesigns))
 	for i, d := range figDesigns {
@@ -31,16 +31,15 @@ func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
 	}
 	ratios, results, err := speedups(ctx, cell{kind: KindNVSRAM, src: src}, variants...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	out := speedupTable(title+", speedup over NVSRAM(ideal)", ctx.Workloads, cols, ratios).String()
 	chart := stats.NewBarChart("\ngmean(Total) speedup over NVSRAM(ideal):")
 	chart.RefValue = 1.0
 	for i, g := range gmeans(ratios) {
 		chart.Add(cols[i], g)
 	}
 	chart.Add("NVSRAM(ideal)", 1.0)
-	out += chart.String()
+	rep := Report{speedupTable(title+", speedup over NVSRAM(ideal)", ctx.Workloads, cols, ratios), chart}
 	if src != power.None {
 		var totalOut uint64
 		for _, row := range results {
@@ -48,7 +47,7 @@ func figSpeedups(ctx Context, src power.Source, title string) (string, error) {
 				totalOut += r.Outages
 			}
 		}
-		out += fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(ctx.Workloads)*(1+len(figDesigns))))
+		rep = append(rep, text(fmt.Sprintf("\n(avg outages per run: %.1f)\n", float64(totalOut)/float64(len(ctx.Workloads)*(1+len(figDesigns))))))
 	}
-	return out, nil
+	return rep, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"wlcache/internal/cache"
 	"wlcache/internal/power"
-	"wlcache/internal/sim"
 	"wlcache/internal/stats"
 )
 
@@ -20,7 +19,7 @@ import (
 
 var fig9Maxlines = []int{2, 4, 6, 8}
 
-func fig9(ctx Context) (string, error) {
+func fig9(ctx Context) (Report, error) {
 	var cols []string
 	var variants []cell
 	for _, pol := range []cache.ReplacementPolicy{cache.FIFO, cache.LRU} {
@@ -33,17 +32,17 @@ func fig9(ctx Context) (string, error) {
 	}
 	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: power.Trace1}, variants...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	t := stats.NewTable("", cols...)
+	t := stats.NewTable("Figure 9: WL-Cache speedup vs NVSRAM(ideal), Power Trace 1, by maxline", cols...)
 	for i, wl := range ctx.Workloads {
 		t.Add(wl, rowOf(ratios, i)...)
 	}
 	t.Add("avg(gmean)", gmeans(ratios)...)
-	return "Figure 9: WL-Cache speedup vs NVSRAM(ideal), Power Trace 1, by maxline\n" + t.String(), nil
+	return Report{t}, nil
 }
 
-func fig10a(ctx Context) (string, error) {
+func fig10a(ctx Context) (Report, error) {
 	kinds := []Kind{KindVCacheWT, KindReplay, KindWL}
 	t := stats.NewTable("Figure 10(a): gmean speedup vs NVSRAM(ideal) at same size, Power Trace 1",
 		"VCache-WT", "ReplayCache", "WL-Cache")
@@ -56,14 +55,14 @@ func fig10a(ctx Context) (string, error) {
 		ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, opts: opts, src: power.Trace1},
 			kindCells(power.Trace1, opts, kinds...)...)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		t.Add(fmt.Sprintf("%dB", size), gmeans(ratios)...)
 	}
-	return t.String(), nil
+	return Report{t}, nil
 }
 
-func fig10b(ctx Context) (string, error) {
+func fig10b(ctx Context) (Report, error) {
 	caps := []struct {
 		label string
 		f     float64
@@ -75,23 +74,13 @@ func fig10b(ctx Context) (string, error) {
 	colNames := []string{"VCache-WT", "ReplayCache", "NVSRAM(ideal)", "WL-Cache"}
 	t := stats.NewTable("Figure 10(b): geometric-mean execution time (s) by capacitor size, Power Trace 1", colNames...)
 	for _, c := range caps {
-		var cells []cell
-		for _, wl := range ctx.Workloads {
-			for _, k := range kinds {
-				cf := c.f
-				cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1,
-					simFn: func(s *sim.Config) { s.CapacitorF = cf }, optional: true})
-			}
-		}
-		results, err := runCells(ctx, cells)
+		rows, err := sweep(ctx, onCapacitor(c.f, kinds...)...)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		per := len(kinds)
 		times := make([][]float64, len(kinds))
-		for i := range ctx.Workloads {
-			for ki := range kinds {
-				r := results[per*i+ki]
+		for _, row := range rows {
+			for ki, r := range row {
 				if r.ExecTime <= 0 {
 					// Design infeasible on this capacitor: its JIT
 					// reserve cannot be charged below VMax.
@@ -107,5 +96,5 @@ func fig10b(ctx Context) (string, error) {
 		}
 		t.Add(c.label, row...)
 	}
-	return t.String(), nil
+	return Report{t}, nil
 }

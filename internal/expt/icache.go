@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"strings"
-
 	"wlcache/internal/power"
 	"wlcache/internal/sim"
 	"wlcache/internal/stats"
@@ -31,12 +29,9 @@ func ICacheFor(kind Kind) *sim.ICacheModel {
 	}
 }
 
-func icacheExperiment(ctx Context) (string, error) {
+func icacheExperiment(ctx Context) (Report, error) {
 	kinds := []Kind{KindNoCache, KindNVCache, KindVCacheWT, KindReplay, KindWL}
 	cols := []string{"NoCache", "NVCache-WB", "VCache-WT", "ReplayCache", "WL-Cache"}
-	var b strings.Builder
-	b.WriteString("Instruction-fetch modeling (extension; values are gmean speedup vs\n")
-	b.WriteString("NVSRAM(ideal) under the same I-cache assumption):\n\n")
 	t := stats.NewTable("", cols...)
 	for _, modeled := range []bool{false, true} {
 		mk := func(k Kind) cell {
@@ -52,7 +47,7 @@ func icacheExperiment(ctx Context) (string, error) {
 		}
 		ratios, _, err := speedups(ctx, mk(KindNVSRAM), variants...)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		label := "I-fetch folded (default)"
 		if modeled {
@@ -60,8 +55,11 @@ func icacheExperiment(ctx Context) (string, error) {
 		}
 		t.Add(label, gmeans(ratios)...)
 	}
-	b.WriteString(t.String())
-	b.WriteString("\n(The cacheless NVP and the NV cache pay their slow instruction path;\n")
-	b.WriteString("the volatile designs additionally refill the I-cache after every outage.)\n")
-	return b.String(), nil
+	return Report{
+		text("Instruction-fetch modeling (extension; values are gmean speedup vs\n" +
+			"NVSRAM(ideal) under the same I-cache assumption):\n\n"),
+		t,
+		text("\n(The cacheless NVP and the NV cache pay their slow instruction path;\n" +
+			"the volatile designs additionally refill the I-cache after every outage.)\n"),
+	}, nil
 }

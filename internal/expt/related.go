@@ -3,9 +3,6 @@ package expt
 import (
 	"fmt"
 	"strings"
-
-	"wlcache/internal/power"
-	"wlcache/internal/sim"
 )
 
 // Experiment "related": §7/Table 3 argue that prior eager write-back
@@ -15,32 +12,24 @@ import (
 // charge its reserve on the paper's default 1 uF capacitor, and on a
 // capacitor big enough to hold it, WL-Cache still wins.
 
-func relatedExperiment(ctx Context) (string, error) {
+func relatedExperiment(ctx Context) (Report, error) {
 	var b strings.Builder
 	b.WriteString("Eager write-back (Lee et al. [32]) vs WL-Cache:\n\n")
 	for _, cap := range []struct {
 		label string
 		f     float64
 	}{{"1uF (paper default)", 1e-6}, {"22uF", 22e-6}} {
-		var cells []cell
-		for _, wl := range ctx.Workloads {
-			for _, k := range []Kind{KindWL, KindEagerWB} {
-				cf := cap.f
-				cells = append(cells, cell{kind: k, wl: wl, src: power.Trace1,
-					simFn: func(s *sim.Config) { s.CapacitorF = cf }, optional: true})
-			}
-		}
-		results, err := runCells(ctx, cells)
+		rows, err := sweep(ctx, onCapacitor(cap.f, KindWL, KindEagerWB)...)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		var wlT, egT []float64
 		egInfeasible := false
-		for i := range ctx.Workloads {
-			if r := results[2*i]; r.ExecTime > 0 {
+		for _, row := range rows {
+			if r := row[0]; r.ExecTime > 0 {
 				wlT = append(wlT, r.Seconds())
 			}
-			if r := results[2*i+1]; r.ExecTime > 0 {
+			if r := row[1]; r.ExecTime > 0 {
 				egT = append(egT, r.Seconds())
 			} else {
 				egInfeasible = true
@@ -61,5 +50,5 @@ func relatedExperiment(ctx Context) (string, error) {
 	}
 	b.WriteString("\n(WL-Cache turns the same eager-cleaning idea into a hard maxline bound,\n")
 	b.WriteString("which is what shrinks the reserve to DirtyQueue size.)\n")
-	return b.String(), nil
+	return Report{text(b.String())}, nil
 }

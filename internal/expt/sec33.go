@@ -1,8 +1,6 @@
 package expt
 
 import (
-	"strings"
-
 	"wlcache/internal/power"
 	"wlcache/internal/stats"
 )
@@ -11,30 +9,25 @@ import (
 // can also behave like WL-Cache ... the alternative design would be
 // inferior") and the NVSRAM-variant rows of Table 1, measured.
 
-func sec33(ctx Context) (string, error) {
-	var b strings.Builder
-	b.WriteString("Section 3.3: the write-buffer alternative, speedup vs NVSRAM(ideal)\n")
-	b.WriteString("(the paper argues WT+buffer loses on CAM cost, reserve size and load\n")
-	b.WriteString("critical path; WL-Cache's DirtyQueue is off the load path and coalesces\n")
-	b.WriteString("whole lines)\n\n")
+func sec33(ctx Context) (Report, error) {
 	t := stats.NewTable("", "VCache-WT", "WT+buffer(8)", "WL-Cache")
 	if err := bySource(ctx, t, KindVCacheWT, KindWTBuffer, KindWL); err != nil {
-		return "", err
+		return nil, err
 	}
-	b.WriteString(t.String())
-	return b.String(), nil
+	return Report{text("Section 3.3: the write-buffer alternative, speedup vs NVSRAM(ideal)\n" +
+		"(the paper argues WT+buffer loses on CAM cost, reserve size and load\n" +
+		"critical path; WL-Cache's DirtyQueue is off the load path and coalesces\n" +
+		"whole lines)\n\n"), t}, nil
 }
 
-func nvsramVariants(ctx Context) (string, error) {
+func nvsramVariants(ctx Context) (Report, error) {
 	t := stats.NewTable("NVSRAM variants, gmean speedup vs NVSRAM(ideal)", "NVSRAM(full)", "NVSRAM(pract)", "WL-Cache")
 	if err := bySource(ctx, t, KindNVSRAMFull, KindNVSRAMPractical, KindWL); err != nil {
-		return "", err
+		return nil, err
 	}
-	out := t.String()
-	out += "\n(Table 1 expects: full <= ideal under failures — it checkpoints the whole\n"
-	out += "cache every outage; practical in the middle — NV-way hits are slow and the\n"
-	out += "eager NV write-backs add traffic, but its reserve is only medium.)\n"
-	return out, nil
+	return Report{t, text("\n(Table 1 expects: full <= ideal under failures — it checkpoints the whole\n" +
+		"cache every outage; practical in the middle — NV-way hits are slow and the\n" +
+		"eager NV write-backs add traffic, but its reserve is only medium.)\n")}, nil
 }
 
 // bySource adds one row to t per power source (no failure, tr1, tr2):

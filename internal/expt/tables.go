@@ -12,7 +12,7 @@ import (
 // Table 1, Table 2, the §6.2 hardware-cost analysis and the §6.6
 // adaptive-statistics paragraph.
 
-func table1(ctx Context) (string, error) {
+func table1(ctx Context) (Report, error) {
 	var b strings.Builder
 	b.WriteString("Table 1: Hardware complexity and performance comparison (qualitative, from the paper,\n")
 	b.WriteString("with this reproduction's measured gmean speedup vs NVSRAM(ideal) under Power Trace 1)\n\n")
@@ -34,17 +34,17 @@ func table1(ctx Context) (string, error) {
 	labels := []string{"WTCache", "NVCache", "NVSRAM(full)", "NVSRAM(practical)", "ReplayCache", "WL-Cache"}
 	ratios, _, err := speedups(ctx, cell{kind: KindNVSRAM, src: power.Trace1}, kindCells(power.Trace1, Options{}, kinds...)...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	b.WriteString("\nMeasured (this reproduction, Power Trace 1, gmean speedup vs NVSRAM(ideal)):\n")
 	for ki, g := range gmeans(ratios) {
 		fmt.Fprintf(&b, "  %-18s %.3f\n", labels[ki], g)
 	}
 	b.WriteString("  NVSRAM(ideal)      1.000 (baseline)\n")
-	return b.String(), nil
+	return Report{text(b.String())}, nil
 }
 
-func table2(ctx Context) (string, error) {
+func table2(ctx Context) (Report, error) {
 	cfg := sim.DefaultConfig()
 	var b strings.Builder
 	b.WriteString("Table 2: simulation configuration (this reproduction)\n\n")
@@ -66,10 +66,10 @@ func table2(ctx Context) (string, error) {
 	}
 	b.WriteString("Power traces         synthetic tr.1 (home RF), tr.2 (office RF), tr.3 (Mementos RF),\n")
 	b.WriteString("                     solar, thermal; stability ordering matches the paper\n")
-	return b.String(), nil
+	return Report{text(b.String())}, nil
 }
 
-func hwcostReport(ctx Context) (string, error) {
+func hwcostReport(ctx Context) (Report, error) {
 	area, dyn, leak, rows := hwcost.WLCacheCost()
 	var b strings.Builder
 	b.WriteString("Section 6.2: WL-Cache hardware cost at 90 nm (mini-CACTI analytical model)\n\n")
@@ -80,24 +80,21 @@ func hwcostReport(ctx Context) (string, error) {
 	fmt.Fprintf(&b, "\n  total: area %.4f mm^2, dynamic %.4f nJ/access, leakage %.3f mW\n", area, dyn, leak)
 	fmt.Fprintf(&b, "  leakage vs 8 kB NV cache (%.2f mW): %.0f%%\n", nvLeak, 100*leak/nvLeak)
 	b.WriteString("\n  paper reports: <= 0.005 mm^2, 0.0008 nJ dynamic, 0.1 mW leak (9% of NV cache leak)\n")
-	return b.String(), nil
+	return Report{text(b.String())}, nil
 }
 
-func adaptStats(ctx Context) (string, error) {
+func adaptStats(ctx Context) (Report, error) {
 	var b strings.Builder
 	b.WriteString("Section 6.6: adaptive WL-Cache statistics (averages over benchmarks)\n\n")
 	for _, src := range []power.Source{power.Trace1, power.Trace2} {
-		var cells []cell
-		for _, wl := range ctx.Workloads {
-			cells = append(cells, cell{kind: KindWL, wl: wl, src: src})
-		}
-		results, err := runCells(ctx, cells)
+		rows, err := sweep(ctx, cell{kind: KindWL, src: src})
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		var reconfigs, dirty, wbs, stallFrac, outs float64
-		minML, maxML := results[0].Extra.MaxlineNow, results[0].Extra.MaxlineNow
-		for _, r := range results {
+		minML, maxML := rows[0][0].Extra.MaxlineNow, rows[0][0].Extra.MaxlineNow
+		for _, row := range rows {
+			r := row[0]
 			reconfigs += float64(r.Extra.Reconfigs)
 			outs += float64(r.Outages)
 			if r.Outages > 0 {
@@ -109,7 +106,7 @@ func adaptStats(ctx Context) (string, error) {
 			}
 			minML, maxML = min(minML, r.Extra.MaxlineNow), max(maxML, r.Extra.MaxlineNow)
 		}
-		n := float64(len(results))
+		n := float64(len(rows))
 		fmt.Fprintf(&b, "%s: reconfigurations/run %.1f, outages/run %.1f,\n", src, reconfigs/n, outs/n)
 		fmt.Fprintf(&b, "     dirty lines per checkpoint %.1f, async write-backs per on-period %.1f,\n", dirty/n, wbs/n)
 		fmt.Fprintf(&b, "     pipeline stall share %.2f%% of execution, final maxline range [%d,%d]\n\n",
@@ -117,5 +114,5 @@ func adaptStats(ctx Context) (string, error) {
 	}
 	b.WriteString("paper reports: 11/12 reconfigurations, maxline range [2,6], 6/3 and 6/2\n")
 	b.WriteString("dirty-lines/write-backs per on-period, stalls <1% of execution\n")
-	return b.String(), nil
+	return Report{text(b.String())}, nil
 }

@@ -33,7 +33,7 @@ func Summarize(m Manifest) string {
 			}
 			t.Add(g.Name, g.Last, g.Min, g.Max, g.Mean)
 		}
-		if t.Rows() > 0 {
+		if len(t.Labels()) > 0 {
 			b.WriteString(t.String())
 			b.WriteByte('\n')
 		}
@@ -47,7 +47,7 @@ func Summarize(m Manifest) string {
 			}
 			t.Add(h.Name, float64(h.Count), h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max)
 		}
-		if t.Rows() > 0 {
+		if len(t.Labels()) > 0 {
 			b.WriteString(t.String())
 			b.WriteByte('\n')
 		}

@@ -622,10 +622,27 @@ func TestSpecRejection(t *testing.T) {
 		{"grid out of range", `{"grid":{"maxline":[65]}}`},
 		{"unknown tier", `{"tier":"warp"}`},
 		{"too many cells", `{}`}, // 78 golden cells > MaxCells 50
+		{"repeated design", `{"designs":["wl","wl"],"workloads":["adpcmencode"],"traces":["none"]}`},
+		{"repeated workload", `{"designs":["wl"],"workloads":["adpcmencode","sha","adpcmencode"],"traces":["none"]}`},
+		{"repeated trace", `{"designs":["wl"],"workloads":["adpcmencode"],"traces":["none","none"]}`},
+		{"repeated maxline", `{"designs":["wl"],"workloads":["adpcmencode"],"traces":["none"],"grid":{"maxline":[2,4,2]}}`},
+		{"repeated dqcap", `{"designs":["wl"],"workloads":["adpcmencode"],"traces":["none"],"grid":{"dqcap":[8,8]}}`},
 	}
 	for _, c := range cases {
 		if resp := post(c.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
+		}
+	}
+	// A repeat is named by its dimension and entry.
+	for want, spec := range map[string]Spec{
+		`designs lists "wl" twice`:    {Designs: []string{"wl", "wl"}},
+		`workloads lists "sha" twice`: {Workloads: []string{"sha", "qsort", "sha"}},
+		`traces lists "none" twice`:   {Traces: []string{"none", "none"}},
+		`grid.maxline lists 2 twice`:  {Grid: &Grid{Maxline: []int{2, 4, 2}}},
+		`grid.dqcap lists 8 twice`:    {Grid: &Grid{DQCap: []int{8, 8}}},
+	} {
+		if err := spec.normalize().validate(); err == nil || err.Error() != want {
+			t.Errorf("validate = %v, want %q", err, want)
 		}
 	}
 	resp, err := http.Get(cl.Base + "/v1/sweeps")

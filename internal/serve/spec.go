@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"wlcache/internal/expt"
 	"wlcache/internal/power"
@@ -116,8 +117,31 @@ func (s Spec) validate() error {
 			return fmt.Errorf("grid dqcap %d out of range [0,64]", dq)
 		}
 	}
+	// A repeated entry would sweep copies of the same cells and count
+	// them against Config.MaxCells; the spec is rejected, not deduped.
+	// The name and range checks above bound how many distinct values
+	// a list can hold, so a long list meets its first repeat early.
+	for _, err := range []error{
+		unique("designs", s.Designs), unique("workloads", s.Workloads), unique("traces", s.Traces),
+		unique("grid.maxline", s.Grid.Maxline), unique("grid.dqcap", s.Grid.DQCap),
+	} {
+		if err != nil {
+			return err
+		}
+	}
 	if _, err := sim.ParseTier(s.Tier); err != nil {
 		return err
+	}
+	return nil
+}
+
+// unique rejects the first entry of the named dimension that repeats
+// an earlier one.
+func unique[T comparable](dim string, list []T) error {
+	for i, x := range list {
+		if slices.Contains(list[:i], x) {
+			return fmt.Errorf("%s lists %#v twice", dim, x)
+		}
 	}
 	return nil
 }

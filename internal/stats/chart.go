@@ -13,10 +13,11 @@ type BarChart struct {
 	// RefValue draws a reference line label (e.g. the 1.0x baseline);
 	// NaN disables it.
 	RefValue float64
-	// Width is the bar area width in characters (default 40).
-	Width int
-	rows  []barRow
+	rows     []barRow
 }
+
+// barWidth is the bar area width in characters.
+const barWidth = 40
 
 type barRow struct {
 	label string
@@ -25,7 +26,7 @@ type barRow struct {
 
 // NewBarChart creates an empty chart.
 func NewBarChart(title string) *BarChart {
-	return &BarChart{Title: title, RefValue: math.NaN(), Width: 40}
+	return &BarChart{Title: title, RefValue: math.NaN()}
 }
 
 // Add appends one bar.
@@ -43,10 +44,6 @@ func (c *BarChart) String() string {
 	if len(c.rows) == 0 {
 		return b.String()
 	}
-	width := c.Width
-	if width <= 0 {
-		width = 40
-	}
 	maxV := 0.0
 	labelW := 0
 	for _, r := range c.rows {
@@ -62,20 +59,17 @@ func (c *BarChart) String() string {
 	}
 	refCol := -1
 	if !math.IsNaN(c.RefValue) && c.RefValue >= 0 && c.RefValue <= maxV {
-		refCol = int(math.Round(c.RefValue / maxV * float64(width)))
+		refCol = int(math.Round(c.RefValue / maxV * float64(barWidth)))
 	}
 	for _, r := range c.rows {
 		fmt.Fprintf(&b, "  %-*s ", labelW, r.label)
 		if math.IsNaN(r.value) {
-			b.WriteString(strings.Repeat(" ", width))
+			b.WriteString(strings.Repeat(" ", barWidth))
 			b.WriteString("      -\n")
 			continue
 		}
-		n := int(math.Round(r.value / maxV * float64(width)))
-		if n > width {
-			n = width
-		}
-		for col := 0; col < width; col++ {
+		n := min(int(math.Round(r.value/maxV*float64(barWidth))), barWidth)
+		for col := 0; col < barWidth; col++ {
 			switch {
 			case col < n:
 				b.WriteByte('#')

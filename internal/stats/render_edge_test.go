@@ -42,12 +42,12 @@ func TestNaNRendering(t *testing.T) {
 	}
 }
 
-// A single-row chart fills the full bar width (it is its own maximum).
+// A single-row chart fills the full 40-column bar width (it is its own
+// maximum).
 func TestSingleRowChartFillsWidth(t *testing.T) {
 	c := NewBarChart("t")
-	c.Width = 10
 	c.Add("only", 42)
-	if !strings.Contains(c.String(), strings.Repeat("#", 10)) {
+	if !strings.Contains(c.String(), strings.Repeat("#", 40)) {
 		t.Errorf("single bar not full width:\n%s", c.String())
 	}
 }

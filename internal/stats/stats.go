@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -25,18 +26,6 @@ func Gmean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// Mean returns the arithmetic mean of xs (NaN for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // DesignExtra carries design-specific counters surfaced in §6.6: the
@@ -59,12 +48,8 @@ type DesignExtra struct {
 type Table struct {
 	Title   string
 	Columns []string
-	rows    []tableRow
-}
-
-type tableRow struct {
-	label string
-	vals  []float64
+	labels  []string
+	vals    [][]float64
 }
 
 // NewTable creates a table with the given column headers.
@@ -77,72 +62,31 @@ func (t *Table) Add(label string, vals ...float64) {
 	if len(vals) != len(t.Columns) {
 		panic(fmt.Sprintf("stats: row %q has %d values, want %d", label, len(vals), len(t.Columns)))
 	}
-	t.rows = append(t.rows, tableRow{label, vals})
+	t.labels = append(t.labels, label)
+	t.vals = append(t.vals, vals)
 }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
+// Labels returns the row labels in order.
+func (t *Table) Labels() []string { return slices.Clone(t.labels) }
 
 // Value returns the cell for (label, column); ok=false if absent.
 func (t *Table) Value(label, column string) (float64, bool) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
+	r, c := slices.Index(t.labels, label), slices.Index(t.Columns, column)
+	if r < 0 || c < 0 {
 		return 0, false
 	}
-	for _, r := range t.rows {
-		if r.label == label {
-			return r.vals[ci], true
-		}
-	}
-	return 0, false
+	return t.vals[r][c], true
 }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	labelW := len("benchmark")
-	for _, r := range t.rows {
-		if len(r.label) > labelW {
-			labelW = len(r.label)
+	cells := make([][]string, len(t.vals))
+	for i, vals := range t.vals {
+		for _, v := range vals {
+			cells[i] = append(cells[i], formatCell(v))
 		}
 	}
-	colW := 10
-	for _, c := range t.Columns {
-		if len(c)+2 > colW {
-			colW = len(c) + 2
-		}
-	}
-	for _, r := range t.rows {
-		for _, v := range r.vals {
-			if len(formatCell(v))+2 > colW {
-				colW = len(formatCell(v)) + 2
-			}
-		}
-	}
-	fmt.Fprintf(&b, "%-*s", labelW+2, "benchmark")
-	for _, c := range t.Columns {
-		fmt.Fprintf(&b, "%*s", colW, c)
-	}
-	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("-", labelW+2+colW*len(t.Columns)))
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		fmt.Fprintf(&b, "%-*s", labelW+2, r.label)
-		for _, v := range r.vals {
-			fmt.Fprintf(&b, "%*s", colW, formatCell(v))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return render(t.Title, "benchmark", t.Columns, t.labels, cells)
 }
 
 func formatCell(v float64) string {
@@ -156,31 +100,6 @@ func formatCell(v float64) string {
 	}
 }
 
-// GmeanOver computes the geometric mean of a column over a subset of
-// row labels (all rows when labels is nil).
-func (t *Table) GmeanOver(column string, labels []string) float64 {
-	want := map[string]bool{}
-	for _, l := range labels {
-		want[l] = true
-	}
-	var xs []float64
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-		}
-	}
-	if ci < 0 {
-		return math.NaN()
-	}
-	for _, r := range t.rows {
-		if labels == nil || want[r.label] {
-			xs = append(xs, r.vals[ci])
-		}
-	}
-	return Gmean(xs)
-}
-
 // TextTable renders labelled rows of string cells with the same fixed
 // layout as Table; used for pass/fail grids (the fault audit) where
 // cells are verdicts, not numbers.
@@ -189,13 +108,9 @@ type TextTable struct {
 	Columns []string
 	// Label heads the row-label column; "" renders the historical
 	// default "design".
-	Label string
-	rows  []textRow
-}
-
-type textRow struct {
-	label string
-	cells []string
+	Label  string
+	labels []string
+	cells  [][]string
 }
 
 // NewTextTable creates a text table with the given column headers.
@@ -208,72 +123,64 @@ func (t *TextTable) Add(label string, cells ...string) {
 	if len(cells) != len(t.Columns) {
 		panic(fmt.Sprintf("stats: row %q has %d cells, want %d", label, len(cells), len(t.Columns)))
 	}
-	t.rows = append(t.rows, textRow{label, cells})
+	t.labels = append(t.labels, label)
+	t.cells = append(t.cells, cells)
 }
 
 // Rows returns the number of data rows.
-func (t *TextTable) Rows() int { return len(t.rows) }
+func (t *TextTable) Rows() int { return len(t.labels) }
 
 // Cell returns the cell for (label, column); ok=false if absent.
 func (t *TextTable) Cell(label, column string) (string, bool) {
-	ci := -1
-	for i, c := range t.Columns {
-		if c == column {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
+	r, c := slices.Index(t.labels, label), slices.Index(t.Columns, column)
+	if r < 0 || c < 0 {
 		return "", false
 	}
-	for _, r := range t.rows {
-		if r.label == label {
-			return r.cells[ci], true
-		}
-	}
-	return "", false
+	return t.cells[r][c], true
 }
 
 // String renders the table with aligned columns.
 func (t *TextTable) String() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
 	head := t.Label
 	if head == "" {
 		head = "design"
 	}
+	return render(t.Title, head, t.Columns, t.labels, t.cells)
+}
+
+// render is the one table layout: the title line, a header of head and
+// the column names, a dashed rule, then one row per label. The label
+// column is as wide as its widest entry; every other column is as wide
+// as the widest header or cell plus two spaces, and at least 10.
+func render(title, head string, columns, labels []string, cells [][]string) string {
+	var b strings.Builder
+	if title != "" {
+		fmt.Fprintf(&b, "%s\n", title)
+	}
 	labelW := len(head)
-	for _, r := range t.rows {
-		if len(r.label) > labelW {
-			labelW = len(r.label)
-		}
+	for _, l := range labels {
+		labelW = max(labelW, len(l))
 	}
 	colW := 10
-	for _, c := range t.Columns {
-		if len(c)+2 > colW {
-			colW = len(c) + 2
-		}
+	for _, c := range columns {
+		colW = max(colW, len(c)+2)
 	}
-	for _, r := range t.rows {
-		for _, cell := range r.cells {
-			if len(cell)+2 > colW {
-				colW = len(cell) + 2
-			}
+	for _, row := range cells {
+		for _, c := range row {
+			colW = max(colW, len(c)+2)
 		}
 	}
 	fmt.Fprintf(&b, "%-*s", labelW+2, head)
-	for _, c := range t.Columns {
+	for _, c := range columns {
 		fmt.Fprintf(&b, "%*s", colW, c)
 	}
 	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("-", labelW+2+colW*len(t.Columns)))
+	b.WriteString(strings.Repeat("-", labelW+2+colW*len(columns)))
 	b.WriteByte('\n')
-	for _, r := range t.rows {
-		fmt.Fprintf(&b, "%-*s", labelW+2, r.label)
-		for _, cell := range r.cells {
-			fmt.Fprintf(&b, "%*s", colW, cell)
+	for i, l := range labels {
+		fmt.Fprintf(&b, "%-*s", labelW+2, l)
+		for _, c := range cells[i] {
+			fmt.Fprintf(&b, "%*s", colW, c)
 		}
 		b.WriteByte('\n')
 	}
