@@ -413,3 +413,68 @@ func TestWriteBackDesignsEvictDirtyLines(t *testing.T) {
 		}
 	}
 }
+
+// TestLRURecencyOnHit drives one set conflict through every LRU design:
+// loads of A and B fill a 2-way set, a load hits A, and a load of C
+// misses and must evict the least recently used line, B. A must then
+// still hit while B refetches from NVM; a design that skips the
+// recency update on a hit evicts A instead. nvsram-practical keeps its lines in
+// two LRU banks of half the ways each, so it runs on a 4-way geometry,
+// whose SRAM bank is 2-way; loads leave every line clean, so none
+// migrates to the NV bank.
+func TestLRURecencyOnHit(t *testing.T) {
+	geo := cache.DefaultGeometry()
+	geo4 := geo
+	geo4.Ways = 4
+	bank := cache.Geometry{SizeBytes: geo4.SizeBytes / 2, Ways: geo4.Ways / 2, LineBytes: geo4.LineBytes}
+	for _, d := range []struct {
+		name  string
+		set   cache.Geometry // the 2-way array the three lines contend for
+		build func(n *mem.NVM) designIface
+	}{
+		{"vcache-wt", geo, func(n *mem.NVM) designIface { return NewVCacheWT(geo, cache.SRAMTech(), cache.LRU, jit(), n) }},
+		{"wt-buffer", geo, func(n *mem.NVM) designIface {
+			return NewWTBuffer(geo, cache.SRAMTech(), cache.LRU, jit(), DefaultWTBufferParams(), n)
+		}},
+		{"nvcache-wb", geo, func(n *mem.NVM) designIface { return NewNVCacheWB(geo, cache.LRU, jit(), n) }},
+		{"nvsram", geo, func(n *mem.NVM) designIface { return NewNVSRAM(geo, cache.LRU, jit(), DefaultNVSRAMParams(), n) }},
+		{"nvsram-full", geo, func(n *mem.NVM) designIface {
+			return NewNVSRAMFull(geo, cache.LRU, jit(), DefaultNVSRAMParams(), n)
+		}},
+		{"nvsram-practical", bank, func(n *mem.NVM) designIface {
+			return NewNVSRAMPractical(geo4, jit(), DefaultNVSRAMParams(), n)
+		}},
+		{"eager-wb", geo, func(n *mem.NVM) designIface { return NewEagerWB(geo, cache.LRU, jit(), n) }},
+		{"replay", geo, func(n *mem.NVM) designIface { return NewReplayCache(geo, cache.LRU, jit(), DefaultReplayParams(), n) }},
+		{"broken", geo, func(n *mem.NVM) designIface { return NewBrokenVolatileWB(geo, cache.LRU, jit(), n) }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			if d.set.Ways != 2 {
+				t.Fatalf("the conflict needs a 2-way set, got %d ways", d.set.Ways)
+			}
+			nvm := newNVM()
+			des := d.build(nvm)
+			stride := uint32(d.set.Sets() * d.set.LineBytes) // consecutive lines of one set
+			a, b, c := uint32(0x40), 0x40+stride, 0x40+2*stride
+			now := int64(0)
+			// load reports whether the load of addr read NVM (a miss).
+			load := func(addr uint32) bool {
+				before := nvm.Traffic().Reads
+				_, now, _ = des.Access(now, isa.OpLoad, addr, 0)
+				return nvm.Traffic().Reads > before
+			}
+			for i, step := range []struct {
+				addr uint32
+				miss bool
+				what string
+			}{
+				{a, true, "cold A"}, {b, true, "cold B"}, {a, false, "A, resident"},
+				{c, true, "cold C"}, {a, false, "A, used after B"}, {b, true, "B, the LRU line C evicted"},
+			} {
+				if got := load(step.addr); got != step.miss {
+					t.Fatalf("load %d (%s): miss = %v, want %v", i, step.what, got, step.miss)
+				}
+			}
+		})
+	}
+}

@@ -14,7 +14,11 @@ import (
 // checkTierPair runs one cell under both engine tiers on the base
 // configuration and asserts the DESIGN.md §16 contract: counts and
 // checksums identical, energies and times within FastTolerance, and
-// infeasible cells failing identically.
+// infeasible cells failing identically. The exact run must also equal,
+// bit for bit and error for error, its twin carrying a fault plan that
+// never crashes: the plan makes the simulator derive its time and
+// instruction ledger before every event's ShouldCrash, which a plain
+// run derives only at its outages and its end.
 func checkTierPair(t *testing.T, base sim.Config, kind Kind, opts Options, wl string, scale int, src power.Source) {
 	t.Helper()
 	id := fmt.Sprintf("%s ml=%d dq=%d cap=%g", kind, opts.Maxline, opts.DQCap, base.CapacitorF)
@@ -22,6 +26,14 @@ func checkTierPair(t *testing.T, base sim.Config, kind Kind, opts Options, wl st
 	exactCfg := base
 	exactCfg.Tier = sim.TierExact
 	resE, errE := Run(kind, opts, wl, scale, src, exactCfg)
+
+	hookedCfg := exactCfg
+	hookedCfg.FaultPlan = nopFaultPlan{}
+	resH, errH := Run(kind, opts, wl, scale, src, hookedCfg)
+	if fmt.Sprint(errE) != fmt.Sprint(errH) || !maps.Equal(FlattenResult(resE), FlattenResult(resH)) {
+		t.Errorf("%s/%s/%s: an inert fault plan changed the exact run:\n  plain:  %v %v\n  hooked: %v %v",
+			id, wl, src, errE, resE, errH, resH)
+	}
 
 	fastCfg := base
 	fastCfg.Tier = sim.TierFast

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -121,9 +122,15 @@ type exactReplay struct {
 	res                 Result
 }
 
-// start charges the capacitor from VMin to Von, as a run begins.
+// start charges the capacitor from VMin to Von, as a run begins. A
+// run without a trace has no capacitor work: it starts, and stays, at
+// VMax.
 func (r *exactReplay) start() {
 	r.cap = energy.NewCapacitor(r.cfg.CapacitorF, r.cfg.VMin, r.cfg.VMax)
+	if r.cfg.Trace == nil {
+		r.cap.SetVoltage(r.cfg.VMax)
+		return
+	}
 	r.cur = power.NewCursor(r.cfg.Trace)
 	r.vb = r.cfg.Vbackup(r.reserve)
 	r.cap.SetVoltage(r.cfg.VMin)
@@ -181,9 +188,11 @@ func (r *exactReplay) state() exactState {
 
 func (r *exactReplay) event(to int64, eb energy.Breakdown, guard bool) {
 	eb.Leak += r.leakW * float64(to-r.now) / 1e12
-	h := r.cfg.OnHarvestEff * r.cur.Integrate(r.now, to)
-	if !r.cap.Step(h, eb.Total(), r.cfg.VMin, guard) {
-		r.t.Fatalf("replay: under-voltage at t=%d", to)
+	if r.cur != nil {
+		h := r.cfg.OnHarvestEff * r.cur.Integrate(r.now, to)
+		if !r.cap.Step(h, eb.Total(), r.cfg.VMin, guard) {
+			r.t.Fatalf("replay: under-voltage at t=%d", to)
+		}
 	}
 	e := &r.res.Energy
 	e.CacheRead += eb.CacheRead
@@ -215,7 +224,7 @@ func (r *exactReplay) recharge() {
 // outage sequence when the capacitor reached Vbackup.
 func (r *exactReplay) onEvent(from int64) {
 	r.res.OnTime += r.now - from
-	if r.cap.Voltage() >= r.vb {
+	if r.cur == nil || r.cap.Voltage() >= r.vb {
 		return
 	}
 	r.res.Outages++
@@ -420,6 +429,9 @@ func (m *lockstepMachine) check(op string) {
 		m.t.Fatalf("op %d %s: the replay did not expect the simulator's %s at t=%d",
 			m.ops, op, m.d.log[0].kind, m.d.log[0].now)
 	}
+	// The simulator derives its ledger where it is read; the replay
+	// books it per event.
+	m.sim.deriveLedger()
 	got := exactState{m.sim.res, m.sim.cap.Voltage()}
 	got.res.ExecTime = m.sim.now
 	if d := got.diff(m.r.state()); d != "" {
@@ -496,5 +508,89 @@ func TestExactPolicyMatchesSeedReplayOnRealDesign(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAbortedRunLedger pins the ledger of a run whose kernel panics
+// after k operations. The simulator books neither OnTime nor
+// Instructions per event, so Run must derive both on its recover path:
+// the partial Result of the *PanicError must hold what the replay,
+// which books them per event, holds after the same k operations. It
+// covers the exact tier with a trace (outages included) and without
+// one, and the fast tier, whose windows book nothing either.
+func TestAbortedRunLedger(t *testing.T) {
+	const leakW = 37.3e-6
+	type ledger struct {
+		onTime       int64
+		instructions uint64
+	}
+	for _, tc := range []struct {
+		name   string
+		tier   Tier
+		traced bool
+	}{
+		{"exact/traced", TierExact, true},
+		{"exact/untraced", TierExact, false},
+		{"fast/traced", TierFast, true},
+		{"fast/untraced", TierFast, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Tier = tc.tier
+			cfg.CapacitorF = 20e-9 // an outage every few chunks
+			if tc.traced {
+				cfg.Trace = power.Get(power.Trace1)
+			}
+			ops := exactOracleProgram(cfg.ComputeChunk)
+			r := &exactReplay{t: t, cfg: cfg,
+				perInstrPS: cfg.CyclePS,
+				leakW:      leakW,
+				reserve:    fixedReserve,
+				checkpoint: fixedCheckpoint,
+				restore:    fixedRestore,
+			}
+			r.start()
+			want := []ledger{{r.res.OnTime, r.res.Instructions}} // after k ops
+			for _, o := range ops {
+				if !o.compute {
+					r.access(fixedAccessCost(r.now, o.op, o.addr))
+				}
+				r.compute(o.n)
+				want = append(want, ledger{r.res.OnTime, r.res.Instructions})
+			}
+			if tc.traced && r.res.Outages == 0 {
+				t.Fatal("the oracle program must cross at least one outage")
+			}
+
+			type kernelPanic struct{}
+			for k := range want {
+				nvm := mem.NewNVM(mem.DefaultNVMParams())
+				s, err := New(cfg, &fixedDesign{data: mem.NewStore(), leakW: leakW}, nvm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run("oracle", func(m isa.Machine) uint32 {
+					for _, o := range ops[:k] {
+						switch {
+						case o.compute:
+							m.Compute(o.n)
+						case o.op == isa.OpStore:
+							m.Store32(o.addr, o.addr^0x5a5a)
+						default:
+							m.Load32(o.addr)
+						}
+					}
+					panic(kernelPanic{})
+				})
+				var pe *PanicError
+				if !errors.As(err, &pe) || pe.Value != (kernelPanic{}) {
+					t.Fatalf("panic after %d ops: err = %v, want the kernel's *PanicError", k, err)
+				}
+				if got := (ledger{res.OnTime, res.Instructions}); got != want[k] {
+					t.Fatalf("panic after %d ops: OnTime, Instructions = %d, %d; booked per event: %d, %d",
+						k, got.onTime, got.instructions, want[k].onTime, want[k].instructions)
+				}
+			}
+		})
 	}
 }

@@ -62,16 +62,18 @@ import (
 const blockMemoSize = 16
 
 // blockCost caches the derived costs of a Compute block of length n:
-// its duration, its core/fetch energies and their sum (the block's
-// tracked draw; leakage is derived from time at settle). Every entry
-// folds only per-run constants (cycle time, InstrEnergy, icache fetch
-// energy).
+// its duration, its core/fetch energies, their sum (the block's tracked
+// draw) and its leakage leakW*dt/1e12. The exact policy reads each
+// chunk's costs from it; the fast policy derives leakage from window
+// time at settle instead. Every entry folds only per-run constants
+// (cycle time, InstrEnergy, icache fetch energy, leakage power).
 type blockCost struct {
 	n       int
 	dt      int64
 	compute float64
 	fetch   float64
 	draw    float64
+	leak    float64
 }
 
 // openWindow starts a settle window at s.now on the fast policy: after
@@ -129,17 +131,17 @@ func (s *Simulator) settleAndCheck() {
 }
 
 // settle closes the open window at s.now. It flushes the accumulated
-// breakdown into Result.Energy, accounts the window's leakage and
-// on-time from the window duration (the window tiles [settleT, now]
-// contiguously with on-period events, so both are a single expression
-// — leak as leakW·dt, on-time exactly), rebuilds the derived
-// instruction count, integrates the harvest actually available, applies
-// the covered draw, samples the recorder's voltage gauge (one sqrt,
-// only when recording), and re-arms the budget and deadline. Any
-// in-flight (mid-access) accumulation beyond scratchDraw is carried into
-// the new window as pending draw, not settled. The window construction
-// (see rearm) guarantees the single end-of-window VMax clamp is
-// equivalent to per-event clamping.
+// breakdown into Result.Energy, accounts the window's leakage from the
+// window duration (the window tiles [settleT, now] contiguously with
+// on-period events, so it is a single expression, leakW·dt; on-time and
+// the instruction count are derived only where read, by deriveLedger),
+// integrates the harvest actually available, applies the covered draw,
+// samples the recorder's voltage gauge (one sqrt, only when recording),
+// and re-arms the budget and deadline. Any in-flight (mid-access)
+// accumulation beyond scratchDraw is carried into the new window as
+// pending draw, not settled. The window construction (see rearm)
+// guarantees the single end-of-window VMax clamp is equivalent to
+// per-event clamping.
 func (s *Simulator) settle() {
 	carry := s.scratchTotal() - s.scratchDraw
 	windowDt := s.now - s.settleT
@@ -147,8 +149,6 @@ func (s *Simulator) settle() {
 	drawn := s.pendingBlock + s.scratchDraw + leakE
 	s.res.Energy.Add(&s.ebScratch)
 	s.res.Energy.Leak += leakE
-	s.res.OnTime += windowDt
-	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
 	s.ebScratch = energy.Breakdown{}
 	s.pendingBlock = carry
 	s.scratchDraw = 0
@@ -222,11 +222,10 @@ func (s *Simulator) rearm() {
 // windowStep completes a memory operation on the fast policy, after
 // the design's AccessEB returned done: it adds the 1-cycle pipeline
 // slot and the core energy, and reports whether the event stays inside
-// the open window. Inside it, leakage, on-time and the instruction
-// count are left to the settle: the category sum, two stores, a
-// compare. Otherwise the caller passes end to settleEvent. end is
-// strictly after s.now (at least one pipeline slot), so time cannot
-// run backwards.
+// the open window. Inside it, leakage is left to the settle: the
+// category sum, two stores, a compare. Otherwise the caller passes end
+// to settleEvent. end is strictly after s.now (at least one pipeline
+// slot), so time cannot run backwards.
 func (s *Simulator) windowStep(done int64) (end int64, ok bool) {
 	end = max(s.now+s.perInstrPS, done)
 	s.ebScratch.Compute += s.cfg.InstrEnergy
@@ -302,15 +301,16 @@ func (s *Simulator) block(n int) *blockCost {
 		*m = blockCost{n: n, dt: int64(n) * s.perInstrPS,
 			compute: float64(n) * s.cfg.InstrEnergy, fetch: float64(n) * s.instrE}
 		m.draw = m.compute + m.fetch
+		m.leak = s.leakW * float64(m.dt) / 1e12
 	}
 	return m
 }
 
-// addBlock advances over one memoized block of n ALU instructions.
-// Leakage, on-time and the instruction count are derived from the
-// window at settle time, so a block is five adds. Block draw is tracked
-// in pendingBlock, not the scratch, so it never perturbs the access
-// path's cached scratch total.
+// addBlock advances over one memoized block of n ALU instructions on
+// the fast policy. Leakage is derived from the window at settle time,
+// so a block is five adds. Block draw is tracked in pendingBlock, not
+// the scratch, so it never perturbs the access path's cached scratch
+// total.
 func (s *Simulator) addBlock(m *blockCost, n int) {
 	s.pendingBlock += m.draw
 	s.res.Energy.Compute += m.compute

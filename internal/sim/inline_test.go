@@ -15,9 +15,11 @@ import (
 // (or their signed views) inlines into the kernel, and windowStep
 // inlines into Load32 and Store32, so the operation costs two indirect
 // calls (isa.Machine, then the design's AccessEB) and nothing else
-// while it stays in the window. All of them sit just under the
+// while it stays in the window. Most of them sit just under the
 // compiler's inlining budget, so an edit that grows one would lose the
-// saving without any other test noticing.
+// saving without any other test noticing. The block-cost memo lookup,
+// block, must inline too: both policies' Compute paths read every
+// chunk's costs through it.
 func TestHotPathInlined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the compiler")
@@ -27,7 +29,7 @@ func TestHotPathInlined(t *testing.T) {
 		t.Fatalf("go build -gcflags=-m: %v\n%s", err, out)
 	}
 	diag := string(out) // positions are relative to this package's directory
-	for _, fn := range []string{"Arr.Load", "Arr.Store", "Arr.LoadI", "Arr.StoreI", "(*Simulator).windowStep"} {
+	for _, fn := range []string{"Arr.Load", "Arr.Store", "Arr.LoadI", "Arr.StoreI", "(*Simulator).windowStep", "(*Simulator).block"} {
 		if !regexp.MustCompile(`(?m): can inline ` + regexp.QuoteMeta(fn) + `$`).MatchString(diag) {
 			t.Errorf("compiler no longer reports %s inlinable", fn)
 		}

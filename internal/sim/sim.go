@@ -51,8 +51,8 @@ type Simulator struct {
 	// and engages on every TierFast run without a fault plan (a plan may
 	// crash at any event boundary, which a batched window hides). A
 	// recorder observes only settles and event-ordered sites, so it runs
-	// on either policy. The fields below perEvent, up to computeRetired,
-	// are the fast policy's window state.
+	// on either policy. The fields below perEvent, up to leakWPerPS, are
+	// the fast policy's window state.
 	perEvent       bool
 	fcapE          float64 // capacitor energy (J); the capacitor voltage is synced from it on demand
 	eVb            float64 // ½·C·Vbackup² — the monitor threshold in energy space
@@ -65,8 +65,15 @@ type Simulator struct {
 	drawBudget     float64 // zero-harvest-safe draw before a settle is forced
 	perInstrDrawE  float64 // worst-case (zero-harvest) energy per ALU instruction
 	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div in the settle
+
+	// Compute's block-cost memo and the instructions it retired, on
+	// both policies (deriveLedger reads the count), then the exact
+	// access path's leakage memo: leakW*accessDt/1e12 for the last
+	// access duration.
 	blockMemo      [blockMemoSize]blockCost
-	computeRetired uint64 // ALU instructions retired by Compute (both policies)
+	computeRetired uint64
+	accessDt       int64
+	accessLeak     float64
 
 	// ebScratch is the breakdown handed to AccessEB: the open window's
 	// on the fast policy, the one event's on the exact policy. Passing a
@@ -163,11 +170,11 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 // stale. The fast policy then settles at the current trajectory so its
 // budget re-derives from real state against the new threshold.
 //
-// The block-cost memo is cleared too. Its entries fold only per-run
-// constants, so no entry is ever stale, but the flush decides window
-// boundaries: a cold entry sends the next Compute(n) through the block
-// loop, whose budget split counts leakage where the fused check does
-// not. Dropping the flush moves fast-tier sums by an ulp on some
+// On the fast policy the block-cost memo is cleared too. Its entries
+// fold only per-run constants, so no entry is ever stale, but the flush
+// decides window boundaries: a cold entry sends the next Compute(n)
+// through the block loop, whose budget split counts leakage where the
+// fused check does not. Dropping the flush moves fast-tier sums by an ulp on some
 // outage-heavy cells, so it waits for an EngineVersion bump.
 func (s *Simulator) refreshThresholds() {
 	s.vb = s.cfg.Vbackup(s.design.ReserveEnergy())
@@ -211,6 +218,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	}
 	defer func() {
 		if r := recover(); r != nil {
+			s.deriveLedger()
 			if a, ok := r.(simAbort); ok {
 				res, err = s.res, a.err
 				return
@@ -249,6 +257,7 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	s.syncCap()
 	s.res.Checksum = sum
 	s.res.ExecTime = s.now
+	s.deriveLedger()
 
 	// Final shutdown flush: not part of the measured execution time,
 	// but it completes durability so the NVM image can be audited.
@@ -288,10 +297,8 @@ func (s *Simulator) Now() int64 { return s.now }
 // (settleEvent). The event's breakdown accumulates into ebScratch
 // (every design accumulates with +=).
 func (s *Simulator) Load32(addr uint32) uint32 {
-	// Counted before the access: every settle derives Instructions from
-	// Loads + Stores + retired compute blocks, and a fast-policy settle
-	// can run inside AccessEB (a mid-access reserve change), where it
-	// must already see the completing event.
+	// Counted before the access, so a ledger derived at an abort inside
+	// it counts the access in flight.
 	s.res.Loads++
 	var v uint32
 	if s.perEvent {
@@ -370,10 +377,10 @@ func (s *Simulator) Compute(n int) {
 
 // accessExact is a memory operation on the exact policy: the event
 // settles alone, in voltage space — its leakage, one step over its
-// whole breakdown, the breakdown added to the result through the
-// pointer, then the monitor. The design adds the hierarchy's share,
-// the simulator the 1-cycle pipeline slot and core energy. ebScratch
-// is zero on entry and cleared on exit.
+// whole breakdown (with a trace), the breakdown added to the result
+// through the pointer, then the monitor. The design adds the
+// hierarchy's share, the simulator the 1-cycle pipeline slot and core
+// energy. ebScratch is zero on entry and cleared on exit.
 func (s *Simulator) accessExact(op isa.Op, addr uint32, val uint32) uint32 {
 	eb := &s.ebScratch
 	v, done := s.design.AccessEB(s.now, op, addr, val, eb)
@@ -381,49 +388,65 @@ func (s *Simulator) accessExact(op isa.Op, addr uint32, val uint32) uint32 {
 	s.now = max(from+s.perInstrPS, done)
 	eb.Compute += s.cfg.InstrEnergy
 	eb.CacheRead += s.instrE
-	eb.Leak += s.leakW * float64(s.now-from) / 1e12
-	s.step(from, s.now, eb.Total())
+	if dt := s.now - from; dt != s.accessDt {
+		s.accessDt, s.accessLeak = dt, s.leakW*float64(dt)/1e12
+	}
+	eb.Leak += s.accessLeak
+	if !s.untraced {
+		s.step(from, s.now, eb.Total())
+	}
 	s.res.Energy.Add(eb)
 	*eb = energy.Breakdown{}
-	s.endEventExact(from)
+	s.endEventExact()
 	return v
 }
 
 // computeExact runs n ALU instructions on the exact policy as events
 // of at most ComputeChunk instructions (the monitor's granularity), each
-// settled alone in voltage space. A chunk's core and fetch energy go
-// straight to the result; it draws leak + (compute + fetch), the seed's
-// (fetch + compute) + leak with each addition's operands swapped, which
-// IEEE addition does exactly.
+// settled alone in voltage space, its costs read from the block memo.
+// A chunk's core and fetch energy go straight to the result; it draws
+// leak + (compute + fetch), the seed's (fetch + compute) + leak with
+// each addition's operands swapped, which IEEE addition does exactly.
 func (s *Simulator) computeExact(n int) {
 	for n > 0 {
 		run := min(n, s.cfg.ComputeChunk)
-		compute := float64(run) * s.cfg.InstrEnergy
-		fetch := float64(run) * s.instrE
-		s.res.Energy.Compute += compute
-		s.res.Energy.CacheRead += fetch
+		m := s.block(run)
+		s.res.Energy.Compute += m.compute
+		s.res.Energy.CacheRead += m.fetch
 		s.computeRetired += uint64(run)
 		from := s.now
-		s.now += int64(run) * s.perInstrPS
-		leak := s.leakW * float64(s.now-from) / 1e12
-		s.step(from, s.now, leak+(compute+fetch))
-		s.res.Energy.Leak += leak
-		s.endEventExact(from)
+		s.now += m.dt
+		if !s.untraced {
+			s.step(from, s.now, m.leak+m.draw)
+		}
+		s.res.Energy.Leak += m.leak
+		s.endEventExact()
 		n -= run
 	}
 }
 
-// endEventExact closes an exact-policy event that began at from: it
-// books the on-time, rederives the instruction count and runs the
-// voltage monitor, which starts the outage sequence once the capacitor
-// has discharged to Vbackup or a fault plan forces a crash here.
-func (s *Simulator) endEventExact(from int64) {
-	s.res.OnTime += s.now - from
-	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
+// endEventExact is the exact policy's voltage monitor, run after every
+// event: it starts the outage sequence once the capacitor has
+// discharged to Vbackup or a fault plan forces a crash here.
+func (s *Simulator) endEventExact() {
 	if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
 		return
 	}
 	s.checkPowerSlow()
+}
+
+// deriveLedger computes Result.OnTime and Result.Instructions from the
+// counters booked as they happen. All simulated time is on-time except
+// the outage sequence's three phases, each booked as time moves
+// (ExecTime = OnTime + CheckpointTime + OffTime + RestoreTime), and
+// every instruction retired is a load, a store or a Compute
+// instruction. Neither policy books the two per event or per settle:
+// they are derived where they are read — a fault plan's ShouldCrash,
+// the forward-progress check after an outage, and the end or abort of
+// Run.
+func (s *Simulator) deriveLedger() {
+	s.res.OnTime = s.now - s.res.CheckpointTime - s.res.OffTime - s.res.RestoreTime
+	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
 }
 
 // advance runs one outage-sequence event (checkpoint, restore, icache
@@ -435,7 +458,9 @@ func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 		s.abort(fmt.Errorf("time went backwards: %d -> %d", s.now, to))
 	}
 	eb.Leak += s.leakW * float64(dt) / 1e12
-	s.step(s.now, to, eb.Total())
+	if !s.untraced {
+		s.step(s.now, to, eb.Total())
+	}
 	s.res.Energy.Add(eb)
 	*phase += dt
 	s.now = to
@@ -444,12 +469,11 @@ func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 // step is the voltage-space capacitor arithmetic of one event spanning
 // [from, to] that drew e joules, its leakage included: integrate the
 // harvest, then draw. Every exact-policy event and every
-// outage-sequence event of both policies settles through here; the
-// fast policy's windows settle in energy space instead (settle).
+// outage-sequence event of both policies settles through here when the
+// run has a trace; without one there is no capacitor, and the callers
+// neither form the draw nor call. The fast policy's windows settle in
+// energy space instead (settle).
 func (s *Simulator) step(from, to int64, e float64) {
-	if s.untraced {
-		return
-	}
 	h := s.cfg.OnHarvestEff * s.cursor.Integrate(from, to)
 	// Checkpoints spend the reserved band unguarded; the
 	// post-checkpoint reserve check in powerFail polices VMin.
@@ -469,6 +493,7 @@ func (s *Simulator) step(from, to int64, e float64) {
 // out before calling it.
 func (s *Simulator) checkPowerSlow() {
 	if s.cfg.FaultPlan != nil {
+		s.deriveLedger()
 		if s.cfg.FaultPlan.ShouldCrash(s.res.Instructions, s.now) {
 			s.powerFail(true)
 			return
@@ -568,6 +593,7 @@ func (s *Simulator) powerFail(forced bool) {
 	s.bootTime = s.now
 
 	// Forward-progress guard: a period that retired no instructions.
+	s.deriveLedger()
 	if s.res.Instructions == s.instrAtBoot {
 		s.noProgress++
 		if s.noProgress >= 8 {
